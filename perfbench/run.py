@@ -39,13 +39,18 @@ OUT_DIR = HERE / ".out"
 GOLDEN_PATH = HERE / "golden.json"
 
 SETUP_REPEATS = 5
+# Untraced passes a run makes even when the second overruns --seconds, so
+# that no median rests on a single sample.
+MIN_PASSES = 2
 
 # name, unit, better. The end-to-end metrics are measured with tracing off.
+# A `ref` is the wall time of one `reference_work()` in the same run: times
+# in that unit cancel the swings of a shared host's speed (see README.md).
 END_TO_END = (
     ("setup_s", "s", "lower"),
-    ("run_s", "s", "lower"),
-    ("tuner_s", "s", "lower"),
-    ("tuner_round_s.p50", "s", "lower"),
+    ("run_time", "ref", "lower"),
+    ("tuner_time", "ref", "lower"),
+    ("tuner_round_time.p50", "ref", "lower"),
     ("peak_rss_mb", "MB", "lower"),
 )
 
@@ -136,6 +141,26 @@ DETERMINISTIC = tuple(
 ) + tuple(f"improvement.{m}" for m in METHODS)
 
 PARAMS = TunerParams()
+
+
+def reference_work():
+    """A fixed computation of about 15 ms that no idxlab change can speed up.
+
+    An untraced run times it at the start of every method round. It mixes
+    what a tuning round does: dict and tuple work in the interpreter, a
+    sort, numpy products of the cost model's batch and layer shapes, and
+    JSON encoding.
+    """
+    counts = {}
+    for i in range(20000):
+        key = (i % 97, i % 13)
+        counts[key] = counts.get(key, 0) + i * 0.5
+    ordered = sorted(counts.items(), key=lambda item: item[1])
+    x = np.linspace(-1.0, 1.0, 32 * 64).reshape(32, 64)
+    w = np.linspace(-0.1, 0.1, 64 * 64).reshape(64, 64)
+    for _ in range(200):
+        x = np.maximum(x @ w, 0.0) + 0.5
+    return len(json.dumps(ordered)) + float(x.sum())
 
 
 # -- workloads ---------------------------------------------------------------
@@ -344,17 +369,43 @@ def _golden(path, workload, seed, rounds):
 
 
 class Sample:
-    """One run of one unit, with the spans recorded around it."""
+    """One run of one unit, with the spans recorded around it.
+
+    Times in seconds leave out the reference runs. On an untraced run the
+    ``*_time`` attributes hold the same times in refs.
+    """
 
     def __init__(self, unit, outcome, tracer, seconds):
         self.unit = unit
         self.outcome = outcome
         self.tracer = tracer
-        self.seconds = seconds
+        unit_refs = tracer.reference_seconds()
+        self.seconds = seconds - sum(unit_refs)
         self.method_s = Counter()
-        for method, start, end in tracer.method_spans():
-            self.method_s[method] += end - start
-        self.round_s = tracer.durations("tuner.run_round")
+        self.method_time = Counter()
+        self.round_s, self.round_time = [], []
+        for run in tracer.method_runs():
+            rounds, refs = run["rounds"], run["refs"]
+            self.method_s[run["method"]] += run["seconds"]
+            self.round_s += rounds
+            if refs:
+                # A tuner round in the mean of the three references nearest
+                # to it (the one timed at its start, the one before and the
+                # one after): the host's speed changes within a run, and a
+                # median over rounds feels that more than a sum does.
+                # Baseline rounds have no span; they take the run's mean.
+                round_time = [
+                    t / statistics.fmean(refs[max(i - 1, 0) : i + 2]) for i, t in enumerate(rounds)
+                ]
+                rest_s = run["seconds"] - sum(rounds)
+                self.method_time[run["method"]] += sum(round_time) + rest_s / statistics.fmean(refs)
+                self.round_time += round_time
+        # Each method in its own refs (their mean differs between the tuner
+        # and the baselines), the rest of the unit in the unit's mean ref.
+        self.time = None
+        if unit_refs:
+            rest_s = self.seconds - sum(self.method_s.values())
+            self.time = sum(self.method_time.values()) + rest_s / statistics.fmean(unit_refs)
 
 
 class Measurement:
@@ -374,7 +425,7 @@ class Measurement:
         self.peak_rss_mb = None
 
     def run(self, unit, layers):
-        tracer = Tracer(layers=layers)
+        tracer = Tracer(layers=layers, reference=None if layers else reference_work)
         t0 = time.perf_counter()
         with tracer:
             outcome = self.workload.run_unit(unit, self.env, self.seed, self.workdir)
@@ -466,26 +517,42 @@ def import_seconds():
 
 
 def end_to_end_metrics(measurement, setup_s):
+    """The bounded metrics in refs, and the same times in seconds beside them."""
     samples = measurement.untraced()
-    rounds = [t for s in samples for t in s.round_s]
+    units = measurement.workload.units
 
-    def method_median(method):
-        return statistics.median([s.method_s[method] for s in samples if method in s.method_s])
+    def unit_median(unit, attr):
+        return statistics.median([getattr(s, attr) for s in samples if s.unit == unit])
 
+    def method_median(method, attr):
+        return statistics.median([getattr(s, attr)[method] for s in samples if method in s.method_s])
+
+    rounds_time = [t for s in samples for t in s.round_time]
     values = {
         "setup_s": setup_s,
-        "run_s": statistics.median(measurement.passes),
-        "tuner_s": method_median("tuner"),
-        "tuner_round_s.p50": statistics.median(rounds),
+        "run_time": sum(unit_median(unit, "time") for unit in units),
+        "tuner_time": method_median("tuner", "method_time"),
+        "tuner_round_time.p50": statistics.median(rounds_time),
         "peak_rss_mb": measurement.peak_rss_mb,
     }
-    extra = {f"{method}_s": method_median(method) for method in METHODS[1:]}
-    extra["samples.passes_s"] = measurement.passes
-    extra["samples.rounds"] = len(rounds)
+    rounds_s = [t for s in samples for t in s.round_s]
+    refs = [t for s in samples for t in s.tracer.reference_seconds()]
+    extra = {
+        "reference_s.p50": statistics.median(refs),
+        "run_s": sum(unit_median(unit, "seconds") for unit in units),
+        "tuner_s": method_median("tuner", "method_s"),
+        "tuner_round_s.p50": statistics.median(rounds_s),
+    }
+    for method in METHODS[1:]:
+        extra[f"{method}_s"] = method_median(method, "method_s")
+        extra[f"{method}_time"] = method_median(method, "method_time")
+    extra["samples.rounds"] = len(rounds_s)
+    extra["samples.references"] = len(refs)
     for method in METHODS:
-        extra[f"samples.{method}_s"] = [s.method_s[method] for s in samples if method in s.method_s]
-    if len(rounds) >= 100:
-        extra["tuner_round_s.p90"] = statistics.quantiles(rounds, n=10)[-1]
+        extra[f"samples.{method}_time"] = [s.method_time[method] for s in samples if method in s.method_s]
+    if len(rounds_s) >= 100:
+        extra["tuner_round_s.p90"] = statistics.quantiles(rounds_s, n=10)[-1]
+        extra["tuner_round_time.p90"] = statistics.quantiles(rounds_time, n=10)[-1]
     return values, extra
 
 
@@ -596,7 +663,10 @@ def main(argv=None):
     if args.trace:
         measurement.run_pass(layers=True)
     else:
-        while time.perf_counter() + max(measurement.passes) <= deadline:
+        while (
+            len(measurement.passes) < MIN_PASSES
+            or time.perf_counter() + max(measurement.passes) <= deadline
+        ):
             measurement.run_pass(layers=False)
         measurement.fill(deadline)
     shutil.rmtree(workdir, ignore_errors=True)

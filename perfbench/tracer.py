@@ -9,10 +9,16 @@ direct children.
 Two levels exist:
 
 * ``layers=False`` wraps only the method boundaries (`OnlineTuner.run`,
-  `OnlineTuner.run_round`, `run_baseline`, `run_experiment`): one span per
-  method run and per tuner round, so end-to-end times are measured with it on.
+  `OnlineTuner.run_round`, `run_baseline`, `run_experiment`) and
+  `generate_candidates`, which marks a baseline round: one span per method
+  run and per round, so end-to-end times are measured with it on.
 * ``layers=True`` adds one span per call into each layer, plus the counters
   the per-layer metrics need.
+
+An untraced tracer may also be given a ``reference`` computation. It runs
+once at the start of every method round, outside every round span, and its
+wall times are kept per method run, so that `method_runs` can subtract them
+from the method's time and express that time in units of the reference.
 """
 
 import functools
@@ -21,8 +27,9 @@ from collections import Counter
 
 
 class Tracer:
-    def __init__(self, layers: bool):
+    def __init__(self, layers: bool, reference=None):
         self.layers = layers
+        self.reference = reference
         self.spans = []  # [name, start, end, parent index, round id]
         self.counts = Counter()
         self._stack = []
@@ -30,6 +37,7 @@ class Tracer:
         self._method = None
         self._round = -1
         self._plans = [[]]  # per method run: (query, config) of each planner call
+        self._refs = [[]]  # per method run: seconds of each reference run
         self._tuner = None
 
     # -- spans -------------------------------------------------------------
@@ -80,6 +88,7 @@ class Tracer:
         for module in (tuner, experiment):
             self._wrap(module, "run_baseline", self._baseline_span, before=self._start_baseline)
         self._wrap(experiment, "run_experiment", "experiment.run_experiment")
+        self._wrap(tuner, "generate_candidates", "selection.generate_candidates", before=self._baseline_round)
         if not self.layers:
             return self
         for module in (tuner, selection):
@@ -102,7 +111,6 @@ class Tracer:
         )
         self._wrap(tuner, "execute", "simulator.execute")
         self._wrap(tuner, "candidate_valuation", "selection.candidate_valuation")
-        self._wrap(tuner, "generate_candidates", "selection.generate_candidates", before=self._baseline_round)
         self._wrap(tuner, "enumerate_configuration", "selection.enumerate_configuration")
         for module in (tuner, plan):
             self._wrap(module, "encode_operator", "plan.encode_operator")
@@ -128,6 +136,13 @@ class Tracer:
         self._method = method
         self._round = -1
         self._plans.append([])
+        self._refs.append([])
+
+    def _run_reference(self):
+        if self.reference is not None:
+            t0 = time.perf_counter()
+            self.reference()
+            self._refs[-1].append(time.perf_counter() - t0)
 
     def _start_tuner(self, args, kwargs):
         self._tuner = args[0]
@@ -142,12 +157,14 @@ class Tracer:
 
     def _start_round(self, args, kwargs):
         self._round = args[0].round
+        self._run_reference()
 
     def _baseline_round(self, args, kwargs):
         # Baselines loop over rounds internally; each round generates
         # candidates exactly once, which marks the round boundary.
         if self._method != "tuner":
             self._round += 1
+            self._run_reference()
 
     def _planned_call(self, result, args, token):
         # Only keep the arguments here; `plan_counts` classifies them after
@@ -219,10 +236,25 @@ class Tracer:
     def durations(self, name):
         return [end - start for n, start, end, _, _ in self.spans if n == name]
 
-    def method_spans(self):
-        """(method name, start, end) of each method run, in order."""
-        return [
-            (name[len("method."):], start, end)
-            for name, start, end, _, _ in self.spans
-            if name.startswith("method.")
-        ]
+    def method_runs(self):
+        """One dict per method run, in order: ``method``, ``seconds`` (its
+        wall time less the reference runs inside it), ``refs`` (seconds of
+        each reference run) and ``rounds`` (seconds of each tuner round)."""
+        runs, by_span = [], {}
+        for i, (name, start, end, parent, _) in enumerate(self.spans):
+            if name.startswith("method."):
+                refs = self._refs[len(runs) + 1]
+                by_span[i] = {
+                    "method": name[len("method."):],
+                    "seconds": end - start - sum(refs),
+                    "refs": refs,
+                    "rounds": [],
+                }
+                runs.append(by_span[i])
+            elif name == "tuner.run_round" and parent in by_span:
+                by_span[parent]["rounds"].append(end - start)
+        return runs
+
+    def reference_seconds(self):
+        """Seconds of every reference run, in order."""
+        return [t for refs in self._refs for t in refs]
