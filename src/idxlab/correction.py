@@ -132,7 +132,7 @@ def correct_plan(
     """Gate-and-correct every leaf in depth-first order; mutates the plan."""
     from .plan import encode_operator
 
-    if threshold < 0:
+    if not threshold >= 0:  # also rejects NaN, which would close every gate
         raise ConfigurationError("uncertainty threshold must be >= 0")
     ledger = CorrectionLedger()
     reports = []

@@ -1,4 +1,7 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the type checks on user
+input that raise them."""
+
+import numbers
 
 
 class ConfigurationError(ValueError):
@@ -11,3 +14,15 @@ class CatalogLookupError(KeyError):
 
 class ContractError(ValueError):
     """A numeric contract was violated (bad simplex, nonpositive denominator, ...)."""
+
+
+def require_integer(value, where: str) -> None:
+    """Reject a user-supplied value that is not an integer (bools included)."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ConfigurationError(f"{where} must be an integer, got {value!r}")
+
+
+def require_number(value, where: str) -> None:
+    """Reject a user-supplied value that is not a real number (bools included)."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ConfigurationError(f"{where} must be a number, got {value!r}")

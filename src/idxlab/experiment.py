@@ -18,7 +18,7 @@ import statistics
 
 from . import __version__
 from .catalog import CatalogSpec, generate_catalog
-from .errors import ConfigurationError
+from .errors import ConfigurationError, require_integer, require_number
 from .seeding import subseed
 from .simulator import make_ground_truth
 from .tuner import (
@@ -136,6 +136,14 @@ def resolve_config(user_config: dict) -> dict:
 
 def _catalog_spec(cfg) -> CatalogSpec:
     c = cfg["catalog"]
+    require_integer(c["n_tables"], "catalog.n_tables")
+    for name in ("rows_range", "cols_per_table_range"):
+        pair = c[name]
+        if not isinstance(pair, (list, tuple)) or len(pair) != 2:
+            raise ConfigurationError(f"catalog.{name} must be a [low, high] pair")
+        for value in pair:
+            require_integer(value, f"catalog.{name}")
+    require_number(c["string_column_fraction"], "catalog.string_column_fraction")
     return CatalogSpec(
         n_tables=c["n_tables"],
         rows_range=tuple(c["rows_range"]),

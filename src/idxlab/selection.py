@@ -7,6 +7,15 @@ multiplies its corrected execution benefit by an exploration bonus summed
 from model uncertainty over the operators that would use it; enumeration
 then samples without replacement proportionally to max(V, 0) + 1e-6,
 pruning covered, prefix-shadowed, or per-table-capped picks.
+
+Valuation prices a (candidate, query) pair with its own what-if plan only
+when that plan can differ from the no-index plan. The planner considers an
+index only for accesses to the index's own table, so a candidate on a table
+the query does not read leaves its plan unchanged (the atomic-configuration
+argument of Chaudhuri & Narasayya, VLDB 1997). Likewise, a plan that uses no
+index at all is built node for node like the no-index plan. Both cases add
+the query's gate-corrected no-index cost, computed once per round, and
+contribute nothing to EV. The sums are bit-identical to pricing every pair.
 """
 
 from dataclasses import dataclass, field
@@ -16,6 +25,7 @@ import numpy as np
 from .catalog import Catalog, IndexCandidate, sized_candidate
 from .correction import correct_plan
 from .errors import ConfigurationError, ContractError
+from .plan import leaves
 from .seeding import rng_for
 from .simulator import whatif_plan
 from .workload import MiniWorkload
@@ -25,10 +35,9 @@ VALUE_FLOOR = 1e-6
 
 @dataclass(frozen=True)
 class Configuration:
-    """A deployed index set plus its running bookkeeping."""
+    """A deployed index set."""
 
     indexes: tuple = ()
-    creation_cost_accumulator: float = 0.0
 
     @property
     def total_size_bytes(self) -> int:
@@ -87,7 +96,13 @@ def generate_candidates(workload: MiniWorkload, catalog: Catalog) -> list:
 
 @dataclass
 class CorrectionContext:
-    """Everything candidate valuation needs to price corrected plans."""
+    """Everything candidate valuation needs to price corrected plans.
+
+    A context lives for one round: the models must not change while it is in
+    use, because ``corrected_baselines`` and ``uncertainty_cache`` hold
+    results computed from their current state. ``baseline_costs`` holds raw
+    what-if costs and may be shared across rounds.
+    """
 
     catalog: Catalog
     models: dict
@@ -96,6 +111,7 @@ class CorrectionContext:
     passes: int = 20
     baseline_costs: dict = field(default_factory=dict)
     uncertainty_cache: dict = field(default_factory=dict)
+    corrected_baselines: dict = field(default_factory=dict)
 
     def baseline_cost(self, query) -> float:
         key = query.key()
@@ -104,6 +120,26 @@ class CorrectionContext:
             self.baseline_costs[key] = cost
         return self.baseline_costs[key]
 
+    def correct(self, plan):
+        """Gate-and-correct ``plan`` in place under this context's models."""
+        return correct_plan(
+            plan,
+            self.models,
+            self.catalog,
+            self.threshold,
+            self.mix_weight,
+            self.passes,
+            self.uncertainty_cache,
+        )
+
+    def corrected_baseline(self, query) -> float:
+        """Gate-corrected cost of the query's no-index plan."""
+        key = query.key()
+        if key not in self.corrected_baselines:
+            plan, _ = whatif_plan(query, (), self.catalog)
+            self.corrected_baselines[key] = self.correct(plan).corrected_cost
+        return self.corrected_baselines[key]
+
 
 def candidate_valuation(
     candidate: IndexCandidate,
@@ -111,23 +147,25 @@ def candidate_valuation(
     ctx: CorrectionContext,
     explore_weight: float,
 ) -> IndexValuation:
-    """Corrected EB, uncertainty EV, and total value for one candidate."""
+    """Corrected EB, uncertainty EV, and total value for one candidate.
+
+    Pairs whose plan cannot use the candidate take the query's corrected
+    no-index cost from ``ctx`` (see the module docstring).
+    """
     num = 0.0
     den = 0.0
     ev = 0.0
     for q in workload.queries:
         w = q.frequency_weight
         den += w * ctx.baseline_cost(q)
+        if candidate.table not in q.template.tables:
+            num += w * ctx.corrected_baseline(q)
+            continue
         plan, _ = whatif_plan(q, (candidate,), ctx.catalog)
-        result = correct_plan(
-            plan,
-            ctx.models,
-            ctx.catalog,
-            ctx.threshold,
-            ctx.mix_weight,
-            ctx.passes,
-            ctx.uncertainty_cache,
-        )
+        if all(leaf.index is None for leaf in leaves(plan)):
+            num += w * ctx.corrected_baseline(q)
+            continue
+        result = ctx.correct(plan)
         num += w * result.corrected_cost
         for report in result.reports:
             if report.leaf.index == candidate and report.score is not None:

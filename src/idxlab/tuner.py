@@ -8,6 +8,13 @@ the round, convert telemetry into multiplier labels, and update the models.
 No-index execution times are calibrated once per (template, literals) query
 with a dedicated seed and cached; a round deployed with an empty
 configuration reuses the calibration telemetry verbatim.
+
+No pricing is repeated within a round. A candidate is planned against a query
+only when the query reads the candidate's table; otherwise the planner would
+return the no-index plan, so valuation reuses the query's (corrected)
+no-index cost. The deployed configuration is corrected from the plan the
+executor already built, and the round's mean uncertainty before the model
+update is the mean of the gate scores that correction produced.
 """
 
 from dataclasses import dataclass
@@ -21,7 +28,12 @@ from .correction import (
     telemetry_to_labels,
 )
 from .costmodel import MULTIPLIER_GRID, CostMultiplierModel, nearest_bucket_index
-from .errors import ConfigurationError, ContractError
+from .errors import (
+    ConfigurationError,
+    ContractError,
+    require_integer,
+    require_number,
+)
 from .plan import PLAN_KINDS, encode_operator, encoding_length
 from .seeding import subseed
 from .selection import (
@@ -70,6 +82,27 @@ class TunerParams:
     batch_size: int = 32
     epochs: int = 5
     replay_capacity: int = 512
+
+    def __post_init__(self):
+        # checked up front: each would otherwise fail, or silently close
+        # every gate (U <= NaN is false), only once the first round runs
+        require_integer(self.mcd_passes, "tuner.mcd_passes")
+        if self.mcd_passes < 2:
+            raise ConfigurationError(
+                f"tuner.mcd_passes must be >= 2, got {self.mcd_passes!r}"
+            )
+        require_number(self.uncertainty_threshold, "tuner.uncertainty_threshold")
+        if not self.uncertainty_threshold >= 0:
+            raise ConfigurationError(
+                "tuner.uncertainty_threshold must be >= 0, "
+                f"got {self.uncertainty_threshold!r}"
+            )
+        require_number(self.uncertainty_mix, "tuner.uncertainty_mix")
+        if not 0.0 < self.uncertainty_mix < 1.0:
+            raise ConfigurationError(
+                "tuner.uncertainty_mix must lie strictly between 0 and 1, "
+                f"got {self.uncertainty_mix!r}"
+            )
 
 
 @dataclass(frozen=True)
@@ -221,7 +254,6 @@ class OnlineTuner:
         creation_s = creation_seconds(created)
         new_indexes = [ix for ix in config.indexes if ix not in self.ever_deployed]
         self.ever_deployed.update(config.indexes)
-        config = Configuration(config.indexes, creation_s)
 
         round_seed = subseed(self.seed, "execute", t)
         exec_time = 0.0
@@ -229,6 +261,7 @@ class OnlineTuner:
         per_query = []
         labels = []
         probe_encodings = []
+        probe_scores = []
         for q in workload.queries:
             baseline = self._noindex_telemetry(q)
             if config.indexes:
@@ -239,7 +272,8 @@ class OnlineTuner:
             noindex_time += q.frequency_weight * baseline.total_time
             b_actual = 1.0 - telemetry.total_time / baseline.total_time
 
-            plan, _ = whatif_plan(q, config, self.catalog)
+            # the executor's plan of the deployed configuration; never mutated
+            plan = telemetry.plan
             corrected = correct_plan(
                 plan.clone(),
                 self.models,
@@ -256,6 +290,7 @@ class OnlineTuner:
                     probe_encodings.append(
                         (report.leaf.kind, encode_operator(report.leaf, self.catalog))
                     )
+                    probe_scores.append(report.score.combined)
 
             # 6. telemetry to multiplier labels on the pristine plan
             for leaf, multiplier in telemetry_to_labels(
@@ -269,7 +304,8 @@ class OnlineTuner:
                     )
                 )
 
-        mean_u_before = self._mean_uncertainty(probe_encodings)
+        # the gate scored every probe under the models as they are now
+        mean_u_before = float(np.mean(probe_scores)) if probe_scores else 0.0
 
         # 7. model updates, grouped per operator kind in a fixed order
         by_kind = {}
@@ -348,6 +384,8 @@ def overall_improvement(metrics_log) -> float:
 
 
 def _uncorrected_benefit(candidate, workload, catalog, baseline_cache):
+    """Raw what-if benefit; a query that does not read the candidate's table
+    keeps its no-index cost, which the planner would return anyway."""
     num, den = 0.0, 0.0
     for q in workload.queries:
         key = q.key()
@@ -355,7 +393,10 @@ def _uncorrected_benefit(candidate, workload, catalog, baseline_cache):
             _, cost = whatif_plan(q, (), catalog)
             baseline_cache[key] = cost
         den += q.frequency_weight * baseline_cache[key]
-        _, cost_x = whatif_plan(q, (candidate,), catalog)
+        if candidate.table in q.template.tables:
+            _, cost_x = whatif_plan(q, (candidate,), catalog)
+        else:
+            cost_x = baseline_cache[key]
         num += q.frequency_weight * cost_x
     return 1.0 - num / den if den > 0 else 0.0
 

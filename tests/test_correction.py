@@ -15,7 +15,7 @@ from idxlab.correction import (
     update_cost,
 )
 from idxlab.costmodel import MULTIPLIER_GRID, CostMultiplierModel, nearest_bucket_index
-from idxlab.errors import ContractError
+from idxlab.errors import ConfigurationError, ContractError
 from idxlab.plan import PlanNode, encoding_length, leaves
 from idxlab.selection import generate_candidates
 from idxlab.simulator import execute, make_ground_truth, whatif_plan
@@ -264,6 +264,14 @@ def test_gate_threshold_monotonicity():
             )
             counts.append(result.corrected_leaf_count)
         assert counts == sorted(counts, reverse=True)
+
+
+@pytest.mark.parametrize("threshold", [math.nan, -0.1])
+def test_gate_rejects_nan_and_negative_threshold(threshold):
+    (catalog, q, config, plan, cost), = _simulator_plans(1)
+    models = _trained_models(catalog, confident=True)
+    with pytest.raises(ConfigurationError, match="threshold"):
+        correct_plan(plan.clone(), models, catalog, threshold, 0.5, 10)
 
 
 def test_unbounded_threshold_corrects_every_leaf():

@@ -123,6 +123,57 @@ def test_cli_semantic_config_error_exits_2(tmp_path):
     assert main(["run", cfg]) == 2
 
 
+def assert_rejected_before_run(tmp_path, capsys, override, field):
+    """The CLI exits 2 with a one-line message naming the field, and writes
+    nothing."""
+    cfg = write_config(tmp_path, {**SMALL_CONFIG, **override})
+    out = tmp_path / "never"
+    assert main(["run", cfg, "--out", str(out)]) == 2
+    assert not out.exists()
+    err = capsys.readouterr().err
+    assert len(err.strip().splitlines()) == 1
+    assert field in err and "Traceback" not in err
+
+
+def test_cli_rejects_single_dropout_pass(tmp_path, capsys):
+    assert_rejected_before_run(
+        tmp_path, capsys, {"tuner": {"mcd_passes": 1}}, "tuner.mcd_passes"
+    )
+
+
+def test_cli_rejects_nan_uncertainty_threshold(tmp_path, capsys):
+    # json.dumps writes NaN, which json.loads accepts
+    assert_rejected_before_run(
+        tmp_path,
+        capsys,
+        {"tuner": {"mcd_passes": 5, "uncertainty_threshold": float("nan")}},
+        "tuner.uncertainty_threshold",
+    )
+
+
+def test_cli_rejects_zero_uncertainty_mix(tmp_path, capsys):
+    assert_rejected_before_run(
+        tmp_path,
+        capsys,
+        {"tuner": {"mcd_passes": 5, "uncertainty_mix": 0.0}},
+        "tuner.uncertainty_mix",
+    )
+
+
+@pytest.mark.parametrize(
+    "catalog, field",
+    [
+        ({"n_tables": "x"}, "catalog.n_tables"),
+        ({"n_tables": 2.5}, "catalog.n_tables"),
+        ({"rows_range": [1000, "y"]}, "catalog.rows_range"),
+        ({"cols_per_table_range": 3}, "catalog.cols_per_table_range"),
+        ({"string_column_fraction": "x"}, "catalog.string_column_fraction"),
+    ],
+)
+def test_cli_rejects_mistyped_catalog_field(tmp_path, capsys, catalog, field):
+    assert_rejected_before_run(tmp_path, capsys, {"catalog": catalog}, field)
+
+
 def test_cli_io_error_exits_3(tmp_path):
     cfg = write_config(tmp_path, SMALL_CONFIG)
     blocker = tmp_path / "blocker"

@@ -113,17 +113,15 @@ def test_execution_benefit_zero_for_untouched_candidate(env):
     catalog, workload = env
     ctx = untrained_context(catalog)
     # untrained models keep the gate closed, so costs equal raw what-if costs;
-    # an index that no plan uses leaves every cost unchanged
-    unused = sized_candidate(
-        catalog.tables[0].name, (catalog.tables[0].columns[0].name,), catalog
+    # an index on a table no query reads leaves every cost unchanged
+    table = catalog.tables[0]
+    queries = tuple(
+        q for q in workload.queries if table.name not in q.template.tables
     )
-    plans_use_it = any(
-        leaf.index == unused
-        for q in workload.queries
-        for leaf in leaves(whatif_plan(q, (unused,), catalog)[0])
-    )
-    if not plans_use_it:
-        assert execution_benefit(unused, workload, ctx) == 0.0
+    assert queries
+    untouched = MiniWorkload(workload.round, queries)
+    unused = sized_candidate(table.name, (table.columns[0].name,), catalog)
+    assert execution_benefit(unused, untouched, ctx) == 0.0
 
 
 def test_execution_benefit_matches_whatif_when_gate_closed(env):

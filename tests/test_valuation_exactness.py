@@ -1,0 +1,167 @@
+"""Candidate valuation skips pricing that cannot change a plan; the results
+must equal, bit for bit, a loop that prices every (candidate, query) pair."""
+
+import copy
+import math
+from functools import lru_cache
+
+import numpy as np
+import pytest
+from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import strategies as st
+
+from idxlab.catalog import CatalogSpec, generate_catalog, sized_candidate
+from idxlab.correction import correct_plan
+from idxlab.plan import encode_operator, leaves
+from idxlab.selection import candidate_valuation, generate_candidates, total_value
+from idxlab.simulator import make_ground_truth, whatif_plan
+from idxlab.tuner import OnlineTuner, TunerParams, _uncorrected_benefit
+from idxlab.workload import (
+    DriftSchedule,
+    bind_query,
+    build_schedule,
+    generate_templates,
+)
+
+
+@lru_cache(maxsize=None)
+def catalog_and_templates(catalog_seed):
+    catalog = generate_catalog(CatalogSpec(n_tables=5), seed=catalog_seed)
+    return catalog, tuple(generate_templates(catalog, 8, seed=catalog_seed))
+
+
+@st.composite
+def query_and_table(draw, inside):
+    """A bound query plus a table inside (or outside) the query's tables."""
+    catalog, templates = catalog_and_templates(draw(st.integers(0, 5)))
+    template = draw(st.sampled_from(templates))
+    query = bind_query(template, np.random.default_rng(draw(st.integers(0, 10**6))))
+    tables = [
+        t for t in catalog.tables if (t.name in template.tables) == inside
+    ]
+    assume(tables)
+    table = draw(st.sampled_from(tables))
+    names = [c.name for c in table.columns]
+    columns = draw(st.lists(st.sampled_from(names), min_size=1, max_size=2, unique=True))
+    return catalog, query, sized_candidate(table.name, tuple(columns), catalog)
+
+
+@settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(query_and_table(inside=False))
+def test_index_off_the_query_leaves_plan_unchanged(case):
+    catalog, query, candidate = case
+    plan, cost = whatif_plan(query, (candidate,), catalog)
+    bare, bare_cost = whatif_plan(query, (), catalog)
+    assert plan.to_dict() == bare.to_dict()
+    assert cost == bare_cost
+
+
+@settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(query_and_table(inside=True))
+def test_plan_without_index_leaf_is_the_no_index_plan(case):
+    catalog, query, candidate = case
+    plan, cost = whatif_plan(query, (candidate,), catalog)
+    assume(all(leaf.index is None for leaf in leaves(plan)))
+    bare, bare_cost = whatif_plan(query, (), catalog)
+    assert plan.to_dict() == bare.to_dict()
+    assert cost == bare_cost
+
+
+def reference_valuation(candidate, workload, ctx, explore_weight):
+    """Prices every pair with its own plan and correction, no caches."""
+    num = den = ev = 0.0
+    corrected = 0
+    for q in workload.queries:
+        w = q.frequency_weight
+        den += w * whatif_plan(q, (), ctx.catalog)[1]
+        plan, _ = whatif_plan(q, (candidate,), ctx.catalog)
+        result = correct_plan(
+            plan, ctx.models, ctx.catalog, ctx.threshold, ctx.mix_weight, ctx.passes
+        )
+        num += w * result.corrected_cost
+        corrected += result.corrected_leaf_count
+        for report in result.reports:
+            if report.leaf.index == candidate and report.score is not None:
+                ev += report.score.combined
+    eb = 1.0 - num / den
+    return (eb, ev, total_value(eb, ev, explore_weight)), corrected
+
+
+def reference_uncorrected_benefit(candidate, workload, catalog):
+    num = den = 0.0
+    for q in workload.queries:
+        den += q.frequency_weight * whatif_plan(q, (), catalog)[1]
+        num += q.frequency_weight * whatif_plan(q, (candidate,), catalog)[1]
+    return 1.0 - num / den
+
+
+@pytest.fixture(scope="module")
+def trained():
+    """A tuner after a few rounds, plus the next round's workload."""
+    catalog = generate_catalog(CatalogSpec(n_tables=4), seed=42)
+    templates = generate_templates(catalog, 10, seed=1)
+    sched = DriftSchedule(
+        "static", total_rounds=5, templates_per_round=6, queries_per_template=2
+    )
+    schedule = build_schedule(templates, sched, seed=2)
+    gt = make_ground_truth(catalog, seed=5, noise_sigma=0.05)
+    tuner = OnlineTuner(catalog, gt, TunerParams(mcd_passes=5), seed=7)
+    for workload in schedule[:4]:
+        tuner.run_round(workload)
+    return tuner, schedule[4]
+
+
+@pytest.mark.parametrize("gate", ["median", "open"])
+def test_valuation_matches_pricing_every_pair(trained, gate):
+    tuner, workload = trained
+    ctx = tuner._context()
+    candidates = generate_candidates(workload, tuner.catalog)
+    if gate == "open":
+        ctx.threshold = math.inf
+    else:
+        # half of the leaves pass the gate, half do not
+        scores = [
+            report.score.combined
+            for c in candidates
+            for q in workload.queries
+            for report in correct_plan(
+                whatif_plan(q, (c,), ctx.catalog)[0],
+                ctx.models,
+                ctx.catalog,
+                math.inf,
+                ctx.mix_weight,
+                ctx.passes,
+            ).reports
+        ]
+        ctx.threshold = float(np.median(scores))
+    corrected = 0
+    for candidate in candidates:
+        got = candidate_valuation(candidate, workload, ctx, 0.5)
+        want, n = reference_valuation(candidate, workload, ctx, 0.5)
+        corrected += n
+        assert (got.execution_benefit, got.exploratory_value, got.value) == want
+    assert corrected > 0  # the gates opened, so corrections were compared too
+
+
+def test_uncorrected_benefit_matches_pricing_every_pair(trained):
+    tuner, workload = trained
+    cache = {}
+    for candidate in generate_candidates(workload, tuner.catalog):
+        assert _uncorrected_benefit(
+            candidate, workload, tuner.catalog, cache
+        ) == reference_uncorrected_benefit(candidate, workload, tuner.catalog)
+
+
+def test_mean_uncertainty_before_reuses_gate_scores(trained):
+    tuner, workload = trained
+    tuner = copy.deepcopy(tuner)
+    before = copy.deepcopy(tuner)
+    report = tuner.run_round(workload)
+    probes = [
+        (leaf.kind, encode_operator(leaf, tuner.catalog))
+        for q in workload.queries
+        for leaf in leaves(whatif_plan(q, report.configuration, tuner.catalog)[0])
+    ]
+    assert probes
+    assert report.mean_uncertainty_before == before._mean_uncertainty(probes)
+    assert report.mean_uncertainty_after == tuner._mean_uncertainty(probes)
