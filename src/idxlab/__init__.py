@@ -22,7 +22,6 @@ from .catalog import (
 )
 from .correction import (
     actual_benefit,
-    cost_correction,
     estimated_benefit,
     telemetry_to_labels,
     update_cost,
@@ -33,7 +32,6 @@ from .costmodel import (
     combined_uncertainty,
     entropy,
     mc_dropout,
-    regression_multiplier,
 )
 from .errors import CatalogLookupError, ConfigurationError, ContractError
 from .plan import PlanNode, Predicate, encode_operator, leaves, path_to_root

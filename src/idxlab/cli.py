@@ -4,12 +4,13 @@ import argparse
 import json
 import sys
 
-from .errors import ConfigurationError
+from .errors import ConfigurationError, ReplayMismatchError
 from .experiment import compare, load_config_file, replay, resolve_config, run_experiment
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_IO = 3
+EXIT_REPLAY = 4
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -84,6 +85,9 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return EXIT_IO
+    except ReplayMismatchError as exc:
+        print(f"replay error: {exc}", file=sys.stderr)
+        return EXIT_REPLAY
 
 
 if __name__ == "__main__":

@@ -162,18 +162,6 @@ def _cached_uncertainty(model, kind, encoding, mix_weight, passes, cache):
     return cache[key]
 
 
-def cost_correction(
-    plan: PlanNode,
-    models: dict,
-    catalog: Catalog,
-    threshold: float,
-    mix_weight: float,
-    passes: int,
-) -> float:
-    """Corrected root total cost after uncertainty-gated leaf corrections."""
-    return correct_plan(plan, models, catalog, threshold, mix_weight, passes).corrected_cost
-
-
 def estimated_benefit(cost_noindex: float, cost_corrected: float) -> float:
     """1 - corrected/no-index cost; negative values flag predicted regressions."""
     if cost_noindex <= 0:

@@ -300,53 +300,3 @@ def combined_uncertainty(
     ent = entropy(model.predict(encoding, dropout=False))
     combined = mix_weight * mcd_value + (1.0 - mix_weight) * ent
     return UncertaintyScore(ent, mcd_value, combined, mix_weight)
-
-
-def regression_multiplier(
-    plan, leaf, actual_benefit: float, baseline_cost: float, tolerance: float
-) -> float:
-    """Find the multiplier in [0.1, 100] whose corrected-plan benefit best
-    matches the observed one, via log-space search.
-
-    Falls back to a 64-point log-spaced grid scan when the corrected cost is
-    not monotone over the bracket (a leaf that cannot move the root).
-    """
-    from .correction import update_cost
-    from .plan import leaves
-
-    if tolerance <= 0:
-        raise ValueError("tolerance must be positive")
-    if baseline_cost <= 0:
-        raise ContractError("baseline cost must be positive")
-    position = [i for i, n in enumerate(leaves(plan)) if n is leaf]
-    if not position:
-        raise ContractError("leaf is not part of the plan")
-    pos = position[0]
-
-    def corrected_cost(multiplier: float) -> float:
-        copy = plan.clone()
-        update_cost(copy, leaves(copy)[pos], multiplier)
-        return copy.total_cost
-
-    def objective(multiplier: float) -> float:
-        benefit = 1.0 - corrected_cost(multiplier) / baseline_cost
-        return abs(actual_benefit - benefit)
-
-    lo, hi = 0.1, 100.0
-    samples = np.exp(np.linspace(math.log(lo), math.log(hi), 5))
-    costs = [corrected_cost(w) for w in samples]
-    diffs = np.diff(costs)
-    if not np.all(diffs > 0):
-        grid = np.exp(np.linspace(math.log(lo), math.log(hi), 64))
-        values = [objective(w) for w in grid]
-        return float(grid[int(np.argmin(values))])
-
-    log_lo, log_hi = math.log(lo), math.log(hi)
-    while math.exp(log_hi) - math.exp(log_lo) > tolerance:
-        m1 = log_lo + (log_hi - log_lo) / 3.0
-        m2 = log_hi - (log_hi - log_lo) / 3.0
-        if objective(math.exp(m1)) <= objective(math.exp(m2)):
-            log_hi = m2
-        else:
-            log_lo = m1
-    return float(math.exp((log_lo + log_hi) / 2.0))

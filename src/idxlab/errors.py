@@ -16,6 +16,10 @@ class ContractError(ValueError):
     """A numeric contract was violated (bad simplex, nonpositive denominator, ...)."""
 
 
+class ReplayMismatchError(Exception):
+    """A replay produced artifacts whose checksums differ from its manifest's."""
+
+
 def require_integer(value, where: str) -> None:
     """Reject a user-supplied value that is not an integer (bools included)."""
     if isinstance(value, bool) or not isinstance(value, numbers.Integral):

@@ -18,7 +18,12 @@ import statistics
 
 from . import __version__
 from .catalog import CatalogSpec, generate_catalog
-from .errors import ConfigurationError, require_integer, require_number
+from .errors import (
+    ConfigurationError,
+    ReplayMismatchError,
+    require_integer,
+    require_number,
+)
 from .seeding import subseed
 from .simulator import make_ground_truth
 from .tuner import (
@@ -32,6 +37,7 @@ from .tuner import (
 from .workload import DriftSchedule, build_schedule, generate_templates, load_schedule
 
 MANIFEST_FORMAT = 1
+SUMMARY_FIELDS = ("method", "mean_improvement", "stdev_improvement", "n_replications")
 
 DEFAULT_CONFIG = {
     "catalog": {
@@ -68,6 +74,17 @@ DEFAULT_CONFIG = {
     "output_dir": "out",
     "replications": [1],
 }
+
+
+# Scalars type-checked at resolve time; one whose default is null may stay
+# null. The gate parameters are checked by TunerParams.
+_INTEGER_FIELDS = """catalog.n_tables catalog.seed workload.n_templates
+    workload.total_rounds workload.templates_per_round workload.period
+    workload.cycle_length workload.queries_per_template workload.seed
+    environment.ground_truth_seed tuner.per_table_cap budget.max_indexes""".split()
+_NUMBER_FIELDS = """catalog.string_column_fraction workload.change_fraction
+    environment.noise_sigma tuner.explore_init tuner.explore_decay tuner.epsilon
+    budget.storage_bytes""".split()
 
 
 def _deep_merge(base: dict, override: dict, path="") -> dict:
@@ -114,8 +131,22 @@ def load_config_file(path) -> dict:
 def resolve_config(user_config: dict) -> dict:
     """Apply defaults and validate; returns the fully resolved config dict."""
     cfg = _deep_merge(DEFAULT_CONFIG, user_config)
-    if not cfg["replications"]:
-        raise ConfigurationError("replications must be nonempty")
+    for fields, check in (
+        (_INTEGER_FIELDS, require_integer),
+        (_NUMBER_FIELDS, require_number),
+    ):
+        for name in fields:
+            section, key = name.split(".")
+            value = cfg[section][key]
+            if value is not None or DEFAULT_CONFIG[section][key] is not None:
+                check(value, name)
+    seeds = cfg["replications"]
+    if not isinstance(seeds, (list, tuple)) or not seeds:
+        raise ConfigurationError(
+            f"replications must be a nonempty list of integers, got {seeds!r}"
+        )
+    for seed in seeds:
+        require_integer(seed, "replications")
     for kind in cfg["baselines"]:
         if kind not in BASELINE_KINDS:
             raise ConfigurationError(f"baselines: unknown kind {kind!r}")
@@ -136,14 +167,12 @@ def resolve_config(user_config: dict) -> dict:
 
 def _catalog_spec(cfg) -> CatalogSpec:
     c = cfg["catalog"]
-    require_integer(c["n_tables"], "catalog.n_tables")
     for name in ("rows_range", "cols_per_table_range"):
         pair = c[name]
         if not isinstance(pair, (list, tuple)) or len(pair) != 2:
             raise ConfigurationError(f"catalog.{name} must be a [low, high] pair")
         for value in pair:
             require_integer(value, f"catalog.{name}")
-    require_number(c["string_column_fraction"], "catalog.string_column_fraction")
     return CatalogSpec(
         n_tables=c["n_tables"],
         rows_range=tuple(c["rows_range"]),
@@ -241,12 +270,12 @@ def _write_atomic(path, data: bytes) -> None:
     os.replace(tmp, path)
 
 
-def _metrics_csv_bytes(rows) -> bytes:
+def _csv_bytes(fields, rows) -> bytes:
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(METRIC_FIELDS)
+    writer.writerow(fields)
     for row in rows:
-        writer.writerow([_format_value(row[k]) for k in METRIC_FIELDS])
+        writer.writerow([_format_value(row[k]) for k in fields])
     return buf.getvalue().encode("utf-8")
 
 
@@ -315,7 +344,7 @@ def run_experiment(config, out_dir=None, jobs: int = 1) -> dict:
     for res in results:
         for method, rows in sorted(res["methods"].items()):
             name = f"metrics_{method}_seed{res['seed']}.csv"
-            _write_atomic(os.path.join(out_dir, name), _metrics_csv_bytes(rows))
+            _write_atomic(os.path.join(out_dir, name), _csv_bytes(METRIC_FIELDS, rows))
             artifacts[name] = None
         name = f"reports_tuner_seed{res['seed']}.jsonl"
         payload = "".join(
@@ -325,19 +354,9 @@ def run_experiment(config, out_dir=None, jobs: int = 1) -> dict:
         artifacts[name] = None
 
     summary = _summary_rows(results)
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["method", "mean_improvement", "stdev_improvement", "n_replications"])
-    for row in summary:
-        writer.writerow(
-            [
-                row["method"],
-                _format_value(row["mean_improvement"]),
-                _format_value(row["stdev_improvement"]),
-                row["n_replications"],
-            ]
-        )
-    _write_atomic(os.path.join(out_dir, "summary.csv"), buf.getvalue().encode("utf-8"))
+    _write_atomic(
+        os.path.join(out_dir, "summary.csv"), _csv_bytes(SUMMARY_FIELDS, summary)
+    )
     artifacts["summary.csv"] = None
 
     per_round = {}
@@ -374,7 +393,8 @@ def run_experiment(config, out_dir=None, jobs: int = 1) -> dict:
 
 
 def replay(manifest_path, out_dir=None, jobs: int = 1) -> dict:
-    """Re-run an experiment from its manifest; outputs must be byte-identical."""
+    """Re-run an experiment from its manifest and check that every artifact
+    is byte-identical; raises `ReplayMismatchError` naming those that are not."""
     with open(manifest_path, encoding="utf-8") as f:
         manifest = json.load(f)
     if manifest.get("format") != MANIFEST_FORMAT:
@@ -385,7 +405,18 @@ def replay(manifest_path, out_dir=None, jobs: int = 1) -> dict:
     out_dir = out_dir or f"{os.path.dirname(os.path.abspath(manifest_path))}_replay"
     cfg = dict(cfg)
     cfg["replications"] = manifest["seeds"]
-    return run_experiment(cfg, out_dir=out_dir, jobs=jobs)
+    replayed = run_experiment(cfg, out_dir=out_dir, jobs=jobs)
+    recorded, produced = manifest["artifacts"], replayed["artifacts"]
+    divergent = sorted(
+        name
+        for name in set(recorded) | set(produced)
+        if recorded.get(name) != produced.get(name)
+    )
+    if divergent:
+        raise ReplayMismatchError(
+            "artifacts differ from the manifest: " + " ".join(divergent)
+        )
+    return replayed
 
 
 def compare(dirs) -> list:

@@ -56,7 +56,6 @@ class IndexValuation:
     execution_benefit: float
     exploratory_value: float
     value: float
-    probability: float = 0.0
 
 
 def generate_candidates(workload: MiniWorkload, catalog: Catalog) -> list:
@@ -174,14 +173,6 @@ def candidate_valuation(
         raise ContractError("workload has nonpositive no-index cost")
     eb = 1.0 - num / den
     return IndexValuation(candidate, eb, ev, total_value(eb, ev, explore_weight))
-
-
-def execution_benefit(candidate, workload, ctx) -> float:
-    return candidate_valuation(candidate, workload, ctx, 0.0).execution_benefit
-
-
-def exploratory_value(candidate, workload, ctx) -> float:
-    return candidate_valuation(candidate, workload, ctx, 0.0).exploratory_value
 
 
 def total_value(eb: float, ev: float, explore_weight: float) -> float:

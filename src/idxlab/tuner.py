@@ -1,20 +1,20 @@
 """The online tuning loop, its metrics, and the comparison baselines.
 
-Each round: measure workload novelty and decay the exploration weight,
-generate candidates, price each one with uncertainty-gated corrected costs,
-sample a configuration, "create" its new indexes (1 s per 100 MB), execute
-the round, convert telemetry into multiplier labels, and update the models.
-
+The tuner and both baselines are policies over one ``Environment``, whose
+``step`` "creates" the indexes of a round's configuration that are not yet
+deployed (1 s per 100 MB), executes every query, and builds the metrics row.
 No-index execution times are calibrated once per (template, literals) query
 with a dedicated seed and cached; a round deployed with an empty
 configuration reuses the calibration telemetry verbatim.
 
-No pricing is repeated within a round. A candidate is planned against a query
-only when the query reads the candidate's table; otherwise the planner would
-return the no-index plan, so valuation reuses the query's (corrected)
-no-index cost. The deployed configuration is corrected from the plan the
-executor already built, and the round's mean uncertainty before the model
-update is the mean of the gate scores that correction produced.
+A tuner round measures workload novelty and decays the exploration weight,
+prices each candidate with uncertainty-gated corrected costs, samples a
+configuration, steps the environment, and learns multiplier labels from the
+telemetry. No pricing is repeated within a round: a candidate is planned
+against a query only when the query reads the candidate's table, the deployed
+configuration is corrected from the plan the executor already built, and the
+round's mean uncertainty before the model update is the mean of the gate
+scores that correction produced.
 """
 
 from dataclasses import dataclass
@@ -23,7 +23,10 @@ import numpy as np
 
 from .catalog import Catalog
 from .correction import (
-    correct_plan,
+    actual_benefit,
+    # not called here (corrections go through CorrectionContext.correct), but
+    # perfbench/tracer.py patches tuner.correct_plan by name
+    correct_plan,  # noqa: F401
     estimated_benefit,
     telemetry_to_labels,
 )
@@ -39,7 +42,6 @@ from .seeding import subseed
 from .selection import (
     Configuration,
     CorrectionContext,
-    IndexValuation,
     candidate_valuation,
     enumerate_configuration,
     exploration_weight,
@@ -121,29 +123,71 @@ class RoundReport:
     explore_weight: float
 
     def to_dict(self) -> dict:
-        return {
-            "round": self.round,
-            "configuration": [
-                {"table": ix.table, "key_columns": list(ix.key_columns)}
-                for ix in self.configuration.indexes
-            ],
-            "per_query_benefits": [list(pair) for pair in self.per_query_benefits],
-            "improvement": self.improvement,
-            "labels_emitted": self.labels_emitted,
-            "mean_uncertainty_before": self.mean_uncertainty_before,
-            "mean_uncertainty_after": self.mean_uncertainty_after,
-            "exec_time_s": self.exec_time_s,
-            "noindex_time_s": self.noindex_time_s,
-            "creation_s": self.creation_s,
-            "n_new_indexes": self.n_new_indexes,
-            "explore_weight": self.explore_weight,
-        }
+        out = dict(vars(self))
+        out["configuration"] = [
+            {"table": ix.table, "key_columns": list(ix.key_columns)}
+            for ix in self.configuration.indexes
+        ]
+        out["per_query_benefits"] = [list(pair) for pair in self.per_query_benefits]
+        return out
 
 
 def creation_seconds(indexes) -> float:
     """Synthetic index build time, proportional to estimated size."""
     total_bytes = sum(ix.estimated_size_bytes for ix in indexes)
     return CREATION_SECONDS_PER_100MB * total_bytes / _100MB
+
+
+class Environment:
+    """Deploys each round's configuration and executes the round.
+
+    Re-deploying an index costs nothing; building one again after a drop
+    costs its build time, but it does not count as a new index.
+    """
+
+    def __init__(self, ground_truth: GroundTruth, seed: int):
+        self.ground_truth = ground_truth
+        self.seed = seed
+        self.deployed = Configuration()
+        self.ever_deployed = set()
+        self._noindex = {}
+
+    def noindex_telemetry(self, query):
+        key = query.key()
+        if key not in self._noindex:
+            calib_seed = subseed(self.seed, "calibration")
+            self._noindex[key] = execute(query, (), self.ground_truth, calib_seed)
+        return self._noindex[key]
+
+    def step(self, t: int, workload: MiniWorkload, config: Configuration):
+        """Deploy ``config`` and execute round ``t`` under it.
+
+        Returns ``(query, telemetry, no-index telemetry)`` per query, in
+        workload order, and the round's metrics row, whose
+        ``mean_uncertainty`` is 0.0 for the caller to fill in.
+        """
+        creation_s = creation_seconds(
+            ix for ix in config.indexes if ix not in self.deployed.indexes
+        )
+        n_new = len([ix for ix in config.indexes if ix not in self.ever_deployed])
+        self.ever_deployed.update(config.indexes)
+        self.deployed = config
+
+        round_seed = subseed(self.seed, "execute", t)
+        executed = []
+        exec_time, noindex_time = 0.0, 0.0
+        for q in workload.queries:
+            baseline = self.noindex_telemetry(q)
+            if config.indexes:
+                telemetry = execute(q, config, self.ground_truth, round_seed)
+            else:
+                telemetry = baseline
+            exec_time += q.frequency_weight * telemetry.total_time
+            noindex_time += q.frequency_weight * baseline.total_time
+            executed.append((q, telemetry, baseline))
+        improvement = 1.0 - exec_time / noindex_time if noindex_time > 0 else 0.0
+        values = (t, exec_time, noindex_time, improvement, n_new, creation_s, 0.0)
+        return executed, dict(zip(METRIC_FIELDS, values))
 
 
 class OnlineTuner:
@@ -157,18 +201,15 @@ class OnlineTuner:
         seed: int = 0,
     ):
         self.catalog = catalog
-        self.ground_truth = ground_truth
         self.params = params
         self.seed = seed
         self.round = 0
         self.models = {}
         self.seen_templates = set()
-        self.deployed = Configuration()
-        self.ever_deployed = set()
+        self.env = Environment(ground_truth, seed)
         self.metrics = []
         self.reports = []
         self._baseline_cost = {}
-        self._baseline_telemetry = {}
 
     def model_for(self, kind: str) -> CostMultiplierModel:
         if kind not in self.models:
@@ -184,15 +225,6 @@ class OnlineTuner:
                 replay_capacity=p.replay_capacity,
             )
         return self.models[kind]
-
-    def _noindex_telemetry(self, query):
-        key = query.key()
-        if key not in self._baseline_telemetry:
-            calib_seed = subseed(self.seed, "calibration")
-            self._baseline_telemetry[key] = execute(
-                query, (), self.ground_truth, calib_seed
-            )
-        return self._baseline_telemetry[key]
 
     def _context(self) -> CorrectionContext:
         p = self.params
@@ -212,77 +244,37 @@ class OnlineTuner:
         t = self.round
 
         # 1. novelty -> exploration weight
-        unseen = unseen_fraction(workload, self.seen_templates)
-        seen_fraction = 1.0 - unseen
-        explore = exploration_weight(
-            t, seen_fraction, p.explore_init, p.explore_decay
-        )
+        seen_fraction = 1.0 - unseen_fraction(workload, self.seen_templates)
+        explore = exploration_weight(t, seen_fraction, p.explore_init, p.explore_decay)
 
-        # 2-3. candidates and their valuations under corrected costs
+        # 2-4. candidates, their valuations under corrected costs, sampling
         ctx = self._context()
         candidates = generate_candidates(workload, self.catalog)
-        valuations = [
-            candidate_valuation(x, workload, ctx, explore) for x in candidates
-        ]
-
-        # 4. configuration sampling
-        if valuations:
-            probs = selection_probabilities(valuations)
-            valuations = [
-                IndexValuation(
-                    v.candidate,
-                    v.execution_benefit,
-                    v.exploratory_value,
-                    v.value,
-                    float(pr),
-                )
-                for v, pr in zip(valuations, probs)
+        config = Configuration()
+        if candidates:
+            values = [
+                candidate_valuation(x, workload, ctx, explore) for x in candidates
             ]
             config = enumerate_configuration(
-                [v.candidate for v in valuations],
-                probs,
+                candidates,
+                selection_probabilities(values),
                 seed=subseed(self.seed, "enumerate", t),
                 max_indexes=p.max_indexes if p.storage_budget_bytes is None else None,
                 storage_budget_bytes=p.storage_budget_bytes,
                 per_table_cap=p.per_table_cap,
             )
-        else:
-            config = Configuration()
 
         # 5. index creation plus execution under the new configuration
-        created = [ix for ix in config.indexes if ix not in self.deployed.indexes]
-        creation_s = creation_seconds(created)
-        new_indexes = [ix for ix in config.indexes if ix not in self.ever_deployed]
-        self.ever_deployed.update(config.indexes)
+        executed, row = self.env.step(t, workload, config)
 
-        round_seed = subseed(self.seed, "execute", t)
-        exec_time = 0.0
-        noindex_time = 0.0
-        per_query = []
-        labels = []
-        probe_encodings = []
-        probe_scores = []
-        for q in workload.queries:
-            baseline = self._noindex_telemetry(q)
-            if config.indexes:
-                telemetry = execute(q, config, self.ground_truth, round_seed)
-            else:
-                telemetry = baseline
-            exec_time += q.frequency_weight * telemetry.total_time
-            noindex_time += q.frequency_weight * baseline.total_time
-            b_actual = 1.0 - telemetry.total_time / baseline.total_time
+        per_query, probe_encodings, probe_scores = [], [], []
+        by_kind = {}  # operator kind -> (encoding, bucket) labels
+        for q, telemetry, baseline in executed:
+            b_actual = actual_benefit(baseline.total_time, telemetry.total_time)
 
             # the executor's plan of the deployed configuration; never mutated
             plan = telemetry.plan
-            corrected = correct_plan(
-                plan.clone(),
-                self.models,
-                self.catalog,
-                p.uncertainty_threshold,
-                p.uncertainty_mix,
-                p.mcd_passes,
-                ctx.uncertainty_cache,
-            )
+            corrected = ctx.correct(plan.clone())
             b_est = estimated_benefit(ctx.baseline_cost(q), corrected.corrected_cost)
             per_query.append((b_est, b_actual))
             for report in corrected.reports:
@@ -296,21 +288,15 @@ class OnlineTuner:
             for leaf, multiplier in telemetry_to_labels(
                 plan, config.indexes, MULTIPLIER_GRID, b_actual, ctx.baseline_cost(q)
             ):
-                labels.append(
-                    (
-                        leaf.kind,
-                        encode_operator(leaf, self.catalog),
-                        nearest_bucket_index(multiplier),
-                    )
+                encoding = encode_operator(leaf, self.catalog)
+                by_kind.setdefault(leaf.kind, []).append(
+                    (encoding, nearest_bucket_index(multiplier))
                 )
 
         # the gate scored every probe under the models as they are now
         mean_u_before = float(np.mean(probe_scores)) if probe_scores else 0.0
 
-        # 7. model updates, grouped per operator kind in a fixed order
-        by_kind = {}
-        for kind, enc, idx in labels:
-            by_kind.setdefault(kind, []).append((enc, idx))
+        # 7. model updates, one per operator kind in a fixed order
         for kind in PLAN_KINDS:
             if kind in by_kind:
                 self.model_for(kind).update(by_kind[kind])
@@ -318,36 +304,23 @@ class OnlineTuner:
         mean_u_after = self._mean_uncertainty(probe_encodings)
 
         # 8. metrics
-        improvement = (
-            1.0 - exec_time / noindex_time if noindex_time > 0 else 0.0
-        )
+        row["mean_uncertainty"] = mean_u_before
         report = RoundReport(
             round=t,
             configuration=config,
             per_query_benefits=tuple(per_query),
-            improvement=improvement,
-            labels_emitted=len(labels),
+            improvement=row["improvement"],
+            labels_emitted=sum(len(labels) for labels in by_kind.values()),
             mean_uncertainty_before=mean_u_before,
             mean_uncertainty_after=mean_u_after,
-            exec_time_s=exec_time,
-            noindex_time_s=noindex_time,
-            creation_s=creation_s,
-            n_new_indexes=len(new_indexes),
+            exec_time_s=row["exec_time_s"],
+            noindex_time_s=row["noindex_time_s"],
+            creation_s=row["creation_s"],
+            n_new_indexes=row["n_new_indexes"],
             explore_weight=explore,
         )
-        self.metrics.append(
-            {
-                "round": t,
-                "exec_time_s": exec_time,
-                "noindex_time_s": noindex_time,
-                "improvement": improvement,
-                "n_new_indexes": len(new_indexes),
-                "creation_s": creation_s,
-                "mean_uncertainty": mean_u_before,
-            }
-        )
+        self.metrics.append(row)
         self.reports.append(report)
-        self.deployed = config
         self.seen_templates.update(workload.template_ids())
         self.round += 1
         return report
@@ -419,11 +392,8 @@ def run_baseline(
         raise ConfigurationError(f"unknown baseline kind {kind!r}")
     rng = np.random.default_rng(subseed(seed, "baseline", kind))
     baseline_cost_cache = {}
-    baseline_telemetry = {}
-    deployed = Configuration()
-    ever_deployed = set()
+    env = Environment(ground_truth, seed)
     metrics = []
-    calib_seed = subseed(seed, "calibration")
     for t, workload in enumerate(schedule):
         candidates = generate_candidates(workload, catalog)
         benefits = [
@@ -442,38 +412,6 @@ def run_baseline(
                 else:
                     pick = 0  # pool stays sorted by descending benefit
                 selected.append(candidates[pool.pop(pick)])
-        config = Configuration(tuple(selected))
-
-        created = [ix for ix in config.indexes if ix not in deployed.indexes]
-        creation_s = creation_seconds(created)
-        new_indexes = [ix for ix in config.indexes if ix not in ever_deployed]
-        ever_deployed.update(config.indexes)
-
-        round_seed = subseed(seed, "execute", t)
-        exec_time, noindex_time = 0.0, 0.0
-        for q in workload.queries:
-            key = q.key()
-            if key not in baseline_telemetry:
-                baseline_telemetry[key] = execute(q, (), ground_truth, calib_seed)
-            base = baseline_telemetry[key]
-            if config.indexes:
-                telem = execute(q, config, ground_truth, round_seed)
-            else:
-                telem = base
-            exec_time += q.frequency_weight * telem.total_time
-            noindex_time += q.frequency_weight * base.total_time
-        metrics.append(
-            {
-                "round": t,
-                "exec_time_s": exec_time,
-                "noindex_time_s": noindex_time,
-                "improvement": 1.0 - exec_time / noindex_time
-                if noindex_time > 0
-                else 0.0,
-                "n_new_indexes": len(new_indexes),
-                "creation_s": creation_s,
-                "mean_uncertainty": 0.0,
-            }
-        )
-        deployed = config
+        _, row = env.step(t, workload, Configuration(tuple(selected)))
+        metrics.append(row)
     return metrics

@@ -391,7 +391,11 @@ def save_schedule(workloads, path) -> None:
 
 def load_schedule(path) -> list:
     with open(path, encoding="utf-8") as f:
-        return schedule_from_dict(json.load(f))
+        try:
+            return schedule_from_dict(json.load(f))
+        except (AttributeError, KeyError, TypeError, ValueError) as exc:
+            what = f"missing key {exc}" if isinstance(exc, KeyError) else exc
+            raise ConfigurationError(f"schedule file {path}: {what}") from None
 
 
 def _template_to_dict(t: QueryTemplate) -> dict:

@@ -9,7 +9,6 @@ from idxlab.correction import (
     actual_benefit,
     config_related_leaves,
     correct_plan,
-    cost_correction,
     estimated_benefit,
     telemetry_to_labels,
     update_cost,
@@ -244,8 +243,8 @@ def _trained_models(catalog, confident=True):
 def test_gate_blocks_all_when_threshold_zero():
     (catalog, q, config, plan, cost), = _simulator_plans(1)
     models = _trained_models(catalog, confident=False)  # uniform, high entropy
-    corrected = cost_correction(plan.clone(), models, catalog, 0.0, 0.5, 10)
-    assert corrected == cost
+    corrected = correct_plan(plan.clone(), models, catalog, 0.0, 0.5, 10)
+    assert corrected.corrected_cost == cost
 
 
 def test_gate_threshold_monotonicity():

@@ -12,12 +12,9 @@ from idxlab.costmodel import (
     entropy,
     mc_dropout,
     nearest_bucket_index,
-    regression_multiplier,
 )
 from idxlab.errors import ConfigurationError, ContractError
 from idxlab.seeding import rng_for
-
-from conftest import nlj_example_plan
 
 
 def test_multiplier_grid_structure():
@@ -268,38 +265,3 @@ def test_checkpoint_roundtrip(tmp_path):
     m.update(more)
     loaded.update(more)
     assert np.array_equal(loaded.predict(enc), m.predict(enc))
-
-
-def test_regression_multiplier_recovers_ground_truth():
-    root, outer, inner = nlj_example_plan()
-    baseline = 120000.0
-    # observed benefit computed with the leaf exactly doubled
-    doubled = root.clone()
-    from idxlab.correction import update_cost
-    from idxlab.plan import leaves
-
-    update_cost(doubled, leaves(doubled)[1], 2.0)
-    observed = 1.0 - doubled.total_cost / baseline
-    got = regression_multiplier(root, inner, observed, baseline, tolerance=1e-3)
-    assert got == pytest.approx(2.0, abs=1e-3)
-
-
-def test_regression_multiplier_identity_and_validation():
-    root, outer, inner = nlj_example_plan()
-    baseline = 120000.0
-    observed = 1.0 - root.total_cost / baseline
-    got = regression_multiplier(root, inner, observed, baseline, tolerance=1e-3)
-    assert got == pytest.approx(1.0, abs=1e-3)
-    with pytest.raises(ValueError):
-        regression_multiplier(root, inner, observed, baseline, tolerance=0.0)
-
-
-def test_regression_multiplier_grid_fallback():
-    # a leaf that cannot move the root (zero exec cost) trips the fallback
-    from idxlab.plan import PlanNode
-
-    leaf = PlanNode("SeqScan", exec_cost=0.0, est_rows=1.0, table="a")
-    root = PlanNode("Sort", startup_cost=0.0, exec_cost=10.0, est_rows=1.0,
-                    children=[leaf])
-    got = regression_multiplier(root, leaf, 0.0, 10.0, tolerance=1e-3)
-    assert 0.1 <= got <= 100.0

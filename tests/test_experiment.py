@@ -3,7 +3,7 @@ import os
 
 import pytest
 
-from idxlab.cli import main
+from idxlab.cli import EXIT_REPLAY, main
 from idxlab.errors import ConfigurationError
 from idxlab.experiment import (
     emit_plot_data,
@@ -174,6 +174,42 @@ def test_cli_rejects_mistyped_catalog_field(tmp_path, capsys, catalog, field):
     assert_rejected_before_run(tmp_path, capsys, {"catalog": catalog}, field)
 
 
+@pytest.mark.parametrize(
+    "override, field",
+    [
+        ({"workload": {"n_templates": "x"}}, "workload.n_templates"),
+        ({"workload": {"change_fraction": "x"}}, "workload.change_fraction"),
+        ({"budget": {"max_indexes": "x"}}, "budget.max_indexes"),
+        ({"budget": {"mode": "storage", "storage_bytes": "x"}}, "budget.storage_bytes"),
+        ({"tuner": {"epsilon": "x"}}, "tuner.epsilon"),
+        ({"tuner": {"per_table_cap": 1.5}}, "tuner.per_table_cap"),
+        ({"catalog": {"seed": "x"}}, "catalog.seed"),
+        ({"environment": {"noise_sigma": "x"}}, "environment.noise_sigma"),
+        ({"replications": "ab"}, "replications"),
+        ({"replications": ["a"]}, "replications"),
+        ({"replications": [1, True]}, "replications"),
+    ],
+)
+def test_cli_rejects_mistyped_field(tmp_path, capsys, override, field):
+    assert_rejected_before_run(tmp_path, capsys, override, field)
+
+
+def test_cli_malformed_schedule_file_exits_2(tmp_path, capsys):
+    schedule = tmp_path / "schedule.json"
+    schedule.write_text(
+        json.dumps({"rounds": [{"round": 0, "queries": [{"nope": 1}]}]})
+    )
+    cfg = write_config(
+        tmp_path,
+        {**SMALL_CONFIG, "workload": {"schedule_file": str(schedule)}},
+    )
+    assert main(["run", cfg, "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert len(err.strip().splitlines()) == 1
+    assert str(schedule) in err and "'templates'" in err
+    assert "Traceback" not in err
+
+
 def test_cli_io_error_exits_3(tmp_path):
     cfg = write_config(tmp_path, SMALL_CONFIG)
     blocker = tmp_path / "blocker"
@@ -202,6 +238,26 @@ def test_cli_replay_and_compare(tmp_path, capsys):
     assert main(["compare", str(out), str(rep)]) == 0
     printed = capsys.readouterr().out
     assert printed.count("tuner") == 2
+
+
+def test_cli_replay_of_tampered_manifest_exits_4(tmp_path, capsys):
+    cfg = write_config(tmp_path, SMALL_CONFIG)
+    out = tmp_path / "orig"
+    assert main(["run", cfg, "--out", str(out)]) == 0
+    manifest_path = out / "manifest.json"
+    manifest = json.loads(manifest_path.read_text())
+    tampered = ["metrics_tuner_seed1.csv", "summary.csv"]
+    for name in tampered:
+        manifest["artifacts"][name] = "0" * 64
+    manifest_path.write_text(json.dumps(manifest))
+    capsys.readouterr()
+    rep = tmp_path / "rep"
+    assert main(["replay", str(manifest_path), "--out", str(rep)]) == EXIT_REPLAY
+    captured = capsys.readouterr()
+    assert "replayed" not in captured.out
+    lines = captured.err.strip().splitlines()
+    assert len(lines) == 1
+    assert lines[0].split(": ")[-1].split() == tampered
 
 
 def test_emit_plot_data_preserves_values(tmp_path):

@@ -15,9 +15,7 @@ from idxlab.selection import (
     CorrectionContext,
     candidate_valuation,
     enumerate_configuration,
-    execution_benefit,
     exploration_weight,
-    exploratory_value,
     generate_candidates,
     selection_probabilities,
     total_value,
@@ -121,7 +119,8 @@ def test_execution_benefit_zero_for_untouched_candidate(env):
     assert queries
     untouched = MiniWorkload(workload.round, queries)
     unused = sized_candidate(table.name, (table.columns[0].name,), catalog)
-    assert execution_benefit(unused, untouched, ctx) == 0.0
+    val = candidate_valuation(unused, untouched, ctx, 0.0)
+    assert val.execution_benefit == 0.0
 
 
 def test_execution_benefit_matches_whatif_when_gate_closed(env):
@@ -137,7 +136,8 @@ def test_execution_benefit_matches_whatif_when_gate_closed(env):
         q.frequency_weight * whatif_plan(q, (), catalog)[1]
         for q in workload.queries
     )
-    assert execution_benefit(x, workload, ctx) == pytest.approx(1 - num / den)
+    val = candidate_valuation(x, workload, ctx, 0.0)
+    assert val.execution_benefit == pytest.approx(1 - num / den)
 
 
 def test_benefit_formula_arithmetic():
@@ -185,7 +185,8 @@ def test_exploratory_value_zero_when_unused(env):
         for leaf in leaves(whatif_plan(q, (unused,), catalog)[0])
     )
     if not plans_use_it:
-        assert exploratory_value(unused, workload, ctx) == 0.0
+        val = candidate_valuation(unused, workload, ctx, 0.0)
+        assert val.exploratory_value == 0.0
 
 
 def test_total_value_examples():

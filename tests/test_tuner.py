@@ -7,9 +7,12 @@ from idxlab.catalog import CatalogSpec, ColumnRef, generate_catalog
 from idxlab.costmodel import nearest_bucket_index
 from idxlab.errors import ConfigurationError, ContractError
 from idxlab.simulator import make_ground_truth
+from idxlab.selection import Configuration, generate_candidates
 from idxlab.tuner import (
+    Environment,
     OnlineTuner,
     TunerParams,
+    creation_seconds,
     overall_improvement,
     run_baseline,
 )
@@ -268,3 +271,47 @@ def test_metrics_log_columns(env):
             "creation_s",
             "mean_uncertainty",
         }
+
+
+def two_indexes(catalog, workload):
+    a, b = generate_candidates(workload, catalog)[:2]
+    assert creation_seconds([a]) > 0 and creation_seconds([b]) > 0
+    return a, b
+
+
+def test_environment_redeploy_is_free(env):
+    catalog, schedule, gt = env
+    a, b = two_indexes(catalog, schedule[0])
+    environment = Environment(gt, seed=3)
+    config = Configuration((a, b))
+    _, first = environment.step(0, schedule[0], config)
+    assert first["creation_s"] == creation_seconds([a, b])
+    assert first["n_new_indexes"] == 2
+    _, again = environment.step(1, schedule[1], config)
+    assert again["creation_s"] == 0
+    assert again["n_new_indexes"] == 0
+
+
+def test_environment_rebuild_after_drop_costs_time_but_is_not_new(env):
+    catalog, schedule, gt = env
+    a, b = two_indexes(catalog, schedule[0])
+    environment = Environment(gt, seed=3)
+    environment.step(0, schedule[0], Configuration((a, b)))
+    _, dropped = environment.step(1, schedule[1], Configuration((b,)))
+    assert dropped["creation_s"] == 0 and dropped["n_new_indexes"] == 0
+    _, rebuilt = environment.step(2, schedule[2], Configuration((a, b)))
+    assert rebuilt["creation_s"] == creation_seconds([a])
+    assert rebuilt["n_new_indexes"] == 0
+
+
+def test_environment_empty_configuration_reuses_calibration(env):
+    catalog, schedule, gt = env
+    environment = Environment(gt, seed=3)
+    executed, row = environment.step(0, schedule[0], Configuration())
+    assert [q for q, _, _ in executed] == list(schedule[0].queries)
+    for q, telemetry, baseline in executed:
+        assert telemetry is baseline
+        assert baseline is environment.noindex_telemetry(q)
+    assert row["exec_time_s"] == row["noindex_time_s"] > 0
+    assert row["improvement"] == 0.0
+    assert row["creation_s"] == 0 and row["n_new_indexes"] == 0
