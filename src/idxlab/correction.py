@@ -12,15 +12,18 @@ costs compose:
     GatherMerge      dcs = sum(dcs(children));  dce = dce(probe child)
 
 A leaf is corrected only when its combined uncertainty is at or below the
-gate threshold. Labeling replays every grid multiplier against a fresh copy
-of the plan per (leaf, multiplier) pair and keeps the one whose corrected
-benefit comes closest to the observed benefit, ties going to the multiplier
-nearest 1x in log space.
+gate threshold. Labeling runs the same rules once per config-related leaf
+with the whole multiplier grid as a vector (every rule is `+` and `*`, so
+each element takes the scalar path's IEEE operations in the same order) and
+keeps the multiplier whose corrected benefit comes closest to the observed
+benefit, ties going to the multiplier nearest 1x in log space.
 """
 
 import math
 from dataclasses import dataclass, field
 from typing import Optional
+
+import numpy as np
 
 from .catalog import Catalog
 from .costmodel import UncertaintyScore, combined_uncertainty
@@ -63,10 +66,7 @@ def update_cost(
     if not leaf.is_leaf:
         raise ValueError("cost correction applies to leaf operators only")
     path = path_to_root(plan, leaf)
-
-    local = {id(leaf): (0.0, (multiplier - 1.0) * leaf.exec_cost)}
-    for child, parent in zip(path, path[1:]):
-        local[id(parent)] = _parent_delta(parent, local)
+    local = _path_deltas(path, multiplier)
     for node in path:
         dcs, dce = local[id(node)]
         node.startup_cost += dcs
@@ -77,6 +77,17 @@ def update_cost(
     ledger._merge(local)
     ledger.applied.append((leaf, multiplier))
     return ledger
+
+
+def _path_deltas(path: list, multiplier) -> dict:
+    """{id(node): (dcs, dce)} along ``path`` (leaf first) for scaling the
+    leaf's execution cost by ``multiplier``: a float, or an array that carries
+    every element through the same operations as a float would."""
+    leaf = path[0]
+    local = {id(leaf): (0.0, (multiplier - 1.0) * leaf.exec_cost)}
+    for parent in path[1:]:
+        local[id(parent)] = _parent_delta(parent, local)
+    return local
 
 
 def _parent_delta(parent: PlanNode, local: dict) -> tuple:
@@ -113,7 +124,6 @@ class LeafCorrection:
 class PlanCorrection:
     corrected_cost: float
     reports: tuple
-    ledger: CorrectionLedger
 
     @property
     def corrected_leaf_count(self) -> int:
@@ -134,7 +144,6 @@ def correct_plan(
 
     if not threshold >= 0:  # also rejects NaN, which would close every gate
         raise ConfigurationError("uncertainty threshold must be >= 0")
-    ledger = CorrectionLedger()
     reports = []
     for leaf in leaves(plan):
         model = models.get(leaf.kind)
@@ -148,9 +157,9 @@ def correct_plan(
         applied = None
         if score.combined <= threshold:
             applied = model.predict_multiplier(encoding)
-            update_cost(plan, leaf, applied, ledger)
+            update_cost(plan, leaf, applied)
         reports.append(LeafCorrection(leaf, score, applied))
-    return PlanCorrection(plan.total_cost, tuple(reports), ledger)
+    return PlanCorrection(plan.total_cost, tuple(reports))
 
 
 def _cached_uncertainty(model, kind, encoding, mix_weight, passes, cache):
@@ -198,28 +207,33 @@ def telemetry_to_labels(
     baseline_cost: float,
 ) -> list:
     """Per config-related leaf, the grid multiplier whose corrected benefit
-    best matches the observed one. Each trial runs on a fresh plan copy."""
+    best matches the observed one; the plan is not modified."""
     if not math.isfinite(observed_benefit):
         raise ValueError("observed benefit must be finite")
     if baseline_cost <= 0:
         raise ContractError("baseline cost must be positive")
-    all_leaves = leaves(plan)
-    related = config_related_leaves(plan, config_indexes)
-    positions = [
-        i for i, leaf in enumerate(all_leaves) if any(leaf is r for r in related)
-    ]
+    grid = np.asarray(grid, dtype=float)
+    if not (grid > 0).all():
+        raise ValueError("multiplier must be positive")
     labels = []
     base_benefit = 1.0 - plan.total_cost / baseline_cost
-    for pos in positions:
+    for leaf in config_related_leaves(plan, config_indexes):
+        benefits = 1.0 - _corrected_totals(plan, leaf, grid) / baseline_cost
         best_key = (abs(observed_benefit - base_benefit), 0.0)
         best_multiplier = 1.0
-        for multiplier in grid:
-            copy = plan.clone()
-            update_cost(copy, leaves(copy)[pos], float(multiplier))
-            benefit = 1.0 - copy.total_cost / baseline_cost
+        for multiplier, benefit in zip(grid.tolist(), benefits.tolist()):
             key = (abs(observed_benefit - benefit), abs(math.log(multiplier)))
             if key < best_key:
                 best_key = key
-                best_multiplier = float(multiplier)
-        labels.append((all_leaves[pos], best_multiplier))
+                best_multiplier = multiplier
+        labels.append((leaf, best_multiplier))
     return labels
+
+
+def _corrected_totals(plan: PlanNode, leaf: PlanNode, grid: np.ndarray) -> np.ndarray:
+    """The plan's total cost after scaling ``leaf`` by each grid multiplier,
+    bit-identical to `update_cost` on a fresh copy per multiplier."""
+    dcs, dce = _path_deltas(path_to_root(plan, leaf), grid)[id(plan)]
+    # both stay scalars when the leaf's delta never reaches the root
+    totals = (plan.startup_cost + dcs) + (plan.exec_cost + dce)
+    return np.broadcast_to(totals, grid.shape)

@@ -1,6 +1,7 @@
 """Exception types shared across the package, and the type checks on user
 input that raise them."""
 
+import math
 import numbers
 
 
@@ -30,3 +31,10 @@ def require_number(value, where: str) -> None:
     """Reject a user-supplied value that is not a real number (bools included)."""
     if isinstance(value, bool) or not isinstance(value, numbers.Real):
         raise ConfigurationError(f"{where} must be a number, got {value!r}")
+
+
+def require_finite(value, where: str) -> None:
+    """Reject a user-supplied value that is not a finite real number."""
+    require_number(value, where)
+    if not isinstance(value, numbers.Integral) and not math.isfinite(value):
+        raise ConfigurationError(f"{where} must be finite, got {value!r}")

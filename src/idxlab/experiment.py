@@ -19,10 +19,11 @@ import statistics
 from . import __version__
 from .catalog import CatalogSpec, generate_catalog
 from .errors import (
+    CatalogLookupError,
     ConfigurationError,
     ReplayMismatchError,
+    require_finite,
     require_integer,
-    require_number,
 )
 from .seeding import subseed
 from .simulator import make_ground_truth
@@ -76,8 +77,8 @@ DEFAULT_CONFIG = {
 }
 
 
-# Scalars type-checked at resolve time; one whose default is null may stay
-# null. The gate parameters are checked by TunerParams.
+# Scalars type-checked at resolve time (numbers must be finite); one whose
+# default is null may stay null. The gate parameters are checked by TunerParams.
 _INTEGER_FIELDS = """catalog.n_tables catalog.seed workload.n_templates
     workload.total_rounds workload.templates_per_round workload.period
     workload.cycle_length workload.queries_per_template workload.seed
@@ -133,7 +134,7 @@ def resolve_config(user_config: dict) -> dict:
     cfg = _deep_merge(DEFAULT_CONFIG, user_config)
     for fields, check in (
         (_INTEGER_FIELDS, require_integer),
-        (_NUMBER_FIELDS, require_number),
+        (_NUMBER_FIELDS, require_finite),
     ):
         for name in fields:
             section, key = name.split(".")
@@ -212,6 +213,20 @@ def _tuner_params(cfg) -> TunerParams:
     )
 
 
+def _load_schedule(path, catalog) -> list:
+    """A schedule file whose every template resolves against ``catalog``."""
+    schedule = load_schedule(path)
+    templates = {q.template.id: q.template for w in schedule for q in w.queries}
+    for template in templates.values():
+        try:
+            template.validate(catalog)
+        except (CatalogLookupError, ConfigurationError) as exc:
+            raise ConfigurationError(
+                f"schedule file {path}: template {template.id!r}: {exc.args[0]}"
+            ) from None
+    return schedule
+
+
 def _environment(cfg, replication_seed):
     """Catalog, schedule, and ground truth for one replication."""
     cat_seed = cfg["catalog"]["seed"]
@@ -220,7 +235,7 @@ def _environment(cfg, replication_seed):
     catalog = generate_catalog(_catalog_spec(cfg), cat_seed)
 
     if cfg["workload"]["schedule_file"]:
-        schedule = load_schedule(cfg["workload"]["schedule_file"])
+        schedule = _load_schedule(cfg["workload"]["schedule_file"], catalog)
     else:
         wl_seed = cfg["workload"]["seed"]
         if wl_seed is None:
@@ -397,8 +412,24 @@ def replay(manifest_path, out_dir=None, jobs: int = 1) -> dict:
     is byte-identical; raises `ReplayMismatchError` naming those that are not."""
     with open(manifest_path, encoding="utf-8") as f:
         manifest = json.load(f)
+    if not isinstance(manifest, dict):
+        raise ConfigurationError(f"manifest {manifest_path}: not a JSON object")
     if manifest.get("format") != MANIFEST_FORMAT:
         raise ConfigurationError("unsupported manifest format")
+    missing = [
+        key
+        for key in ("config", "config_sha256", "seeds", "artifacts")
+        if key not in manifest
+    ]
+    if missing:
+        raise ConfigurationError(
+            f"manifest {manifest_path}: missing key(s) {', '.join(missing)}"
+        )
+    for key in ("config", "artifacts"):
+        if not isinstance(manifest[key], dict):
+            raise ConfigurationError(
+                f"manifest {manifest_path}: {key} must be an object"
+            )
     cfg = manifest["config"]
     if _config_hash(cfg) != manifest["config_sha256"]:
         raise ConfigurationError("manifest config hash mismatch")

@@ -69,6 +69,8 @@ class QueryTemplate:
     def validate(self, catalog: Catalog) -> None:
         if len(self.tables) < 1:
             raise ConfigurationError("template must reference at least one table")
+        for table in self.tables:
+            catalog.table(table)
         if len(self.join_predicates) != len(self.tables) - 1:
             raise ConfigurationError("left-deep template needs |tables|-1 joins")
         for i, j in enumerate(self.join_predicates):

@@ -1,11 +1,15 @@
 import math
+from functools import lru_cache
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from idxlab.catalog import CatalogSpec, IndexCandidate, generate_catalog
 from idxlab.correction import (
     CorrectionLedger,
+    _corrected_totals,
     actual_benefit,
     config_related_leaves,
     correct_plan,
@@ -119,10 +123,30 @@ def test_identity_multiplier_changes_nothing():
                (ledger.delta_for(n) for n in root.walk()))
 
 
-def test_limit_rule():
+def limit_plan():
     leaf = PlanNode("SeqScan", exec_cost=50.0, est_rows=100.0, table="a")
     limit = PlanNode("Limit", startup_cost=0.0, exec_cost=5.0, est_rows=10.0,
                      children=[leaf])
+    return limit, leaf
+
+
+def sort_plan():
+    leaf = PlanNode("IndexScan", exec_cost=8.0, est_rows=10.0, table="a",
+                    index=IndexCandidate("a", ("k",), 1))
+    sort = PlanNode("Sort", startup_cost=8.0, exec_cost=1.0, est_rows=10.0,
+                    children=[leaf])
+    return sort, leaf
+
+
+def gather_merge_plan():
+    leaf = PlanNode("SeqScan", exec_cost=6.0, est_rows=10.0, table="a")
+    gm = PlanNode("GatherMerge", startup_cost=1.0, exec_cost=6.5, est_rows=10.0,
+                  children=[leaf])
+    return gm, leaf
+
+
+def test_limit_rule():
+    limit, leaf = limit_plan()
     ledger = update_cost(limit, leaf, 2.0)
     assert ledger.delta_for(leaf) == (0.0, 50.0)
     assert ledger.delta_for(limit) == (0.0, 5.0)
@@ -130,10 +154,7 @@ def test_limit_rule():
 
 
 def test_passthrough_moves_exec_delta_to_startup():
-    leaf = PlanNode("IndexScan", exec_cost=8.0, est_rows=10.0, table="a",
-                    index=IndexCandidate("a", ("k",), 1))
-    sort = PlanNode("Sort", startup_cost=8.0, exec_cost=1.0, est_rows=10.0,
-                    children=[leaf])
+    sort, leaf = sort_plan()
     update_cost(sort, leaf, 3.0)
     assert leaf.exec_cost == 24.0
     assert sort.startup_cost == 24.0
@@ -141,9 +162,7 @@ def test_passthrough_moves_exec_delta_to_startup():
 
 
 def test_gather_merge_uses_probe_delta():
-    leaf = PlanNode("SeqScan", exec_cost=6.0, est_rows=10.0, table="a")
-    gm = PlanNode("GatherMerge", startup_cost=1.0, exec_cost=6.5, est_rows=10.0,
-                  children=[leaf])
+    gm, leaf = gather_merge_plan()
     ledger = update_cost(gm, leaf, 2.0)
     assert ledger.delta_for(gm) == (0.0, 6.0)
     assert gm.exec_cost == 12.5
@@ -384,3 +403,111 @@ def test_labels_match_exhaustive_oracle_on_simulator_plans():
         assert [(id(l), w) for l, w in got] == [(id(l), w) for l, w in want]
         checked += len(got)
     assert checked > 0
+
+
+# --- grid label search: one vector pass equals a clone per multiplier ---------
+
+def clone_reference_labels(plan, config_indexes, grid, observed_benefit, baseline_cost):
+    """The label search the vector kernel replaced: per config-related leaf,
+    `update_cost` on a fresh clone of the plan for every grid multiplier."""
+    all_leaves = leaves(plan)
+    related = config_related_leaves(plan, config_indexes)
+    positions = [
+        i for i, leaf in enumerate(all_leaves) if any(leaf is r for r in related)
+    ]
+    labels = []
+    base_benefit = 1.0 - plan.total_cost / baseline_cost
+    for pos in positions:
+        best_key = (abs(observed_benefit - base_benefit), 0.0)
+        best_multiplier = 1.0
+        for multiplier in grid:
+            copy = plan.clone()
+            update_cost(copy, leaves(copy)[pos], float(multiplier))
+            benefit = 1.0 - copy.total_cost / baseline_cost
+            key = (abs(observed_benefit - benefit), abs(math.log(multiplier)))
+            if key < best_key:
+                best_key = key
+                best_multiplier = float(multiplier)
+        labels.append((all_leaves[pos], best_multiplier))
+    return labels
+
+
+def bare_build_leaf_plan():
+    """A hash join whose build side is a bare leaf: that leaf's delta never
+    reaches the root."""
+    probe = PlanNode("SeqScan", exec_cost=40.0, est_rows=100.0, table="a")
+    build = PlanNode("IndexScan", exec_cost=3.0, est_rows=5.0, table="b",
+                     index=IndexCandidate("b", ("k",), 1))
+    join = PlanNode("HashJoin", startup_cost=3.0, exec_cost=45.0, est_rows=100.0,
+                    children=[probe, build])
+    return join, probe
+
+
+@lru_cache(maxsize=None)
+def exactness_cases():
+    """(plan, config) pairs: planner plans under the configuration they were
+    planned with, then the hand-built plans under one index per leaf table."""
+    cases = [(plan, config) for _, _, config, plan, _ in _simulator_plans(30, seed=4)]
+    for build in (nlj_example_plan, limit_plan, sort_plan, gather_merge_plan,
+                  bare_build_leaf_plan):
+        plan = build()[0]
+        config = tuple(dict.fromkeys(
+            leaf.index or IndexCandidate(leaf.table, ("k",), 1)
+            for leaf in leaves(plan)
+        ))
+        cases.append((plan, config))
+    return tuple(cases)
+
+
+GRID = np.asarray(MULTIPLIER_GRID, dtype=float)
+plan_cases = st.deferred(lambda: st.sampled_from(exactness_cases()))
+multipliers = st.floats(min_value=1e-3, max_value=1e3)
+
+
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(plan_cases, st.lists(multipliers, max_size=8))
+def test_vector_totals_equal_update_cost_on_clones(case, extra):
+    plan, _ = case
+    grid = np.concatenate([GRID, extra])
+    for pos, leaf in enumerate(leaves(plan)):
+        totals = _corrected_totals(plan, leaf, grid)
+        for multiplier, total in zip(grid.tolist(), totals.tolist()):
+            copy = plan.clone()
+            update_cost(copy, leaves(copy)[pos], multiplier)
+            assert total == copy.total_cost, (pos, multiplier)
+
+
+@st.composite
+def label_search_case(draw):
+    """A plan, a sub-configuration, a baseline cost and an observed benefit;
+    the benefit is drawn freely or set to one grid value's reference benefit
+    so that exact ties come up."""
+    plan, config = draw(plan_cases)
+    config = tuple(draw(st.lists(st.sampled_from(config), unique=True)))
+    baseline = plan.total_cost * draw(st.floats(min_value=0.1, max_value=10.0))
+    if draw(st.booleans()):
+        pos = draw(st.sampled_from(range(len(leaves(plan)))))
+        multiplier = draw(st.sampled_from(GRID.tolist()))
+        copy = plan.clone()
+        update_cost(copy, leaves(copy)[pos], multiplier)
+        observed = 1.0 - copy.total_cost / baseline
+    else:
+        observed = draw(st.floats(min_value=-10.0, max_value=1.0))
+    return plan, config, baseline, observed
+
+
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(label_search_case())
+def test_label_search_equals_clone_reference(case):
+    plan, config, baseline, observed = case
+    got = telemetry_to_labels(plan, config, MULTIPLIER_GRID, observed, baseline)
+    assert got == clone_reference_labels(
+        plan, config, MULTIPLIER_GRID, observed, baseline
+    )
+
+
+def test_label_search_rejects_nonpositive_grid_value():
+    root, outer, inner = nlj_example_plan()
+    for bad in (0.0, -1.0):
+        with pytest.raises(ValueError, match="positive"):
+            telemetry_to_labels(root, (inner.index,), [0.5, bad, 2.0], 0.1, 1e6)

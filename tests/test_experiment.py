@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 
@@ -12,6 +13,8 @@ from idxlab.experiment import (
     resolve_config,
     run_experiment,
 )
+
+NAN, INF = float("nan"), float("inf")
 
 SMALL_CONFIG = {
     "catalog": {"n_tables": 2, "rows_range": [1000, 5000]},
@@ -188,6 +191,19 @@ def test_cli_rejects_mistyped_catalog_field(tmp_path, capsys, catalog, field):
         ({"replications": "ab"}, "replications"),
         ({"replications": ["a"]}, "replications"),
         ({"replications": [1, True]}, "replications"),
+        # json.dumps writes NaN and Infinity, which json.loads accepts
+        ({"budget": {"mode": "storage", "storage_bytes": NAN}}, "budget.storage_bytes"),
+        ({"budget": {"mode": "storage", "storage_bytes": INF}}, "budget.storage_bytes"),
+        ({"tuner": {"explore_init": NAN}}, "tuner.explore_init"),
+        ({"tuner": {"explore_decay": -INF}}, "tuner.explore_decay"),
+        ({"tuner": {"epsilon": NAN}}, "tuner.epsilon"),
+        ({"environment": {"noise_sigma": NAN}}, "environment.noise_sigma"),
+        ({"environment": {"noise_sigma": INF}}, "environment.noise_sigma"),
+        ({"workload": {"change_fraction": NAN}}, "workload.change_fraction"),
+        (
+            {"catalog": {"string_column_fraction": INF}},
+            "catalog.string_column_fraction",
+        ),
     ],
 )
 def test_cli_rejects_mistyped_field(tmp_path, capsys, override, field):
@@ -207,6 +223,51 @@ def test_cli_malformed_schedule_file_exits_2(tmp_path, capsys):
     err = capsys.readouterr().err
     assert len(err.strip().splitlines()) == 1
     assert str(schedule) in err and "'templates'" in err
+    assert "Traceback" not in err
+
+
+def test_cli_schedule_template_off_the_catalog_exits_2(tmp_path, capsys):
+    # the default catalog has tables t0..t3
+    template = {
+        "id": "tpl_t9",
+        "tables": ["t9"],
+        "join_predicates": [],
+        "filter_specs": [
+            {
+                "column": ["t9", "c0"],
+                "op": "=",
+                "sampler": {"kind": "numeric", "low": 0.0, "high": 1.0, "distinct": 1},
+            }
+        ],
+        "order_by": [],
+        "group_by": [],
+        "payload_columns": [],
+    }
+    schedule = tmp_path / "schedule.json"
+    schedule.write_text(
+        json.dumps(
+            {
+                "templates": [template],
+                "rounds": [
+                    {"round": 0, "queries": [{"template": "tpl_t9", "literals": [0.5]}]}
+                ],
+            }
+        )
+    )
+    cfg = write_config(
+        tmp_path,
+        {
+            **SMALL_CONFIG,
+            "catalog": {"n_tables": 4},
+            "workload": {"schedule_file": str(schedule)},
+        },
+    )
+    out = tmp_path / "never"
+    assert main(["run", cfg, "--out", str(out)]) == 2
+    assert not out.exists()
+    err = capsys.readouterr().err
+    assert len(err.strip().splitlines()) == 1
+    assert str(schedule) in err and "tpl_t9" in err and "t9" in err
     assert "Traceback" not in err
 
 
@@ -258,6 +319,37 @@ def test_cli_replay_of_tampered_manifest_exits_4(tmp_path, capsys):
     lines = captured.err.strip().splitlines()
     assert len(lines) == 1
     assert lines[0].split(": ")[-1].split() == tampered
+
+
+@pytest.mark.parametrize(
+    "manifest, named",
+    [
+        ({"format": 1, "config": {}}, ["config_sha256", "seeds", "artifacts"]),
+        ({"format": 1, "config_sha256": "0" * 64}, ["config", "seeds", "artifacts"]),
+        ([1, 2], ["JSON object"]),
+        (
+            {
+                "format": 1,
+                "config": {},
+                "config_sha256": hashlib.sha256(b"{}").hexdigest(),
+                "seeds": [1],
+                "artifacts": [],
+            },
+            ["artifacts", "object"],
+        ),
+        ("manifest", ["JSON object"]),
+    ],
+)
+def test_cli_replay_of_malformed_manifest_exits_2(tmp_path, capsys, manifest, named):
+    path = tmp_path / "manifest.json"
+    path.write_text(json.dumps(manifest))
+    out = tmp_path / "never"
+    assert main(["replay", str(path), "--out", str(out)]) == 2
+    assert not out.exists()
+    err = capsys.readouterr().err
+    assert len(err.strip().splitlines()) == 1
+    assert str(path) in err and all(word in err for word in named)
+    assert "Traceback" not in err
 
 
 def test_emit_plot_data_preserves_values(tmp_path):
