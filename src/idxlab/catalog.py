@@ -1,15 +1,14 @@
 """Synthetic database catalogs: table/column statistics, index sizing, selectivity.
 
 A catalog is a pure function of (CatalogSpec, seed) and immutable afterwards,
-so it can be shared across concurrent experiment runs and pinned to a JSON
-file. String column values are opaque tokens ``v<k>`` with ``k`` in
+so it can be shared across concurrent experiment runs and regenerated from
+its seed. String column values are opaque tokens ``v<k>`` with ``k`` in
 ``[0, distinct_count)``; only their statistical rank carries information.
 
 Storage constants are fixed so size-budget tests stay stable: 8192-byte pages,
 16 bytes of per-tuple index overhead, 24 bytes of heap row header.
 """
 
-import json
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -145,53 +144,6 @@ class Catalog:
             return self._column_positions[ColumnRef(*ref)]
         except KeyError:
             raise CatalogLookupError(f"no column {ref} in catalog") from None
-
-    def to_dict(self) -> dict:
-        return {
-            "seed": self.seed,
-            "tables": [
-                {
-                    "name": t.name,
-                    "row_count": t.row_count,
-                    "page_count": t.page_count,
-                    "columns": [
-                        {
-                            "name": c.name,
-                            "kind": c.kind,
-                            "distinct_count": c.distinct_count,
-                            "min_value": c.min_value,
-                            "max_value": c.max_value,
-                            "avg_width_bytes": c.avg_width_bytes,
-                        }
-                        for c in t.columns
-                    ],
-                }
-                for t in self.tables
-            ],
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "Catalog":
-        tables = tuple(
-            TableDef(
-                name=t["name"],
-                row_count=t["row_count"],
-                page_count=t["page_count"],
-                columns=tuple(ColumnDef(**c) for c in t["columns"]),
-            )
-            for t in data["tables"]
-        )
-        return cls(tables=tables, seed=data["seed"])
-
-
-def save_catalog(catalog: Catalog, path) -> None:
-    with open(path, "w", encoding="utf-8") as f:
-        json.dump(catalog.to_dict(), f, indent=2, sort_keys=True)
-
-
-def load_catalog(path) -> Catalog:
-    with open(path, encoding="utf-8") as f:
-        return Catalog.from_dict(json.load(f))
 
 
 @dataclass(frozen=True)

@@ -1,15 +1,18 @@
 """Per-operator-kind cost multiplier classifiers and their uncertainty scores.
 
-Each model is a small fully connected network (two ReLU hidden layers of 64
-units, inverted dropout p=0.1 after each) ending in a 37-way softmax over the
-multiplier grid
+Each model is a small fully connected network (two ReLU hidden layers of
+HIDDEN_UNITS = 64 units, inverted dropout p=0.1 after each) ending in an
+N_CLASSES = 37-way softmax over the multiplier grid
 
     {0.01..0.09 step .01} u {0.1..0.9 step .1} u {1..9 step 1} u {10..100 step 10},
 
 a non-uniform quantization that is dense near 1x and coarse at the extremes.
 The output head starts at zero so an untrained model is exactly uniform.
-Training is online: labels enter a 512-slot FIFO replay buffer and every
-update runs a few epochs of minibatch cross-entropy with Adam.
+Training is online: labels enter a REPLAY_CAPACITY = 512-slot FIFO replay
+buffer and every update runs EPOCHS = 5 epochs of minibatch (BATCH_SIZE = 32)
+cross-entropy with Adam at LEARNING_RATE = 1e-3. Every model shares this one
+architecture; only the dropout rate is a constructor argument, so a model
+without dropout can exercise the zero-variance paths.
 
 Uncertainty combines the softmax entropy of a dropout-off prediction with the
 maximum per-class variance across repeated dropout-on passes:
@@ -21,7 +24,6 @@ training step, encoding digest), so the score is a pure function of model
 state and input.
 """
 
-import json
 import math
 import zlib
 from collections import deque
@@ -33,6 +35,11 @@ from .errors import ConfigurationError, ContractError
 from .seeding import rng_for
 
 N_CLASSES = 37
+HIDDEN_UNITS = 64
+LEARNING_RATE = 1e-3
+BATCH_SIZE = 32
+EPOCHS = 5
+REPLAY_CAPACITY = 512
 
 
 def _build_grid() -> np.ndarray:
@@ -59,26 +66,12 @@ def nearest_bucket_index(value: float) -> int:
 class CostMultiplierModel:
     """MLP classifier over the multiplier grid for one operator kind."""
 
-    def __init__(
-        self,
-        input_dim: int,
-        seed: int,
-        hidden_units: int = 64,
-        dropout_rate: float = 0.1,
-        learning_rate: float = 1e-3,
-        batch_size: int = 32,
-        epochs: int = 5,
-        replay_capacity: int = 512,
-    ):
+    def __init__(self, input_dim: int, seed: int, dropout_rate: float = 0.1):
         self.input_dim = input_dim
         self.seed = seed
-        self.hidden_units = hidden_units
         self.dropout_rate = dropout_rate
-        self.learning_rate = learning_rate
-        self.batch_size = batch_size
-        self.epochs = epochs
         self.rng = rng_for(seed, "model")
-        h = hidden_units
+        h = HIDDEN_UNITS
         self.params = {
             "W1": self.rng.normal(0.0, math.sqrt(2.0 / input_dim), (input_dim, h)),
             "b1": np.zeros(h),
@@ -92,7 +85,7 @@ class CostMultiplierModel:
         self._adam_v = {k: np.zeros_like(v) for k, v in self.params.items()}
         self._adam_t = 0
         self.step_count = 0
-        self.buffer = deque(maxlen=replay_capacity)
+        self.buffer = deque(maxlen=REPLAY_CAPACITY)
 
     def _check_input(self, X):
         X = np.atleast_2d(np.asarray(X, dtype=float))
@@ -127,11 +120,10 @@ class CostMultiplierModel:
         cache.update(z1=z1, m1=m1, a1=a1, z2=z2, m2=m2, a2=a2, probs=probs)
         return cache
 
-    def predict(self, encoding, dropout: bool = False) -> np.ndarray:
-        """Softmax over the multiplier grid; dropout-off calls are pure."""
+    def predict(self, encoding) -> np.ndarray:
+        """Dropout-off softmax over the multiplier grid; a pure function."""
         X = self._check_input(encoding)
-        rng = self.rng if dropout else None
-        return self._forward(X, drop_rng=rng)["probs"][0]
+        return self._forward(X)["probs"][0]
 
     def predict_multiplier(self, encoding) -> float:
         """Argmax multiplier of a dropout-off prediction."""
@@ -172,7 +164,7 @@ class CostMultiplierModel:
             self._adam_v[k] = beta2 * self._adam_v[k] + (1 - beta2) * g * g
             mhat = self._adam_m[k] / (1 - beta1**self._adam_t)
             vhat = self._adam_v[k] / (1 - beta2**self._adam_t)
-            self.params[k] -= self.learning_rate * mhat / (np.sqrt(vhat) + eps)
+            self.params[k] -= LEARNING_RATE * mhat / (np.sqrt(vhat) + eps)
 
     def update(self, labels):
         """Absorb (encoding, class index) pairs and retrain over the buffer."""
@@ -187,74 +179,16 @@ class CostMultiplierModel:
             self._check_input(enc)
             self.buffer.append((enc, idx))
         data = list(self.buffer)
-        for _ in range(self.epochs):
+        for _ in range(EPOCHS):
             order = self.rng.permutation(len(data))
-            for start in range(0, len(data), self.batch_size):
-                batch = [data[i] for i in order[start : start + self.batch_size]]
+            for start in range(0, len(data), BATCH_SIZE):
+                batch = [data[i] for i in order[start : start + BATCH_SIZE]]
                 X = np.stack([b[0] for b in batch])
                 y = np.array([b[1] for b in batch])
                 _, grads = self.loss_and_gradients(X, y, drop_rng=self.rng)
                 self._adam_step(grads)
                 self.step_count += 1
         return self
-
-    def mean_loss(self, labels) -> float:
-        X = np.stack([np.asarray(e, dtype=float) for e, _ in labels])
-        y = np.array([i for _, i in labels])
-        loss, _ = self.loss_and_gradients(X, y)
-        return loss
-
-    def save(self, path) -> None:
-        meta = {
-            "input_dim": self.input_dim,
-            "seed": self.seed,
-            "hidden_units": self.hidden_units,
-            "dropout_rate": self.dropout_rate,
-            "learning_rate": self.learning_rate,
-            "batch_size": self.batch_size,
-            "epochs": self.epochs,
-            "replay_capacity": self.buffer.maxlen,
-            "step_count": self.step_count,
-            "adam_t": self._adam_t,
-            "rng_state": self.rng.bit_generator.state,
-        }
-        arrays = dict(self.params)
-        arrays.update({f"m_{k}": v for k, v in self._adam_m.items()})
-        arrays.update({f"v_{k}": v for k, v in self._adam_v.items()})
-        if self.buffer:
-            arrays["buffer_X"] = np.stack([e for e, _ in self.buffer])
-            arrays["buffer_y"] = np.array([i for _, i in self.buffer])
-        np.savez(path, meta=json.dumps(meta), **arrays)
-
-    @classmethod
-    def load(cls, path) -> "CostMultiplierModel":
-        with np.load(path, allow_pickle=False) as data:
-            meta = json.loads(str(data["meta"]))
-            model = cls(
-                input_dim=meta["input_dim"],
-                seed=meta["seed"],
-                hidden_units=meta["hidden_units"],
-                dropout_rate=meta["dropout_rate"],
-                learning_rate=meta["learning_rate"],
-                batch_size=meta["batch_size"],
-                epochs=meta["epochs"],
-                replay_capacity=meta["replay_capacity"],
-            )
-            for k in model.params:
-                model.params[k] = data[k].copy()
-                model._adam_m[k] = data[f"m_{k}"].copy()
-                model._adam_v[k] = data[f"v_{k}"].copy()
-            model.step_count = meta["step_count"]
-            model._adam_t = meta["adam_t"]
-            state = meta["rng_state"]
-            state["state"] = {
-                k: int(v) for k, v in state["state"].items()
-            }
-            model.rng.bit_generator.state = state
-            if "buffer_X" in data:
-                for enc, idx in zip(data["buffer_X"], data["buffer_y"]):
-                    model.buffer.append((enc.copy(), int(idx)))
-        return model
 
 
 def entropy(probabilities) -> float:
@@ -297,6 +231,6 @@ def combined_uncertainty(
     if not 0.0 < mix_weight < 1.0:
         raise ConfigurationError("mix_weight must lie strictly between 0 and 1")
     mcd_value = mc_dropout(model, encoding, passes)
-    ent = entropy(model.predict(encoding, dropout=False))
+    ent = entropy(model.predict(encoding))
     combined = mix_weight * mcd_value + (1.0 - mix_weight) * ent
     return UncertaintyScore(ent, mcd_value, combined, mix_weight)

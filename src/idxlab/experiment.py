@@ -148,7 +148,17 @@ def resolve_config(user_config: dict) -> dict:
         )
     for seed in seeds:
         require_integer(seed, "replications")
-    for kind in cfg["baselines"]:
+    # numpy seeds a catalog from this value directly, and rejects negatives
+    if cfg["catalog"]["seed"] is not None and cfg["catalog"]["seed"] < 0:
+        raise ConfigurationError(
+            f"catalog.seed must be >= 0, got {cfg['catalog']['seed']!r}"
+        )
+    baselines = cfg["baselines"]
+    if not isinstance(baselines, (list, tuple)):
+        raise ConfigurationError(
+            f"baselines must be a list of method kinds, got {baselines!r}"
+        )
+    for kind in baselines:
         if kind not in BASELINE_KINDS:
             raise ConfigurationError(f"baselines: unknown kind {kind!r}")
     mode = cfg["budget"]["mode"]
@@ -214,16 +224,24 @@ def _tuner_params(cfg) -> TunerParams:
 
 
 def _load_schedule(path, catalog) -> list:
-    """A schedule file whose every template resolves against ``catalog``."""
+    """A schedule file of at least one round whose every template and query
+    resolves against ``catalog``."""
     schedule = load_schedule(path)
-    templates = {q.template.id: q.template for w in schedule for q in w.queries}
-    for template in templates.values():
-        try:
-            template.validate(catalog)
-        except (CatalogLookupError, ConfigurationError) as exc:
-            raise ConfigurationError(
-                f"schedule file {path}: template {template.id!r}: {exc.args[0]}"
-            ) from None
+    if not schedule:
+        raise ConfigurationError(f"schedule file {path}: no rounds")
+    valid_templates = set()
+    for w in schedule:
+        for q in w.queries:
+            try:
+                if q.template_id not in valid_templates:
+                    q.template.validate(catalog)
+                    valid_templates.add(q.template_id)
+                q.validate(catalog)
+            except (CatalogLookupError, ConfigurationError) as exc:
+                raise ConfigurationError(
+                    f"schedule file {path}: round {w.round}: "
+                    f"template {q.template_id!r}: {exc.args[0]}"
+                ) from None
     return schedule
 
 

@@ -136,27 +136,6 @@ class PlanNode:
             "children": [c.to_dict() for c in self.children],
         }
 
-    @classmethod
-    def from_dict(cls, d: dict) -> "PlanNode":
-        idx = d.get("index")
-        return cls(
-            kind=d["kind"],
-            startup_cost=d["startup_cost"],
-            exec_cost=d["exec_cost"],
-            est_rows=d["est_rows"],
-            table=d.get("table"),
-            index=None
-            if idx is None
-            else IndexCandidate(
-                idx["table"], tuple(idx["key_columns"]), idx["estimated_size_bytes"]
-            ),
-            predicates=[
-                Predicate(ColumnRef(*p["column"]), p["op"], p["value"])
-                for p in d.get("predicates", [])
-            ],
-            children=[cls.from_dict(c) for c in d.get("children", [])],
-        )
-
 
 def leaves(root: PlanNode) -> list:
     """All leaf-kind nodes, depth-first outer-first."""

@@ -43,9 +43,6 @@ class Configuration:
     def total_size_bytes(self) -> int:
         return sum(ix.estimated_size_bytes for ix in self.indexes)
 
-    def __contains__(self, candidate) -> bool:
-        return candidate in self.indexes
-
     def __len__(self) -> int:
         return len(self.indexes)
 

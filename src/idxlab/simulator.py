@@ -96,13 +96,6 @@ def make_ground_truth(
     return GroundTruth(catalog, multipliers, noise_sigma, seed)
 
 
-def identity_ground_truth(catalog: Catalog, noise_sigma: float = 0.0) -> GroundTruth:
-    multipliers = {
-        (kind, t.name): 1.0 for kind in PLAN_KINDS for t in catalog.tables
-    }
-    return GroundTruth(catalog, multipliers, noise_sigma, 0)
-
-
 def _config_indexes(config):
     if config is None:
         return ()

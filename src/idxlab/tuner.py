@@ -78,12 +78,6 @@ class TunerParams:
     storage_budget_bytes: int = None
     per_table_cap: int = 3
     epsilon: float = 0.1
-    hidden_units: int = 64
-    dropout_rate: float = 0.1
-    learning_rate: float = 1e-3
-    batch_size: int = 32
-    epochs: int = 5
-    replay_capacity: int = 512
 
     def __post_init__(self):
         # checked up front: each would otherwise fail, or silently close
@@ -104,6 +98,11 @@ class TunerParams:
             raise ConfigurationError(
                 "tuner.uncertainty_mix must lie strictly between 0 and 1, "
                 f"got {self.uncertainty_mix!r}"
+            )
+        require_number(self.epsilon, "tuner.epsilon")
+        if not 0.0 <= self.epsilon <= 1.0:
+            raise ConfigurationError(
+                f"tuner.epsilon must lie in [0, 1], got {self.epsilon!r}"
             )
 
 
@@ -213,16 +212,9 @@ class OnlineTuner:
 
     def model_for(self, kind: str) -> CostMultiplierModel:
         if kind not in self.models:
-            p = self.params
             self.models[kind] = CostMultiplierModel(
                 input_dim=encoding_length(self.catalog),
                 seed=subseed(self.seed, "model", kind),
-                hidden_units=p.hidden_units,
-                dropout_rate=p.dropout_rate,
-                learning_rate=p.learning_rate,
-                batch_size=p.batch_size,
-                epochs=p.epochs,
-                replay_capacity=p.replay_capacity,
             )
         return self.models[kind]
 

@@ -9,6 +9,7 @@ Literals are freshly sampled for every materialized query.
 
 import json
 import math
+import re
 from dataclasses import dataclass
 
 import numpy as np
@@ -20,12 +21,14 @@ from .catalog import (
     ColumnRef,
     ConfigurationError,
 )
+from .errors import require_finite, require_integer
 from .seeding import rng_for
 
 DRIFT_KINDS = ("static", "continuous", "periodic", "cyclic")
 
 _NUMERIC_OPS = ("=", ">", "<", ">=", "<=", "!=")
 _STRING_OPS = ("=", "!=")
+_STRING_TOKEN = re.compile(r"v[0-9]+")
 
 
 @dataclass(frozen=True)
@@ -99,6 +102,19 @@ class Query:
             raise ConfigurationError("literal count must match filter spec count")
         if self.frequency_weight < 1:
             raise ConfigurationError("frequency_weight must be positive")
+
+    def validate(self, catalog: Catalog) -> None:
+        """Check the weight's type and each literal against its filter
+        column's kind; the template must already be valid."""
+        require_integer(self.frequency_weight, "frequency_weight")
+        for spec, value in zip(self.template.filter_specs, self.bound_literals):
+            where = f"literal for {spec.column}"
+            if catalog.column(*spec.column).kind == NUMERIC:
+                require_finite(value, where)
+            elif not (isinstance(value, str) and _STRING_TOKEN.fullmatch(value)):
+                raise ConfigurationError(
+                    f"{where} must be a string token v<k>, got {value!r}"
+                )
 
     @property
     def template_id(self) -> str:
@@ -376,7 +392,8 @@ def schedule_from_dict(data: dict) -> list:
             Query(
                 templates[q["template"]],
                 tuple(
-                    v if isinstance(v, str) else float(v) for v in q["literals"]
+                    v if isinstance(v, (str, bool)) else float(v)
+                    for v in q["literals"]
                 ),
                 q.get("frequency_weight", 1),
             )

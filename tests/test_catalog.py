@@ -1,4 +1,3 @@
-import json
 import math
 
 import pytest
@@ -10,8 +9,6 @@ from idxlab.catalog import (
     IndexCandidate,
     estimate_index_size,
     generate_catalog,
-    save_catalog,
-    load_catalog,
     selectivity,
     sized_candidate,
 )
@@ -27,7 +24,7 @@ def test_generation_is_deterministic():
     spec = CatalogSpec(n_tables=1, rows_range=(1000, 1000), cols_per_table_range=(2, 2))
     a = generate_catalog(spec, seed=7)
     b = generate_catalog(spec, seed=7)
-    assert a.to_dict() == b.to_dict()
+    assert a == b
     assert len(a.tables) == 1
     assert a.tables[0].row_count == 1000
 
@@ -128,17 +125,6 @@ def test_selectivity_bounds_over_random_predicates():
                 value = f"v{int(rng.integers(0, col.distinct_count))}"
             s = selectivity(pred(col.name, op, value, table=t.name), cat)
             assert 0.0 <= s <= 1.0
-
-
-def test_catalog_json_roundtrip(tmp_path):
-    cat = generate_catalog(CatalogSpec(n_tables=3), seed=9)
-    path = tmp_path / "catalog.json"
-    save_catalog(cat, path)
-    loaded = load_catalog(path)
-    assert loaded == cat
-    # the file is plain JSON so experiments can pin it
-    with open(path) as f:
-        assert json.load(f)["seed"] == 9
 
 
 def test_sized_candidate_fills_size(small_catalog):

@@ -204,6 +204,12 @@ def test_cli_rejects_mistyped_catalog_field(tmp_path, capsys, catalog, field):
             {"catalog": {"string_column_fraction": INF}},
             "catalog.string_column_fraction",
         ),
+        ({"baselines": 5}, "baselines must be a list"),
+        ({"baselines": None}, "baselines must be a list"),
+        ({"baselines": "whatif_greedy"}, "baselines must be a list"),
+        ({"catalog": {"seed": -1}}, "catalog.seed"),
+        ({"tuner": {"epsilon": 5}}, "tuner.epsilon"),
+        ({"tuner": {"epsilon": -0.5}}, "tuner.epsilon"),
     ],
 )
 def test_cli_rejects_mistyped_field(tmp_path, capsys, override, field):
@@ -269,6 +275,83 @@ def test_cli_schedule_template_off_the_catalog_exits_2(tmp_path, capsys):
     assert len(err.strip().splitlines()) == 1
     assert str(schedule) in err and "tpl_t9" in err and "t9" in err
     assert "Traceback" not in err
+
+
+def _filter_spec(column, kind):
+    return {
+        "column": ["t0", column],
+        "op": "=",
+        "sampler": {"kind": kind, "low": 0.0, "high": 1.0, "distinct": 2},
+    }
+
+
+def write_one_table_schedule(tmp_path, rounds):
+    """A config over one table t0, whose c0 is numeric and c1 a string
+    column, and a schedule file of ``rounds`` over one template filtering
+    both; returns (schedule path, config path)."""
+    template = {
+        "id": "tpl_t0",
+        "tables": ["t0"],
+        "join_predicates": [],
+        "filter_specs": [_filter_spec("c0", "numeric"), _filter_spec("c1", "string")],
+        "order_by": [],
+        "group_by": [],
+        "payload_columns": [],
+    }
+    schedule = tmp_path / "schedule.json"
+    schedule.write_text(json.dumps({"templates": [template], "rounds": rounds}))
+    catalog = {
+        "n_tables": 1,
+        "cols_per_table_range": [2, 2],
+        "string_column_fraction": 1.0,
+    }
+    cfg = write_config(
+        tmp_path,
+        {**SMALL_CONFIG, "catalog": catalog, "workload": {"schedule_file": str(schedule)}},
+    )
+    return schedule, cfg
+
+
+def test_cli_schedule_query_that_fits_runs(tmp_path):
+    query = {"template": "tpl_t0", "literals": [0.5, "v1"], "frequency_weight": 2}
+    _, cfg = write_one_table_schedule(tmp_path, [{"round": 0, "queries": [query]}])
+    assert main(["run", cfg, "--out", str(tmp_path / "out")]) == 0
+
+
+AT_ROUND_0 = "round 0: template 'tpl_t0': "
+
+
+@pytest.mark.parametrize(
+    "query, rounds, named",
+    [
+        ({"literals": ["abc", "v0"]}, None, [AT_ROUND_0, "t0.c0", "'abc'"]),
+        ({"literals": [NAN, "v0"]}, None, [AT_ROUND_0, "t0.c0", "nan"]),
+        ({"literals": [INF, "v0"]}, None, [AT_ROUND_0, "t0.c0", "inf"]),
+        ({"literals": [-INF, "v0"]}, None, [AT_ROUND_0, "t0.c0", "-inf"]),
+        ({"literals": [True, "v0"]}, None, [AT_ROUND_0, "t0.c0", "True"]),
+        ({"literals": [0.5, 3]}, None, [AT_ROUND_0, "t0.c1", "3.0"]),
+        ({"literals": [0.5, "w1"]}, None, [AT_ROUND_0, "t0.c1", "'w1'"]),
+        ({"literals": [0.5, "v-1"]}, None, [AT_ROUND_0, "t0.c1", "'v-1'"]),
+        ({"frequency_weight": 2.5}, None, [AT_ROUND_0, "frequency_weight", "2.5"]),
+        ({"frequency_weight": True}, None, [AT_ROUND_0, "frequency_weight", "True"]),
+        ({}, [], ["no rounds"]),
+    ],
+)
+def test_cli_schedule_query_that_does_not_fit_exits_2(
+    tmp_path, capsys, query, rounds, named
+):
+    query = {"template": "tpl_t0", "literals": [0.5, "v0"], **query}
+    if rounds is None:
+        rounds = [{"round": 0, "queries": [query]}]
+    schedule, cfg = write_one_table_schedule(tmp_path, rounds)
+    out = tmp_path / "never"
+    assert main(["run", cfg, "--out", str(out)]) == 2
+    assert not out.exists()
+    err = capsys.readouterr().err
+    assert len(err.strip().splitlines()) == 1
+    assert str(schedule) in err and "Traceback" not in err
+    for part in named:
+        assert part in err
 
 
 def test_cli_io_error_exits_3(tmp_path):

@@ -209,13 +209,6 @@ def test_plan_validation():
     root.validate()
 
 
-def test_plan_json_roundtrip():
-    root, _, _ = nlj_example_plan()
-    clone = PlanNode.from_dict(root.to_dict())
-    assert clone.to_dict() == root.to_dict()
-    assert clone.total_cost == root.total_cost
-
-
 def test_clone_is_deep():
     root, _, inner = nlj_example_plan()
     copy = root.clone()

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from idxlab.catalog import (
     CatalogSpec,
@@ -359,3 +361,45 @@ def test_enumeration_structural_postconditions():
             pool, probs, seed=seed, max_indexes=4, per_table_cap=2
         )
         check_configuration(config, pool, 4, 2)
+
+
+_candidate_pools = st.lists(
+    st.builds(
+        IndexCandidate,
+        st.sampled_from(("t", "u", "v")),
+        st.lists(st.sampled_from("abcd"), min_size=1, max_size=3, unique=True).map(
+            tuple
+        ),
+        st.integers(1, 1000),
+    ),
+    min_size=1,
+    max_size=12,
+    unique_by=lambda c: (c.table, c.key_columns),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    pool=_candidate_pools,
+    data=st.data(),
+    seed=st.integers(0, 2**32 - 1),
+    per_table_cap=st.integers(1, 3),
+)
+def test_enumeration_never_exceeds_its_budget(pool, data, seed, per_table_cap):
+    values = data.draw(
+        st.lists(st.floats(-1.0, 1.0), min_size=len(pool), max_size=len(pool))
+    )
+    probs = selection_probabilities(values)
+    total = sum(c.estimated_size_bytes for c in pool)
+    budget = data.draw(st.integers(1, total + 100))
+    config = enumerate_configuration(
+        pool, probs, seed, storage_budget_bytes=budget, per_table_cap=per_table_cap
+    )
+    assert config.total_size_bytes <= budget
+    assert set(config.indexes) <= set(pool)
+    check_configuration(config, pool, len(pool), per_table_cap)
+    max_indexes = data.draw(st.integers(1, len(pool) + 2))
+    config = enumerate_configuration(
+        pool, probs, seed, max_indexes=max_indexes, per_table_cap=per_table_cap
+    )
+    check_configuration(config, pool, max_indexes, per_table_cap)

@@ -12,7 +12,6 @@ from idxlab.simulator import (
     MULTIPLIER_LOW,
     TIME_UNIT_SECONDS,
     execute,
-    identity_ground_truth,
     make_ground_truth,
     whatif_plan,
 )
@@ -85,7 +84,7 @@ def test_plan_costs_positive_everywhere(env):
 
 def test_identity_execution_sums_exec_costs(env):
     catalog, workload, _ = env
-    gt = identity_ground_truth(catalog, noise_sigma=0.0)
+    gt = make_ground_truth(catalog, 0, 0.0, choices={})
     q = workload.queries[0]
     telem = execute(q, (), gt, round_seed=1)
     expected = sum(n.exec_cost for n in telem.plan.walk()) * TIME_UNIT_SECONDS
@@ -100,7 +99,7 @@ def test_multiplier_scales_one_leaf(env):
     q = workload.queries[0]
     plan, _ = whatif_plan(q, candidates, catalog)
     target = leaves(plan)[0]
-    gt1 = identity_ground_truth(catalog, noise_sigma=0.0)
+    gt1 = make_ground_truth(catalog, 0, 0.0, choices={})
     mult = dict(gt1.multipliers)
     mult[(target.kind, target.table)] = 2.0
     gt2 = type(gt1)(catalog, mult, 0.0, 0)
