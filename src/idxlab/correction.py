@@ -151,7 +151,7 @@ def correct_plan(
             reports.append(LeafCorrection(leaf, None, None))
             continue
         encoding = encode_operator(leaf, catalog)
-        score = _cached_uncertainty(
+        score = cached_uncertainty(
             model, leaf.kind, encoding, mix_weight, passes, uncertainty_cache
         )
         applied = None
@@ -162,13 +162,25 @@ def correct_plan(
     return PlanCorrection(plan.total_cost, tuple(reports))
 
 
-def _cached_uncertainty(model, kind, encoding, mix_weight, passes, cache):
+def cached_uncertainty(model, kind, encoding, mix_weight, passes, cache):
+    """`combined_uncertainty`, looked up in ``cache`` when one is given.
+
+    The key carries the model's ``step_count``: parameters change only in
+    `CostMultiplierModel.update`, which advances it, and the dropout masks
+    derive from it, so an entry stays exact for as long as it is kept."""
     if cache is None:
         return combined_uncertainty(model, encoding, mix_weight, passes)
     key = (kind, encoding.tobytes(), model.step_count, mix_weight, passes)
     if key not in cache:
         cache[key] = combined_uncertainty(model, encoding, mix_weight, passes)
     return cache[key]
+
+
+def drop_stale_scores(cache: dict, models: dict) -> None:
+    """Remove from a `cached_uncertainty` cache the scores of model states
+    that an update has since replaced; they can never be looked up again."""
+    for key in [k for k in cache if k[2] != models[k[0]].step_count]:
+        del cache[key]
 
 
 def estimated_benefit(cost_noindex: float, cost_corrected: float) -> float:

@@ -14,6 +14,13 @@ cross-entropy with Adam at LEARNING_RATE = 1e-3. Every model shares this one
 architecture; only the dropout rate is a constructor argument, so a model
 without dropout can exercise the zero-variance paths.
 
+Training allocates nothing per step: the buffer is stacked once per update,
+and the forward pass, backward pass and Adam step write into one fixed
+per-model workspace (a short last batch uses its leading rows). Every
+operation and its order is that of the plain array expressions, e.g.
+`(LEARNING_RATE * mhat) / (sqrt(vhat) + eps)`, so the parameters are
+bit-identical to those of an allocating loop.
+
 Uncertainty combines the softmax entropy of a dropout-off prediction with the
 maximum per-class variance across repeated dropout-on passes:
 
@@ -86,6 +93,7 @@ class CostMultiplierModel:
         self._adam_t = 0
         self.step_count = 0
         self.buffer = deque(maxlen=REPLAY_CAPACITY)
+        self._workspace = _Workspace(self.params)
 
     def _check_input(self, X):
         X = np.atleast_2d(np.asarray(X, dtype=float))
@@ -96,29 +104,68 @@ class CostMultiplierModel:
             )
         return X
 
-    def _forward(self, X, drop_rng=None):
-        p = self.dropout_rate
+    def _forward(self, X, drop_rng=None, out=None):
+        """Forward pass; the returned cache holds what `_backward` needs.
+
+        ``out`` maps buffer names to arrays of the right shape to write into
+        (a training workspace); a name it lacks gets a fresh array.
+        """
+        o = {} if out is None else out
+        drop = drop_rng is not None and self.dropout_rate > 0.0
         cache = {"X": X}
-        z1 = X @ self.params["W1"] + self.params["b1"]
-        h1 = np.maximum(z1, 0.0)
-        if drop_rng is not None and p > 0.0:
-            m1 = (drop_rng.random(h1.shape) >= p) / (1.0 - p)
-        else:
-            m1 = None
-        a1 = h1 if m1 is None else h1 * m1
-        z2 = a1 @ self.params["W2"] + self.params["b2"]
-        h2 = np.maximum(z2, 0.0)
-        if drop_rng is not None and p > 0.0:
-            m2 = (drop_rng.random(h2.shape) >= p) / (1.0 - p)
-        else:
-            m2 = None
-        a2 = h2 if m2 is None else h2 * m2
-        logits = a2 @ self.params["W3"] + self.params["b3"]
-        shifted = logits - logits.max(axis=1, keepdims=True)
-        exp = np.exp(shifted)
-        probs = exp / exp.sum(axis=1, keepdims=True)
-        cache.update(z1=z1, m1=m1, a1=a1, z2=z2, m2=m2, a2=a2, probs=probs)
+        a = X
+        for layer in ("1", "2"):
+            z = np.matmul(a, self.params["W" + layer], out=o.get("z" + layer))
+            np.add(z, self.params["b" + layer], out=z)
+            a = np.maximum(z, 0.0, out=o.get("a" + layer))
+            m = None
+            if drop:
+                m = self._dropout_mask(drop_rng, a.shape, o.get("m" + layer))
+                np.multiply(a, m, out=a)
+            cache.update({"z" + layer: z, "m" + layer: m, "a" + layer: a})
+        probs = np.matmul(a, self.params["W3"], out=o.get("probs"))
+        np.add(probs, self.params["b3"], out=probs)
+        norm = np.max(probs, axis=1, keepdims=True, out=o.get("norm"))
+        np.subtract(probs, norm, out=probs)
+        np.exp(probs, out=probs)
+        np.sum(probs, axis=1, keepdims=True, out=norm)
+        np.divide(probs, norm, out=probs)
+        cache["probs"] = probs
         return cache
+
+    def _dropout_mask(self, drop_rng, shape, out):
+        # draws the same stream as drop_rng.random(shape); kept units are
+        # 1.0 / (1 - p), exactly as the bool mask divided by (1 - p)
+        mask = drop_rng.random(shape, out=out)
+        np.greater_equal(mask, self.dropout_rate, out=mask)
+        np.divide(mask, 1.0 - self.dropout_rate, out=mask)
+        return mask
+
+    def _backward(self, cache, y, out=None, grads_out=None):
+        """Gradients of the mean cross-entropy; overwrites the cache's
+        ``probs`` and ``z`` arrays. ``out`` and ``grads_out`` work as in
+        `_forward`, for the row buffers and the parameter-shaped gradients."""
+        o = {} if out is None else out
+        g = {} if grads_out is None else grads_out
+        dz = cache["probs"]
+        n = dz.shape[0]
+        dz[np.arange(n), y] -= 1.0
+        dz /= n
+        grads = {}
+        for layer, below in (("3", "2"), ("2", "1"), ("1", None)):
+            a = cache["X"] if below is None else cache["a" + below]
+            grads["W" + layer] = np.matmul(a.T, dz, out=g.get("W" + layer))
+            grads["b" + layer] = np.sum(dz, axis=0, out=g.get("b" + layer))
+            if below is None:
+                break
+            # dz of the layer below: (dz @ W.T) * mask * (z > 0)
+            da = np.matmul(dz, self.params["W" + layer].T, out=o.get("da" + below))
+            if cache["m" + below] is not None:
+                np.multiply(da, cache["m" + below], out=da)
+            z = cache["z" + below]
+            np.greater(z, 0.0, out=z)
+            dz = np.multiply(da, z, out=da)
+        return grads
 
     def predict(self, encoding) -> np.ndarray:
         """Dropout-off softmax over the multiplier grid; a pure function."""
@@ -130,41 +177,40 @@ class CostMultiplierModel:
         return float(MULTIPLIER_GRID[int(np.argmax(self.predict(encoding)))])
 
     def loss_and_gradients(self, X, y, drop_rng=None):
-        """Mean cross-entropy and its analytic gradients for a labeled batch."""
+        """Mean cross-entropy and its analytic gradients for a labeled batch.
+
+        Every call returns fresh gradient arrays."""
         X = self._check_input(X)
         y = np.asarray(y, dtype=int)
         cache = self._forward(X, drop_rng=drop_rng)
-        probs = cache["probs"]
         n = X.shape[0]
-        loss = float(-np.mean(np.log(probs[np.arange(n), y] + 1e-300)))
-        dlogits = probs.copy()
-        dlogits[np.arange(n), y] -= 1.0
-        dlogits /= n
-        grads = {}
-        grads["W3"] = cache["a2"].T @ dlogits
-        grads["b3"] = dlogits.sum(axis=0)
-        da2 = dlogits @ self.params["W3"].T
-        if cache["m2"] is not None:
-            da2 = da2 * cache["m2"]
-        dz2 = da2 * (cache["z2"] > 0)
-        grads["W2"] = cache["a1"].T @ dz2
-        grads["b2"] = dz2.sum(axis=0)
-        da1 = dz2 @ self.params["W2"].T
-        if cache["m1"] is not None:
-            da1 = da1 * cache["m1"]
-        dz1 = da1 * (cache["z1"] > 0)
-        grads["W1"] = X.T @ dz1
-        grads["b1"] = dz1.sum(axis=0)
-        return loss, grads
+        loss = float(-np.mean(np.log(cache["probs"][np.arange(n), y] + 1e-300)))
+        return loss, self._backward(cache, y)
 
     def _adam_step(self, grads, beta1=0.9, beta2=0.999, eps=1e-8):
         self._adam_t += 1
+        bias1 = 1 - beta1**self._adam_t
+        bias2 = 1 - beta2**self._adam_t
+        s, r = self._workspace.scratch
         for k, g in grads.items():
-            self._adam_m[k] = beta1 * self._adam_m[k] + (1 - beta1) * g
-            self._adam_v[k] = beta2 * self._adam_v[k] + (1 - beta2) * g * g
-            mhat = self._adam_m[k] / (1 - beta1**self._adam_t)
-            vhat = self._adam_v[k] / (1 - beta2**self._adam_t)
-            self.params[k] -= LEARNING_RATE * mhat / (np.sqrt(vhat) + eps)
+            m, v, step, denom = self._adam_m[k], self._adam_v[k], s[k], r[k]
+            # m = beta1*m + (1-beta1)*g
+            np.multiply(beta1, m, out=m)
+            np.multiply(1 - beta1, g, out=step)
+            np.add(m, step, out=m)
+            # v = beta2*v + ((1-beta2)*g)*g
+            np.multiply(1 - beta2, g, out=step)
+            np.multiply(step, g, out=step)
+            np.multiply(beta2, v, out=v)
+            np.add(v, step, out=v)
+            # params -= (LEARNING_RATE * m/bias1) / (sqrt(v/bias2) + eps)
+            np.divide(m, bias1, out=step)
+            np.multiply(LEARNING_RATE, step, out=step)
+            np.divide(v, bias2, out=denom)
+            np.sqrt(denom, out=denom)
+            np.add(denom, eps, out=denom)
+            np.divide(step, denom, out=step)
+            np.subtract(self.params[k], step, out=self.params[k])
 
     def update(self, labels):
         """Absorb (encoding, class index) pairs and retrain over the buffer."""
@@ -178,17 +224,39 @@ class CostMultiplierModel:
             enc = np.asarray(enc, dtype=float)
             self._check_input(enc)
             self.buffer.append((enc, idx))
-        data = list(self.buffer)
+        X_all = np.stack([enc for enc, _ in self.buffer])
+        y_all = np.array([idx for _, idx in self.buffer])
+        ws = self._workspace
         for _ in range(EPOCHS):
-            order = self.rng.permutation(len(data))
-            for start in range(0, len(data), BATCH_SIZE):
-                batch = [data[i] for i in order[start : start + BATCH_SIZE]]
-                X = np.stack([b[0] for b in batch])
-                y = np.array([b[1] for b in batch])
-                _, grads = self.loss_and_gradients(X, y, drop_rng=self.rng)
-                self._adam_step(grads)
+            order = self.rng.permutation(len(y_all))
+            for start in range(0, len(y_all), BATCH_SIZE):
+                batch = order[start : start + BATCH_SIZE]
+                rows = ws.rows(len(batch))
+                cache = self._forward(X_all[batch], self.rng, rows)
+                self._adam_step(self._backward(cache, y_all[batch], rows, ws.grads))
                 self.step_count += 1
         return self
+
+
+class _Workspace:
+    """One model's training buffers, allocated once: activations and their
+    gradients for BATCH_SIZE rows (a shorter batch writes into the leading
+    rows), the parameter gradients, and Adam's scratch pair."""
+
+    def __init__(self, params: dict):
+        hidden = ("z1", "a1", "m1", "da1", "z2", "a2", "m2", "da2")
+        widths = dict.fromkeys(hidden, HIDDEN_UNITS)
+        widths.update(probs=N_CLASSES, norm=1)
+        self.full = {k: np.empty((BATCH_SIZE, w)) for k, w in widths.items()}
+        self.grads = {k: np.empty_like(v) for k, v in params.items()}
+        self.scratch = tuple(
+            {k: np.empty_like(v) for k, v in params.items()} for _ in range(2)
+        )
+
+    def rows(self, n: int) -> dict:
+        if n == BATCH_SIZE:
+            return self.full
+        return {k: v[:n] for k, v in self.full.items()}
 
 
 def entropy(probabilities) -> float:

@@ -5,7 +5,9 @@ minimal config is a handful of lines. One experiment runs the tuner and the
 requested baselines once per replication seed, writes per-replication metrics
 CSVs, tuner round reports as JSON lines, per-method plot TSVs, a summary
 table, and a manifest (config hash, seeds, artifact checksums) from which the
-whole run can be replayed byte-identically.
+whole run can be replayed byte-identically. The manifest also records what
+the artifacts depend on beyond the config: the numpy version, its BLAS build,
+and the sha256 of a schedule file, so a replay that diverges can say why.
 """
 
 import concurrent.futures
@@ -15,6 +17,8 @@ import io
 import json
 import os
 import statistics
+
+import numpy as np
 
 from . import __version__
 from .catalog import CatalogSpec, generate_catalog
@@ -357,17 +361,35 @@ def _sha256_file(path) -> str:
     return h.hexdigest()
 
 
+def _runtime() -> dict:
+    """The numeric stack the artifact bytes depend on: numpy and its BLAS."""
+    blas = None
+    try:
+        info = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+        blas = f"{info.get('name')} {info.get('version')}"
+    except (KeyError, TypeError):
+        pass
+    return {"numpy": np.__version__, "blas": blas}
+
+
 def run_experiment(config, out_dir=None, jobs: int = 1) -> dict:
     """Run a full experiment from a config path or dict; returns the manifest."""
     if isinstance(config, (str, os.PathLike)):
         cfg = resolve_config(load_config_file(config))
     else:
         cfg = resolve_config(config)
+    require_integer(jobs, "jobs")
+    if jobs < 1:
+        raise ConfigurationError(f"jobs must be >= 1, got {jobs}")
     out_dir = out_dir or cfg["output_dir"]
     seeds = list(cfg["replications"])
+    schedule_file = cfg["workload"]["schedule_file"]
+    schedule_sha256 = _sha256_file(schedule_file) if schedule_file else None
 
-    if jobs > 1 and len(seeds) > 1:
-        with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as pool:
+    # a pool starts all its workers at once, so never more than there is work
+    workers = min(jobs, len(seeds))
+    if workers > 1:
+        with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(run_replication, [cfg] * len(seeds), seeds))
     else:
         results = [run_replication(cfg, s) for s in seeds]
@@ -417,7 +439,10 @@ def run_experiment(config, out_dir=None, jobs: int = 1) -> dict:
         "seeds": seeds,
         "artifacts": artifacts,
         "summary": summary,
+        "runtime": _runtime(),
     }
+    if schedule_sha256 is not None:
+        manifest["schedule_sha256"] = schedule_sha256
     _write_atomic(
         os.path.join(out_dir, "manifest.json"),
         (json.dumps(manifest, indent=2, sort_keys=True) + "\n").encode("utf-8"),
@@ -463,9 +488,28 @@ def replay(manifest_path, out_dir=None, jobs: int = 1) -> dict:
     )
     if divergent:
         raise ReplayMismatchError(
-            "artifacts differ from the manifest: " + " ".join(divergent)
+            "; ".join(
+                _input_changes(manifest, replayed)
+                + ["artifacts differ from the manifest: " + " ".join(divergent)]
+            )
         )
     return replayed
+
+
+def _input_changes(recorded: dict, replayed: dict) -> list:
+    """What the replay ran with that differs from what the manifest records:
+    the numpy version, the BLAS build, or the schedule file's bytes."""
+    changes = []
+    runtime = recorded.get("runtime")
+    if isinstance(runtime, dict):
+        for key, now in replayed["runtime"].items():
+            if key in runtime and runtime[key] != now:
+                changes.append(f"{key} was {runtime[key]}, is {now}")
+    then = recorded.get("schedule_sha256")
+    if then is not None and then != replayed.get("schedule_sha256"):
+        path = replayed["config"]["workload"]["schedule_file"]
+        changes.append(f"schedule file {path} changed since the run")
+    return changes
 
 
 def compare(dirs) -> list:

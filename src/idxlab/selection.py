@@ -95,9 +95,10 @@ class CorrectionContext:
     """Everything candidate valuation needs to price corrected plans.
 
     A context lives for one round: the models must not change while it is in
-    use, because ``corrected_baselines`` and ``uncertainty_cache`` hold
-    results computed from their current state. ``baseline_costs`` holds raw
-    what-if costs and may be shared across rounds.
+    use, because ``corrected_baselines`` holds results computed from their
+    current state. ``baseline_costs`` holds raw what-if costs and may be
+    shared across rounds. So may ``uncertainty_cache``: its keys carry each
+    model's ``step_count``, which every update advances.
     """
 
     catalog: Catalog

@@ -14,7 +14,9 @@ telemetry. No pricing is repeated within a round: a candidate is planned
 against a query only when the query reads the candidate's table, the deployed
 configuration is corrected from the plan the executor already built, and the
 round's mean uncertainty before the model update is the mean of the gate
-scores that correction produced.
+scores that correction produced. Uncertainty scores are cached for the
+tuner's lifetime under keys that carry each model's training step, so the
+probe after an update and the next round's gate score a leaf once.
 """
 
 from dataclasses import dataclass
@@ -24,9 +26,11 @@ import numpy as np
 from .catalog import Catalog
 from .correction import (
     actual_benefit,
+    cached_uncertainty,
     # not called here (corrections go through CorrectionContext.correct), but
     # perfbench/tracer.py patches tuner.correct_plan by name
     correct_plan,  # noqa: F401
+    drop_stale_scores,
     estimated_benefit,
     telemetry_to_labels,
 )
@@ -209,6 +213,7 @@ class OnlineTuner:
         self.metrics = []
         self.reports = []
         self._baseline_cost = {}
+        self._uncertainty_cache = {}
 
     def model_for(self, kind: str) -> CostMultiplierModel:
         if kind not in self.models:
@@ -222,6 +227,7 @@ class OnlineTuner:
         p = self.params
         for kind in ("SeqScan", "IndexScan", "IndexOnlyScan"):
             self.model_for(kind)
+        drop_stale_scores(self._uncertainty_cache, self.models)
         return CorrectionContext(
             catalog=self.catalog,
             models=self.models,
@@ -229,6 +235,7 @@ class OnlineTuner:
             mix_weight=p.uncertainty_mix,
             passes=p.mcd_passes,
             baseline_costs=self._baseline_cost,
+            uncertainty_cache=self._uncertainty_cache,
         )
 
     def run_round(self, workload: MiniWorkload) -> RoundReport:
@@ -318,14 +325,17 @@ class OnlineTuner:
         return report
 
     def _mean_uncertainty(self, probe_encodings) -> float:
-        from .costmodel import combined_uncertainty
-
         if not probe_encodings:
             return 0.0
         p = self.params
         scores = [
-            combined_uncertainty(
-                self.model_for(kind), enc, p.uncertainty_mix, p.mcd_passes
+            cached_uncertainty(
+                self.model_for(kind),
+                kind,
+                enc,
+                p.uncertainty_mix,
+                p.mcd_passes,
+                self._uncertainty_cache,
             ).combined
             for kind, enc in probe_encodings
         ]

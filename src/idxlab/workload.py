@@ -100,13 +100,13 @@ class Query:
     def __post_init__(self):
         if len(self.bound_literals) != len(self.template.filter_specs):
             raise ConfigurationError("literal count must match filter spec count")
+        require_integer(self.frequency_weight, "frequency_weight")
         if self.frequency_weight < 1:
             raise ConfigurationError("frequency_weight must be positive")
 
     def validate(self, catalog: Catalog) -> None:
-        """Check the weight's type and each literal against its filter
-        column's kind; the template must already be valid."""
-        require_integer(self.frequency_weight, "frequency_weight")
+        """Check each literal against its filter column's kind; the template
+        must already be valid."""
         for spec, value in zip(self.template.filter_specs, self.bound_literals):
             where = f"literal for {spec.column}"
             if catalog.column(*spec.column).kind == NUMERIC:
@@ -387,19 +387,27 @@ def schedule_from_dict(data: dict) -> list:
         t["id"]: _template_from_dict(t) for t in data["templates"]
     }
     out = []
-    for r in data["rounds"]:
-        queries = tuple(
-            Query(
-                templates[q["template"]],
-                tuple(
-                    v if isinstance(v, (str, bool)) else float(v)
-                    for v in q["literals"]
-                ),
-                q.get("frequency_weight", 1),
+    # the tuner numbers rounds by position, and error messages quote it
+    for position, r in enumerate(data["rounds"]):
+        number = r["round"]
+        if type(number) is not int or number != position:
+            raise ConfigurationError(
+                f"round at position {position}: \"round\" must be {position}, "
+                f"got {number!r}"
             )
-            for q in r["queries"]
-        )
-        out.append(MiniWorkload(round=r["round"], queries=queries))
+        queries = []
+        for q in r["queries"]:
+            template = templates[q["template"]]
+            try:
+                literals = tuple(
+                    v if isinstance(v, (str, bool)) else float(v) for v in q["literals"]
+                )
+                queries.append(Query(template, literals, q.get("frequency_weight", 1)))
+            except (ArithmeticError, TypeError, ValueError) as exc:
+                raise ConfigurationError(
+                    f"round {position}: template {template.id!r}: {exc}"
+                ) from None
+        out.append(MiniWorkload(round=position, queries=tuple(queries)))
     return out
 
 

@@ -5,6 +5,9 @@ import numpy as np
 import pytest
 
 from idxlab.costmodel import (
+    BATCH_SIZE,
+    EPOCHS,
+    LEARNING_RATE,
     MULTIPLIER_GRID,
     N_CLASSES,
     CostMultiplierModel,
@@ -250,3 +253,101 @@ def test_convergence_on_single_multiplier_labels():
         m.update([(e, target) for e in encodings])
     hits = sum(int(np.argmax(m.predict(e))) == target for e in encodings)
     assert hits >= 0.9 * len(encodings)
+
+
+def reference_update(model, labels):
+    """The allocating training loop `update` replaced: one `np.stack` per
+    minibatch, fresh arrays for every activation, gradient and Adam moment.
+    `update` must leave the model in exactly the state this one does."""
+
+    def forward(X, drop_rng):
+        p, P = model.dropout_rate, model.params
+        z1 = X @ P["W1"] + P["b1"]
+        h1 = np.maximum(z1, 0.0)
+        m1 = (drop_rng.random(h1.shape) >= p) / (1.0 - p) if p > 0.0 else None
+        a1 = h1 if m1 is None else h1 * m1
+        z2 = a1 @ P["W2"] + P["b2"]
+        h2 = np.maximum(z2, 0.0)
+        m2 = (drop_rng.random(h2.shape) >= p) / (1.0 - p) if p > 0.0 else None
+        a2 = h2 if m2 is None else h2 * m2
+        logits = a2 @ P["W3"] + P["b3"]
+        shifted = logits - logits.max(axis=1, keepdims=True)
+        exp = np.exp(shifted)
+        probs = exp / exp.sum(axis=1, keepdims=True)
+        return dict(z1=z1, m1=m1, a1=a1, z2=z2, m2=m2, a2=a2, probs=probs)
+
+    def gradients(X, y, drop_rng):
+        cache = forward(X, drop_rng)
+        n = X.shape[0]
+        dlogits = cache["probs"].copy()
+        dlogits[np.arange(n), y] -= 1.0
+        dlogits /= n
+        grads = {}
+        grads["W3"] = cache["a2"].T @ dlogits
+        grads["b3"] = dlogits.sum(axis=0)
+        da2 = dlogits @ model.params["W3"].T
+        if cache["m2"] is not None:
+            da2 = da2 * cache["m2"]
+        dz2 = da2 * (cache["z2"] > 0)
+        grads["W2"] = cache["a1"].T @ dz2
+        grads["b2"] = dz2.sum(axis=0)
+        da1 = dz2 @ model.params["W2"].T
+        if cache["m1"] is not None:
+            da1 = da1 * cache["m1"]
+        dz1 = da1 * (cache["z1"] > 0)
+        grads["W1"] = X.T @ dz1
+        grads["b1"] = dz1.sum(axis=0)
+        return grads
+
+    def adam_step(grads, beta1=0.9, beta2=0.999, eps=1e-8):
+        model._adam_t += 1
+        for k, g in grads.items():
+            model._adam_m[k] = beta1 * model._adam_m[k] + (1 - beta1) * g
+            model._adam_v[k] = beta2 * model._adam_v[k] + (1 - beta2) * g * g
+            mhat = model._adam_m[k] / (1 - beta1**model._adam_t)
+            vhat = model._adam_v[k] / (1 - beta2**model._adam_t)
+            model.params[k] -= LEARNING_RATE * mhat / (np.sqrt(vhat) + eps)
+
+    for enc, idx in labels:
+        model.buffer.append((np.asarray(enc, dtype=float), int(idx)))
+    data = list(model.buffer)
+    for _ in range(EPOCHS):
+        order = model.rng.permutation(len(data))
+        for start in range(0, len(data), BATCH_SIZE):
+            batch = [data[i] for i in order[start : start + BATCH_SIZE]]
+            X = np.stack([b[0] for b in batch])
+            y = np.array([b[1] for b in batch])
+            adam_step(gradients(X, y, model.rng))
+            model.step_count += 1
+
+
+def assert_same_model_state(a, b):
+    assert a.step_count == b.step_count and a._adam_t == b._adam_t
+    for state in ("params", "_adam_m", "_adam_v"):
+        for k, value in getattr(a, state).items():
+            assert np.array_equal(value, getattr(b, state)[k]), (state, k)
+    assert a.rng.bit_generator.state == b.rng.bit_generator.state
+
+
+@pytest.mark.parametrize("dropout_rate", [0.1, 0.0])
+def test_update_equals_allocating_reference(dropout_rate):
+    # buffer sizes 1, 8, 41, 241 and then 512 (evicting) give tail batches of
+    # 1, 8, 9, 17 and none, so every step size reuses the one workspace
+    dim = 17
+    model = make_model(dim=dim, seed=21, dropout_rate=dropout_rate)
+    reference = make_model(dim=dim, seed=21, dropout_rate=dropout_rate)
+    rng = rng_for(21, "labels")
+    for count in (1, 7, 33, 200, 600):
+        labels = [
+            (rng.random(dim), int(rng.integers(0, N_CLASSES))) for _ in range(count)
+        ]
+        model.update(labels)
+        reference_update(reference, labels)
+        assert_same_model_state(model, reference)
+    assert len(model.buffer) == 512
+    # the public gradients stay fresh arrays, not views of the workspace
+    X, y = rng.random((5, dim)), rng.integers(0, N_CLASSES, size=5)
+    _, first = model.loss_and_gradients(X, y)
+    _, second = model.loss_and_gradients(X + 1.0, y)
+    assert all(first[k] is not second[k] for k in first)
+    assert not any(np.shares_memory(first[k], second[k]) for k in first)

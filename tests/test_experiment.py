@@ -1,7 +1,9 @@
+import concurrent.futures
 import hashlib
 import json
 import os
 
+import numpy as np
 import pytest
 
 from idxlab.cli import EXIT_REPLAY, main
@@ -319,6 +321,7 @@ def test_cli_schedule_query_that_fits_runs(tmp_path):
 
 
 AT_ROUND_0 = "round 0: template 'tpl_t0': "
+FITTING_QUERY = {"template": "tpl_t0", "literals": [0.5, "v0"]}
 
 
 @pytest.mark.parametrize(
@@ -335,6 +338,19 @@ AT_ROUND_0 = "round 0: template 'tpl_t0': "
         ({"frequency_weight": 2.5}, None, [AT_ROUND_0, "frequency_weight", "2.5"]),
         ({"frequency_weight": True}, None, [AT_ROUND_0, "frequency_weight", "True"]),
         ({}, [], ["no rounds"]),
+        ({"frequency_weight": "x"}, None, [AT_ROUND_0, "frequency_weight", "'x'"]),
+        ({"literals": [{"a": 1}, "v0"]}, None, [AT_ROUND_0, "'dict'"]),
+        ({"literals": [10**400, "v0"]}, None, [AT_ROUND_0, "too large"]),
+        ({}, [{"round": "x", "queries": [FITTING_QUERY]}], ["position 0", "'x'"]),
+        ({}, [{"round": None, "queries": [FITTING_QUERY]}], ["position 0", "None"]),
+        (
+            {},
+            [
+                {"round": 0, "queries": [FITTING_QUERY]},
+                {"round": -5, "queries": [FITTING_QUERY]},
+            ],
+            ["position 1", "-5"],
+        ),
     ],
 )
 def test_cli_schedule_query_that_does_not_fit_exits_2(
@@ -469,6 +485,99 @@ def test_toml_config_accepted(tmp_path):
     cfg = resolve_config(load_config_file(str(path)))
     assert cfg["workload"]["total_rounds"] == 2
     assert cfg["replications"] == [1]
+
+
+@pytest.mark.parametrize("command", ["run", "replay"])
+@pytest.mark.parametrize("jobs", ["0", "-3"])
+def test_cli_rejects_jobs_below_one(tmp_path, capsys, command, jobs):
+    if command == "run":
+        target = write_config(tmp_path, SMALL_CONFIG)
+    else:
+        target = tmp_path / "manifest.json"
+        target.write_text(
+            json.dumps(
+                {
+                    "format": 1,
+                    "config": {},
+                    "config_sha256": hashlib.sha256(b"{}").hexdigest(),
+                    "seeds": [1],
+                    "artifacts": {},
+                }
+            )
+        )
+    out = tmp_path / "never"
+    assert main([command, str(target), "--out", str(out), "--jobs", jobs]) == 2
+    assert not out.exists()
+    err = capsys.readouterr().err
+    assert len(err.strip().splitlines()) == 1
+    assert "jobs" in err and jobs in err and "Traceback" not in err
+
+
+def test_jobs_are_capped_at_the_replication_count(tmp_path, monkeypatch):
+    # a pool starts every worker it is allowed, so record the request
+    # instead of starting processes
+    requested = []
+
+    class RecordingPool:
+        def __init__(self, max_workers):
+            requested.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, *iterables):
+            return map(fn, *iterables)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+    cfg = {**SMALL_CONFIG, "baselines": [], "replications": [1, 2]}
+    run_experiment(cfg, out_dir=str(tmp_path / "capped"), jobs=5000)
+    assert requested == [2]
+    run_experiment(cfg, out_dir=str(tmp_path / "sequential"), jobs=1)
+    assert requested == [2]
+
+
+def test_manifest_records_runtime_and_schedule_hash(tmp_path):
+    schedule, cfg = write_one_table_schedule(
+        tmp_path, [{"round": 0, "queries": [FITTING_QUERY]}]
+    )
+    out = tmp_path / "out"
+    assert main(["run", cfg, "--out", str(out)]) == 0
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["runtime"]["numpy"] == np.__version__
+    assert "blas" in manifest["runtime"]
+    digest = hashlib.sha256(read_bytes(schedule)).hexdigest()
+    assert manifest["schedule_sha256"] == digest
+    plain = run_experiment(SMALL_CONFIG, out_dir=str(tmp_path / "plain"))
+    assert "schedule_sha256" not in plain
+
+
+def test_cli_replay_names_a_changed_numpy_and_schedule_file(tmp_path, capsys):
+    schedule, cfg = write_one_table_schedule(
+        tmp_path, [{"round": 0, "queries": [FITTING_QUERY]}]
+    )
+    out = tmp_path / "orig"
+    assert main(["run", cfg, "--out", str(out)]) == 0
+    manifest_path = out / "manifest.json"
+    manifest = json.loads(manifest_path.read_text())
+    manifest["runtime"]["numpy"] = "0.0.1"
+    manifest_path.write_text(json.dumps(manifest))
+    literals = [0.25, "v1"]
+    schedule.write_text(
+        schedule.read_text().replace(
+            json.dumps(FITTING_QUERY["literals"]), json.dumps(literals)
+        )
+    )
+    capsys.readouterr()
+    assert main(["replay", str(manifest_path), "--out", str(tmp_path / "rep")]) == 4
+    lines = capsys.readouterr().err.strip().splitlines()
+    assert len(lines) == 1
+    assert f"numpy was 0.0.1, is {np.__version__}" in lines[0]
+    assert f"schedule file {schedule} changed" in lines[0]
+    assert "blas" not in lines[0]
+    assert "reports_tuner_seed1.jsonl" in lines[0].split(": ")[-1].split()
 
 
 def test_parallel_jobs_match_sequential(tmp_path):

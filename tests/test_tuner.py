@@ -1,4 +1,5 @@
 import copy
+import math
 
 import numpy as np
 import pytest
@@ -145,6 +146,40 @@ def test_mid_run_copy_replays_identically(env):
     assert tuner.run_round(schedule[1]).to_dict() == fork.run_round(
         schedule[1]
     ).to_dict()
+
+
+class FreshCacheTuner(OnlineTuner):
+    """Scores every model state anew each round: the reference for the
+    tuner-lifetime uncertainty cache."""
+
+    def _context(self):
+        self._uncertainty_cache.clear()
+        return super()._context()
+
+
+@pytest.mark.parametrize("threshold", [0.1, math.inf])
+def test_lifetime_uncertainty_cache_changes_no_report(env, threshold):
+    catalog, schedule, gt = env
+    params = TunerParams(uncertainty_threshold=threshold)
+    tuner = OnlineTuner(catalog, gt, params, seed=13)
+    fresh = FreshCacheTuner(catalog, gt, params, seed=13)
+    for w in schedule:
+        assert tuner.run_round(w).to_dict() == fresh.run_round(w).to_dict()
+    assert tuner.metrics == fresh.metrics
+
+
+def test_context_keeps_only_scores_of_current_model_steps(env):
+    catalog, schedule, gt = env
+    tuner = OnlineTuner(catalog, gt, TunerParams(), seed=13)
+    for w in schedule[:3]:
+        tuner.run_round(w)
+        stale = len(tuner._uncertainty_cache)
+        ctx = tuner._context()
+        assert ctx.uncertainty_cache is tuner._uncertainty_cache
+        # the after-update probe's scores outlive the round they were made in
+        assert 0 < len(ctx.uncertainty_cache) < stale
+        for kind, _, step, _, _ in ctx.uncertainty_cache:
+            assert step == tuner.models[kind].step_count
 
 
 def test_budget_compliance_every_round(env):
