@@ -186,6 +186,8 @@ def generate_catalog(spec: CatalogSpec, seed: int) -> Catalog:
             )
         )
         columns = []
+        # a one-row table's columns each hold a single value
+        min_distinct = min(2, row_count)
         for ci in range(n_cols):
             name = f"c{ci}"
             if ci == 0:
@@ -195,7 +197,7 @@ def generate_catalog(spec: CatalogSpec, seed: int) -> Catalog:
                 )
                 continue
             if rng.random() < spec.string_column_fraction:
-                distinct = _log_uniform_int(rng, 2, min(row_count, 5000))
+                distinct = _log_uniform_int(rng, min_distinct, min(row_count, 5000))
                 width = int(rng.integers(8, 33))
                 columns.append(ColumnDef(name, STRING, distinct, None, None, width))
             else:
@@ -203,9 +205,9 @@ def generate_catalog(spec: CatalogSpec, seed: int) -> Catalog:
                 # (status/category-style attributes) whose indexes sit on
                 # thin cost margins
                 if rng.random() < 0.3:
-                    distinct = _log_uniform_int(rng, 2, min(row_count, 64))
+                    distinct = _log_uniform_int(rng, min_distinct, min(row_count, 64))
                 else:
-                    distinct = int(rng.integers(2, row_count + 1))
+                    distinct = int(rng.integers(min_distinct, row_count + 1))
                 lo = float(rng.uniform(0.0, 5e5))
                 hi = lo + float(rng.uniform(1.0, 5e5))
                 width = int(rng.choice([4, 8]))

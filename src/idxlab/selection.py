@@ -9,13 +9,16 @@ then samples without replacement proportionally to max(V, 0) + 1e-6,
 pruning covered, prefix-shadowed, or per-table-capped picks.
 
 Valuation prices a (candidate, query) pair with its own what-if plan only
-when that plan can differ from the no-index plan. The planner considers an
-index only for accesses to the index's own table, so a candidate on a table
-the query does not read leaves its plan unchanged (the atomic-configuration
-argument of Chaudhuri & Narasayya, VLDB 1997). Likewise, a plan that uses no
-index at all is built node for node like the no-index plan. Both cases add
-the query's gate-corrected no-index cost, computed once per round, and
-contribute nothing to EV. The sums are bit-identical to pricing every pair.
+when that plan can differ from the no-index plan. The planner offers an
+index only to an access on the index's own table whose filter columns, or
+whose join lookup column, match the index's leading key prefix; that depends
+on the query's template alone (``simulator.index_applicable``). Any other
+index leaves the plan unchanged, the indexable-column pruning of Chaudhuri &
+Narasayya (VLDB 1997). Likewise, a plan that uses no index at all is built
+node for node like the no-index plan. Both cases add the query's
+gate-corrected no-index cost, computed once per round, and contribute
+nothing to EV. The workload's no-index total is also summed once per round.
+The sums are bit-identical to pricing every pair.
 """
 
 from dataclasses import dataclass, field
@@ -27,7 +30,7 @@ from .correction import correct_plan
 from .errors import ConfigurationError, ContractError
 from .plan import leaves
 from .seeding import rng_for
-from .simulator import whatif_plan
+from .simulator import index_applicable, whatif_plan
 from .workload import MiniWorkload
 
 VALUE_FLOOR = 1e-6
@@ -109,6 +112,8 @@ class CorrectionContext:
     baseline_costs: dict = field(default_factory=dict)
     uncertainty_cache: dict = field(default_factory=dict)
     corrected_baselines: dict = field(default_factory=dict)
+    # (workload, its no-index total): every candidate of a round shares it
+    _noindex_total: tuple = field(default=(None, 0.0), init=False, repr=False)
 
     def baseline_cost(self, query) -> float:
         key = query.key()
@@ -116,6 +121,18 @@ class CorrectionContext:
             _, cost = whatif_plan(query, (), self.catalog)
             self.baseline_costs[key] = cost
         return self.baseline_costs[key]
+
+    def noindex_total(self, workload: MiniWorkload) -> float:
+        """Frequency-weighted no-index cost of the workload, summed in query
+        order; raises ContractError when it is not positive."""
+        if self._noindex_total[0] is not workload:
+            total = 0.0
+            for q in workload.queries:
+                total += q.frequency_weight * self.baseline_cost(q)
+            if total <= 0:
+                raise ContractError("workload has nonpositive no-index cost")
+            self._noindex_total = (workload, total)
+        return self._noindex_total[1]
 
     def correct(self, plan):
         """Gate-and-correct ``plan`` in place under this context's models."""
@@ -149,13 +166,12 @@ def candidate_valuation(
     Pairs whose plan cannot use the candidate take the query's corrected
     no-index cost from ``ctx`` (see the module docstring).
     """
+    den = ctx.noindex_total(workload)
     num = 0.0
-    den = 0.0
     ev = 0.0
     for q in workload.queries:
         w = q.frequency_weight
-        den += w * ctx.baseline_cost(q)
-        if candidate.table not in q.template.tables:
+        if not index_applicable(q.template, candidate):
             num += w * ctx.corrected_baseline(q)
             continue
         plan, _ = whatif_plan(q, (candidate,), ctx.catalog)
@@ -167,8 +183,6 @@ def candidate_valuation(
         for report in result.reports:
             if report.leaf.index == candidate and report.score is not None:
                 ev += report.score.combined
-    if den <= 0:
-        raise ContractError("workload has nonpositive no-index cost")
     eb = 1.0 - num / den
     return IndexValuation(candidate, eb, ev, total_value(eb, ev, explore_weight))
 

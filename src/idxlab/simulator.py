@@ -275,28 +275,70 @@ def _best_scan(table_name, preds_by_table, indexes, catalog, template, lookup_co
     return best
 
 
-def _matched_selectivity(idx, preds, catalog, lookup_col):
-    """Selectivity served by the index's leading key prefix, or None if unusable."""
-    available = {}
-    for p in preds:
-        available.setdefault(p.column.column, []).append(p)
+def _matched_prefix(key_columns, filtered, lookup_col):
+    """The index's leading key columns an access can use, or None if unusable.
+
+    ``filtered`` maps each filtered column of the table to its predicates.
+    Each matched key comes with those predicates, or None where it serves the
+    join lookup on ``lookup_col``. The lookup column must be matched.
+    """
     matched = []
-    sel = 1.0
-    for key in idx.key_columns:
-        if lookup_col is not None and key == lookup_col and key not in matched:
-            col = catalog.column(idx.table, key)
-            sel *= 1.0 / col.distinct_count
-            matched.append(key)
-        elif key in available:
-            sel *= selectivity(available[key], catalog)
-            matched.append(key)
+    for key in key_columns:
+        if key == lookup_col:
+            matched.append((key, None))
+        elif key in filtered:
+            matched.append((key, filtered[key]))
         else:
             break
     if not matched:
         return None
-    if lookup_col is not None and lookup_col not in matched:
+    if lookup_col is not None and lookup_col not in key_columns[: len(matched)]:
         return None
+    return matched
+
+
+def _matched_selectivity(idx, preds, catalog, lookup_col):
+    """Selectivity served by the index's leading key prefix, or None if unusable."""
+    filtered = {}
+    for p in preds:
+        filtered.setdefault(p.column.column, []).append(p)
+    matched = _matched_prefix(idx.key_columns, filtered, lookup_col)
+    if matched is None:
+        return None
+    sel = 1.0
+    for key, key_preds in matched:
+        if key_preds is None:
+            sel *= 1.0 / catalog.column(idx.table, key).distinct_count
+        else:
+            sel *= selectivity(key_preds, catalog)
     return sel
+
+
+def index_applicable(template, index) -> bool:
+    """Whether ``whatif_plan`` can offer an access path on ``index`` to some
+    query of ``template``.
+
+    Only the template's structure decides it, never the literals: the index
+    must lie on one of the template's tables, and its leading key prefix must
+    match that table's filter columns, or the lookup column of a join whose
+    inner table it is. No other index can change a query's plan (the
+    indexable-column pruning of Chaudhuri & Narasayya, VLDB 1997).
+    """
+    if index.table not in template.tables:
+        return False
+    filtered = {
+        f.column.column: ()
+        for f in template.filter_specs
+        if f.column.table == index.table
+    }
+    if _matched_prefix(index.key_columns, filtered, None) is not None:
+        return True
+    return any(
+        template.tables[i + 1] == index.table
+        and _matched_prefix(index.key_columns, filtered, join.right.column)
+        is not None
+        for i, join in enumerate(template.join_predicates)
+    )
 
 
 def _join_rows(outer_rows, inner_rows, join, catalog) -> float:

@@ -11,7 +11,7 @@ A tuner round measures workload novelty and decays the exploration weight,
 prices each candidate with uncertainty-gated corrected costs, samples a
 configuration, steps the environment, and learns multiplier labels from the
 telemetry. No pricing is repeated within a round: a candidate is planned
-against a query only when the query reads the candidate's table, the deployed
+against a query only when the query's template can use it, the deployed
 configuration is corrected from the plan the executor already built, and the
 round's mean uncertainty before the model update is the mean of the gate
 scores that correction produced. Uncertainty scores are cached for the
@@ -52,7 +52,7 @@ from .selection import (
     generate_candidates,
     selection_probabilities,
 )
-from .simulator import GroundTruth, execute, whatif_plan
+from .simulator import GroundTruth, execute, index_applicable, whatif_plan
 from .workload import MiniWorkload, unseen_fraction
 
 CREATION_SECONDS_PER_100MB = 1.0
@@ -358,20 +358,33 @@ def overall_improvement(metrics_log) -> float:
     return (noindex - exec_) / noindex
 
 
-def _uncorrected_benefit(candidate, workload, catalog, baseline_cache):
-    """Raw what-if benefit; a query that does not read the candidate's table
-    keeps its no-index cost, which the planner would return anyway."""
-    num, den = 0.0, 0.0
+def _noindex_total(workload, catalog, baseline_cache) -> float:
+    """Frequency-weighted no-index cost of the workload, summed in query
+    order; fills ``baseline_cache`` with each query's no-index cost."""
+    total = 0.0
     for q in workload.queries:
         key = q.key()
         if key not in baseline_cache:
             _, cost = whatif_plan(q, (), catalog)
             baseline_cache[key] = cost
-        den += q.frequency_weight * baseline_cache[key]
-        if candidate.table in q.template.tables:
+        total += q.frequency_weight * baseline_cache[key]
+    return total
+
+
+def _uncorrected_benefit(candidate, workload, catalog, baseline_cache, den=None):
+    """Raw what-if benefit; a query whose template cannot use the candidate
+    keeps its no-index cost, which the planner would return anyway.
+
+    ``den`` is the workload's `_noindex_total`, when the caller has it.
+    """
+    if den is None:
+        den = _noindex_total(workload, catalog, baseline_cache)
+    num = 0.0
+    for q in workload.queries:
+        if index_applicable(q.template, candidate):
             _, cost_x = whatif_plan(q, (candidate,), catalog)
         else:
-            cost_x = baseline_cache[key]
+            cost_x = baseline_cache[q.key()]
         num += q.frequency_weight * cost_x
     return 1.0 - num / den if den > 0 else 0.0
 
@@ -398,8 +411,9 @@ def run_baseline(
     metrics = []
     for t, workload in enumerate(schedule):
         candidates = generate_candidates(workload, catalog)
+        den = _noindex_total(workload, catalog, baseline_cost_cache)
         benefits = [
-            _uncorrected_benefit(x, workload, catalog, baseline_cost_cache)
+            _uncorrected_benefit(x, workload, catalog, baseline_cost_cache, den)
             for x in candidates
         ]
         order = sorted(range(len(candidates)), key=lambda i: (-benefits[i], i))

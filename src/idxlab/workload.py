@@ -29,6 +29,8 @@ DRIFT_KINDS = ("static", "continuous", "periodic", "cyclic")
 _NUMERIC_OPS = ("=", ">", "<", ">=", "<=", "!=")
 _STRING_OPS = ("=", "!=")
 _STRING_TOKEN = re.compile(r"v[0-9]+")
+# the largest integer a float holds exactly; weighted cost sums stay finite
+MAX_FREQUENCY_WEIGHT = 2**53
 
 
 @dataclass(frozen=True)
@@ -101,8 +103,11 @@ class Query:
         if len(self.bound_literals) != len(self.template.filter_specs):
             raise ConfigurationError("literal count must match filter spec count")
         require_integer(self.frequency_weight, "frequency_weight")
-        if self.frequency_weight < 1:
-            raise ConfigurationError("frequency_weight must be positive")
+        if not 1 <= self.frequency_weight <= MAX_FREQUENCY_WEIGHT:
+            raise ConfigurationError(
+                "frequency_weight must lie in [1, 2**53], "
+                f"got {self.frequency_weight!r}"
+            )
 
     def validate(self, catalog: Catalog) -> None:
         """Check each literal against its filter column's kind; the template

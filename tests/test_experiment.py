@@ -179,6 +179,13 @@ def test_cli_rejects_mistyped_catalog_field(tmp_path, capsys, catalog, field):
     assert_rejected_before_run(tmp_path, capsys, {"catalog": catalog}, field)
 
 
+@pytest.mark.parametrize("rows_range", [[1, 1], [1, 3]])
+def test_cli_runs_on_one_row_tables(tmp_path, rows_range):
+    catalog = {"n_tables": 2, "rows_range": rows_range}
+    cfg = write_config(tmp_path, {**SMALL_CONFIG, "catalog": catalog})
+    assert main(["run", cfg, "--out", str(tmp_path / "out")]) == 0
+
+
 @pytest.mark.parametrize(
     "override, field",
     [
@@ -351,6 +358,8 @@ FITTING_QUERY = {"template": "tpl_t0", "literals": [0.5, "v0"]}
             ],
             ["position 1", "-5"],
         ),
+        ({"frequency_weight": 10**308}, None, [AT_ROUND_0, "frequency_weight"]),
+        ({"frequency_weight": 10**320}, None, [AT_ROUND_0, "frequency_weight"]),
     ],
 )
 def test_cli_schedule_query_that_does_not_fit_exits_2(

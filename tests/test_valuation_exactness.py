@@ -12,12 +12,18 @@ from hypothesis import strategies as st
 
 from idxlab.catalog import CatalogSpec, generate_catalog, sized_candidate
 from idxlab.correction import correct_plan
-from idxlab.plan import encode_operator, leaves
+from idxlab.plan import Predicate, encode_operator, leaves
 from idxlab.selection import candidate_valuation, generate_candidates, total_value
-from idxlab.simulator import make_ground_truth, whatif_plan
+from idxlab.simulator import (
+    _matched_selectivity,
+    index_applicable,
+    make_ground_truth,
+    whatif_plan,
+)
 from idxlab.tuner import OnlineTuner, TunerParams, _uncorrected_benefit
 from idxlab.workload import (
     DriftSchedule,
+    MiniWorkload,
     bind_query,
     build_schedule,
     generate_templates,
@@ -65,6 +71,57 @@ def test_plan_without_index_leaf_is_the_no_index_plan(case):
     bare, bare_cost = whatif_plan(query, (), catalog)
     assert plan.to_dict() == bare.to_dict()
     assert cost == bare_cost
+
+
+@st.composite
+def query_and_candidates(draw):
+    """A bound query plus the candidates generated from its template and up to
+    three other templates of the same catalog."""
+    catalog, templates = catalog_and_templates(draw(st.integers(0, 5)))
+    chosen = draw(
+        st.lists(
+            st.sampled_from(templates), min_size=1, max_size=4, unique_by=lambda t: t.id
+        )
+    )
+    rng = np.random.default_rng(draw(st.integers(0, 10**6)))
+    queries = tuple(bind_query(t, rng) for t in chosen)
+    return catalog, queries[0], generate_candidates(MiniWorkload(0, queries), catalog)
+
+
+def offered(catalog, query, index):
+    """Whether the planner offers ``index`` to one of the query's table
+    accesses or join lookups: the test `_best_scan` applies to each."""
+    t = query.template
+    preds = [
+        Predicate(spec.column, spec.op, literal)
+        for spec, literal in zip(t.filter_specs, query.bound_literals)
+        if spec.column.table == index.table
+    ]
+    accesses = [(table, None) for table in t.tables]
+    accesses += [
+        (t.tables[i + 1], j.right.column) for i, j in enumerate(t.join_predicates)
+    ]
+    return any(
+        table == index.table
+        and _matched_selectivity(index, preds, catalog, lookup) is not None
+        for table, lookup in accesses
+    )
+
+
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(query_and_candidates())
+def test_index_applicable_exactly_when_the_planner_can_use_the_index(case):
+    catalog, query, candidates = case
+    bare, bare_cost = whatif_plan(query, (), catalog)
+    for ix in candidates:
+        applicable = index_applicable(query.template, ix)
+        assert applicable == offered(catalog, query, ix)
+        plan, cost = whatif_plan(query, (ix,), catalog)
+        if not applicable:
+            assert plan.to_dict() == bare.to_dict()
+            assert cost == bare_cost
+        if any(leaf.index == ix for leaf in leaves(plan)):
+            assert applicable
 
 
 def reference_valuation(candidate, workload, ctx, explore_weight):
