@@ -78,11 +78,17 @@ class TableDef:
                     f"{self.name}.{c.name}: distinct_count exceeds row_count"
                 )
 
+    @cached_property
+    def _column_map(self):
+        return {c.name: c for c in self.columns}
+
     def column(self, name: str) -> ColumnDef:
-        for c in self.columns:
-            if c.name == name:
-                return c
-        raise CatalogLookupError(f"no column {name!r} in table {self.name!r}")
+        try:
+            return self._column_map[name]
+        except (KeyError, TypeError):  # TypeError: an unhashable name
+            raise CatalogLookupError(
+                f"no column {name!r} in table {self.name!r}"
+            ) from None
 
 
 @dataclass(frozen=True)

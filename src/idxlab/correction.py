@@ -115,9 +115,13 @@ def _parent_delta(parent: PlanNode, local: dict) -> tuple:
 
 @dataclass(frozen=True)
 class LeafCorrection:
+    """One leaf's gate outcome; ``encoding`` is what its model scored, or
+    None when no model covers the leaf's kind."""
+
     leaf: PlanNode
     score: Optional[UncertaintyScore]
     multiplier: Optional[float]
+    encoding: Optional[np.ndarray] = field(default=None, compare=False, repr=False)
 
 
 @dataclass(frozen=True)
@@ -158,7 +162,7 @@ def correct_plan(
         if score.combined <= threshold:
             applied = model.predict_multiplier(encoding)
             update_cost(plan, leaf, applied)
-        reports.append(LeafCorrection(leaf, score, applied))
+        reports.append(LeafCorrection(leaf, score, applied, encoding))
     return PlanCorrection(plan.total_cost, tuple(reports))
 
 

@@ -43,6 +43,9 @@ from .workload import DriftSchedule, build_schedule, generate_templates, load_sc
 
 MANIFEST_FORMAT = 1
 SUMMARY_FIELDS = ("method", "mean_improvement", "stdev_improvement", "n_replications")
+# execution noise factors are exp(sigma * z) with z standard normal; at a
+# sigma far above this one they overflow, and observed benefits with them
+MAX_NOISE_SIGMA = 10.0
 
 DEFAULT_CONFIG = {
     "catalog": {
@@ -145,6 +148,12 @@ def resolve_config(user_config: dict) -> dict:
             value = cfg[section][key]
             if value is not None or DEFAULT_CONFIG[section][key] is not None:
                 check(value, name)
+    sigma = cfg["environment"]["noise_sigma"]
+    if not 0 <= sigma <= MAX_NOISE_SIGMA:
+        raise ConfigurationError(
+            f"environment.noise_sigma must lie in [0, {MAX_NOISE_SIGMA}], "
+            f"got {sigma!r}"
+        )
     seeds = cfg["replications"]
     if not isinstance(seeds, (list, tuple)) or not seeds:
         raise ConfigurationError(
@@ -513,12 +522,25 @@ def _input_changes(recorded: dict, replayed: dict) -> list:
 
 
 def compare(dirs) -> list:
-    """Merge summary.csv rows from several experiment directories."""
+    """Merge summary.csv rows from several experiment directories; a file
+    that is not UTF-8 CSV with every summary column is a ConfigurationError."""
     rows = []
     for d in dirs:
         path = os.path.join(d, "summary.csv")
         with open(path, encoding="utf-8") as f:
-            for row in csv.DictReader(f):
-                row["directory"] = d
-                rows.append(row)
+            try:
+                reader = csv.DictReader(f)
+                header = reader.fieldnames or ()
+                missing = [c for c in SUMMARY_FIELDS if c not in header]
+                if missing:
+                    raise ConfigurationError(
+                        f"{path}: not a summary file, no column {missing[0]!r}"
+                    )
+                for row in reader:
+                    row["directory"] = d
+                    rows.append(row)
+            except UnicodeDecodeError:
+                raise ConfigurationError(f"{path}: not UTF-8 text") from None
+            except csv.Error as exc:
+                raise ConfigurationError(f"{path}: {exc}") from None
     return rows

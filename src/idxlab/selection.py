@@ -15,20 +15,23 @@ whose join lookup column, match the index's leading key prefix; that depends
 on the query's template alone (``simulator.index_applicable``). Any other
 index leaves the plan unchanged, the indexable-column pruning of Chaudhuri &
 Narasayya (VLDB 1997). Likewise, a plan that uses no index at all is built
-node for node like the no-index plan. Both cases add the query's
-gate-corrected no-index cost, computed once per round, and contribute
-nothing to EV. The workload's no-index total is also summed once per round.
-The sums are bit-identical to pricing every pair.
+node for node like the no-index plan. Both cases add the query's weighted
+gate-corrected no-index cost, a term computed once per round from a copy of
+the query's shared no-index plan, and contribute nothing to EV. Applicability
+is decided once per (template, candidate), and the workload's no-index total
+is summed once per round. The sums run in query order and are bit-identical
+to pricing every pair.
 """
 
 from dataclasses import dataclass, field
+from typing import Callable, Optional
 
 import numpy as np
 
 from .catalog import Catalog, IndexCandidate, sized_candidate
 from .correction import correct_plan
 from .errors import ConfigurationError, ContractError
-from .plan import leaves
+from .plan import PlanNode, leaves
 from .seeding import rng_for
 from .simulator import index_applicable, whatif_plan
 from .workload import MiniWorkload
@@ -98,10 +101,11 @@ class CorrectionContext:
     """Everything candidate valuation needs to price corrected plans.
 
     A context lives for one round: the models must not change while it is in
-    use, because ``corrected_baselines`` holds results computed from their
-    current state. ``baseline_costs`` holds raw what-if costs and may be
-    shared across rounds. So may ``uncertainty_cache``: its keys carry each
-    model's ``step_count``, which every update advances.
+    use, because the corrected no-index terms it keeps were computed from
+    their current state. ``noindex_plans`` maps a query to its no-index plan,
+    which is shared and must never be mutated; a context without it plans
+    each query for itself. ``uncertainty_cache`` may be shared across rounds:
+    its keys carry each model's ``step_count``, which every update advances.
     """
 
     catalog: Catalog
@@ -109,30 +113,51 @@ class CorrectionContext:
     threshold: float = 0.1
     mix_weight: float = 0.5
     passes: int = 20
-    baseline_costs: dict = field(default_factory=dict)
     uncertainty_cache: dict = field(default_factory=dict)
-    corrected_baselines: dict = field(default_factory=dict)
-    # (workload, its no-index total): every candidate of a round shares it
-    _noindex_total: tuple = field(default=(None, 0.0), init=False, repr=False)
+    noindex_plans: Optional[Callable] = None
+    # the workload priced last, its no-index total, and its weighted
+    # corrected no-index terms in query order (None until first needed)
+    _workload: object = field(default=None, init=False, repr=False)
+    _noindex_total: float = field(default=0.0, init=False, repr=False)
+    _noindex_terms: list = field(default=None, init=False, repr=False)
+
+    def noindex_plan(self, query) -> PlanNode:
+        """The query's no-index plan; callers must not mutate it."""
+        if self.noindex_plans is None:
+            return whatif_plan(query, (), self.catalog)[0]
+        return self.noindex_plans(query)
 
     def baseline_cost(self, query) -> float:
-        key = query.key()
-        if key not in self.baseline_costs:
-            _, cost = whatif_plan(query, (), self.catalog)
-            self.baseline_costs[key] = cost
-        return self.baseline_costs[key]
+        return self.noindex_plan(query).total_cost
+
+    def _use_workload(self, workload: MiniWorkload) -> None:
+        if self._workload is workload:
+            return
+        total = 0.0
+        for q in workload.queries:
+            total += q.frequency_weight * self.baseline_cost(q)
+        if total <= 0:
+            raise ContractError("workload has nonpositive no-index cost")
+        self._workload = workload
+        self._noindex_total = total
+        self._noindex_terms = [None] * len(workload.queries)
 
     def noindex_total(self, workload: MiniWorkload) -> float:
         """Frequency-weighted no-index cost of the workload, summed in query
         order; raises ContractError when it is not positive."""
-        if self._noindex_total[0] is not workload:
-            total = 0.0
-            for q in workload.queries:
-                total += q.frequency_weight * self.baseline_cost(q)
-            if total <= 0:
-                raise ContractError("workload has nonpositive no-index cost")
-            self._noindex_total = (workload, total)
-        return self._noindex_total[1]
+        self._use_workload(workload)
+        return self._noindex_total
+
+    def noindex_term(self, workload: MiniWorkload, i: int) -> float:
+        """Frequency weight times the corrected no-index cost of the
+        workload's i-th query, computed once per round."""
+        self._use_workload(workload)
+        term = self._noindex_terms[i]
+        if term is None:
+            q = workload.queries[i]
+            term = q.frequency_weight * self.corrected_baseline(q)
+            self._noindex_terms[i] = term
+        return term
 
     def correct(self, plan):
         """Gate-and-correct ``plan`` in place under this context's models."""
@@ -147,12 +172,8 @@ class CorrectionContext:
         )
 
     def corrected_baseline(self, query) -> float:
-        """Gate-corrected cost of the query's no-index plan."""
-        key = query.key()
-        if key not in self.corrected_baselines:
-            plan, _ = whatif_plan(query, (), self.catalog)
-            self.corrected_baselines[key] = self.correct(plan).corrected_cost
-        return self.corrected_baselines[key]
+        """Gate-corrected cost of a copy of the query's no-index plan."""
+        return self.correct(self.noindex_plan(query).clone()).corrected_cost
 
 
 def candidate_valuation(
@@ -164,22 +185,27 @@ def candidate_valuation(
     """Corrected EB, uncertainty EV, and total value for one candidate.
 
     Pairs whose plan cannot use the candidate take the query's corrected
-    no-index cost from ``ctx`` (see the module docstring).
+    no-index term from ``ctx`` (see the module docstring).
     """
     den = ctx.noindex_total(workload)
     num = 0.0
     ev = 0.0
-    for q in workload.queries:
-        w = q.frequency_weight
-        if not index_applicable(q.template, candidate):
-            num += w * ctx.corrected_baseline(q)
+    applicable = {}  # id(template) -> index_applicable(template, candidate)
+    for i, q in enumerate(workload.queries):
+        usable = applicable.get(id(q.template))
+        if usable is None:
+            usable = applicable[id(q.template)] = index_applicable(
+                q.template, candidate
+            )
+        if not usable:
+            num += ctx.noindex_term(workload, i)
             continue
         plan, _ = whatif_plan(q, (candidate,), ctx.catalog)
         if all(leaf.index is None for leaf in leaves(plan)):
-            num += w * ctx.corrected_baseline(q)
+            num += ctx.noindex_term(workload, i)
             continue
         result = ctx.correct(plan)
-        num += w * result.corrected_cost
+        num += q.frequency_weight * result.corrected_cost
         for report in result.reports:
             if report.leaf.index == candidate and report.score is not None:
                 ev += report.score.combined

@@ -6,6 +6,18 @@ the hypothetical configuration; join order is fixed left-deep by the template.
 Parent costs are cumulative (child costs included), which is exactly the shape
 the delta-propagation rules in the correction module assume.
 
+What a plan needs from a query apart from its configuration is derived once
+and kept on the frozen object it comes from, never in a table keyed by
+literals: a template's referenced columns per table and its filter columns
+(``QueryTemplate.referenced_columns``, ``filter_columns``), a query's bound
+predicates per table (``Query.predicates_by_table``) and each table's filter
+selectivity (``Query.filter_selectivities``), which is kept for the catalog
+object it was computed against and recomputed under any other. Each catalog
+table maps its column names once. All of these are pure functions of frozen
+values, so every plan is built node for node as from scratch. Unlike the
+plan memos tried before, nothing here hashes a query or keeps a plan: each
+call still plans the whole query under its configuration.
+
 The executor turns per-operator execution costs into "true" runtimes through
 hidden per-(operator kind, table) multipliers and optional lognormal noise;
 those multipliers are the systematic estimation errors the learned models
@@ -19,7 +31,7 @@ from dataclasses import dataclass
 
 from .catalog import Catalog, selectivity
 from .errors import ConfigurationError
-from .plan import PLAN_KINDS, PlanNode, Predicate
+from .plan import PLAN_KINDS, PlanNode
 from .seeding import rng_for
 from .workload import Query
 
@@ -112,14 +124,11 @@ def whatif_plan(query: Query, config, catalog: Catalog):
     """
     indexes = _config_indexes(config)
     t = query.template
-    preds = _bound_predicates(query)
 
-    current = _best_scan(t.tables[0], preds, indexes, catalog, t, lookup_col=None)
+    current = _best_scan(query, t.tables[0], indexes, catalog, lookup_col=None)
     for i, join in enumerate(t.join_predicates):
         inner_table = t.tables[i + 1]
-        inner_plain = _best_scan(
-            inner_table, preds, indexes, catalog, t, lookup_col=None
-        )
+        inner_plain = _best_scan(query, inner_table, indexes, catalog, lookup_col=None)
         rows_out = _join_rows(current.est_rows, inner_plain.est_rows, join, catalog)
 
         hash_node = PlanNode(
@@ -142,12 +151,7 @@ def whatif_plan(query: Query, config, catalog: Catalog):
         best = hash_join
 
         inner_lookup = _best_scan(
-            inner_table,
-            preds,
-            indexes,
-            catalog,
-            t,
-            lookup_col=join.right.column,
+            query, inner_table, indexes, catalog, lookup_col=join.right.column
         )
         if inner_lookup is not None and inner_lookup.index is not None:
             nlj = PlanNode(
@@ -186,40 +190,11 @@ def whatif_plan(query: Query, config, catalog: Catalog):
     return current, current.total_cost
 
 
-def _bound_predicates(query: Query) -> dict:
-    """Bound filter predicates grouped by table name."""
-    by_table = {}
-    for spec, literal in zip(query.template.filter_specs, query.bound_literals):
-        p = Predicate(spec.column, spec.op, literal)
-        by_table.setdefault(spec.column.table, []).append(p)
-    return by_table
-
-
-def _referenced_columns(template, table: str) -> set:
-    cols = set()
-    for f in template.filter_specs:
-        if f.column.table == table:
-            cols.add(f.column.column)
-    for j in template.join_predicates:
-        if j.left.table == table:
-            cols.add(j.left.column)
-        if j.right.table == table:
-            cols.add(j.right.column)
-    for ref in (
-        list(template.order_by)
-        + list(template.group_by)
-        + list(template.payload_columns)
-    ):
-        if ref.table == table:
-            cols.add(ref.column)
-    return cols
-
-
-def _best_scan(table_name, preds_by_table, indexes, catalog, template, lookup_col):
+def _best_scan(query, table_name, indexes, catalog, lookup_col):
     """Cheapest access path for one table (or the cheapest lookup path)."""
     table = catalog.table(table_name)
-    preds = list(preds_by_table.get(table_name, ()))
-    filter_sel = selectivity(preds, catalog) if preds else 1.0
+    preds = list(query.predicates_by_table.get(table_name, ()))
+    filter_sel = query.filter_selectivities(catalog).get(table_name, 1.0)
     out_rows = table.row_count * filter_sel
     if lookup_col is not None:
         join_col = catalog.column(table_name, lookup_col)
@@ -238,7 +213,7 @@ def _best_scan(table_name, preds_by_table, indexes, catalog, template, lookup_co
         )
         options.append(seq)
 
-    referenced = _referenced_columns(template, table_name)
+    referenced = query.template.referenced_columns.get(table_name, frozenset())
     for idx in indexes:
         if idx.table != table_name:
             continue
@@ -326,11 +301,7 @@ def index_applicable(template, index) -> bool:
     """
     if index.table not in template.tables:
         return False
-    filtered = {
-        f.column.column: ()
-        for f in template.filter_specs
-        if f.column.table == index.table
-    }
+    filtered = template.filter_columns.get(index.table, {})
     if _matched_prefix(index.key_columns, filtered, None) is not None:
         return True
     return any(

@@ -5,16 +5,20 @@ The tuner and both baselines are policies over one ``Environment``, whose
 deployed (1 s per 100 MB), executes every query, and builds the metrics row.
 No-index execution times are calibrated once per (template, literals) query
 with a dedicated seed and cached; a round deployed with an empty
-configuration reuses the calibration telemetry verbatim.
+configuration reuses the calibration telemetry verbatim. The calibration
+plan is the query's one no-index plan for the whole run: every method prices
+its benefits against that plan's cost, and the tuner corrects copies of it.
+Nothing mutates it.
 
 A tuner round measures workload novelty and decays the exploration weight,
 prices each candidate with uncertainty-gated corrected costs, samples a
 configuration, steps the environment, and learns multiplier labels from the
 telemetry. No pricing is repeated within a round: a candidate is planned
 against a query only when the query's template can use it, the deployed
-configuration is corrected from the plan the executor already built, and the
-round's mean uncertainty before the model update is the mean of the gate
-scores that correction produced. Uncertainty scores are cached for the
+configuration is corrected from the plan the executor already built, the
+labels reuse the encodings the gate scored, and the round's mean uncertainty
+before the model update is the mean of the gate scores that correction
+produced. Uncertainty scores are cached for the
 tuner's lifetime under keys that carry each model's training step, so the
 probe after an update and the next round's gate score a leaf once.
 """
@@ -41,7 +45,9 @@ from .errors import (
     require_integer,
     require_number,
 )
-from .plan import PLAN_KINDS, encode_operator, encoding_length
+# encode_operator is not called here either (the gate's reports carry the
+# encodings), but perfbench/tracer.py patches tuner.encode_operator by name
+from .plan import PLAN_KINDS, encode_operator, encoding_length, leaves  # noqa: F401
 from .seeding import subseed
 from .selection import (
     Configuration,
@@ -145,7 +151,9 @@ class Environment:
     """Deploys each round's configuration and executes the round.
 
     Re-deploying an index costs nothing; building one again after a drop
-    costs its build time, but it does not count as a new index.
+    costs its build time, but it does not count as a new index. The methods
+    price against the no-index plans it executes, so their catalog must be
+    the ground truth's.
     """
 
     def __init__(self, ground_truth: GroundTruth, seed: int):
@@ -154,12 +162,14 @@ class Environment:
         self.deployed = Configuration()
         self.ever_deployed = set()
         self._noindex = {}
+        self._calibration_seed = subseed(seed, "calibration")
 
     def noindex_telemetry(self, query):
         key = query.key()
         if key not in self._noindex:
-            calib_seed = subseed(self.seed, "calibration")
-            self._noindex[key] = execute(query, (), self.ground_truth, calib_seed)
+            self._noindex[key] = execute(
+                query, (), self.ground_truth, self._calibration_seed
+            )
         return self._noindex[key]
 
     def step(self, t: int, workload: MiniWorkload, config: Configuration):
@@ -212,7 +222,6 @@ class OnlineTuner:
         self.env = Environment(ground_truth, seed)
         self.metrics = []
         self.reports = []
-        self._baseline_cost = {}
         self._uncertainty_cache = {}
 
     def model_for(self, kind: str) -> CostMultiplierModel:
@@ -234,8 +243,8 @@ class OnlineTuner:
             threshold=p.uncertainty_threshold,
             mix_weight=p.uncertainty_mix,
             passes=p.mcd_passes,
-            baseline_costs=self._baseline_cost,
             uncertainty_cache=self._uncertainty_cache,
+            noindex_plans=lambda q: self.env.noindex_telemetry(q).plan,
         )
 
     def run_round(self, workload: MiniWorkload) -> RoundReport:
@@ -271,25 +280,27 @@ class OnlineTuner:
         for q, telemetry, baseline in executed:
             b_actual = actual_benefit(baseline.total_time, telemetry.total_time)
 
-            # the executor's plan of the deployed configuration; never mutated
+            # the executor's plans of the deployed and the empty configuration;
+            # neither is ever mutated
             plan = telemetry.plan
+            noindex_cost = baseline.plan.total_cost
             corrected = ctx.correct(plan.clone())
-            b_est = estimated_benefit(ctx.baseline_cost(q), corrected.corrected_cost)
+            b_est = estimated_benefit(noindex_cost, corrected.corrected_cost)
             per_query.append((b_est, b_actual))
-            for report in corrected.reports:
+            # the clone lists its leaves in the plan's order
+            encodings = {}
+            for leaf, report in zip(leaves(plan), corrected.reports):
                 if report.score is not None:
-                    probe_encodings.append(
-                        (report.leaf.kind, encode_operator(report.leaf, self.catalog))
-                    )
+                    probe_encodings.append((leaf.kind, report.encoding))
                     probe_scores.append(report.score.combined)
+                    encodings[id(leaf)] = report.encoding
 
             # 6. telemetry to multiplier labels on the pristine plan
             for leaf, multiplier in telemetry_to_labels(
-                plan, config.indexes, MULTIPLIER_GRID, b_actual, ctx.baseline_cost(q)
+                plan, config.indexes, MULTIPLIER_GRID, b_actual, noindex_cost
             ):
-                encoding = encode_operator(leaf, self.catalog)
                 by_kind.setdefault(leaf.kind, []).append(
-                    (encoding, nearest_bucket_index(multiplier))
+                    (encodings[id(leaf)], nearest_bucket_index(multiplier))
                 )
 
         # the gate scored every probe under the models as they are now
@@ -358,33 +369,40 @@ def overall_improvement(metrics_log) -> float:
     return (noindex - exec_) / noindex
 
 
-def _noindex_total(workload, catalog, baseline_cache) -> float:
+def _noindex_total(workload, catalog, noindex_costs) -> float:
     """Frequency-weighted no-index cost of the workload, summed in query
-    order; fills ``baseline_cache`` with each query's no-index cost."""
+    order. ``noindex_costs`` maps a query's key to its no-index cost; a query
+    it lacks is planned and added."""
     total = 0.0
     for q in workload.queries:
         key = q.key()
-        if key not in baseline_cache:
+        if key not in noindex_costs:
             _, cost = whatif_plan(q, (), catalog)
-            baseline_cache[key] = cost
-        total += q.frequency_weight * baseline_cache[key]
+            noindex_costs[key] = cost
+        total += q.frequency_weight * noindex_costs[key]
     return total
 
 
-def _uncorrected_benefit(candidate, workload, catalog, baseline_cache, den=None):
+def _uncorrected_benefit(candidate, workload, catalog, noindex_costs, den=None):
     """Raw what-if benefit; a query whose template cannot use the candidate
     keeps its no-index cost, which the planner would return anyway.
 
     ``den`` is the workload's `_noindex_total`, when the caller has it.
     """
     if den is None:
-        den = _noindex_total(workload, catalog, baseline_cache)
+        den = _noindex_total(workload, catalog, noindex_costs)
     num = 0.0
+    applicable = {}  # id(template) -> index_applicable(template, candidate)
     for q in workload.queries:
-        if index_applicable(q.template, candidate):
+        usable = applicable.get(id(q.template))
+        if usable is None:
+            usable = applicable[id(q.template)] = index_applicable(
+                q.template, candidate
+            )
+        if usable:
             _, cost_x = whatif_plan(q, (candidate,), catalog)
         else:
-            cost_x = baseline_cache[q.key()]
+            cost_x = noindex_costs[q.key()]
         num += q.frequency_weight * cost_x
     return 1.0 - num / den if den > 0 else 0.0
 
@@ -406,14 +424,18 @@ def run_baseline(
     if kind not in BASELINE_KINDS:
         raise ConfigurationError(f"unknown baseline kind {kind!r}")
     rng = np.random.default_rng(subseed(seed, "baseline", kind))
-    baseline_cost_cache = {}
     env = Environment(ground_truth, seed)
     metrics = []
     for t, workload in enumerate(schedule):
         candidates = generate_candidates(workload, catalog)
-        den = _noindex_total(workload, catalog, baseline_cost_cache)
+        # the environment's no-index plans, which it executes this round too
+        noindex_costs = {
+            q.key(): env.noindex_telemetry(q).plan.total_cost
+            for q in workload.queries
+        }
+        den = _noindex_total(workload, catalog, noindex_costs)
         benefits = [
-            _uncorrected_benefit(x, workload, catalog, baseline_cost_cache, den)
+            _uncorrected_benefit(x, workload, catalog, noindex_costs, den)
             for x in candidates
         ]
         order = sorted(range(len(candidates)), key=lambda i: (-benefits[i], i))

@@ -11,6 +11,7 @@ import json
 import math
 import re
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -20,8 +21,10 @@ from .catalog import (
     Catalog,
     ColumnRef,
     ConfigurationError,
+    selectivity,
 )
 from .errors import require_finite, require_integer
+from .plan import Predicate
 from .seeding import rng_for
 
 DRIFT_KINDS = ("static", "continuous", "periodic", "cyclic")
@@ -92,6 +95,26 @@ class QueryTemplate:
             if ref.table not in self.tables:
                 raise ConfigurationError(f"{self.id}: column {ref} off-template")
 
+    @cached_property
+    def referenced_columns(self) -> dict:
+        """{table: frozenset of the columns the template reads from it}."""
+        refs = [f.column for f in self.filter_specs]
+        for j in self.join_predicates:
+            refs += [j.left, j.right]
+        refs += list(self.order_by) + list(self.group_by) + list(self.payload_columns)
+        cols = {}
+        for ref in refs:
+            cols.setdefault(ref.table, set()).add(ref.column)
+        return {table: frozenset(c) for table, c in cols.items()}
+
+    @cached_property
+    def filter_columns(self) -> dict:
+        """{table: {filtered column: ()}}, the shape ``_matched_prefix`` reads."""
+        cols = {}
+        for f in self.filter_specs:
+            cols.setdefault(f.column.table, {})[f.column.column] = ()
+        return cols
+
 
 @dataclass(frozen=True)
 class Query:
@@ -124,6 +147,31 @@ class Query:
     @property
     def template_id(self) -> str:
         return self.template.id
+
+    @cached_property
+    def predicates_by_table(self) -> dict:
+        """The bound filter predicates grouped by table name, in filter order."""
+        by_table = {}
+        for spec, literal in zip(self.template.filter_specs, self.bound_literals):
+            p = Predicate(spec.column, spec.op, literal)
+            by_table.setdefault(spec.column.table, []).append(p)
+        return by_table
+
+    def filter_selectivities(self, catalog: Catalog) -> dict:
+        """{table: selectivity of the query's filters on it} under ``catalog``.
+
+        Kept for the catalog object it was computed against, and recomputed
+        when the query is planned against another one.
+        """
+        memo = self.__dict__.get("_filter_selectivities")
+        if memo is None or memo[0] is not catalog:
+            sels = {
+                table: selectivity(preds, catalog)
+                for table, preds in self.predicates_by_table.items()
+            }
+            memo = (catalog, sels)
+            object.__setattr__(self, "_filter_selectivities", memo)
+        return memo[1]
 
     def key(self) -> tuple:
         """Stable identity for caching: (template id, bound literals)."""

@@ -225,6 +225,18 @@ def test_cli_rejects_mistyped_field(tmp_path, capsys, override, field):
     assert_rejected_before_run(tmp_path, capsys, override, field)
 
 
+@pytest.mark.parametrize("sigma", [1000, 10.5, -0.5])
+def test_cli_rejects_noise_sigma_out_of_range(tmp_path, capsys, sigma):
+    override = {"environment": {"noise_sigma": sigma}}
+    assert_rejected_before_run(tmp_path, capsys, override, "environment.noise_sigma")
+
+
+def test_noise_sigma_bounds_are_inclusive():
+    for sigma in (0, 10):
+        cfg = resolve_config({"environment": {"noise_sigma": sigma}})
+        assert cfg["environment"]["noise_sigma"] == sigma
+
+
 def test_cli_malformed_schedule_file_exits_2(tmp_path, capsys):
     schedule = tmp_path / "schedule.json"
     schedule.write_text(
@@ -407,6 +419,34 @@ def test_cli_replay_and_compare(tmp_path, capsys):
     assert main(["compare", str(out), str(rep)]) == 0
     printed = capsys.readouterr().out
     assert printed.count("tuner") == 2
+
+
+def assert_compare_rejects(tmp_path, capsys, summary: bytes):
+    """`idxlab compare` exits 2 with one line naming the summary file."""
+    run_dir = tmp_path / "run"
+    run_dir.mkdir()
+    (run_dir / "summary.csv").write_bytes(summary)
+    assert main(["compare", str(run_dir)]) == 2
+    err = capsys.readouterr().err
+    assert len(err.strip().splitlines()) == 1
+    assert str(run_dir / "summary.csv") in err and "Traceback" not in err
+
+
+def test_cli_compare_summary_without_its_columns_exits_2(tmp_path, capsys):
+    assert_compare_rejects(tmp_path, capsys, b"round,improvement\n0,0.5\n")
+
+
+def test_cli_compare_summary_not_utf8_exits_2(tmp_path, capsys):
+    assert_compare_rejects(
+        tmp_path, capsys, b"method,mean_improvement\n\xff\xfe tuner,0.1\n"
+    )
+
+
+def test_cli_compare_summary_with_an_oversized_field_exits_2(tmp_path, capsys):
+    # longer than the csv module's default field size limit
+    row = b"tuner," + b"9" * 200_000 + b",0.0,1\n"
+    header = b"method,mean_improvement,stdev_improvement,n_replications\n"
+    assert_compare_rejects(tmp_path, capsys, header + row)
 
 
 def test_cli_replay_of_tampered_manifest_exits_4(tmp_path, capsys):

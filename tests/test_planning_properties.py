@@ -1,0 +1,202 @@
+"""Properties of the what-if planner's inputs over drawn catalogs and queries.
+
+The planner derives a query's bound predicates and filter selectivities once
+and keeps them on the query, and a template's referenced and filter columns
+on the template. Planning through those values must equal planning fresh
+copies that have none, against whichever catalog the query is planned with.
+"""
+
+import dataclasses
+import math
+
+import numpy as np
+from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import strategies as st
+
+from idxlab.catalog import (
+    COMPARISON_OPS,
+    NUMERIC,
+    Catalog,
+    CatalogSpec,
+    generate_catalog,
+    selectivity,
+)
+from idxlab.correction import correct_plan
+from idxlab.costmodel import CostMultiplierModel
+from idxlab.errors import ConfigurationError
+from idxlab.plan import LEAF_KINDS, Predicate, encode_operator, encoding_length, leaves
+from idxlab.selection import CorrectionContext, generate_candidates
+from idxlab.simulator import index_applicable, make_ground_truth, whatif_plan
+from idxlab.tuner import Environment
+from idxlab.workload import MiniWorkload, Query, bind_query, generate_templates
+
+SETTINGS = settings(
+    max_examples=100, deadline=None, suppress_health_check=[HealthCheck.too_slow]
+)
+
+
+@st.composite
+def catalogs(draw):
+    low = draw(st.integers(1, 5000))
+    spec = CatalogSpec(
+        n_tables=draw(st.integers(1, 4)),
+        rows_range=(low, draw(st.integers(low, 100000))),
+        string_column_fraction=draw(st.sampled_from([0.0, 0.25, 0.5, 1.0])),
+    )
+    return generate_catalog(spec, seed=draw(st.integers(0, 2**16)))
+
+
+def literal(draw, column):
+    """A literal for ``column``: inside its domain or far outside it."""
+    if column.kind == NUMERIC:
+        width = column.max_value - column.min_value + 1.0
+        return draw(
+            st.floats(column.min_value - 2 * width, column.max_value + 2 * width)
+            | st.floats(allow_nan=False, allow_infinity=False)
+        )
+    return f"v{draw(st.integers(0, 2 * column.distinct_count))}"
+
+
+@st.composite
+def planning_cases(draw):
+    """A catalog, a query with drawn literals, and 0-3 of the candidates
+    generated from its template and the catalog's other drawn templates."""
+    catalog = draw(catalogs())
+    try:
+        templates = generate_templates(catalog, 3, seed=draw(st.integers(0, 2**16)))
+    except ConfigurationError:  # too few columns for three distinct templates
+        assume(False)
+    template = draw(st.sampled_from(templates))
+    values = tuple(
+        literal(draw, catalog.column(*f.column)) for f in template.filter_specs
+    )
+    query = Query(template, values, draw(st.integers(1, 5)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**16)))
+    workload = MiniWorkload(0, (query,) + tuple(bind_query(t, rng) for t in templates))
+    candidates = generate_candidates(workload, catalog)
+    config = tuple(
+        draw(st.lists(st.sampled_from(candidates), max_size=3, unique=True))
+    )
+    return catalog, query, config
+
+
+def restated(catalog):
+    """The same tables and columns under other statistics."""
+    tables = []
+    for t in catalog.tables:
+        columns = []
+        for c in t.columns:
+            changes = {"distinct_count": max(1, c.distinct_count // 3)}
+            if c.kind == NUMERIC:
+                changes.update(min_value=c.min_value - 1000.0, max_value=2 * c.max_value + 1)
+            columns.append(dataclasses.replace(c, **changes))
+        tables.append(
+            dataclasses.replace(
+                t,
+                row_count=2 * t.row_count,
+                page_count=3 * t.page_count,
+                columns=tuple(columns),
+            )
+        )
+    return Catalog(tuple(tables), catalog.seed + 1)
+
+
+def fresh_copy(query):
+    """The same query, with nothing derived from it yet."""
+    template = dataclasses.replace(query.template)
+    return Query(template, query.bound_literals, query.frequency_weight)
+
+
+@SETTINGS
+@given(planning_cases())
+def test_planning_through_the_memo_equals_planning_fresh_copies(case):
+    catalog, query, config = case
+    other = restated(catalog)
+    # the same query again and again, against alternating catalogs
+    for current in (catalog, catalog, other, catalog, other, other):
+        plan, cost = whatif_plan(query, config, current)
+        want_plan, want_cost = whatif_plan(fresh_copy(query), config, current)
+        assert plan.to_dict() == want_plan.to_dict()
+        assert cost == want_cost
+    for index in config:
+        assert index_applicable(query.template, index) == index_applicable(
+            fresh_copy(query).template, index
+        )
+
+
+@SETTINGS
+@given(
+    planning_cases(),
+    st.sampled_from([0.0, 0.5, math.inf]),
+    st.integers(0, 2**16),
+)
+def test_corrected_baseline_of_the_environment_plan_equals_a_fresh_plan(
+    case, threshold, seed
+):
+    catalog, query, _ = case
+    models = {}
+    for i, kind in enumerate(LEAF_KINDS):
+        models[kind] = CostMultiplierModel(encoding_length(catalog), seed=seed + i)
+    bare, _ = whatif_plan(query, (), catalog)
+    # a few labels, so that the models predict multipliers other than 1
+    for leaf in leaves(bare):
+        models[leaf.kind].update([(encode_operator(leaf, catalog), seed % 37)])
+    env = Environment(make_ground_truth(catalog, seed), seed)
+    ctx = CorrectionContext(
+        catalog,
+        models,
+        threshold=threshold,
+        passes=5,
+        noindex_plans=lambda q: env.noindex_telemetry(q).plan,
+    )
+    shared = env.noindex_telemetry(query).plan.to_dict()
+    want = correct_plan(
+        whatif_plan(query, (), catalog)[0], models, catalog, threshold, 0.5, 5
+    )
+    assert ctx.corrected_baseline(query) == want.corrected_cost
+    assert ctx.baseline_cost(query) == whatif_plan(query, (), catalog)[1]
+    # the environment's plan is corrected through a copy only
+    assert env.noindex_telemetry(query).plan.to_dict() == shared
+
+
+@st.composite
+def conjunctions(draw):
+    """A catalog and a conjunction of predicates on its columns, with
+    out-of-domain literals and two-sided ranges among them."""
+    catalog = draw(catalogs())
+    preds = []
+    for _ in range(draw(st.integers(1, 6))):
+        table = draw(st.sampled_from(catalog.tables))
+        column = draw(st.sampled_from(table.columns))
+        ref = (table.name, column.name)
+        if column.kind != NUMERIC:
+            op = draw(st.sampled_from(["=", "!="]))
+            preds.append(Predicate(ref, op, literal(draw, column)))
+        elif draw(st.booleans()):
+            low, high = sorted([literal(draw, column), literal(draw, column)])
+            preds.append(Predicate(ref, draw(st.sampled_from([">", ">="])), low))
+            preds.append(Predicate(ref, draw(st.sampled_from(["<", "<="])), high))
+        else:
+            op = draw(st.sampled_from(COMPARISON_OPS))
+            preds.append(Predicate(ref, op, literal(draw, column)))
+    return catalog, preds
+
+
+@settings(max_examples=300, deadline=None)
+@given(conjunctions())
+def test_selectivity_lies_in_the_unit_interval(case):
+    catalog, preds = case
+    assert 0.0 <= selectivity(preds, catalog) <= 1.0
+    for p in preds:
+        assert 0.0 <= selectivity(p, catalog) <= 1.0
+
+
+@SETTINGS
+@given(planning_cases())
+def test_every_planner_node_encodes_to_a_fixed_length_in_the_unit_interval(case):
+    catalog, query, config = case
+    plan, _ = whatif_plan(query, config, catalog)
+    for node in plan.walk():
+        vec = encode_operator(node, catalog)
+        assert vec.shape == (encoding_length(catalog),)
+        assert np.all(vec >= 0.0) and np.all(vec <= 1.0)
