@@ -26,7 +26,13 @@ from typing import Optional
 import numpy as np
 
 from .catalog import Catalog
-from .costmodel import UncertaintyScore, combined_uncertainty
+from .costmodel import (
+    UncertaintyScore,
+    combined_uncertainties,
+    # not called here (scores are batched), but perfbench/tracer.py patches
+    # correction.combined_uncertainty by name
+    combined_uncertainty,  # noqa: F401
+)
 from .errors import ConfigurationError, ContractError
 from .plan import PlanNode, leaves, path_to_root
 
@@ -142,46 +148,79 @@ def correct_plan(
     mix_weight: float,
     passes: int,
     uncertainty_cache: Optional[dict] = None,
+    encoded: Optional[list] = None,
 ) -> PlanCorrection:
-    """Gate-and-correct every leaf in depth-first order; mutates the plan."""
-    from .plan import encode_operator
+    """Gate-and-correct every leaf in depth-first order; mutates the plan.
 
+    ``encoded`` is the plan's `leaf_encodings`, when the caller has them."""
     if not threshold >= 0:  # also rejects NaN, which would close every gate
         raise ConfigurationError("uncertainty threshold must be >= 0")
+    if encoded is None:
+        encoded = leaf_encodings(plan, models, catalog)
+    scores = iter(
+        cached_uncertainties(
+            models, scored_leaves(encoded), mix_weight, passes, uncertainty_cache
+        )
+    )
     reports = []
-    for leaf in leaves(plan):
-        model = models.get(leaf.kind)
-        if model is None:
+    for leaf, encoding in encoded:
+        if encoding is None:
             reports.append(LeafCorrection(leaf, None, None))
             continue
-        encoding = encode_operator(leaf, catalog)
-        score = cached_uncertainty(
-            model, leaf.kind, encoding, mix_weight, passes, uncertainty_cache
-        )
+        score = next(scores)
         applied = None
         if score.combined <= threshold:
-            applied = model.predict_multiplier(encoding)
+            applied = models[leaf.kind].predict_multiplier(encoding)
             update_cost(plan, leaf, applied)
         reports.append(LeafCorrection(leaf, score, applied, encoding))
     return PlanCorrection(plan.total_cost, tuple(reports))
 
 
-def cached_uncertainty(model, kind, encoding, mix_weight, passes, cache):
-    """`combined_uncertainty`, looked up in ``cache`` when one is given.
+def leaf_encodings(plan: PlanNode, models: dict, catalog: Catalog) -> list:
+    """(leaf, encoding) per leaf of ``plan`` in depth-first order; the
+    encoding is None when no model covers the leaf's kind. Correcting a leaf
+    changes costs only, so the pairs stay valid while the plan is corrected."""
+    from .plan import encode_operator
 
-    The key carries the model's ``step_count``: parameters change only in
+    return [
+        (leaf, encode_operator(leaf, catalog) if leaf.kind in models else None)
+        for leaf in leaves(plan)
+    ]
+
+
+def scored_leaves(encoded) -> list:
+    """The (kind, encoding) pairs that `leaf_encodings` gave a model."""
+    return [(leaf.kind, enc) for leaf, enc in encoded if enc is not None]
+
+
+def cached_uncertainties(models, pairs, mix_weight, passes, cache=None) -> list:
+    """`combined_uncertainty` of each (kind, encoding) pair under
+    ``models[kind]``, in order.
+
+    The pairs missing from ``cache`` are scored once each, one batched
+    `combined_uncertainties` call per kind, and stored. A key carries the
+    model's ``step_count``: parameters change only in
     `CostMultiplierModel.update`, which advances it, and the dropout masks
     derive from it, so an entry stays exact for as long as it is kept."""
-    if cache is None:
-        return combined_uncertainty(model, encoding, mix_weight, passes)
-    key = (kind, encoding.tobytes(), model.step_count, mix_weight, passes)
-    if key not in cache:
-        cache[key] = combined_uncertainty(model, encoding, mix_weight, passes)
-    return cache[key]
+    cache = {} if cache is None else cache
+    keys = [
+        (kind, enc.tobytes(), models[kind].step_count, mix_weight, passes)
+        for kind, enc in pairs
+    ]
+    misses = {}  # kind -> {key: encoding}, each distinct key once
+    for key, (kind, enc) in zip(keys, pairs):
+        if key not in cache:
+            misses.setdefault(kind, {})[key] = enc
+    for kind, batch in misses.items():
+        scores = combined_uncertainties(
+            models[kind], list(batch.values()), mix_weight, passes
+        )
+        cache.update(zip(batch, scores))
+    return [cache[key] for key in keys]
 
 
 def drop_stale_scores(cache: dict, models: dict) -> None:
-    """Remove from a `cached_uncertainty` cache the scores of model states
+    """Remove from a `cached_uncertainties` cache the scores of model states
     that an update has since replaced; they can never be looked up again."""
     for key in [k for k in cache if k[2] != models[k[0]].step_count]:
         del cache[key]

@@ -16,10 +16,12 @@ without dropout can exercise the zero-variance paths.
 
 Training allocates nothing per step: the buffer is stacked once per update,
 and the forward pass, backward pass and Adam step write into one fixed
-per-model workspace (a short last batch uses its leading rows). Every
-operation and its order is that of the plain array expressions, e.g.
-`(LEARNING_RATE * mhat) / (sqrt(vhat) + eps)`, so the parameters are
-bit-identical to those of an allocating loop.
+per-model workspace (a short last batch uses its leading rows). The six
+parameter arrays, Adam's two moments and the gradients are each views into
+one flat vector, so an Adam step is 14 whole-vector operations; copies and
+pickles rebuild the views. Every operation and its order is that of the
+plain array expressions, e.g. `(LEARNING_RATE * mhat) / (sqrt(vhat) + eps)`,
+so the parameters are bit-identical to those of an allocating loop.
 
 Uncertainty combines the softmax entropy of a dropout-off prediction with the
 maximum per-class variance across repeated dropout-on passes:
@@ -28,7 +30,9 @@ maximum per-class variance across repeated dropout-on passes:
 
 The dropout masks used for the variance estimate derive from (model seed,
 training step, encoding digest), so the score is a pure function of model
-state and input.
+state and input. `combined_uncertainties` scores a list of encodings with
+the same results, stacking the dropout passes of SCORE_CHUNK = 8 encodings
+into one forward pass (Gal & Ghahramani's passes are independent).
 """
 
 import math
@@ -47,6 +51,9 @@ LEARNING_RATE = 1e-3
 BATCH_SIZE = 32
 EPOCHS = 5
 REPLAY_CAPACITY = 512
+# encodings whose dropout passes `combined_uncertainties` stacks into one
+# forward pass; larger stacks fall out of cache and cost more per score
+SCORE_CHUNK = 8
 
 
 def _build_grid() -> np.ndarray:
@@ -78,22 +85,40 @@ class CostMultiplierModel:
         self.seed = seed
         self.dropout_rate = dropout_rate
         self.rng = rng_for(seed, "model")
+        shapes = _param_shapes(input_dim)
+        size = sum(math.prod(shape) for shape in shapes.values())
+        # the parameters and Adam's two moments, each one flat vector that
+        # the name -> array dicts view
+        self._vectors = tuple(np.zeros(size) for _ in range(3))
+        self._bind_views()
         h = HIDDEN_UNITS
-        self.params = {
-            "W1": self.rng.normal(0.0, math.sqrt(2.0 / input_dim), (input_dim, h)),
-            "b1": np.zeros(h),
-            "W2": self.rng.normal(0.0, math.sqrt(2.0 / h), (h, h)),
-            "b2": np.zeros(h),
-            # zero head: pre-training softmax is exactly uniform
-            "W3": np.zeros((h, N_CLASSES)),
-            "b3": np.zeros(N_CLASSES),
-        }
-        self._adam_m = {k: np.zeros_like(v) for k, v in self.params.items()}
-        self._adam_v = {k: np.zeros_like(v) for k, v in self.params.items()}
+        self.params["W1"][...] = self.rng.normal(
+            0.0, math.sqrt(2.0 / input_dim), (input_dim, h)
+        )
+        self.params["W2"][...] = self.rng.normal(0.0, math.sqrt(2.0 / h), (h, h))
+        # the biases and the head stay zero: pre-training softmax is uniform
         self._adam_t = 0
         self.step_count = 0
         self.buffer = deque(maxlen=REPLAY_CAPACITY)
-        self._workspace = _Workspace(self.params)
+
+    def _bind_views(self):
+        shapes = _param_shapes(self.input_dim)
+        self.params, self._adam_m, self._adam_v = (
+            _views(vector, shapes) for vector in self._vectors
+        )
+        self._workspace = _Workspace(shapes, self._vectors[0].size)
+
+    def __getstate__(self):
+        # a copied view would no longer alias its vector, so copies and
+        # pickles carry the vectors alone and rebuild the views
+        state = dict(self.__dict__)
+        for name in ("params", "_adam_m", "_adam_v", "_workspace"):
+            del state[name]
+        return state
+
+    def __setstate__(self, state):
+        self.__dict__.update(state)
+        self._bind_views()
 
     def _check_input(self, X):
         X = np.atleast_2d(np.asarray(X, dtype=float))
@@ -104,42 +129,49 @@ class CostMultiplierModel:
             )
         return X
 
-    def _forward(self, X, drop_rng=None, out=None):
+    def _forward(self, X, drop_rng=None, out=None, masks=None):
         """Forward pass; the returned cache holds what `_backward` needs.
 
         ``out`` maps buffer names to arrays of the right shape to write into
-        (a training workspace); a name it lacks gets a fresh array.
+        (a training workspace); a name it lacks gets a fresh array. The
+        dropout ``masks`` of layers 1 and 2 are drawn from ``drop_rng`` when
+        not given; with neither, or at rate 0, no unit is dropped.
         """
         o = {} if out is None else out
-        drop = drop_rng is not None and self.dropout_rate > 0.0
+        if masks is None and drop_rng is not None and self.dropout_rate > 0.0:
+            masks = self._dropout_masks(drop_rng, len(X), (o.get("m1"), o.get("m2")))
         cache = {"X": X}
         a = X
-        for layer in ("1", "2"):
+        for i, layer in enumerate(("1", "2")):
             z = np.matmul(a, self.params["W" + layer], out=o.get("z" + layer))
             np.add(z, self.params["b" + layer], out=z)
             a = np.maximum(z, 0.0, out=o.get("a" + layer))
-            m = None
-            if drop:
-                m = self._dropout_mask(drop_rng, a.shape, o.get("m" + layer))
+            m = None if masks is None else masks[i]
+            if m is not None:
                 np.multiply(a, m, out=a)
             cache.update({"z" + layer: z, "m" + layer: m, "a" + layer: a})
         probs = np.matmul(a, self.params["W3"], out=o.get("probs"))
         np.add(probs, self.params["b3"], out=probs)
-        norm = np.max(probs, axis=1, keepdims=True, out=o.get("norm"))
+        norm = np.maximum.reduce(probs, axis=1, keepdims=True, out=o.get("norm"))
         np.subtract(probs, norm, out=probs)
         np.exp(probs, out=probs)
-        np.sum(probs, axis=1, keepdims=True, out=norm)
+        np.add.reduce(probs, axis=1, keepdims=True, out=norm)
         np.divide(probs, norm, out=probs)
         cache["probs"] = probs
         return cache
 
-    def _dropout_mask(self, drop_rng, shape, out):
-        # draws the same stream as drop_rng.random(shape); kept units are
-        # 1.0 / (1 - p), exactly as the bool mask divided by (1 - p)
-        mask = drop_rng.random(shape, out=out)
-        np.greater_equal(mask, self.dropout_rate, out=mask)
-        np.divide(mask, 1.0 - self.dropout_rate, out=mask)
-        return mask
+    def _dropout_masks(self, drop_rng, n, out=(None, None)):
+        """Layer 1's and then layer 2's mask for ``n`` rows, written into
+        ``out`` where given. Each draws the same stream as
+        drop_rng.random((n, HIDDEN_UNITS)); kept units are 1.0 / (1 - p),
+        exactly as the bool mask divided by (1 - p)."""
+        masks = []
+        for buf in out:
+            mask = drop_rng.random((n, HIDDEN_UNITS), out=buf)
+            np.greater_equal(mask, self.dropout_rate, out=mask)
+            np.divide(mask, 1.0 - self.dropout_rate, out=mask)
+            masks.append(mask)
+        return masks
 
     def _backward(self, cache, y, out=None, grads_out=None):
         """Gradients of the mean cross-entropy; overwrites the cache's
@@ -155,7 +187,7 @@ class CostMultiplierModel:
         for layer, below in (("3", "2"), ("2", "1"), ("1", None)):
             a = cache["X"] if below is None else cache["a" + below]
             grads["W" + layer] = np.matmul(a.T, dz, out=g.get("W" + layer))
-            grads["b" + layer] = np.sum(dz, axis=0, out=g.get("b" + layer))
+            grads["b" + layer] = np.add.reduce(dz, axis=0, out=g.get("b" + layer))
             if below is None:
                 break
             # dz of the layer below: (dz @ W.T) * mask * (z > 0)
@@ -187,30 +219,32 @@ class CostMultiplierModel:
         loss = float(-np.mean(np.log(cache["probs"][np.arange(n), y] + 1e-300)))
         return loss, self._backward(cache, y)
 
-    def _adam_step(self, grads, beta1=0.9, beta2=0.999, eps=1e-8):
+    def _adam_step(self, beta1=0.9, beta2=0.999, eps=1e-8):
+        """One Adam step from the workspace's gradients, each operation over
+        the whole flat state at once."""
         self._adam_t += 1
         bias1 = 1 - beta1**self._adam_t
         bias2 = 1 - beta2**self._adam_t
-        s, r = self._workspace.scratch
-        for k, g in grads.items():
-            m, v, step, denom = self._adam_m[k], self._adam_v[k], s[k], r[k]
-            # m = beta1*m + (1-beta1)*g
-            np.multiply(beta1, m, out=m)
-            np.multiply(1 - beta1, g, out=step)
-            np.add(m, step, out=m)
-            # v = beta2*v + ((1-beta2)*g)*g
-            np.multiply(1 - beta2, g, out=step)
-            np.multiply(step, g, out=step)
-            np.multiply(beta2, v, out=v)
-            np.add(v, step, out=v)
-            # params -= (LEARNING_RATE * m/bias1) / (sqrt(v/bias2) + eps)
-            np.divide(m, bias1, out=step)
-            np.multiply(LEARNING_RATE, step, out=step)
-            np.divide(v, bias2, out=denom)
-            np.sqrt(denom, out=denom)
-            np.add(denom, eps, out=denom)
-            np.divide(step, denom, out=step)
-            np.subtract(self.params[k], step, out=self.params[k])
+        params, m, v = self._vectors
+        g = self._workspace.grad_vector
+        step, denom = self._workspace.scratch
+        # m = beta1*m + (1-beta1)*g
+        np.multiply(beta1, m, out=m)
+        np.multiply(1 - beta1, g, out=step)
+        np.add(m, step, out=m)
+        # v = beta2*v + ((1-beta2)*g)*g
+        np.multiply(1 - beta2, g, out=step)
+        np.multiply(step, g, out=step)
+        np.multiply(beta2, v, out=v)
+        np.add(v, step, out=v)
+        # params -= (LEARNING_RATE * m/bias1) / (sqrt(v/bias2) + eps)
+        np.divide(m, bias1, out=step)
+        np.multiply(LEARNING_RATE, step, out=step)
+        np.divide(v, bias2, out=denom)
+        np.sqrt(denom, out=denom)
+        np.add(denom, eps, out=denom)
+        np.divide(step, denom, out=step)
+        np.subtract(params, step, out=params)
 
     def update(self, labels):
         """Absorb (encoding, class index) pairs and retrain over the buffer."""
@@ -233,25 +267,48 @@ class CostMultiplierModel:
                 batch = order[start : start + BATCH_SIZE]
                 rows = ws.rows(len(batch))
                 cache = self._forward(X_all[batch], self.rng, rows)
-                self._adam_step(self._backward(cache, y_all[batch], rows, ws.grads))
+                self._backward(cache, y_all[batch], rows, ws.grads)
+                self._adam_step()
                 self.step_count += 1
         return self
+
+
+def _param_shapes(input_dim: int) -> dict:
+    h = HIDDEN_UNITS
+    return {
+        "W1": (input_dim, h),
+        "b1": (h,),
+        "W2": (h, h),
+        "b2": (h,),
+        "W3": (h, N_CLASSES),
+        "b3": (N_CLASSES,),
+    }
+
+
+def _views(vector: np.ndarray, shapes: dict) -> dict:
+    """Name -> a view of ``vector``'s next stretch, reshaped, in order."""
+    views, start = {}, 0
+    for name, shape in shapes.items():
+        end = start + math.prod(shape)
+        views[name] = vector[start:end].reshape(shape)
+        start = end
+    return views
 
 
 class _Workspace:
     """One model's training buffers, allocated once: activations and their
     gradients for BATCH_SIZE rows (a shorter batch writes into the leading
-    rows), the parameter gradients, and Adam's scratch pair."""
+    rows), the parameter gradients as views of one flat vector, and Adam's
+    two flat scratch vectors. Every step overwrites them before reading."""
 
-    def __init__(self, params: dict):
+    def __init__(self, shapes: dict, size: int):
         hidden = ("z1", "a1", "m1", "da1", "z2", "a2", "m2", "da2")
         widths = dict.fromkeys(hidden, HIDDEN_UNITS)
         widths.update(probs=N_CLASSES, norm=1)
         self.full = {k: np.empty((BATCH_SIZE, w)) for k, w in widths.items()}
-        self.grads = {k: np.empty_like(v) for k, v in params.items()}
-        self.scratch = tuple(
-            {k: np.empty_like(v) for k, v in params.items()} for _ in range(2)
-        )
+        self.grad_vector = np.empty(size)
+        self.grads = _views(self.grad_vector, shapes)
+        self.scratch = (np.empty(size), np.empty(size))
 
     def rows(self, n: int) -> dict:
         if n == BATCH_SIZE:
@@ -302,3 +359,47 @@ def combined_uncertainty(
     ent = entropy(model.predict(encoding))
     combined = mix_weight * mcd_value + (1.0 - mix_weight) * ent
     return UncertaintyScore(ent, mcd_value, combined, mix_weight)
+
+
+def combined_uncertainties(
+    model: CostMultiplierModel, encodings, mix_weight: float, passes: int
+) -> list:
+    """``[combined_uncertainty(model, e, mix_weight, passes) for e in
+    encodings]``, with the dropout passes of up to SCORE_CHUNK encodings
+    stacked into one forward pass.
+
+    Each encoding draws its layer-1 and then its layer-2 masks from its own
+    `mc_dropout` stream, and each row of a stacked product equals that row of
+    the encoding's own product (a BLAS property that
+    tests/test_costmodel.py checks). The dropout-off predictions stay one
+    row per call: a one-row product runs a different BLAS kernel.
+    """
+    if not 0.0 < mix_weight < 1.0:
+        raise ConfigurationError("mix_weight must lie strictly between 0 and 1")
+    if passes < 2:
+        raise ValueError("passes must be >= 2")
+    rows = [model._check_input(e) for e in encodings]
+    mcd = [0.0] * len(rows)
+    if model.dropout_rate > 0.0:
+        for start in range(0, len(rows), SCORE_CHUNK):
+            chunk = rows[start : start + SCORE_CHUNK]
+            mcd[start : start + len(chunk)] = _stacked_mcd(model, chunk, passes)
+    scores = []
+    for row, mcd_value in zip(rows, mcd):
+        ent = entropy(model.predict(row))
+        combined = mix_weight * mcd_value + (1.0 - mix_weight) * ent
+        scores.append(UncertaintyScore(ent, mcd_value, combined, mix_weight))
+    return scores
+
+
+def _stacked_mcd(model: CostMultiplierModel, rows: list, passes: int) -> list:
+    """`mc_dropout` of each one-row encoding, from one stacked forward pass."""
+    X = np.repeat(np.concatenate(rows), passes, axis=0)
+    masks = (np.empty((len(X), HIDDEN_UNITS)), np.empty((len(X), HIDDEN_UNITS)))
+    for i, row in enumerate(rows):
+        digest = zlib.crc32(row.tobytes())
+        rng = rng_for(model.seed, model.step_count, digest, passes)
+        block = slice(i * passes, (i + 1) * passes)
+        model._dropout_masks(rng, passes, (masks[0][block], masks[1][block]))
+    probs = model._forward(X, masks=masks)["probs"]
+    return probs.reshape(len(rows), passes, N_CLASSES).var(axis=1).max(axis=1).tolist()

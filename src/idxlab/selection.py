@@ -19,8 +19,10 @@ node for node like the no-index plan. Both cases add the query's weighted
 gate-corrected no-index cost, a term computed once per round from a copy of
 the query's shared no-index plan, and contribute nothing to EV. Applicability
 is decided once per (template, candidate), and the workload's no-index total
-is summed once per round. The sums run in query order and are bit-identical
-to pricing every pair.
+is summed once per round. A candidate's plans are corrected together, and
+so are the no-index terms it is the first to need: the uncached uncertainty
+scores of each group's leaves take one batched call per operator kind. The
+sums run in query order and are bit-identical to pricing every pair.
 """
 
 from dataclasses import dataclass, field
@@ -29,7 +31,12 @@ from typing import Callable, Optional
 import numpy as np
 
 from .catalog import Catalog, IndexCandidate, sized_candidate
-from .correction import correct_plan
+from .correction import (
+    cached_uncertainties,
+    correct_plan,
+    leaf_encodings,
+    scored_leaves,
+)
 from .errors import ConfigurationError, ContractError
 from .plan import PlanNode, leaves
 from .seeding import rng_for
@@ -148,19 +155,20 @@ class CorrectionContext:
         self._use_workload(workload)
         return self._noindex_total
 
-    def noindex_term(self, workload: MiniWorkload, i: int) -> float:
+    def noindex_terms(self, workload: MiniWorkload, positions) -> list:
         """Frequency weight times the corrected no-index cost of the
-        workload's i-th query, computed once per round."""
+        workload's query at each position, each computed once per round."""
         self._use_workload(workload)
-        term = self._noindex_terms[i]
-        if term is None:
-            q = workload.queries[i]
-            term = q.frequency_weight * self.corrected_baseline(q)
-            self._noindex_terms[i] = term
-        return term
+        terms = self._noindex_terms
+        missing = [i for i in positions if terms[i] is None]
+        copies = [self.noindex_plan(workload.queries[i]).clone() for i in missing]
+        for i, result in zip(missing, self.correct_all(copies)):
+            terms[i] = workload.queries[i].frequency_weight * result.corrected_cost
+        return [terms[i] for i in positions]
 
-    def correct(self, plan):
-        """Gate-and-correct ``plan`` in place under this context's models."""
+    def correct(self, plan, encoded=None):
+        """Gate-and-correct ``plan`` in place under this context's models;
+        ``encoded`` is its `leaf_encodings`, when the caller has them."""
         return correct_plan(
             plan,
             self.models,
@@ -169,11 +177,21 @@ class CorrectionContext:
             self.mix_weight,
             self.passes,
             self.uncertainty_cache,
+            encoded,
         )
 
-    def corrected_baseline(self, query) -> float:
-        """Gate-corrected cost of a copy of the query's no-index plan."""
-        return self.correct(self.noindex_plan(query).clone()).corrected_cost
+    def correct_all(self, plans) -> list:
+        """`correct` each plan, after scoring the uncached leaves of them all
+        in one batched call per operator kind."""
+        encoded = [leaf_encodings(p, self.models, self.catalog) for p in plans]
+        cached_uncertainties(
+            self.models,
+            [pair for e in encoded for pair in scored_leaves(e)],
+            self.mix_weight,
+            self.passes,
+            self.uncertainty_cache,
+        )
+        return [self.correct(p, e) for p, e in zip(plans, encoded)]
 
 
 def candidate_valuation(
@@ -185,11 +203,12 @@ def candidate_valuation(
     """Corrected EB, uncertainty EV, and total value for one candidate.
 
     Pairs whose plan cannot use the candidate take the query's corrected
-    no-index term from ``ctx`` (see the module docstring).
+    no-index term from ``ctx`` (see the module docstring). The candidate's
+    own plans are corrected together, so their leaves are scored in one
+    batched call per operator kind.
     """
     den = ctx.noindex_total(workload)
-    num = 0.0
-    ev = 0.0
+    plans = {}  # query position -> its plan with the candidate, if it uses an index
     applicable = {}  # id(template) -> index_applicable(template, candidate)
     for i, q in enumerate(workload.queries):
         usable = applicable.get(id(q.template))
@@ -197,14 +216,20 @@ def candidate_valuation(
             usable = applicable[id(q.template)] = index_applicable(
                 q.template, candidate
             )
-        if not usable:
-            num += ctx.noindex_term(workload, i)
+        if usable:
+            plan, _ = whatif_plan(q, (candidate,), ctx.catalog)
+            if any(leaf.index is not None for leaf in leaves(plan)):
+                plans[i] = plan
+    others = [i for i in range(len(workload.queries)) if i not in plans]
+    terms = dict(zip(others, ctx.noindex_terms(workload, others)))
+    results = dict(zip(plans, ctx.correct_all(list(plans.values()))))
+    num = 0.0
+    ev = 0.0
+    for i, q in enumerate(workload.queries):
+        if i in terms:
+            num += terms[i]
             continue
-        plan, _ = whatif_plan(q, (candidate,), ctx.catalog)
-        if all(leaf.index is None for leaf in leaves(plan)):
-            num += ctx.noindex_term(workload, i)
-            continue
-        result = ctx.correct(plan)
+        result = results[i]
         num += q.frequency_weight * result.corrected_cost
         for report in result.reports:
             if report.leaf.index == candidate and report.score is not None:

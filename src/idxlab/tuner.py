@@ -20,7 +20,9 @@ labels reuse the encodings the gate scored, and the round's mean uncertainty
 before the model update is the mean of the gate scores that correction
 produced. Uncertainty scores are cached for the
 tuner's lifetime under keys that carry each model's training step, so the
-probe after an update and the next round's gate score a leaf once.
+probe after an update and the next round's gate score a leaf once. Each
+candidate's plans, the round's deployed plans and the probe are scored in
+one batched call per operator kind.
 """
 
 from dataclasses import dataclass
@@ -30,7 +32,7 @@ import numpy as np
 from .catalog import Catalog
 from .correction import (
     actual_benefit,
-    cached_uncertainty,
+    cached_uncertainties,
     # not called here (corrections go through CorrectionContext.correct), but
     # perfbench/tracer.py patches tuner.correct_plan by name
     correct_plan,  # noqa: F401
@@ -65,6 +67,11 @@ CREATION_SECONDS_PER_100MB = 1.0
 _100MB = 100 * 1024 * 1024
 
 BASELINE_KINDS = ("whatif_greedy", "plain_epsilon_greedy")
+
+# A candidate's value is EB * (1 + lambda * EV) with EB <= 1 and EV a sum of
+# leaf uncertainties, each below ln 37 + 1; lambda up to this keeps every
+# value, and the sum the sampling probabilities divide by, far from overflow.
+MAX_EXPLORE_INIT = 1e6
 
 METRIC_FIELDS = (
     "round",
@@ -108,6 +115,18 @@ class TunerParams:
             raise ConfigurationError(
                 "tuner.uncertainty_mix must lie strictly between 0 and 1, "
                 f"got {self.uncertainty_mix!r}"
+            )
+        require_number(self.explore_init, "tuner.explore_init")
+        if not 0.0 < self.explore_init <= MAX_EXPLORE_INIT:
+            raise ConfigurationError(
+                f"tuner.explore_init must lie in (0, {MAX_EXPLORE_INIT:g}], "
+                f"got {self.explore_init!r}"
+            )
+        require_number(self.explore_decay, "tuner.explore_decay")
+        if not 0.0 < self.explore_decay < 1.0:
+            raise ConfigurationError(
+                "tuner.explore_decay must lie strictly between 0 and 1, "
+                f"got {self.explore_decay!r}"
             )
         require_number(self.epsilon, "tuner.epsilon")
         if not 0.0 <= self.epsilon <= 1.0:
@@ -275,16 +294,17 @@ class OnlineTuner:
         # 5. index creation plus execution under the new configuration
         executed, row = self.env.step(t, workload, config)
 
+        # the executor's plans of the deployed and the empty configuration are
+        # never mutated; copies of the deployed ones are corrected together
+        corrections = ctx.correct_all(
+            [telemetry.plan.clone() for _, telemetry, _ in executed]
+        )
         per_query, probe_encodings, probe_scores = [], [], []
         by_kind = {}  # operator kind -> (encoding, bucket) labels
-        for q, telemetry, baseline in executed:
+        for (q, telemetry, baseline), corrected in zip(executed, corrections):
             b_actual = actual_benefit(baseline.total_time, telemetry.total_time)
-
-            # the executor's plans of the deployed and the empty configuration;
-            # neither is ever mutated
             plan = telemetry.plan
             noindex_cost = baseline.plan.total_cost
-            corrected = ctx.correct(plan.clone())
             b_est = estimated_benefit(noindex_cost, corrected.corrected_cost)
             per_query.append((b_est, b_actual))
             # the clone lists its leaves in the plan's order
@@ -339,18 +359,15 @@ class OnlineTuner:
         if not probe_encodings:
             return 0.0
         p = self.params
-        scores = [
-            cached_uncertainty(
-                self.model_for(kind),
-                kind,
-                enc,
-                p.uncertainty_mix,
-                p.mcd_passes,
-                self._uncertainty_cache,
-            ).combined
-            for kind, enc in probe_encodings
-        ]
-        return float(np.mean(scores))
+        models = {kind: self.model_for(kind) for kind, _ in probe_encodings}
+        scores = cached_uncertainties(
+            models,
+            probe_encodings,
+            p.uncertainty_mix,
+            p.mcd_passes,
+            self._uncertainty_cache,
+        )
+        return float(np.mean([score.combined for score in scores]))
 
     def run(self, schedule) -> list:
         for workload in schedule:

@@ -1,4 +1,6 @@
+import copy
 import math
+import pickle
 import zlib
 
 import numpy as np
@@ -10,7 +12,9 @@ from idxlab.costmodel import (
     LEARNING_RATE,
     MULTIPLIER_GRID,
     N_CLASSES,
+    SCORE_CHUNK,
     CostMultiplierModel,
+    combined_uncertainties,
     combined_uncertainty,
     entropy,
     mc_dropout,
@@ -199,6 +203,44 @@ def test_mcd_matches_max_class_variance():
     assert mc_dropout(m, enc, passes) == value
 
 
+@pytest.mark.parametrize("dropout_rate", [0.1, 0.0])
+@pytest.mark.parametrize("trained", [False, True])
+# the encoding widths of the benchmark's static-c8 (8 tables) and drift-exp
+# (4 tables) catalogs
+@pytest.mark.parametrize("dim", [175, 87])
+def test_batched_scores_equal_one_at_a_time(dim, trained, dropout_rate):
+    model = make_model(dim=dim, seed=31, dropout_rate=dropout_rate)
+    rng = rng_for(31, "encodings")
+    if trained:
+        model.update(
+            [(rng.random(dim), int(rng.integers(0, N_CLASSES))) for _ in range(64)]
+        )
+    encodings = [rng.random(dim) for _ in range(3 * SCORE_CHUNK + 1)]
+    # sparse rows like the planner's, and repeats within and across chunks
+    encodings[1] = (encodings[1] > 0.8).astype(float)
+    encodings[4] = encodings[0]
+    encodings[SCORE_CHUNK + 2] = encodings[1]
+    encodings[-1] = encodings[SCORE_CHUNK]
+    want = [combined_uncertainty(model, e, 0.5, 20) for e in encodings]
+    for n in range(1, len(encodings) + 1):
+        got = combined_uncertainties(model, encodings[:n], 0.5, 20)
+        # all four fields, exactly: a stacked forward pass must compute each
+        # row as the encoding's own pass does, or every score (and with them
+        # the tuner's outputs) would shift with the batch it is scored in
+        assert got == want[:n], f"stacking {n} encodings changed a score"
+    assert combined_uncertainties(model, [], 0.5, 20) == []
+
+
+def test_batched_scores_check_their_arguments():
+    m = make_model()
+    with pytest.raises(ConfigurationError):
+        combined_uncertainties(m, [random_encoding()], 1.0, 10)
+    with pytest.raises(ValueError):
+        combined_uncertainties(m, [random_encoding()], 0.5, 1)
+    with pytest.raises(ValueError):
+        combined_uncertainties(m, [random_encoding(dim=5)], 0.5, 10)
+
+
 def test_combined_uncertainty_weighting():
     m = make_model(seed=9)
     enc = random_encoding(seed=77)
@@ -351,3 +393,41 @@ def test_update_equals_allocating_reference(dropout_rate):
     _, second = model.loss_and_gradients(X + 1.0, y)
     assert all(first[k] is not second[k] for k in first)
     assert not any(np.shares_memory(first[k], second[k]) for k in first)
+
+
+@pytest.mark.parametrize("how", ["deepcopy", "pickle"])
+def test_copied_model_views_its_own_flat_state(how):
+    dim = 17
+    model = make_model(dim=dim, seed=23)
+    rng = rng_for(23, "labels")
+
+    def labels(count):
+        return [
+            (rng.random(dim), int(rng.integers(0, N_CLASSES))) for _ in range(count)
+        ]
+
+    model.update(labels(40))
+    if how == "deepcopy":
+        twin = copy.deepcopy(model)
+    else:
+        twin = pickle.loads(pickle.dumps(model))
+    flat = {
+        "params": (twin.params, twin._vectors[0]),
+        "_adam_m": (twin._adam_m, twin._vectors[1]),
+        "_adam_v": (twin._adam_v, twin._vectors[2]),
+        "grads": (twin._workspace.grads, twin._workspace.grad_vector),
+    }
+    originals = model._vectors + (model._workspace.grad_vector,)
+    for state, (views, vector) in flat.items():
+        assert list(views) == ["W1", "b1", "W2", "b2", "W3", "b3"], state
+        for name, view in views.items():
+            assert view.base is vector, (state, name)
+        assert not any(np.shares_memory(vector, o) for o in originals), state
+    assert_same_model_state(twin, model)
+
+    before = copy.deepcopy(model)
+    batch = labels(50)
+    twin.update(batch)
+    assert_same_model_state(model, before)
+    model.update(batch)
+    assert_same_model_state(twin, model)

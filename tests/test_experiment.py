@@ -15,6 +15,7 @@ from idxlab.experiment import (
     resolve_config,
     run_experiment,
 )
+from idxlab.tuner import MAX_EXPLORE_INIT
 
 NAN, INF = float("nan"), float("inf")
 
@@ -235,6 +236,29 @@ def test_noise_sigma_bounds_are_inclusive():
     for sigma in (0, 10):
         cfg = resolve_config({"environment": {"noise_sigma": sigma}})
         assert cfg["environment"]["noise_sigma"] == sigma
+
+
+@pytest.mark.parametrize(
+    "tuner",
+    [
+        {"explore_init": 1e308},
+        {"explore_init": 0},
+        {"explore_init": -1},
+        {"explore_decay": 1.5},
+    ],
+)
+def test_cli_rejects_exploration_out_of_range(tmp_path, capsys, tuner):
+    override = {"tuner": {"mcd_passes": 5, **tuner}}
+    assert_rejected_before_run(tmp_path, capsys, override, f"tuner.{next(iter(tuner))}")
+
+
+def test_explore_init_bound_is_inclusive(tmp_path):
+    cfg = resolve_config({"tuner": {"explore_init": MAX_EXPLORE_INIT}})
+    assert cfg["tuner"]["explore_init"] == MAX_EXPLORE_INIT
+    # and a run at the bound prices and samples without overflowing
+    override = {"tuner": {"mcd_passes": 5, "explore_init": MAX_EXPLORE_INIT}}
+    cfg = write_config(tmp_path, {**SMALL_CONFIG, **override})
+    assert main(["run", cfg, "--out", str(tmp_path / "out")]) == 0
 
 
 def test_cli_malformed_schedule_file_exits_2(tmp_path, capsys):

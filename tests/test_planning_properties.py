@@ -153,7 +153,9 @@ def test_corrected_baseline_of_the_environment_plan_equals_a_fresh_plan(
     want = correct_plan(
         whatif_plan(query, (), catalog)[0], models, catalog, threshold, 0.5, 5
     )
-    assert ctx.corrected_baseline(query) == want.corrected_cost
+    # the query's corrected no-index term, as candidate valuation takes it
+    (term,) = ctx.noindex_terms(MiniWorkload(0, (query,)), [0])
+    assert term == query.frequency_weight * want.corrected_cost
     assert ctx.baseline_cost(query) == whatif_plan(query, (), catalog)[1]
     # the environment's plan is corrected through a copy only
     assert env.noindex_telemetry(query).plan.to_dict() == shared
