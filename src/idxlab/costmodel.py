@@ -31,8 +31,12 @@ maximum per-class variance across repeated dropout-on passes:
 The dropout masks used for the variance estimate derive from (model seed,
 training step, encoding digest), so the score is a pure function of model
 state and input. `combined_uncertainties` scores a list of encodings with
-the same results, stacking the dropout passes of SCORE_CHUNK = 8 encodings
-into one forward pass (Gal & Ghahramani's passes are independent).
+the same results. It stacks the dropout passes of SCORE_CHUNK = 8 encodings
+into one forward pass (Gal & Ghahramani's passes are independent), whose
+layer-1 product runs once per encoding, not once per pass, and whose masks
+are thresholded and scaled once. The dropout-off predictions of the whole
+list run as one (K, 1, d) stack, so each still runs the one-row product
+`predict` runs, and their entropies are one expression.
 """
 
 import math
@@ -135,43 +139,56 @@ class CostMultiplierModel:
         ``out`` maps buffer names to arrays of the right shape to write into
         (a training workspace); a name it lacks gets a fresh array. The
         dropout ``masks`` of layers 1 and 2 are drawn from ``drop_rng`` when
-        not given; with neither, or at rate 0, no unit is dropped.
+        not given; with neither, or at rate 0, no unit is dropped. ``X`` may
+        be a stack of row blocks: each layer works on the last axis.
         """
         o = {} if out is None else out
         if masks is None and drop_rng is not None and self.dropout_rate > 0.0:
-            masks = self._dropout_masks(drop_rng, len(X), (o.get("m1"), o.get("m2")))
+            draws = self._mask_draws(drop_rng, len(X), (o.get("m1"), o.get("m2")))
+            masks = [self._scale_mask(u) for u in draws]
         cache = {"X": X}
         a = X
         for i, layer in enumerate(("1", "2")):
-            z = np.matmul(a, self.params["W" + layer], out=o.get("z" + layer))
-            np.add(z, self.params["b" + layer], out=z)
-            a = np.maximum(z, 0.0, out=o.get("a" + layer))
             m = None if masks is None else masks[i]
-            if m is not None:
-                np.multiply(a, m, out=a)
+            z, a = self._hidden(a, layer, m, o)
             cache.update({"z" + layer: z, "m" + layer: m, "a" + layer: a})
-        probs = np.matmul(a, self.params["W3"], out=o.get("probs"))
-        np.add(probs, self.params["b3"], out=probs)
-        norm = np.maximum.reduce(probs, axis=1, keepdims=True, out=o.get("norm"))
-        np.subtract(probs, norm, out=probs)
-        np.exp(probs, out=probs)
-        np.add.reduce(probs, axis=1, keepdims=True, out=norm)
-        np.divide(probs, norm, out=probs)
-        cache["probs"] = probs
+        cache["probs"] = self._softmax(a, o)
         return cache
 
-    def _dropout_masks(self, drop_rng, n, out=(None, None)):
-        """Layer 1's and then layer 2's mask for ``n`` rows, written into
-        ``out`` where given. Each draws the same stream as
-        drop_rng.random((n, HIDDEN_UNITS)); kept units are 1.0 / (1 - p),
-        exactly as the bool mask divided by (1 - p)."""
-        masks = []
-        for buf in out:
-            mask = drop_rng.random((n, HIDDEN_UNITS), out=buf)
-            np.greater_equal(mask, self.dropout_rate, out=mask)
-            np.divide(mask, 1.0 - self.dropout_rate, out=mask)
-            masks.append(mask)
-        return masks
+    def _hidden(self, a, layer, mask=None, out=None):
+        """Hidden ``layer``'s pre-activation z and its ReLU times ``mask``
+        (if any), written into ``out``'s buffers as in `_forward`."""
+        o = {} if out is None else out
+        z = np.matmul(a, self.params["W" + layer], out=o.get("z" + layer))
+        np.add(z, self.params["b" + layer], out=z)
+        a = np.maximum(z, 0.0, out=o.get("a" + layer))
+        if mask is not None:
+            np.multiply(a, mask, out=a)
+        return z, a
+
+    def _softmax(self, a, out=None):
+        """The output layer: softmax over the grid of ``a @ W3 + b3``."""
+        o = {} if out is None else out
+        probs = np.matmul(a, self.params["W3"], out=o.get("probs"))
+        np.add(probs, self.params["b3"], out=probs)
+        norm = np.maximum.reduce(probs, axis=-1, keepdims=True, out=o.get("norm"))
+        np.subtract(probs, norm, out=probs)
+        np.exp(probs, out=probs)
+        np.add.reduce(probs, axis=-1, keepdims=True, out=norm)
+        np.divide(probs, norm, out=probs)
+        return probs
+
+    def _mask_draws(self, drop_rng, n, out=(None, None)):
+        """Layer 1's and then layer 2's uniform draws for the dropout masks
+        of ``n`` rows, written into ``out`` where given."""
+        return [drop_rng.random((n, HIDDEN_UNITS), out=buf) for buf in out]
+
+    def _scale_mask(self, uniforms):
+        """Uniform draws -> inverted-dropout mask, in place: kept units are
+        1.0 / (1 - p), exactly as the bool mask divided by (1 - p)."""
+        np.greater_equal(uniforms, self.dropout_rate, out=uniforms)
+        np.divide(uniforms, 1.0 - self.dropout_rate, out=uniforms)
+        return uniforms
 
     def _backward(self, cache, y, out=None, grads_out=None):
         """Gradients of the mean cross-entropy; overwrites the cache's
@@ -366,40 +383,65 @@ def combined_uncertainties(
 ) -> list:
     """``[combined_uncertainty(model, e, mix_weight, passes) for e in
     encodings]``, with the dropout passes of up to SCORE_CHUNK encodings
-    stacked into one forward pass.
+    stacked into one forward pass and the dropout-off predictions of all of
+    them into another.
 
     Each encoding draws its layer-1 and then its layer-2 masks from its own
-    `mc_dropout` stream, and each row of a stacked product equals that row of
-    the encoding's own product (a BLAS property that
-    tests/test_costmodel.py checks). The dropout-off predictions stay one
-    row per call: a one-row product runs a different BLAS kernel.
+    `mc_dropout` stream. Every row of a stacked product equals that row of
+    the encoding's own product, a BLAS property that tests/test_costmodel.py
+    checks: the dropout-off predictions are stacked as a (K, 1, d) array, so
+    that each slice runs the one-row kernel `predict` runs.
     """
     if not 0.0 < mix_weight < 1.0:
         raise ConfigurationError("mix_weight must lie strictly between 0 and 1")
     if passes < 2:
         raise ValueError("passes must be >= 2")
     rows = [model._check_input(e) for e in encodings]
-    mcd = [0.0] * len(rows)
+    if not rows:
+        return []
+    X = np.concatenate(rows)
+    mcd = [0.0] * len(X)
     if model.dropout_rate > 0.0:
-        for start in range(0, len(rows), SCORE_CHUNK):
-            chunk = rows[start : start + SCORE_CHUNK]
+        for start in range(0, len(X), SCORE_CHUNK):
+            chunk = X[start : start + SCORE_CHUNK]
             mcd[start : start + len(chunk)] = _stacked_mcd(model, chunk, passes)
+    probs = model._forward(X.reshape(len(X), 1, -1))["probs"][:, 0]
     scores = []
-    for row, mcd_value in zip(rows, mcd):
-        ent = entropy(model.predict(row))
+    for ent, mcd_value in zip(_entropies(probs), mcd):
         combined = mix_weight * mcd_value + (1.0 - mix_weight) * ent
         scores.append(UncertaintyScore(ent, mcd_value, combined, mix_weight))
     return scores
 
 
-def _stacked_mcd(model: CostMultiplierModel, rows: list, passes: int) -> list:
-    """`mc_dropout` of each one-row encoding, from one stacked forward pass."""
-    X = np.repeat(np.concatenate(rows), passes, axis=0)
-    masks = (np.empty((len(X), HIDDEN_UNITS)), np.empty((len(X), HIDDEN_UNITS)))
-    for i, row in enumerate(rows):
-        digest = zlib.crc32(row.tobytes())
-        rng = rng_for(model.seed, model.step_count, digest, passes)
+def _entropies(probs) -> list:
+    """`entropy` of each row of ``probs``: one expression over the rows that
+    are strictly positive probability vectors. Any other row goes through
+    `entropy`, which drops its zeros from the sum or raises."""
+    ok = np.logical_and.reduce(probs > 0.0, axis=-1)
+    ok &= np.abs(np.add.reduce(probs, axis=-1) - 1.0) <= 1e-6
+    good = probs if ok.all() else probs[ok]
+    values = iter((-np.add.reduce(good * np.log(good), axis=-1)).tolist())
+    return [next(values) if fine else entropy(p) for fine, p in zip(ok, probs)]
+
+
+def _stacked_mcd(model: CostMultiplierModel, X, passes: int) -> list:
+    """`mc_dropout` of each row of ``X``, from one stacked forward pass.
+
+    Layer 1's product runs once per row, and its ReLU output is repeated
+    ``passes`` times before the masks apply, which is elementwise what the
+    repeated rows' own product gives. A lone row is padded to two: a
+    one-row product runs a different BLAS kernel.
+    """
+    k = len(X)
+    masks = np.empty((2, k * passes, HIDDEN_UNITS))
+    for i, row in enumerate(X):
+        rng = rng_for(model.seed, model.step_count, zlib.crc32(row.tobytes()), passes)
         block = slice(i * passes, (i + 1) * passes)
-        model._dropout_masks(rng, passes, (masks[0][block], masks[1][block]))
-    probs = model._forward(X, masks=masks)["probs"]
-    return probs.reshape(len(rows), passes, N_CLASSES).var(axis=1).max(axis=1).tolist()
+        model._mask_draws(rng, passes, (masks[0, block], masks[1, block]))
+    model._scale_mask(masks)
+    _, a1 = model._hidden(X if k > 1 else np.repeat(X, 2, axis=0), "1")
+    a = np.repeat(a1[:k], passes, axis=0)
+    np.multiply(a, masks[0], out=a)
+    _, a = model._hidden(a, "2", masks[1])
+    probs = model._softmax(a)
+    return probs.reshape(k, passes, N_CLASSES).var(axis=1).max(axis=1).tolist()

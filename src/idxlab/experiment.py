@@ -114,6 +114,10 @@ def load_config_file(path) -> dict:
     """Parse a JSON or TOML config file into a raw dict."""
     with open(path, "rb") as f:
         raw = f.read()
+    try:
+        text = raw.decode("utf-8")
+    except UnicodeDecodeError:
+        raise ConfigurationError(f"{path}: not UTF-8 text") from None
     if str(path).endswith(".toml"):
         try:
             import tomllib as toml
@@ -125,15 +129,18 @@ def load_config_file(path) -> dict:
                     "TOML support needs Python >= 3.11 or the tomli package"
                 ) from None
         try:
-            return toml.loads(raw.decode("utf-8"))
+            return toml.loads(text)
         except toml.TOMLDecodeError as exc:
             raise ConfigurationError(f"{path}: {exc}") from None
     try:
-        return json.loads(raw.decode("utf-8"))
+        config = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ConfigurationError(
             f"{path}: line {exc.lineno}, column {exc.colno}: {exc.msg}"
         ) from None
+    if not isinstance(config, dict):
+        raise ConfigurationError(f"{path}: not a JSON object")
+    return config
 
 
 def resolve_config(user_config: dict) -> dict:
@@ -463,7 +470,12 @@ def replay(manifest_path, out_dir=None, jobs: int = 1) -> dict:
     """Re-run an experiment from its manifest and check that every artifact
     is byte-identical; raises `ReplayMismatchError` naming those that are not."""
     with open(manifest_path, encoding="utf-8") as f:
-        manifest = json.load(f)
+        try:
+            manifest = json.load(f)
+        except UnicodeDecodeError:
+            raise ConfigurationError(
+                f"manifest {manifest_path}: not UTF-8 text"
+            ) from None
     if not isinstance(manifest, dict):
         raise ConfigurationError(f"manifest {manifest_path}: not a JSON object")
     if manifest.get("format") != MANIFEST_FORMAT:

@@ -14,6 +14,7 @@ from idxlab.costmodel import (
     N_CLASSES,
     SCORE_CHUNK,
     CostMultiplierModel,
+    _entropies,
     combined_uncertainties,
     combined_uncertainty,
     entropy,
@@ -229,6 +230,64 @@ def test_batched_scores_equal_one_at_a_time(dim, trained, dropout_rate):
         # the tuner's outputs) would shift with the batch it is scored in
         assert got == want[:n], f"stacking {n} encodings changed a score"
     assert combined_uncertainties(model, [], 0.5, 20) == []
+
+
+def trained_scoring_model(dim):
+    """A model trained on 64 random labels and 3 x SCORE_CHUNK + 1 encodings
+    to score, one of them sparse like the planner's."""
+    model = make_model(dim=dim, seed=31)
+    rng = rng_for(31, "encodings")
+    model.update(
+        [(rng.random(dim), int(rng.integers(0, N_CLASSES))) for _ in range(64)]
+    )
+    encodings = [rng.random(dim) for _ in range(3 * SCORE_CHUNK + 1)]
+    encodings[1] = (encodings[1] > 0.8).astype(float)
+    return model, encodings
+
+
+@pytest.mark.parametrize("dim", [175, 87])
+def test_stacked_predictions_equal_one_row_predictions(dim):
+    # each (1, d) slice of a (K, 1, d) stack must run the one-row kernel
+    # `predict` runs; a numpy or BLAS that breaks this fails here first
+    model, encodings = trained_scoring_model(dim)
+    rows = [model._check_input(e) for e in encodings]
+    for k in range(1, len(rows) + 1):
+        stacked = model._forward(np.stack(rows[:k]))["probs"]
+        assert stacked.shape == (k, 1, N_CLASSES)
+        for i, probs in enumerate(stacked):
+            assert (probs[0] == model.predict(rows[i])).all(), (
+                f"slice {i} of a {k}-row stack differs from its own prediction"
+            )
+
+
+@pytest.mark.parametrize("passes", [2, 7])
+@pytest.mark.parametrize("dim", [175, 87])
+def test_batched_scores_equal_one_at_a_time_at_other_pass_counts(dim, passes):
+    model, encodings = trained_scoring_model(dim)
+    encodings[-1] = encodings[SCORE_CHUNK]
+    want = [combined_uncertainty(model, e, 0.5, passes) for e in encodings]
+    for n in range(1, len(encodings) + 1):
+        got = combined_uncertainties(model, encodings[:n], 0.5, passes)
+        assert got == want[:n], f"stacking {n} encodings changed a score"
+
+
+@pytest.mark.parametrize("dim", [175, 87])
+def test_batched_entropy_of_predictions_with_zero_probabilities(dim):
+    model, encodings = trained_scoring_model(dim)
+    # logit spreads past exp's underflow: some classes get exactly 0
+    model.params["W3"] *= 1000.0
+    has_zero = [bool((model.predict(e) == 0.0).any()) for e in encodings]
+    assert any(has_zero) and not all(has_zero)
+    want = [combined_uncertainty(model, e, 0.5, 20) for e in encodings]
+    assert combined_uncertainties(model, encodings, 0.5, 20) == want
+
+
+def test_batched_entropy_keeps_the_probability_contract():
+    good, sparse = np.full(4, 0.25), np.array([0.5, 0.5, 0.0, 0.0])
+    assert _entropies(np.stack([good, sparse])) == [entropy(good), entropy(sparse)]
+    for bad in ([0.3, 0.3, 0.3, 0.3], [0.7, 0.4, -0.1, 0.0], [0.5, 0.6, 0.0, 0.0]):
+        with pytest.raises(ContractError):
+            _entropies(np.stack([good, bad]))
 
 
 def test_batched_scores_check_their_arguments():

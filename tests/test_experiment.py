@@ -122,6 +122,34 @@ def test_cli_malformed_config_exits_2_without_outputs(tmp_path):
     assert not out.exists()
 
 
+def assert_config_file_rejected(tmp_path, capsys, name, content: bytes, words):
+    """`idxlab run` exits 2 with one line naming the config file, and writes
+    nothing."""
+    path = tmp_path / name
+    path.write_bytes(content)
+    out = tmp_path / "never"
+    assert main(["run", str(path), "--out", str(out)]) == 2
+    assert not out.exists()
+    err = capsys.readouterr().err
+    assert len(err.strip().splitlines()) == 1
+    assert str(path) in err and all(word in err for word in words)
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("name", ["config.json", "config.toml"])
+def test_cli_config_not_utf8_exits_2(tmp_path, capsys, name):
+    assert_config_file_rejected(
+        tmp_path, capsys, name, b'replications = [1]\n# caf\xe9\n', ["UTF-8"]
+    )
+
+
+@pytest.mark.parametrize("content", [b"[1, 2]", b'"config"', b"3"])
+def test_cli_config_that_is_not_an_object_exits_2(tmp_path, capsys, content):
+    assert_config_file_rejected(
+        tmp_path, capsys, "config.json", content, ["JSON object"]
+    )
+
+
 def test_cli_semantic_config_error_exits_2(tmp_path):
     cfg = write_config(
         tmp_path, {"budget": {"mode": "storage"}, "replications": [1]}
@@ -522,6 +550,17 @@ def test_cli_replay_of_malformed_manifest_exits_2(tmp_path, capsys, manifest, na
     assert len(err.strip().splitlines()) == 1
     assert str(path) in err and all(word in err for word in named)
     assert "Traceback" not in err
+
+
+def test_cli_replay_of_manifest_not_utf8_exits_2(tmp_path, capsys):
+    path = tmp_path / "manifest.json"
+    path.write_bytes(b'{"format": 1, "config": "caf\xe9"}')
+    out = tmp_path / "never"
+    assert main(["replay", str(path), "--out", str(out)]) == 2
+    assert not out.exists()
+    err = capsys.readouterr().err
+    assert len(err.strip().splitlines()) == 1
+    assert str(path) in err and "UTF-8" in err and "Traceback" not in err
 
 
 def test_emit_plot_data_preserves_values(tmp_path):
