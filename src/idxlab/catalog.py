@@ -16,7 +16,7 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .errors import CatalogLookupError, ConfigurationError
+from .errors import CatalogLookupError, ConfigurationError, check_fields
 
 PAGE_SIZE_BYTES = 8192
 TUPLE_OVERHEAD_BYTES = 16
@@ -159,18 +159,8 @@ class CatalogSpec:
     cols_per_table_range: tuple = (3, 6)
     string_column_fraction: float = 0.25
 
-
-def _validate_spec(spec: CatalogSpec) -> None:
-    if spec.n_tables < 1:
-        raise ConfigurationError("n_tables must be >= 1")
-    for label, (lo, hi) in (
-        ("rows_range", spec.rows_range),
-        ("cols_per_table_range", spec.cols_per_table_range),
-    ):
-        if lo < 1 or hi < lo:
-            raise ConfigurationError(f"{label} must be a nonempty positive range")
-    if not 0.0 <= spec.string_column_fraction <= 1.0:
-        raise ConfigurationError("string_column_fraction must be in [0, 1]")
+    def __post_init__(self):
+        check_fields(self, "catalog")
 
 
 def _log_uniform_int(rng, low: int, high: int) -> int:
@@ -181,7 +171,6 @@ def _log_uniform_int(rng, low: int, high: int) -> int:
 
 def generate_catalog(spec: CatalogSpec, seed: int) -> Catalog:
     """Deterministically synthesize a catalog from (spec, seed)."""
-    _validate_spec(spec)
     rng = np.random.default_rng(seed)
     tables = []
     for ti in range(spec.n_tables):

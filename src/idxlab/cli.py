@@ -4,7 +4,7 @@ import argparse
 import json
 import sys
 
-from .errors import ConfigurationError, ReplayMismatchError
+from .errors import DRIFT_KINDS, ConfigurationError, ReplayMismatchError
 from .experiment import compare, load_config_file, replay, resolve_config, run_experiment
 
 EXIT_OK = 0
@@ -26,7 +26,7 @@ def build_parser() -> argparse.ArgumentParser:
     run_p.add_argument("--out", help="override the output directory")
     run_p.add_argument(
         "--schedule",
-        choices=("static", "continuous", "periodic", "cyclic"),
+        choices=DRIFT_KINDS,
         help="override the workload drift kind",
     )
     run_p.add_argument("--jobs", type=int, default=1, help="parallel replications")
@@ -47,7 +47,6 @@ def _cmd_run(args) -> int:
         cfg["replications"] = [args.seed]
     if args.schedule is not None:
         cfg["workload"]["kind"] = args.schedule
-        resolve_config(cfg)
     manifest = run_experiment(cfg, out_dir=args.out, jobs=args.jobs)
     for row in manifest["summary"]:
         print(

@@ -23,10 +23,10 @@ import numpy as np
 from . import __version__
 from .catalog import CatalogSpec, generate_catalog
 from .errors import (
+    FIELDS,
     CatalogLookupError,
     ConfigurationError,
     ReplayMismatchError,
-    require_finite,
     require_integer,
 )
 from .seeding import subseed
@@ -43,70 +43,38 @@ from .workload import DriftSchedule, build_schedule, generate_templates, load_sc
 
 MANIFEST_FORMAT = 1
 SUMMARY_FIELDS = ("method", "mean_improvement", "stdev_improvement", "n_replications")
-# execution noise factors are exp(sigma * z) with z standard normal; at a
-# sigma far above this one they overflow, and observed benefits with them
-MAX_NOISE_SIGMA = 10.0
-
-DEFAULT_CONFIG = {
-    "catalog": {
-        "n_tables": 4,
-        "rows_range": [1000, 50000],
-        "cols_per_table_range": [3, 6],
-        "string_column_fraction": 0.25,
-        "seed": None,
-    },
-    "workload": {
-        "n_templates": 12,
-        "kind": "static",
-        "total_rounds": 10,
-        "templates_per_round": 8,
-        "change_fraction": 0.2,
-        "period": 4,
-        "cycle_length": 15,
-        "queries_per_template": 3,
-        "seed": None,
-        "schedule_file": None,
-    },
-    "environment": {"noise_sigma": 0.05, "ground_truth_seed": None},
-    "tuner": {
-        "uncertainty_threshold": 0.1,
-        "uncertainty_mix": 0.5,
-        "explore_init": 0.5,
-        "explore_decay": 0.9,
-        "mcd_passes": 20,
-        "epsilon": 0.1,
-        "per_table_cap": 3,
-    },
-    "budget": {"mode": "count", "max_indexes": 8, "storage_bytes": None},
-    "baselines": ["whatif_greedy", "plain_epsilon_greedy"],
-    "output_dir": "out",
-    "replications": [1],
-}
 
 
-# Scalars type-checked at resolve time (numbers must be finite); one whose
-# default is null may stay null. The gate parameters are checked by TunerParams.
-_INTEGER_FIELDS = """catalog.n_tables catalog.seed workload.n_templates
-    workload.total_rounds workload.templates_per_round workload.period
-    workload.cycle_length workload.queries_per_template workload.seed
-    environment.ground_truth_seed tuner.per_table_cap budget.max_indexes""".split()
-_NUMBER_FIELDS = """catalog.string_column_fraction workload.change_fraction
-    environment.noise_sigma tuner.explore_init tuner.explore_decay tuner.epsilon
-    budget.storage_bytes""".split()
+def _default_config() -> dict:
+    """Every field of the table at its default, nested by section, and the
+    baselines list: both baseline kinds."""
+    config = {}
+    for path, row in FIELDS.items():
+        section, _, key = path.rpartition(".")
+        (config.setdefault(section, {}) if section else config)[key] = row.default
+    config["baselines"] = list(BASELINE_KINDS)
+    return config
+
+
+DEFAULT_CONFIG = _default_config()
 
 
 def _deep_merge(base: dict, override: dict, path="") -> dict:
-    out = dict(base)
-    for key, value in override.items():
-        where = f"{path}.{key}" if path else key
+    """``override`` over ``base``, copying each nested table, so that editing
+    the result never edits ``base``."""
+    for key in override:
         if key not in base:
+            where = f"{path}.{key}" if path else key
             raise ConfigurationError(f"unknown config key {where!r}")
-        if isinstance(base[key], dict):
+    out = {}
+    for key, default in base.items():
+        value = override.get(key, default)
+        if isinstance(default, dict):
+            where = f"{path}.{key}" if path else key
             if not isinstance(value, dict):
                 raise ConfigurationError(f"config key {where!r} must be a table")
-            out[key] = _deep_merge(base[key], value, where)
-        else:
-            out[key] = value
+            value = _deep_merge(default, value, where)
+        out[key] = value
     return out
 
 
@@ -146,33 +114,9 @@ def load_config_file(path) -> dict:
 def resolve_config(user_config: dict) -> dict:
     """Apply defaults and validate; returns the fully resolved config dict."""
     cfg = _deep_merge(DEFAULT_CONFIG, user_config)
-    for fields, check in (
-        (_INTEGER_FIELDS, require_integer),
-        (_NUMBER_FIELDS, require_finite),
-    ):
-        for name in fields:
-            section, key = name.split(".")
-            value = cfg[section][key]
-            if value is not None or DEFAULT_CONFIG[section][key] is not None:
-                check(value, name)
-    sigma = cfg["environment"]["noise_sigma"]
-    if not 0 <= sigma <= MAX_NOISE_SIGMA:
-        raise ConfigurationError(
-            f"environment.noise_sigma must lie in [0, {MAX_NOISE_SIGMA}], "
-            f"got {sigma!r}"
-        )
-    seeds = cfg["replications"]
-    if not isinstance(seeds, (list, tuple)) or not seeds:
-        raise ConfigurationError(
-            f"replications must be a nonempty list of integers, got {seeds!r}"
-        )
-    for seed in seeds:
-        require_integer(seed, "replications")
-    # numpy seeds a catalog from this value directly, and rejects negatives
-    if cfg["catalog"]["seed"] is not None and cfg["catalog"]["seed"] < 0:
-        raise ConfigurationError(
-            f"catalog.seed must be >= 0, got {cfg['catalog']['seed']!r}"
-        )
+    for path, row in FIELDS.items():
+        section, _, key = path.rpartition(".")
+        row.check((cfg[section] if section else cfg)[key])
     baselines = cfg["baselines"]
     if not isinstance(baselines, (list, tuple)):
         raise ConfigurationError(
@@ -181,65 +125,27 @@ def resolve_config(user_config: dict) -> dict:
     for kind in baselines:
         if kind not in BASELINE_KINDS:
             raise ConfigurationError(f"baselines: unknown kind {kind!r}")
-    mode = cfg["budget"]["mode"]
-    if mode not in ("count", "storage"):
-        raise ConfigurationError("budget.mode must be 'count' or 'storage'")
-    if mode == "storage" and not cfg["budget"]["storage_bytes"]:
-        raise ConfigurationError("budget.storage_bytes required in storage mode")
-    if cfg["workload"]["kind"] not in ("static", "continuous", "periodic", "cyclic"):
-        raise ConfigurationError("workload.kind must be a drift kind")
-    # instantiating the dataclasses surfaces the remaining range errors early
-    _catalog_spec(cfg)
-    _tuner_params(cfg)
-    if cfg["workload"]["schedule_file"] is None:
-        _drift_schedule(cfg)
+    budget = cfg["budget"]
+    if budget["mode"] == "storage" and budget["storage_bytes"] is None:
+        raise ConfigurationError(
+            "budget.storage_bytes must be an integer >= 1 in storage mode, got None"
+        )
     return cfg
 
 
-def _catalog_spec(cfg) -> CatalogSpec:
-    c = cfg["catalog"]
-    for name in ("rows_range", "cols_per_table_range"):
-        pair = c[name]
-        if not isinstance(pair, (list, tuple)) or len(pair) != 2:
-            raise ConfigurationError(f"catalog.{name} must be a [low, high] pair")
-        for value in pair:
-            require_integer(value, f"catalog.{name}")
-    return CatalogSpec(
-        n_tables=c["n_tables"],
-        rows_range=tuple(c["rows_range"]),
-        cols_per_table_range=tuple(c["cols_per_table_range"]),
-        string_column_fraction=c["string_column_fraction"],
-    )
-
-
-def _drift_schedule(cfg) -> DriftSchedule:
-    w = cfg["workload"]
-    return DriftSchedule(
-        kind=w["kind"],
-        total_rounds=w["total_rounds"],
-        templates_per_round=w["templates_per_round"],
-        change_fraction=w["change_fraction"],
-        period=w["period"],
-        cycle_length=w["cycle_length"],
-        queries_per_template=w["queries_per_template"],
-    )
+def _section(cls, section: dict):
+    """``cls`` built from the fields of a config section it names."""
+    return cls(**{name: section[name] for name in cls.__dataclass_fields__})
 
 
 def _tuner_params(cfg) -> TunerParams:
-    t = cfg["tuner"]
-    storage = None
-    if cfg["budget"]["mode"] == "storage":
-        storage = int(cfg["budget"]["storage_bytes"])
+    budget = cfg["budget"]
     return TunerParams(
-        uncertainty_threshold=t["uncertainty_threshold"],
-        uncertainty_mix=t["uncertainty_mix"],
-        explore_init=t["explore_init"],
-        explore_decay=t["explore_decay"],
-        mcd_passes=t["mcd_passes"],
-        max_indexes=cfg["budget"]["max_indexes"],
-        storage_budget_bytes=storage,
-        per_table_cap=t["per_table_cap"],
-        epsilon=t["epsilon"],
+        **cfg["tuner"],
+        max_indexes=budget["max_indexes"],
+        storage_budget_bytes=(
+            budget["storage_bytes"] if budget["mode"] == "storage" else None
+        ),
     )
 
 
@@ -270,9 +176,9 @@ def _environment(cfg, replication_seed):
     cat_seed = cfg["catalog"]["seed"]
     if cat_seed is None:
         cat_seed = subseed(replication_seed, "catalog")
-    catalog = generate_catalog(_catalog_spec(cfg), cat_seed)
+    catalog = generate_catalog(_section(CatalogSpec, cfg["catalog"]), cat_seed)
 
-    if cfg["workload"]["schedule_file"]:
+    if cfg["workload"]["schedule_file"] is not None:
         schedule = _load_schedule(cfg["workload"]["schedule_file"], catalog)
     else:
         wl_seed = cfg["workload"]["seed"]
@@ -281,7 +187,8 @@ def _environment(cfg, replication_seed):
         templates = generate_templates(
             catalog, cfg["workload"]["n_templates"], wl_seed
         )
-        schedule = build_schedule(templates, _drift_schedule(cfg), wl_seed)
+        sched = _section(DriftSchedule, cfg["workload"])
+        schedule = build_schedule(templates, sched, wl_seed)
 
     gt_seed = cfg["environment"]["ground_truth_seed"]
     if gt_seed is None:
@@ -400,7 +307,7 @@ def run_experiment(config, out_dir=None, jobs: int = 1) -> dict:
     out_dir = out_dir or cfg["output_dir"]
     seeds = list(cfg["replications"])
     schedule_file = cfg["workload"]["schedule_file"]
-    schedule_sha256 = _sha256_file(schedule_file) if schedule_file else None
+    schedule_sha256 = None if schedule_file is None else _sha256_file(schedule_file)
 
     # a pool starts all its workers at once, so never more than there is work
     workers = min(jobs, len(seeds))

@@ -296,18 +296,13 @@ def enumerate_configuration(
 
     Count mode runs ``max_indexes`` draws (pruned draws are consumed); storage
     mode keeps drawing until the pool is exhausted, skipping candidates that
-    no longer fit the remaining bytes.
+    no longer fit the remaining bytes. The budget and the cap come from a
+    `TunerParams`, which checks their ranges.
     """
     if (max_indexes is None) == (storage_budget_bytes is None):
         raise ConfigurationError(
             "exactly one of max_indexes / storage_budget_bytes must be set"
         )
-    if max_indexes is not None and max_indexes < 1:
-        raise ConfigurationError("max_indexes must be >= 1")
-    if storage_budget_bytes is not None and storage_budget_bytes < 1:
-        raise ConfigurationError("storage budget must be positive")
-    if per_table_cap < 1:
-        raise ConfigurationError("per_table_cap must be >= 1")
 
     pool = list(candidates)
     weights = list(np.asarray(probabilities, dtype=float))

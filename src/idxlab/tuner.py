@@ -41,12 +41,8 @@ from .correction import (
     telemetry_to_labels,
 )
 from .costmodel import MULTIPLIER_GRID, CostMultiplierModel, nearest_bucket_index
-from .errors import (
-    ConfigurationError,
-    ContractError,
-    require_integer,
-    require_number,
-)
+from .errors import FIELDS, ConfigurationError, ContractError, check_fields
+from .errors import MAX_EXPLORE_INIT  # noqa: F401  (re-exported: explore_init's bound)
 # encode_operator is not called here either (the gate's reports carry the
 # encodings), but perfbench/tracer.py patches tuner.encode_operator by name
 from .plan import PLAN_KINDS, encode_operator, encoding_length, leaves  # noqa: F401
@@ -68,11 +64,6 @@ _100MB = 100 * 1024 * 1024
 
 BASELINE_KINDS = ("whatif_greedy", "plain_epsilon_greedy")
 
-# A candidate's value is EB * (1 + lambda * EV) with EB <= 1 and EV a sum of
-# leaf uncertainties, each below ln 37 + 1; lambda up to this keeps every
-# value, and the sum the sampling probabilities divide by, far from overflow.
-MAX_EXPLORE_INIT = 1e6
-
 METRIC_FIELDS = (
     "round",
     "exec_time_s",
@@ -86,53 +77,25 @@ METRIC_FIELDS = (
 
 @dataclass(frozen=True)
 class TunerParams:
-    uncertainty_threshold: float = 0.1
-    uncertainty_mix: float = 0.5
-    explore_init: float = 0.5
-    explore_decay: float = 0.9
-    mcd_passes: int = 20
-    max_indexes: int = 8
-    storage_budget_bytes: int = None
-    per_table_cap: int = 3
-    epsilon: float = 0.1
+    uncertainty_threshold: float = FIELDS["tuner.uncertainty_threshold"].default
+    uncertainty_mix: float = FIELDS["tuner.uncertainty_mix"].default
+    explore_init: float = FIELDS["tuner.explore_init"].default
+    explore_decay: float = FIELDS["tuner.explore_decay"].default
+    mcd_passes: int = FIELDS["tuner.mcd_passes"].default
+    max_indexes: int = FIELDS["budget.max_indexes"].default
+    storage_budget_bytes: int = FIELDS["budget.storage_bytes"].default
+    per_table_cap: int = FIELDS["tuner.per_table_cap"].default
+    epsilon: float = FIELDS["tuner.epsilon"].default
 
     def __post_init__(self):
         # checked up front: each would otherwise fail, or silently close
         # every gate (U <= NaN is false), only once the first round runs
-        require_integer(self.mcd_passes, "tuner.mcd_passes")
-        if self.mcd_passes < 2:
-            raise ConfigurationError(
-                f"tuner.mcd_passes must be >= 2, got {self.mcd_passes!r}"
-            )
-        require_number(self.uncertainty_threshold, "tuner.uncertainty_threshold")
-        if not self.uncertainty_threshold >= 0:
-            raise ConfigurationError(
-                "tuner.uncertainty_threshold must be >= 0, "
-                f"got {self.uncertainty_threshold!r}"
-            )
-        require_number(self.uncertainty_mix, "tuner.uncertainty_mix")
-        if not 0.0 < self.uncertainty_mix < 1.0:
-            raise ConfigurationError(
-                "tuner.uncertainty_mix must lie strictly between 0 and 1, "
-                f"got {self.uncertainty_mix!r}"
-            )
-        require_number(self.explore_init, "tuner.explore_init")
-        if not 0.0 < self.explore_init <= MAX_EXPLORE_INIT:
-            raise ConfigurationError(
-                f"tuner.explore_init must lie in (0, {MAX_EXPLORE_INIT:g}], "
-                f"got {self.explore_init!r}"
-            )
-        require_number(self.explore_decay, "tuner.explore_decay")
-        if not 0.0 < self.explore_decay < 1.0:
-            raise ConfigurationError(
-                "tuner.explore_decay must lie strictly between 0 and 1, "
-                f"got {self.explore_decay!r}"
-            )
-        require_number(self.epsilon, "tuner.epsilon")
-        if not 0.0 <= self.epsilon <= 1.0:
-            raise ConfigurationError(
-                f"tuner.epsilon must lie in [0, 1], got {self.epsilon!r}"
-            )
+        check_fields(
+            self,
+            "tuner",
+            max_indexes="budget.max_indexes",
+            storage_budget_bytes="budget.storage_bytes",
+        )
 
 
 @dataclass(frozen=True)

@@ -23,11 +23,9 @@ from .catalog import (
     ConfigurationError,
     selectivity,
 )
-from .errors import require_finite, require_integer
+from .errors import FIELDS, check_fields, require_finite, require_integer
 from .plan import Predicate
 from .seeding import rng_for
-
-DRIFT_KINDS = ("static", "continuous", "periodic", "cyclic")
 
 _NUMERIC_OPS = ("=", ">", "<", ">=", "<=", "!=")
 _STRING_OPS = ("=", "!=")
@@ -94,6 +92,14 @@ class QueryTemplate:
             catalog.column(ref.table, ref.column)
             if ref.table not in self.tables:
                 raise ConfigurationError(f"{self.id}: column {ref} off-template")
+        for f in self.filter_specs:
+            kind = catalog.column(*f.column).kind
+            ops = _NUMERIC_OPS if kind == NUMERIC else _STRING_OPS
+            if f.op not in ops:
+                raise ConfigurationError(
+                    f"op of the filter on {kind} column {f.column} must be one of "
+                    f"{', '.join(map(repr, ops))}, got {f.op!r}"
+                )
 
     @cached_property
     def referenced_columns(self) -> dict:
@@ -201,28 +207,18 @@ class DriftSchedule:
     kind: str
     total_rounds: int
     templates_per_round: int
-    change_fraction: float = 0.2
-    period: int = 4
-    cycle_length: int = 15
-    queries_per_template: int = 3
+    change_fraction: float = FIELDS["workload.change_fraction"].default
+    period: int = FIELDS["workload.period"].default
+    cycle_length: int = FIELDS["workload.cycle_length"].default
+    queries_per_template: int = FIELDS["workload.queries_per_template"].default
 
     def __post_init__(self):
-        if self.kind not in DRIFT_KINDS:
-            raise ConfigurationError(f"unknown drift kind {self.kind!r}")
-        if self.total_rounds < 1 or self.templates_per_round < 1:
-            raise ConfigurationError("rounds and templates_per_round must be >= 1")
-        if not 0.0 <= self.change_fraction <= 1.0:
-            raise ConfigurationError("change_fraction must be in [0, 1]")
-        if self.period < 1 or self.cycle_length < 1:
-            raise ConfigurationError("period and cycle_length must be >= 1")
-        if self.queries_per_template < 1:
-            raise ConfigurationError("queries_per_template must be >= 1")
+        check_fields(self, "workload")
 
 
 def generate_templates(catalog: Catalog, n: int, seed: int) -> list:
     """Deterministically generate n distinct query templates over a catalog."""
-    if n < 1:
-        raise ConfigurationError("n must be >= 1")
+    FIELDS["workload.n_templates"].check(n)
     rng = rng_for(seed, "templates")
     table_names = [t.name for t in catalog.tables]
     templates, signatures = [], set()
@@ -231,8 +227,8 @@ def generate_templates(catalog: Catalog, n: int, seed: int) -> list:
         attempts += 1
         if attempts > max_attempts:
             raise ConfigurationError(
-                f"could not generate {n} distinct templates "
-                f"(catalog too small, produced {len(templates)})"
+                f"workload.n_templates must be at most the {len(templates)} "
+                f"distinct templates found in the catalog, got {n}"
             )
         max_tables = min(3, len(table_names))
         weights = np.array([0.5, 0.3, 0.2][:max_tables])
@@ -331,12 +327,16 @@ def build_schedule(templates, sched: DriftSchedule, seed: int) -> list:
     pool = list(templates)
     tpr = sched.templates_per_round
     if tpr > len(pool):
-        raise ConfigurationError("templates_per_round exceeds template pool")
-    swap = math.ceil(sched.change_fraction * tpr)
-    drifting = sched.kind in ("continuous", "periodic", "cyclic")
-    if drifting and swap > 0 and len(pool) - tpr < swap:
         raise ConfigurationError(
-            "not enough distinct templates to honor change_fraction"
+            f"workload.templates_per_round must be at most the {len(pool)} "
+            f"templates, got {tpr}"
+        )
+    swap = math.ceil(sched.change_fraction * tpr)
+    if sched.kind != "static" and len(pool) - tpr < swap:
+        raise ConfigurationError(
+            f"workload.change_fraction must swap at most the {len(pool) - tpr} "
+            f"templates left out of a round, got {sched.change_fraction} "
+            f"({swap} of {tpr})"
         )
 
     pick_rng = rng_for(seed, "schedule")

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from idxlab.cli import EXIT_REPLAY, main
-from idxlab.errors import ConfigurationError
+from idxlab.errors import FIELDS, ConfigurationError
 from idxlab.experiment import (
     emit_plot_data,
     load_config_file,
@@ -96,6 +96,13 @@ def test_replay_reproduces_every_csv_byte(tmp_path):
 def test_unknown_config_key_is_rejected():
     with pytest.raises(ConfigurationError, match="workload.totall_rounds"):
         resolve_config({"workload": {"totall_rounds": 3}})
+
+
+def test_editing_a_resolved_config_leaves_the_defaults_alone():
+    # `idxlab run --schedule` sets the drift kind on the resolved config
+    cfg = resolve_config({})
+    cfg["workload"]["kind"] = "cyclic"
+    assert resolve_config({})["workload"]["kind"] == "static"
 
 
 def test_malformed_json_reports_line(tmp_path):
@@ -248,6 +255,42 @@ def test_cli_runs_on_one_row_tables(tmp_path, rows_range):
         ({"catalog": {"seed": -1}}, "catalog.seed"),
         ({"tuner": {"epsilon": 5}}, "tuner.epsilon"),
         ({"tuner": {"epsilon": -0.5}}, "tuner.epsilon"),
+        ({"output_dir": None}, "output_dir"),
+        ({"output_dir": 5}, "output_dir"),
+        ({"workload": {"schedule_file": True}}, "workload.schedule_file"),
+        ({"workload": {"schedule_file": 7}}, "workload.schedule_file"),
+        ({"workload": {"schedule_file": 0}}, "workload.schedule_file"),
+        ({"tuner": {"per_table_cap": 0}}, "tuner.per_table_cap"),
+        ({"budget": {"max_indexes": 0}}, "budget.max_indexes"),
+        ({"budget": {"mode": "storage", "storage_bytes": -5}}, "budget.storage_bytes"),
+        ({"budget": {"mode": "storage", "storage_bytes": 0}}, "budget.storage_bytes"),
+        ({"budget": {"mode": "storage", "storage_bytes": 0.5}}, "budget.storage_bytes"),
+        ({"budget": {"mode": "storage", "storage_bytes": 1.5}}, "budget.storage_bytes"),
+        ({"replications": [-1]}, "replications"),
+        ({"replications": [2**64]}, "replications"),
+        ({"replications": []}, "replications"),
+        ({"workload": {"seed": -1}}, "workload.seed"),
+        ({"workload": {"seed": 2**64}}, "workload.seed"),
+        ({"environment": {"ground_truth_seed": -1}}, "environment.ground_truth_seed"),
+        ({"catalog": {"seed": 2**64}}, "catalog.seed"),
+        ({"workload": {"n_templates": 0}}, "workload.n_templates"),
+        ({"workload": {"total_rounds": 0}}, "workload.total_rounds"),
+        ({"workload": {"period": 0}}, "workload.period"),
+        ({"workload": {"change_fraction": 2}}, "workload.change_fraction"),
+        ({"workload": {"queries_per_template": 0}}, "workload.queries_per_template"),
+        ({"workload": {"kind": "weekly"}}, "workload.kind"),
+        ({"catalog": {"rows_range": [5, 1]}}, "catalog.rows_range"),
+        ({"catalog": {"n_tables": 0}}, "catalog.n_tables"),
+        ({"catalog": {"string_column_fraction": 2}}, "catalog.string_column_fraction"),
+        ({"budget": {"mode": "bytes"}}, "budget.mode"),
+        (
+            {"workload": {"n_templates": 4, "templates_per_round": 5}},
+            "workload.templates_per_round",
+        ),
+        (
+            {"workload": {"kind": "cyclic", "n_templates": 4, "templates_per_round": 4}},
+            "workload.change_fraction",
+        ),
     ],
 )
 def test_cli_rejects_mistyped_field(tmp_path, capsys, override, field):
@@ -258,6 +301,29 @@ def test_cli_rejects_mistyped_field(tmp_path, capsys, override, field):
 def test_cli_rejects_noise_sigma_out_of_range(tmp_path, capsys, sigma):
     override = {"environment": {"noise_sigma": sigma}}
     assert_rejected_before_run(tmp_path, capsys, override, "environment.noise_sigma")
+
+
+def test_seeds_take_every_64_bit_value():
+    # drift experiments pass seeding.subseed values, which fill 64 bits
+    top = 2**64 - 1
+    cfg = resolve_config(
+        {
+            "catalog": {"seed": top},
+            "workload": {"seed": 0},
+            "environment": {"ground_truth_seed": top},
+            "replications": [0, top],
+        }
+    )
+    assert cfg["catalog"]["seed"] == top and cfg["replications"] == [0, top]
+
+
+def test_readme_lists_every_config_field():
+    with open(os.path.join(os.path.dirname(__file__), "..", "README.md")) as f:
+        lines = f.read().splitlines()
+    for path, row in FIELDS.items():
+        listed = [line for line in lines if line.startswith(f"| `{path}` |")]
+        assert len(listed) == 1, path
+        assert row.range in listed[0], path
 
 
 def test_noise_sigma_bounds_are_inclusive():
@@ -350,23 +416,26 @@ def test_cli_schedule_template_off_the_catalog_exits_2(tmp_path, capsys):
     assert "Traceback" not in err
 
 
-def _filter_spec(column, kind):
+def _filter_spec(column, kind, op):
     return {
         "column": ["t0", column],
-        "op": "=",
+        "op": op,
         "sampler": {"kind": kind, "low": 0.0, "high": 1.0, "distinct": 2},
     }
 
 
-def write_one_table_schedule(tmp_path, rounds):
+def write_one_table_schedule(tmp_path, rounds, ops=("=", "=")):
     """A config over one table t0, whose c0 is numeric and c1 a string
     column, and a schedule file of ``rounds`` over one template filtering
-    both; returns (schedule path, config path)."""
+    both with ``ops``; returns (schedule path, config path)."""
     template = {
         "id": "tpl_t0",
         "tables": ["t0"],
         "join_predicates": [],
-        "filter_specs": [_filter_spec("c0", "numeric"), _filter_spec("c1", "string")],
+        "filter_specs": [
+            _filter_spec("c0", "numeric", ops[0]),
+            _filter_spec("c1", "string", ops[1]),
+        ],
         "order_by": [],
         "group_by": [],
         "payload_columns": [],
@@ -439,6 +508,29 @@ def test_cli_schedule_query_that_does_not_fit_exits_2(
     err = capsys.readouterr().err
     assert len(err.strip().splitlines()) == 1
     assert str(schedule) in err and "Traceback" not in err
+    for part in named:
+        assert part in err
+
+
+@pytest.mark.parametrize(
+    "ops, named",
+    [
+        (("~", "="), ["t0.c0", "'~'"]),
+        ((">", ">"), ["string column t0.c1", "'>'"]),
+        (("=", "<="), ["string column t0.c1", "'<='"]),
+        ((None, "="), ["t0.c0", "None"]),
+    ],
+)
+def test_cli_schedule_filter_op_that_does_not_fit_exits_2(tmp_path, capsys, ops, named):
+    schedule, cfg = write_one_table_schedule(
+        tmp_path, [{"round": 0, "queries": [FITTING_QUERY]}], ops
+    )
+    out = tmp_path / "never"
+    assert main(["run", cfg, "--out", str(out)]) == 2
+    assert not out.exists()
+    err = capsys.readouterr().err
+    assert len(err.strip().splitlines()) == 1
+    assert str(schedule) in err and AT_ROUND_0 in err and "Traceback" not in err
     for part in named:
         assert part in err
 
