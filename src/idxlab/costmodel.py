@@ -23,6 +23,22 @@ pickles rebuild the views. Every operation and its order is that of the
 plain array expressions, e.g. `(LEARNING_RATE * mhat) / (sqrt(vhat) + eps)`,
 so the parameters are bit-identical to those of an allocating loop.
 
+An operator encoding has at most about 7 nonzeros, so most encoding columns
+never occur in a model's labels. Each model keeps one column mask: the
+columns nonzero in any label it has absorbed, including labels since evicted
+from the buffer, whose W1 rows still carry nonzero moments. Once per update
+the W1 rows of the masked columns and the rest of the parameter and moment
+vectors are gathered into compact vectors, trained on the buffer's masked
+columns with the gradients in the workspace's leading stretch, and scattered
+back. The rows left out are exact no-ops: a column that was always zero
+gives its W1 row a zero gradient, zero moments and an Adam step of
+0 / (0 + eps) = 0. Layer 1's products of two or more rows over the masked
+columns equal the full-width ones bit for bit (OpenBLAS sums each output in
+k order, so dropping zero terms changes nothing; tests/test_costmodel.py
+checks it). A one-row batch runs BLAS's gemv, which is not exact when
+compacted, so its forward pass runs at full width. Scoring is never
+compacted: it sees columns the model has not trained on.
+
 Uncertainty combines the softmax entropy of a dropout-off prediction with the
 maximum per-class variance across repeated dropout-on passes:
 
@@ -39,6 +55,7 @@ list run as one (K, 1, d) stack, so each still runs the one-row product
 `predict` runs, and their entropies are one expression.
 """
 
+import copy
 import math
 import zlib
 from collections import deque
@@ -104,13 +121,22 @@ class CostMultiplierModel:
         self._adam_t = 0
         self.step_count = 0
         self.buffer = deque(maxlen=REPLAY_CAPACITY)
+        # encoding columns nonzero in any label absorbed so far, evicted or
+        # not: every other W1 row has had only zero gradients and moments
+        self._seen_columns = np.zeros(input_dim, dtype=bool)
 
-    def _bind_views(self):
+    def _bind_views(self, workspace=None):
+        """Name -> array views of the flat vectors, and a workspace: a new
+        one, or ``workspace`` narrowed to this model's smaller vectors."""
         shapes = _param_shapes(self.input_dim)
         self.params, self._adam_m, self._adam_v = (
             _views(vector, shapes) for vector in self._vectors
         )
-        self._workspace = _Workspace(shapes, self._vectors[0].size)
+        size = self._vectors[0].size
+        if workspace is None:
+            self._workspace = _Workspace(shapes, size)
+        else:
+            self._workspace = workspace.narrowed(shapes, size)
 
     def __getstate__(self):
         # a copied view would no longer alias its vector, so copies and
@@ -264,7 +290,11 @@ class CostMultiplierModel:
         np.subtract(params, step, out=params)
 
     def update(self, labels):
-        """Absorb (encoding, class index) pairs and retrain over the buffer."""
+        """Absorb (encoding, class index) pairs and retrain over the buffer.
+
+        Training runs on `_compact`'s copy, whose W1 holds only the rows of
+        the columns seen so far, and writes it back once at the end.
+        """
         labels = list(labels)
         if not labels:
             raise ValueError("labels must be nonempty")
@@ -275,19 +305,52 @@ class CostMultiplierModel:
             enc = np.asarray(enc, dtype=float)
             self._check_input(enc)
             self.buffer.append((enc, idx))
+            self._seen_columns |= enc != 0.0
         X_all = np.stack([enc for enc, _ in self.buffer])
         y_all = np.array([idx for _, idx in self.buffer])
+        cols = np.flatnonzero(self._seen_columns)
+        compact, flat = self._compact(cols)
+        X_seen = X_all[:, cols]
         ws = self._workspace
         for _ in range(EPOCHS):
             order = self.rng.permutation(len(y_all))
             for start in range(0, len(y_all), BATCH_SIZE):
                 batch = order[start : start + BATCH_SIZE]
                 rows = ws.rows(len(batch))
-                cache = self._forward(X_all[batch], self.rng, rows)
-                self._backward(cache, y_all[batch], rows, ws.grads)
-                self._adam_step()
+                if len(batch) > 1:
+                    cache = compact._forward(X_seen[batch], self.rng, rows)
+                else:
+                    # a one-row product runs BLAS's gemv, whose sums change
+                    # when zero terms are dropped: this step's forward pass
+                    # runs on the full model, brought up to date
+                    self._vectors[0][flat] = compact._vectors[0]
+                    cache = self._forward(X_all[batch], self.rng, rows)
+                    cache["X"] = X_seen[batch]
+                compact._backward(cache, y_all[batch], rows, compact._workspace.grads)
+                compact._adam_step()
                 self.step_count += 1
+        for vector, part in zip(self._vectors, compact._vectors):
+            vector[flat] = part
+        self._adam_t = compact._adam_t
         return self
+
+    def _compact(self, cols):
+        """A copy of the model for training whose W1 keeps only rows
+        ``cols``, and the positions of its flat vectors in this model's.
+
+        The copy's parameters and moments are gathered from this model's
+        vectors; its workspace is this model's, narrowed. The module
+        docstring says why training the copy is exact.
+        """
+        h, size = HIDDEN_UNITS, self._vectors[0].size
+        w1 = (cols[:, None] * h + np.arange(h)).ravel()
+        flat = np.concatenate((w1, np.arange(self.input_dim * h, size)))
+        compact = object.__new__(type(self))
+        compact.input_dim, compact.dropout_rate = len(cols), self.dropout_rate
+        compact._adam_t = self._adam_t
+        compact._vectors = tuple(vector[flat] for vector in self._vectors)
+        compact._bind_views(self._workspace)
+        return compact, flat
 
 
 def _param_shapes(input_dim: int) -> dict:
@@ -331,6 +394,16 @@ class _Workspace:
         if n == BATCH_SIZE:
             return self.full
         return {k: v[:n] for k, v in self.full.items()}
+
+    def narrowed(self, shapes: dict, size: int) -> "_Workspace":
+        """This workspace for a smaller flat vector of ``size`` laid out by
+        ``shapes``: the same row buffers and the leading stretch of each
+        flat vector."""
+        narrow = copy.copy(self)
+        narrow.grad_vector = self.grad_vector[:size]
+        narrow.grads = _views(narrow.grad_vector, shapes)
+        narrow.scratch = tuple(vector[:size] for vector in self.scratch)
+        return narrow
 
 
 def entropy(probabilities) -> float:

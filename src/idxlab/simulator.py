@@ -339,11 +339,14 @@ def execute(
     indexes = _config_indexes(config)
     root, _ = whatif_plan(query, indexes, ground_truth.catalog)
     rng = rng_for(ground_truth.seed, round_seed, _query_digest(query, indexes))
+    nodes = list(root.walk())
+    # one draw per node in walk order, the values and generator state of a
+    # scalar draw per node
+    noises = rng.lognormal(0.0, ground_truth.noise_sigma, size=len(nodes)).tolist()
     per_operator = []
     total = 0.0
-    for node in root.walk():
+    for node, noise in zip(nodes, noises):
         g = ground_truth.factor(node.kind, subtree_table(node))
-        noise = float(rng.lognormal(0.0, ground_truth.noise_sigma))
         t = node.exec_cost * g * noise * TIME_UNIT_SECONDS
         per_operator.append((node, t))
         total += t

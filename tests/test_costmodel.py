@@ -490,3 +490,99 @@ def test_copied_model_views_its_own_flat_state(how):
     assert_same_model_state(model, before)
     model.update(batch)
     assert_same_model_state(twin, model)
+
+
+def sparse_encoding(rng, dim, pool, extra=()):
+    """An `encode_operator`-like row: up to 7 nonzeros, all but ``extra``
+    drawn from the columns ``pool``, and all one-hot but one fraction."""
+    enc = np.zeros(dim)
+    cols = rng.choice(pool, size=int(rng.integers(1, 8 - len(extra))), replace=False)
+    enc[cols] = 1.0
+    enc[cols[-1]] = rng.uniform(0.05, 1.0)
+    enc[list(extra)] = 1.0
+    return enc
+
+
+def flat_bytes(model):
+    """Each of params, Adam's m and Adam's v as one byte string, read from
+    the name -> array dicts (the reference loop rebinds the moments')."""
+    return [
+        np.concatenate([a.ravel() for a in getattr(model, state).values()]).tobytes()
+        for state in ("params", "_adam_m", "_adam_v")
+    ]
+
+
+@pytest.mark.parametrize("dropout_rate", [0.1, 0.0])
+# the encoding widths of the benchmark's drift-exp and static-c8 catalogs
+@pytest.mark.parametrize("dim", [87, 175])
+def test_sparse_update_equals_allocating_reference(dim, dropout_rate):
+    # most W1 rows never see a nonzero input, so `update` trains them out
+    rng = rng_for(41, "sparse labels", dim)
+    rare, fresh = dim - 1, dim - 2
+    pool = rng.choice(dim - 2, size=dim // 4, replace=False)
+    model = make_model(dim=dim, seed=41, dropout_rate=dropout_rate)
+    reference = make_model(dim=dim, seed=41, dropout_rate=dropout_rate)
+
+    def labels(count, extra=()):
+        return [
+            (sparse_encoding(rng, dim, pool, extra), int(rng.integers(0, N_CLASSES)))
+            for _ in range(count)
+        ]
+
+    def train(batch):
+        model.update(batch)
+        reference_update(reference, batch)
+        assert_same_model_state(model, reference)
+        assert [v.tobytes() for v in model._vectors] == flat_bytes(reference)
+
+    # buffers of 30, 33 and 97 labels: the last two end in a one-row batch
+    train(labels(30, extra=(rare,)))
+    for count in (3, 64):
+        train(labels(count))
+        assert len(model.buffer) % BATCH_SIZE == 1
+    # 30 + 3 + 64 + 450 = 512 + 35: every label holding the rare column is
+    # evicted, but its W1 row keeps nonzero moments and keeps training
+    train(labels(450))
+    assert not any(enc[rare] for enc, _ in model.buffer)
+    assert model._seen_columns[rare] and not model._seen_columns[fresh]
+    rare_row = model.params["W1"][rare].copy()
+    train(labels(40))
+    assert not np.array_equal(model.params["W1"][rare], rare_row)
+    assert model._seen_columns.sum() < dim // 2
+
+    # copies carry their own mask, which grows without touching the original
+    twins = [copy.deepcopy(model), pickle.loads(pickle.dumps(model))]
+    seen = model._seen_columns.copy()
+    batch = labels(25, extra=(fresh,))
+    for twin in twins:
+        assert np.array_equal(twin._seen_columns, seen)
+        twin.update(batch)
+        assert twin._seen_columns[fresh]
+    assert np.array_equal(model._seen_columns, seen)
+    train(batch)
+    for twin in twins:
+        assert_same_model_state(twin, reference)
+        assert [v.tobytes() for v in twin._vectors] == flat_bytes(reference)
+
+
+@pytest.mark.parametrize("dim", [175, 87])
+def test_compacted_layer_one_products_equal_full_width_rows(dim):
+    # `update` runs layer 1's products of two or more rows over the seen
+    # columns only; a numpy or BLAS that breaks this fails here first
+    rng = rng_for(43, "compacted products", dim)
+    model, _ = trained_scoring_model(dim)
+    W1 = model.params["W1"]
+    pool = rng.choice(dim, size=dim // 3, replace=False)
+    cols = np.sort(pool)
+    other = np.setdiff1d(np.arange(dim), cols)
+    for n in range(2, BATCH_SIZE + 1):
+        X = np.stack([sparse_encoding(rng, dim, pool) for _ in range(n)])
+        dz = rng.normal(size=(n, W1.shape[1]))
+        assert ((X[:, cols] @ W1[cols]) == (X @ W1)).all(), (
+            f"a {n}-row compacted forward product differs from full width"
+        )
+        full = X.T @ dz
+        assert (X[:, cols].T @ dz == full[cols]).all(), (
+            f"a {n}-row compacted W1 gradient differs from full width"
+        )
+        assert not full[other].any()

@@ -11,10 +11,14 @@ from idxlab.simulator import (
     MULTIPLIER_HIGH,
     MULTIPLIER_LOW,
     TIME_UNIT_SECONDS,
+    _config_indexes,
+    _query_digest,
     execute,
     make_ground_truth,
+    subtree_table,
     whatif_plan,
 )
+from idxlab.seeding import rng_for
 from idxlab.workload import DriftSchedule, build_schedule, generate_templates
 
 
@@ -212,3 +216,35 @@ def test_telemetry_strictly_positive(env):
         telem = execute(q, candidates, gt, round_seed=3)
         assert telem.total_time > 0
         assert all(t >= 0 for _, t in telem.per_operator)
+
+
+def reference_execute_times(query, config, gt, round_seed):
+    """Per-operator times from one scalar noise draw per plan node, in
+    `walk()` order: the loop `execute`'s one vector draw per query replaced."""
+    indexes = _config_indexes(config)
+    root, _ = whatif_plan(query, indexes, gt.catalog)
+    rng = rng_for(gt.seed, round_seed, _query_digest(query, indexes))
+    times = []
+    for node in root.walk():
+        noise = float(rng.lognormal(0.0, gt.noise_sigma))
+        g = gt.factor(node.kind, subtree_table(node))
+        times.append(node.exec_cost * g * noise * TIME_UNIT_SECONDS)
+    return times, rng.bit_generator.state
+
+
+@pytest.mark.parametrize("sigma", [0.0, 0.05, 0.7])
+def test_vector_noise_equals_one_draw_per_node(env, sigma):
+    catalog, workload, candidates = env
+    gt = make_ground_truth(catalog, seed=13, noise_sigma=sigma)
+    for i, q in enumerate(workload.queries):
+        config = candidates[: i % 4]
+        want, _ = reference_execute_times(q, config, gt, round_seed=i)
+        telem = execute(q, config, gt, round_seed=i)
+        assert [t for _, t in telem.per_operator] == want
+        assert telem.total_time == sum(want)
+    # the vector draw also leaves the generator where the scalar draws do
+    for n in (1, 2, 6, 17):
+        scalar, vector = rng_for(13, "noise", n), rng_for(13, "noise", n)
+        draws = [float(scalar.lognormal(0.0, sigma)) for _ in range(n)]
+        assert vector.lognormal(0.0, sigma, size=n).tolist() == draws
+        assert vector.bit_generator.state == scalar.bit_generator.state
