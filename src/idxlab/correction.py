@@ -17,6 +17,15 @@ with the whole multiplier grid as a vector (every rule is `+` and `*`, so
 each element takes the scalar path's IEEE operations in the same order) and
 keeps the multiplier whose corrected benefit comes closest to the observed
 benefit, ties going to the multiplier nearest 1x in log space.
+
+Labels are ratios, not absolute multipliers. Label search explains the
+observed benefit against the *uncorrected* no-index plan's cost, while the
+observed no-index time carries the table's hidden SeqScan factor. An index
+leaf's label therefore learns its own factor divided by the table's SeqScan
+factor, and a SeqScan leaf's label learns about 1. Candidate
+valuation, by contrast, prices every no-index term gate-corrected. The two
+agree only while the no-index plan's SeqScan leaves stay uncorrected, that
+is while the SeqScan model predicts about 1 or its gate stays closed.
 """
 
 import math

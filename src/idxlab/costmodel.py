@@ -159,23 +159,23 @@ class CostMultiplierModel:
             )
         return X
 
-    def _forward(self, X, drop_rng=None, out=None, masks=None):
+    def _forward(self, X, drop_rng=None, out=None):
         """Forward pass; the returned cache holds what `_backward` needs.
 
         ``out`` maps buffer names to arrays of the right shape to write into
         (a training workspace); a name it lacks gets a fresh array. The
-        dropout ``masks`` of layers 1 and 2 are drawn from ``drop_rng`` when
-        not given; with neither, or at rate 0, no unit is dropped. ``X`` may
-        be a stack of row blocks: each layer works on the last axis.
+        dropout masks of layers 1 and 2 are drawn from ``drop_rng``; without
+        it, or at rate 0, no unit is dropped. ``X`` may be a stack of row
+        blocks: each layer works on the last axis.
         """
         o = {} if out is None else out
-        if masks is None and drop_rng is not None and self.dropout_rate > 0.0:
+        masks = (None, None)
+        if drop_rng is not None and self.dropout_rate > 0.0:
             draws = self._mask_draws(drop_rng, len(X), (o.get("m1"), o.get("m2")))
             masks = [self._scale_mask(u) for u in draws]
         cache = {"X": X}
         a = X
-        for i, layer in enumerate(("1", "2")):
-            m = None if masks is None else masks[i]
+        for layer, m in zip(("1", "2"), masks):
             z, a = self._hidden(a, layer, m, o)
             cache.update({"z" + layer: z, "m" + layer: m, "a" + layer: a})
         cache["probs"] = self._softmax(a, o)

@@ -16,17 +16,20 @@ on the query's template alone (``simulator.index_applicable``). Any other
 index leaves the plan unchanged, the indexable-column pruning of Chaudhuri &
 Narasayya (VLDB 1997). Likewise, a plan that uses no index at all is built
 node for node like the no-index plan. Both cases add the query's weighted
-gate-corrected no-index cost, a term computed once per round from a copy of
-the query's shared no-index plan, and contribute nothing to EV. Applicability
-is decided once per (template, candidate), and the workload's no-index total
-is summed once per round. A candidate's plans are corrected together, and
-so are the no-index terms it is the first to need: the uncached uncertainty
-scores of each group's leaves take one batched call per operator kind. The
-sums run in query order and are bit-identical to pricing every pair.
+gate-corrected no-index cost and contribute nothing to EV. Applicability is
+decided once per (template, candidate).
+
+`round_context` builds a round's no-index pricing once, before any candidate
+is valued: the workload's no-index total and every query's no-index term,
+corrected from a copy of the query's shared no-index plan. A candidate's
+plans are corrected together, and so are the round's no-index terms: the
+uncached uncertainty scores of each group's leaves take one batched call per
+operator kind. The sums run in query order and are bit-identical to pricing
+every pair.
 """
 
-from dataclasses import dataclass, field
-from typing import Callable, Optional
+from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -38,7 +41,7 @@ from .correction import (
     scored_leaves,
 )
 from .errors import ConfigurationError, ContractError
-from .plan import PlanNode, leaves
+from .plan import leaves
 from .seeding import rng_for
 from .simulator import index_applicable, whatif_plan
 from .workload import MiniWorkload
@@ -103,86 +106,33 @@ def generate_candidates(workload: MiniWorkload, catalog: Catalog) -> list:
     return out
 
 
-@dataclass
+@dataclass(frozen=True)
 class CorrectionContext:
-    """Everything candidate valuation needs to price corrected plans.
+    """Everything candidate valuation needs to price one round's corrected
+    plans; `round_context` builds it.
 
-    A context lives for one round: the models must not change while it is in
-    use, because the corrected no-index terms it keeps were computed from
-    their current state. ``noindex_plans`` maps a query to its no-index plan,
-    which is shared and must never be mutated; a context without it plans
-    each query for itself. ``uncertainty_cache`` may be shared across rounds:
-    its keys carry each model's ``step_count``, which every update advances.
+    The models must not change while a context is in use: its no-index terms
+    were corrected under their current state. ``uncertainty_cache`` may be
+    shared across rounds, because its keys carry each model's ``step_count``,
+    which every update advances. ``noindex_total`` is the round workload's
+    `noindex_total`, and ``noindex_terms[i]`` is its ``i``-th query's
+    frequency weight times the gate-corrected cost of its no-index plan.
     """
 
     catalog: Catalog
     models: dict
-    threshold: float = 0.1
-    mix_weight: float = 0.5
-    passes: int = 20
-    uncertainty_cache: dict = field(default_factory=dict)
-    noindex_plans: Optional[Callable] = None
-    # the workload priced last, its no-index total, and its weighted
-    # corrected no-index terms in query order (None until first needed)
-    _workload: object = field(default=None, init=False, repr=False)
-    _noindex_total: float = field(default=0.0, init=False, repr=False)
-    _noindex_terms: list = field(default=None, init=False, repr=False)
-
-    def noindex_plan(self, query) -> PlanNode:
-        """The query's no-index plan; callers must not mutate it."""
-        if self.noindex_plans is None:
-            return whatif_plan(query, (), self.catalog)[0]
-        return self.noindex_plans(query)
-
-    def baseline_cost(self, query) -> float:
-        return self.noindex_plan(query).total_cost
-
-    def _use_workload(self, workload: MiniWorkload) -> None:
-        if self._workload is workload:
-            return
-        total = 0.0
-        for q in workload.queries:
-            total += q.frequency_weight * self.baseline_cost(q)
-        if total <= 0:
-            raise ContractError("workload has nonpositive no-index cost")
-        self._workload = workload
-        self._noindex_total = total
-        self._noindex_terms = [None] * len(workload.queries)
-
-    def noindex_total(self, workload: MiniWorkload) -> float:
-        """Frequency-weighted no-index cost of the workload, summed in query
-        order; raises ContractError when it is not positive."""
-        self._use_workload(workload)
-        return self._noindex_total
-
-    def noindex_terms(self, workload: MiniWorkload, positions) -> list:
-        """Frequency weight times the corrected no-index cost of the
-        workload's query at each position, each computed once per round."""
-        self._use_workload(workload)
-        terms = self._noindex_terms
-        missing = [i for i in positions if terms[i] is None]
-        copies = [self.noindex_plan(workload.queries[i]).clone() for i in missing]
-        for i, result in zip(missing, self.correct_all(copies)):
-            terms[i] = workload.queries[i].frequency_weight * result.corrected_cost
-        return [terms[i] for i in positions]
-
-    def correct(self, plan, encoded=None):
-        """Gate-and-correct ``plan`` in place under this context's models;
-        ``encoded`` is its `leaf_encodings`, when the caller has them."""
-        return correct_plan(
-            plan,
-            self.models,
-            self.catalog,
-            self.threshold,
-            self.mix_weight,
-            self.passes,
-            self.uncertainty_cache,
-            encoded,
-        )
+    threshold: float
+    mix_weight: float
+    passes: int
+    uncertainty_cache: dict
+    workload: MiniWorkload
+    noindex_total: float
+    noindex_terms: tuple
 
     def correct_all(self, plans) -> list:
-        """`correct` each plan, after scoring the uncached leaves of them all
-        in one batched call per operator kind."""
+        """Gate-and-correct each plan in place under this context's models,
+        after scoring the uncached leaves of them all in one batched call per
+        operator kind."""
         encoded = [leaf_encodings(p, self.models, self.catalog) for p in plans]
         cached_uncertainties(
             self.models,
@@ -191,26 +141,72 @@ class CorrectionContext:
             self.passes,
             self.uncertainty_cache,
         )
-        return [self.correct(p, e) for p, e in zip(plans, encoded)]
+        return [
+            correct_plan(
+                p,
+                self.models,
+                self.catalog,
+                self.threshold,
+                self.mix_weight,
+                self.passes,
+                self.uncertainty_cache,
+                e,
+            )
+            for p, e in zip(plans, encoded)
+        ]
+
+
+def noindex_total(workload: MiniWorkload, noindex_plan: Callable) -> float:
+    """Frequency-weighted cost of each query's ``noindex_plan``, summed in
+    query order."""
+    total = 0.0
+    for q in workload.queries:
+        total += q.frequency_weight * noindex_plan(q).total_cost
+    return total
+
+
+def round_context(
+    workload: MiniWorkload,
+    catalog: Catalog,
+    models: dict,
+    threshold: float,
+    mix_weight: float,
+    passes: int,
+    uncertainty_cache: dict,
+    noindex_plan: Callable,
+) -> CorrectionContext:
+    """The round's `CorrectionContext`, its no-index terms corrected from
+    copies of each query's ``noindex_plan``, which is shared and never
+    mutated; raises ContractError when the no-index total is not positive."""
+    total = noindex_total(workload, noindex_plan)
+    if total <= 0:
+        raise ContractError("workload has nonpositive no-index cost")
+    gate = (catalog, models, threshold, mix_weight, passes, uncertainty_cache)
+    corrected = CorrectionContext(*gate, workload, total, ()).correct_all(
+        [noindex_plan(q).clone() for q in workload.queries]
+    )
+    terms = tuple(
+        q.frequency_weight * result.corrected_cost
+        for q, result in zip(workload.queries, corrected)
+    )
+    return CorrectionContext(*gate, workload, total, terms)
 
 
 def candidate_valuation(
-    candidate: IndexCandidate,
-    workload: MiniWorkload,
-    ctx: CorrectionContext,
-    explore_weight: float,
+    candidate: IndexCandidate, ctx: CorrectionContext, explore_weight: float
 ) -> IndexValuation:
-    """Corrected EB, uncertainty EV, and total value for one candidate.
+    """Corrected EB, uncertainty EV, and total value for one candidate over
+    the context's workload.
 
     Pairs whose plan cannot use the candidate take the query's corrected
     no-index term from ``ctx`` (see the module docstring). The candidate's
     own plans are corrected together, so their leaves are scored in one
     batched call per operator kind.
     """
-    den = ctx.noindex_total(workload)
+    queries = ctx.workload.queries
     plans = {}  # query position -> its plan with the candidate, if it uses an index
     applicable = {}  # id(template) -> index_applicable(template, candidate)
-    for i, q in enumerate(workload.queries):
+    for i, q in enumerate(queries):
         usable = applicable.get(id(q.template))
         if usable is None:
             usable = applicable[id(q.template)] = index_applicable(
@@ -220,21 +216,19 @@ def candidate_valuation(
             plan, _ = whatif_plan(q, (candidate,), ctx.catalog)
             if any(leaf.index is not None for leaf in leaves(plan)):
                 plans[i] = plan
-    others = [i for i in range(len(workload.queries)) if i not in plans]
-    terms = dict(zip(others, ctx.noindex_terms(workload, others)))
     results = dict(zip(plans, ctx.correct_all(list(plans.values()))))
     num = 0.0
     ev = 0.0
-    for i, q in enumerate(workload.queries):
-        if i in terms:
-            num += terms[i]
+    for i, q in enumerate(queries):
+        result = results.get(i)
+        if result is None:
+            num += ctx.noindex_terms[i]
             continue
-        result = results[i]
         num += q.frequency_weight * result.corrected_cost
         for report in result.reports:
             if report.leaf.index == candidate and report.score is not None:
                 ev += report.score.combined
-    eb = 1.0 - num / den
+    eb = 1.0 - num / ctx.noindex_total
     return IndexValuation(candidate, eb, ev, total_value(eb, ev, explore_weight))
 
 

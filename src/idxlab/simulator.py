@@ -109,8 +109,6 @@ def make_ground_truth(
 
 
 def _config_indexes(config):
-    if config is None:
-        return ()
     if hasattr(config, "indexes"):
         return tuple(config.indexes)
     return tuple(config)

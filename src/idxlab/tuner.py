@@ -8,21 +8,24 @@ with a dedicated seed and cached; a round deployed with an empty
 configuration reuses the calibration telemetry verbatim. The calibration
 plan is the query's one no-index plan for the whole run: every method prices
 its benefits against that plan's cost, and the tuner corrects copies of it.
-Nothing mutates it.
+Nothing mutates it. Each round, every method divides by the same
+`selection.noindex_total` of those plans.
 
 A tuner round measures workload novelty and decays the exploration weight,
-prices each candidate with uncertainty-gated corrected costs, samples a
-configuration, steps the environment, and learns multiplier labels from the
-telemetry. No pricing is repeated within a round: a candidate is planned
-against a query only when the query's template can use it, the deployed
-configuration is corrected from the plan the executor already built, the
-labels reuse the encodings the gate scored, and the round's mean uncertainty
-before the model update is the mean of the gate scores that correction
-produced. Uncertainty scores are cached for the
-tuner's lifetime under keys that carry each model's training step, so the
-probe after an update and the next round's gate score a leaf once. Each
-candidate's plans, the round's deployed plans and the probe are scored in
-one batched call per operator kind.
+builds the round's no-index pricing, prices each candidate with
+uncertainty-gated corrected costs, samples a configuration, steps the
+environment, and learns multiplier labels from the telemetry. No pricing is
+repeated within a round: `selection.round_context` builds the workload's
+no-index total and every query's corrected no-index term once, before any
+candidate is valued; a candidate is planned against a query only when the
+query's template can use it; the deployed configuration is corrected from
+the plan the executor already built; the labels reuse the encodings the gate
+scored; and the round's mean uncertainty before the model update is the mean
+of the gate scores that correction produced. Uncertainty scores are cached
+for the tuner's lifetime under keys that carry each model's training step,
+so the probe after an update and the next round's gate score a leaf once.
+The round's no-index plans, each candidate's plans, the round's deployed
+plans and the probe are scored in one batched call per operator kind.
 """
 
 from dataclasses import dataclass
@@ -33,8 +36,8 @@ from .catalog import Catalog
 from .correction import (
     actual_benefit,
     cached_uncertainties,
-    # not called here (corrections go through CorrectionContext.correct), but
-    # perfbench/tracer.py patches tuner.correct_plan by name
+    # not called here (corrections go through CorrectionContext.correct_all),
+    # but perfbench/tracer.py patches tuner.correct_plan by name
     correct_plan,  # noqa: F401
     drop_stale_scores,
     estimated_benefit,
@@ -42,7 +45,6 @@ from .correction import (
 )
 from .costmodel import MULTIPLIER_GRID, CostMultiplierModel, nearest_bucket_index
 from .errors import FIELDS, ConfigurationError, ContractError, check_fields
-from .errors import MAX_EXPLORE_INIT  # noqa: F401  (re-exported: explore_init's bound)
 # encode_operator is not called here either (the gate's reports carry the
 # encodings), but perfbench/tracer.py patches tuner.encode_operator by name
 from .plan import PLAN_KINDS, encode_operator, encoding_length, leaves  # noqa: F401
@@ -54,6 +56,8 @@ from .selection import (
     enumerate_configuration,
     exploration_weight,
     generate_candidates,
+    noindex_total,
+    round_context,
     selection_probabilities,
 )
 from .simulator import GroundTruth, execute, index_applicable, whatif_plan
@@ -214,19 +218,20 @@ class OnlineTuner:
             )
         return self.models[kind]
 
-    def _context(self) -> CorrectionContext:
+    def _context(self, workload: MiniWorkload) -> CorrectionContext:
         p = self.params
         for kind in ("SeqScan", "IndexScan", "IndexOnlyScan"):
             self.model_for(kind)
         drop_stale_scores(self._uncertainty_cache, self.models)
-        return CorrectionContext(
-            catalog=self.catalog,
-            models=self.models,
-            threshold=p.uncertainty_threshold,
-            mix_weight=p.uncertainty_mix,
-            passes=p.mcd_passes,
-            uncertainty_cache=self._uncertainty_cache,
-            noindex_plans=lambda q: self.env.noindex_telemetry(q).plan,
+        return round_context(
+            workload,
+            self.catalog,
+            self.models,
+            p.uncertainty_threshold,
+            p.uncertainty_mix,
+            p.mcd_passes,
+            self._uncertainty_cache,
+            lambda q: self.env.noindex_telemetry(q).plan,
         )
 
     def run_round(self, workload: MiniWorkload) -> RoundReport:
@@ -238,13 +243,11 @@ class OnlineTuner:
         explore = exploration_weight(t, seen_fraction, p.explore_init, p.explore_decay)
 
         # 2-4. candidates, their valuations under corrected costs, sampling
-        ctx = self._context()
+        ctx = self._context(workload)
         candidates = generate_candidates(workload, self.catalog)
         config = Configuration()
         if candidates:
-            values = [
-                candidate_valuation(x, workload, ctx, explore) for x in candidates
-            ]
+            values = [candidate_valuation(x, ctx, explore) for x in candidates]
             config = enumerate_configuration(
                 candidates,
                 selection_probabilities(values),
@@ -349,31 +352,14 @@ def overall_improvement(metrics_log) -> float:
     return (noindex - exec_) / noindex
 
 
-def _noindex_total(workload, catalog, noindex_costs) -> float:
-    """Frequency-weighted no-index cost of the workload, summed in query
-    order. ``noindex_costs`` maps a query's key to its no-index cost; a query
-    it lacks is planned and added."""
-    total = 0.0
-    for q in workload.queries:
-        key = q.key()
-        if key not in noindex_costs:
-            _, cost = whatif_plan(q, (), catalog)
-            noindex_costs[key] = cost
-        total += q.frequency_weight * noindex_costs[key]
-    return total
-
-
-def _uncorrected_benefit(candidate, workload, catalog, noindex_costs, den=None):
-    """Raw what-if benefit; a query whose template cannot use the candidate
-    keeps its no-index cost, which the planner would return anyway.
-
-    ``den`` is the workload's `_noindex_total`, when the caller has it.
-    """
-    if den is None:
-        den = _noindex_total(workload, catalog, noindex_costs)
+def _uncorrected_benefit(candidate, workload, catalog, noindex_costs, den):
+    """Raw what-if benefit over ``den``, the workload's `noindex_total`; a
+    query whose template cannot use the candidate keeps its no-index cost,
+    ``noindex_costs[i]`` for the ``i``-th query, which the planner would
+    return anyway."""
     num = 0.0
     applicable = {}  # id(template) -> index_applicable(template, candidate)
-    for q in workload.queries:
+    for i, q in enumerate(workload.queries):
         usable = applicable.get(id(q.template))
         if usable is None:
             usable = applicable[id(q.template)] = index_applicable(
@@ -382,9 +368,9 @@ def _uncorrected_benefit(candidate, workload, catalog, noindex_costs, den=None):
         if usable:
             _, cost_x = whatif_plan(q, (candidate,), catalog)
         else:
-            cost_x = noindex_costs[q.key()]
+            cost_x = noindex_costs[i]
         num += q.frequency_weight * cost_x
-    return 1.0 - num / den if den > 0 else 0.0
+    return 1.0 - num / den
 
 
 def run_baseline(
@@ -409,13 +395,10 @@ def run_baseline(
     for t, workload in enumerate(schedule):
         candidates = generate_candidates(workload, catalog)
         # the environment's no-index plans, which it executes this round too
-        noindex_costs = {
-            q.key(): env.noindex_telemetry(q).plan.total_cost
-            for q in workload.queries
-        }
-        den = _noindex_total(workload, catalog, noindex_costs)
+        den = noindex_total(workload, lambda q: env.noindex_telemetry(q).plan)
+        costs = [env.noindex_telemetry(q).plan.total_cost for q in workload.queries]
         benefits = [
-            _uncorrected_benefit(x, workload, catalog, noindex_costs, den)
+            _uncorrected_benefit(x, workload, catalog, costs, den)
             for x in candidates
         ]
         order = sorted(range(len(candidates)), key=lambda i: (-benefits[i], i))

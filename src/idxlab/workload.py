@@ -436,9 +436,11 @@ def schedule_to_dict(workloads) -> dict:
 
 
 def schedule_from_dict(data: dict) -> list:
-    templates = {
-        t["id"]: _template_from_dict(t) for t in data["templates"]
-    }
+    templates = {}
+    for t in data["templates"]:
+        if t["id"] in templates:
+            raise ConfigurationError(f"template id {t['id']!r} is defined twice")
+        templates[t["id"]] = _template_from_dict(t)
     out = []
     # the tuner numbers rounds by position, and error messages quote it
     for position, r in enumerate(data["rounds"]):

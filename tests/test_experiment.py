@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from idxlab.cli import EXIT_REPLAY, main
-from idxlab.errors import FIELDS, ConfigurationError
+from idxlab.errors import FIELDS, MAX_EXPLORE_INIT, ConfigurationError
 from idxlab.experiment import (
     emit_plot_data,
     load_config_file,
@@ -15,7 +15,6 @@ from idxlab.experiment import (
     resolve_config,
     run_experiment,
 )
-from idxlab.tuner import MAX_EXPLORE_INIT
 
 NAN, INF = float("nan"), float("inf")
 
@@ -458,6 +457,24 @@ def test_cli_schedule_query_that_fits_runs(tmp_path):
     query = {"template": "tpl_t0", "literals": [0.5, "v1"], "frequency_weight": 2}
     _, cfg = write_one_table_schedule(tmp_path, [{"round": 0, "queries": [query]}])
     assert main(["run", cfg, "--out", str(tmp_path / "out")]) == 0
+
+
+def test_cli_schedule_template_defined_twice_exits_2(tmp_path, capsys):
+    # a later definition must not silently replace the first one
+    schedule, cfg = write_one_table_schedule(
+        tmp_path, [{"round": 0, "queries": [{"template": "tpl_t0", "literals": [0.5, "v0"]}]}]
+    )
+    data = json.loads(schedule.read_text())
+    second = dict(data["templates"][0], filter_specs=[_filter_spec("c0", "numeric", "<")])
+    data["templates"].append(second)
+    schedule.write_text(json.dumps(data))
+    out = tmp_path / "never"
+    assert main(["run", cfg, "--out", str(out)]) == 2
+    assert not out.exists()
+    err = capsys.readouterr().err
+    assert len(err.strip().splitlines()) == 1
+    assert str(schedule) in err and "'tpl_t0'" in err and "twice" in err
+    assert "Traceback" not in err
 
 
 AT_ROUND_0 = "round 0: template 'tpl_t0': "

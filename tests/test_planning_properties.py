@@ -25,7 +25,7 @@ from idxlab.correction import correct_plan
 from idxlab.costmodel import CostMultiplierModel
 from idxlab.errors import ConfigurationError
 from idxlab.plan import LEAF_KINDS, Predicate, encode_operator, encoding_length, leaves
-from idxlab.selection import CorrectionContext, generate_candidates
+from idxlab.selection import generate_candidates, round_context
 from idxlab.simulator import index_applicable, make_ground_truth, whatif_plan
 from idxlab.tuner import Environment
 from idxlab.workload import MiniWorkload, Query, bind_query, generate_templates
@@ -129,9 +129,10 @@ def test_planning_through_the_memo_equals_planning_fresh_copies(case):
     planning_cases(),
     st.sampled_from([0.0, 0.5, math.inf]),
     st.integers(0, 2**16),
+    st.lists(st.integers(2, 5), min_size=1, max_size=3),
 )
 def test_corrected_baseline_of_the_environment_plan_equals_a_fresh_plan(
-    case, threshold, seed
+    case, threshold, seed, weights
 ):
     catalog, query, _ = case
     models = {}
@@ -141,24 +142,33 @@ def test_corrected_baseline_of_the_environment_plan_equals_a_fresh_plan(
     # a few labels, so that the models predict multipliers other than 1
     for leaf in leaves(bare):
         models[leaf.kind].update([(encode_operator(leaf, catalog), seed % 37)])
+    # the query twice, then other literals of its template at weights above 1
+    rng = np.random.default_rng(seed)
+    others = tuple(bind_query(query.template, rng, w) for w in weights)
+    workload = MiniWorkload(0, (query, query) + others)
     env = Environment(make_ground_truth(catalog, seed), seed)
-    ctx = CorrectionContext(
+    shared = [env.noindex_telemetry(q).plan.to_dict() for q in workload.queries]
+    ctx = round_context(
+        workload,
         catalog,
         models,
-        threshold=threshold,
-        passes=5,
-        noindex_plans=lambda q: env.noindex_telemetry(q).plan,
+        threshold,
+        0.5,
+        5,
+        {},
+        lambda q: env.noindex_telemetry(q).plan,
     )
-    shared = env.noindex_telemetry(query).plan.to_dict()
-    want = correct_plan(
-        whatif_plan(query, (), catalog)[0], models, catalog, threshold, 0.5, 5
-    )
-    # the query's corrected no-index term, as candidate valuation takes it
-    (term,) = ctx.noindex_terms(MiniWorkload(0, (query,)), [0])
-    assert term == query.frequency_weight * want.corrected_cost
-    assert ctx.baseline_cost(query) == whatif_plan(query, (), catalog)[1]
-    # the environment's plan is corrected through a copy only
-    assert env.noindex_telemetry(query).plan.to_dict() == shared
+    # each query's corrected no-index term, as candidate valuation takes it
+    assert len(ctx.noindex_terms) == len(workload.queries)
+    total = 0.0
+    for q, term in zip(workload.queries, ctx.noindex_terms):
+        fresh, cost = whatif_plan(q, (), catalog)
+        want = correct_plan(fresh, models, catalog, threshold, 0.5, 5)
+        assert term == q.frequency_weight * want.corrected_cost
+        total += q.frequency_weight * cost
+    assert ctx.noindex_total == total
+    # the environment's plans are corrected through copies only
+    assert [env.noindex_telemetry(q).plan.to_dict() for q in workload.queries] == shared
 
 
 @st.composite

@@ -1,3 +1,5 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -11,14 +13,14 @@ from idxlab.catalog import (
     sized_candidate,
 )
 from idxlab.costmodel import CostMultiplierModel
-from idxlab.errors import ConfigurationError
+from idxlab.errors import ConfigurationError, ContractError
 from idxlab.plan import encoding_length
 from idxlab.selection import (
-    CorrectionContext,
     candidate_valuation,
     enumerate_configuration,
     exploration_weight,
     generate_candidates,
+    round_context,
     selection_probabilities,
     total_value,
 )
@@ -46,13 +48,24 @@ def env():
     return catalog, workload
 
 
-def untrained_context(catalog):
+def untrained_context(catalog, workload):
+    """The round context of ``workload`` under untrained models, which
+    prices each query's no-index term from a fresh no-index plan."""
     dim = encoding_length(catalog)
     models = {
         kind: CostMultiplierModel(input_dim=dim, seed=i)
         for i, kind in enumerate(("SeqScan", "IndexScan", "IndexOnlyScan"))
     }
-    return CorrectionContext(catalog=catalog, models=models)
+    return round_context(
+        workload,
+        catalog,
+        models,
+        threshold=0.1,
+        mix_weight=0.5,
+        passes=20,
+        uncertainty_cache={},
+        noindex_plan=lambda q: whatif_plan(q, (), catalog)[0],
+    )
 
 
 def test_candidates_cover_filter_join_composite(env):
@@ -109,9 +122,15 @@ def test_candidates_unique_across_workloads():
             assert c.estimated_size_bytes > 0
 
 
+def test_round_context_rejects_a_nonpositive_noindex_total(env):
+    catalog, workload = env
+    free = SimpleNamespace(total_cost=0.0)
+    with pytest.raises(ContractError, match="nonpositive"):
+        round_context(workload, catalog, {}, 0.1, 0.5, 20, {}, lambda q: free)
+
+
 def test_execution_benefit_zero_for_untouched_candidate(env):
     catalog, workload = env
-    ctx = untrained_context(catalog)
     # untrained models keep the gate closed, so costs equal raw what-if costs;
     # an index on a table no query reads leaves every cost unchanged
     table = catalog.tables[0]
@@ -120,14 +139,15 @@ def test_execution_benefit_zero_for_untouched_candidate(env):
     )
     assert queries
     untouched = MiniWorkload(workload.round, queries)
+    ctx = untrained_context(catalog, untouched)
     unused = sized_candidate(table.name, (table.columns[0].name,), catalog)
-    val = candidate_valuation(unused, untouched, ctx, 0.0)
+    val = candidate_valuation(unused, ctx, 0.0)
     assert val.execution_benefit == 0.0
 
 
 def test_execution_benefit_matches_whatif_when_gate_closed(env):
     catalog, workload = env
-    ctx = untrained_context(catalog)
+    ctx = untrained_context(catalog, workload)
     cands = generate_candidates(workload, catalog)
     x = cands[0]
     num = sum(
@@ -138,7 +158,7 @@ def test_execution_benefit_matches_whatif_when_gate_closed(env):
         q.frequency_weight * whatif_plan(q, (), catalog)[1]
         for q in workload.queries
     )
-    val = candidate_valuation(x, workload, ctx, 0.0)
+    val = candidate_valuation(x, ctx, 0.0)
     assert val.execution_benefit == pytest.approx(1 - num / den)
 
 
@@ -151,7 +171,7 @@ def test_benefit_formula_arithmetic():
 
 def test_exploratory_value_sums_accessing_operators(env):
     catalog, workload = env
-    ctx = untrained_context(catalog)
+    ctx = untrained_context(catalog, workload)
     cands = generate_candidates(workload, catalog)
     used = None
     for x in cands:
@@ -166,7 +186,7 @@ def test_exploratory_value_sums_accessing_operators(env):
             break
     assert used is not None
     x, hits = used
-    val = candidate_valuation(x, workload, ctx, explore_weight=0.5)
+    val = candidate_valuation(x, ctx, explore_weight=0.5)
     # untrained models: every score is exactly (1-mix) * ln 37
     per_op = 0.5 * np.log(37)
     assert val.exploratory_value == pytest.approx(hits * per_op, rel=1e-9)
@@ -177,7 +197,7 @@ def test_exploratory_value_sums_accessing_operators(env):
 
 def test_exploratory_value_zero_when_unused(env):
     catalog, workload = env
-    ctx = untrained_context(catalog)
+    ctx = untrained_context(catalog, workload)
     unused = sized_candidate(
         catalog.tables[0].name, (catalog.tables[0].columns[0].name,), catalog
     )
@@ -187,7 +207,7 @@ def test_exploratory_value_zero_when_unused(env):
         for leaf in leaves(whatif_plan(q, (unused,), catalog)[0])
     )
     if not plans_use_it:
-        val = candidate_valuation(unused, workload, ctx, 0.0)
+        val = candidate_valuation(unused, ctx, 0.0)
         assert val.exploratory_value == 0.0
 
 

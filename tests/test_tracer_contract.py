@@ -2,13 +2,18 @@
 
 A renamed or removed name makes `perfbench/run.py --trace 1` fail with an
 AttributeError, so this checks that a layered tracer installs over the
-current package and that restoring it leaves every attribute as it was.
+current package and that restoring it leaves every attribute as it was. A
+call that moves behind a name the tracer does not patch makes its layer read
+zero, so a short traced run must see every layer it counts.
 """
 
 import importlib.util
 import os
 
 from idxlab import correction, costmodel, experiment, plan, selection, tuner
+from idxlab.catalog import CatalogSpec, generate_catalog
+from idxlab.simulator import make_ground_truth
+from idxlab.workload import DriftSchedule, build_schedule, generate_templates
 
 TRACER_PATH = os.path.join(
     os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
@@ -67,3 +72,37 @@ def test_layered_tracer_installs_and_restores_cleanly():
         assert after[owner].keys() == before[owner].keys(), owner
         for name, value in before[owner].items():
             assert after[owner][name] is value, (owner, name)
+
+
+def test_layered_tracer_sees_every_layer_of_a_short_run():
+    catalog = generate_catalog(CatalogSpec(n_tables=3), seed=42)
+    templates = generate_templates(catalog, 6, seed=1)
+    sched = DriftSchedule(
+        "static", total_rounds=2, templates_per_round=4, queries_per_template=2
+    )
+    schedule = build_schedule(templates, sched, seed=2)
+    gt = make_ground_truth(catalog, seed=5)
+    params = tuner.TunerParams(mcd_passes=5)
+    tracer = load_tracer().Tracer(layers=True)
+    with tracer:
+        tuner.OnlineTuner(catalog, gt, params, seed=7).run(schedule)
+        tuner.run_baseline("whatif_greedy", catalog, gt, schedule, params, seed=7)
+    calls, _ = tracer.self_times()
+    for name in (
+        "selection.candidate_valuation",
+        "correction.correct_plan",
+        "simulator.whatif_plan",
+    ):
+        assert calls[name] > 0, name
+    assert tracer.counts["correction.correct_plan.leaves_scored.SeqScan"] > 0
+    # outside valuation, a round corrects each query's no-index plan and its
+    # deployed plan once
+    direct = [
+        span
+        for span in tracer.spans
+        if span[0] == "correction.correct_plan"
+        and tracer.spans[span[3]][0] == "tuner.run_round"
+    ]
+    assert len(direct) == sum(2 * len(w.queries) for w in schedule)
+    baseline_calls, _ = tracer.self_times(within="method.whatif_greedy")
+    assert baseline_calls["simulator.whatif_plan"] > 0

@@ -152,9 +152,9 @@ class FreshCacheTuner(OnlineTuner):
     """Scores every model state anew each round: the reference for the
     tuner-lifetime uncertainty cache."""
 
-    def _context(self):
+    def _context(self, workload):
         self._uncertainty_cache.clear()
-        return super()._context()
+        return super()._context(workload)
 
 
 @pytest.mark.parametrize("threshold", [0.1, math.inf])
@@ -171,13 +171,16 @@ def test_lifetime_uncertainty_cache_changes_no_report(env, threshold):
 def test_context_keeps_only_scores_of_current_model_steps(env):
     catalog, schedule, gt = env
     tuner = OnlineTuner(catalog, gt, TunerParams(), seed=13)
-    for w in schedule[:3]:
+    for w, following in zip(schedule[:3], schedule[1:]):
         tuner.run_round(w)
-        stale = len(tuner._uncertainty_cache)
-        ctx = tuner._context()
+        before = set(tuner._uncertainty_cache)
+        current = {k for k in before if k[2] == tuner.models[k[0]].step_count}
+        ctx = tuner._context(following)
         assert ctx.uncertainty_cache is tuner._uncertainty_cache
         # the after-update probe's scores outlive the round they were made in
-        assert 0 < len(ctx.uncertainty_cache) < stale
+        assert 0 < len(current) < len(before)
+        assert before & set(ctx.uncertainty_cache) == current
+        # and the scores of the following round's no-index terms join them
         for kind, _, step, _, _ in ctx.uncertainty_cache:
             assert step == tuner.models[kind].step_count
 

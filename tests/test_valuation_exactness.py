@@ -13,7 +13,13 @@ from hypothesis import strategies as st
 from idxlab.catalog import CatalogSpec, generate_catalog, sized_candidate
 from idxlab.correction import correct_plan
 from idxlab.plan import Predicate, encode_operator, leaves
-from idxlab.selection import candidate_valuation, generate_candidates, total_value
+from idxlab.selection import (
+    candidate_valuation,
+    generate_candidates,
+    noindex_total,
+    round_context,
+    total_value,
+)
 from idxlab.simulator import (
     _matched_selectivity,
     index_applicable,
@@ -171,29 +177,38 @@ def trained():
 @pytest.mark.parametrize("gate", ["median", "open"])
 def test_valuation_matches_pricing_every_pair(trained, gate):
     tuner, workload = trained
-    ctx = tuner._context()
+    tuned = tuner._context(workload)  # at the tuner's own threshold
     candidates = generate_candidates(workload, tuner.catalog)
-    if gate == "open":
-        ctx.threshold = math.inf
-    else:
+    threshold = math.inf
+    if gate == "median":
         # half of the leaves pass the gate, half do not
         scores = [
             report.score.combined
             for c in candidates
             for q in workload.queries
             for report in correct_plan(
-                whatif_plan(q, (c,), ctx.catalog)[0],
-                ctx.models,
-                ctx.catalog,
+                whatif_plan(q, (c,), tuned.catalog)[0],
+                tuned.models,
+                tuned.catalog,
                 math.inf,
-                ctx.mix_weight,
-                ctx.passes,
+                tuned.mix_weight,
+                tuned.passes,
             ).reports
         ]
-        ctx.threshold = float(np.median(scores))
+        threshold = float(np.median(scores))
+    ctx = round_context(
+        workload,
+        tuned.catalog,
+        tuned.models,
+        threshold,
+        tuned.mix_weight,
+        tuned.passes,
+        tuned.uncertainty_cache,
+        lambda q: tuner.env.noindex_telemetry(q).plan,
+    )
     corrected = 0
     for candidate in candidates:
-        got = candidate_valuation(candidate, workload, ctx, 0.5)
+        got = candidate_valuation(candidate, ctx, 0.5)
         want, n = reference_valuation(candidate, workload, ctx, 0.5)
         corrected += n
         assert (got.execution_benefit, got.exploratory_value, got.value) == want
@@ -202,10 +217,15 @@ def test_valuation_matches_pricing_every_pair(trained, gate):
 
 def test_uncorrected_benefit_matches_pricing_every_pair(trained):
     tuner, workload = trained
-    cache = {}
+
+    def noindex_plan(query):
+        return tuner.env.noindex_telemetry(query).plan
+
+    den = noindex_total(workload, noindex_plan)
+    costs = [noindex_plan(q).total_cost for q in workload.queries]
     for candidate in generate_candidates(workload, tuner.catalog):
         assert _uncorrected_benefit(
-            candidate, workload, tuner.catalog, cache
+            candidate, workload, tuner.catalog, costs, den
         ) == reference_uncorrected_benefit(candidate, workload, tuner.catalog)
 
 
