@@ -436,7 +436,6 @@ class UncertaintyScore:
     entropy: float
     mcd: float
     combined: float
-    mix_weight: float
 
 
 def combined_uncertainty(
@@ -448,7 +447,7 @@ def combined_uncertainty(
     mcd_value = mc_dropout(model, encoding, passes)
     ent = entropy(model.predict(encoding))
     combined = mix_weight * mcd_value + (1.0 - mix_weight) * ent
-    return UncertaintyScore(ent, mcd_value, combined, mix_weight)
+    return UncertaintyScore(ent, mcd_value, combined)
 
 
 def combined_uncertainties(
@@ -482,7 +481,7 @@ def combined_uncertainties(
     scores = []
     for ent, mcd_value in zip(_entropies(probs), mcd):
         combined = mix_weight * mcd_value + (1.0 - mix_weight) * ent
-        scores.append(UncertaintyScore(ent, mcd_value, combined, mix_weight))
+        scores.append(UncertaintyScore(ent, mcd_value, combined))
     return scores
 
 

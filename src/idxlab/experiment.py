@@ -4,10 +4,11 @@ A config is a single JSON (or TOML) file; every field has a default, so a
 minimal config is a handful of lines. One experiment runs the tuner and the
 requested baselines once per replication seed, writes per-replication metrics
 CSVs, tuner round reports as JSON lines, per-method plot TSVs, a summary
-table, and a manifest (config hash, seeds, artifact checksums) from which the
-whole run can be replayed byte-identically. The manifest also records what
-the artifacts depend on beyond the config: the numpy version, its BLAS build,
-and the sha256 of a schedule file, so a replay that diverges can say why.
+table, and a manifest (config hash, seeds, the sha256 of each artifact's
+bytes) from which the whole run can be replayed byte-identically. The
+manifest also records what the artifacts depend on beyond the config: the
+numpy version, its BLAS build, and the sha256 of a schedule file, so a replay
+that diverges can say why.
 """
 
 import concurrent.futures
@@ -318,42 +319,35 @@ def run_experiment(config, out_dir=None, jobs: int = 1) -> dict:
         results = [run_replication(cfg, s) for s in seeds]
 
     os.makedirs(out_dir, exist_ok=True)
-    artifacts = {}
+    artifacts = {}  # file name -> sha256 of its bytes
+
+    def write(name, data: bytes) -> None:
+        _write_atomic(os.path.join(out_dir, name), data)
+        artifacts[name] = hashlib.sha256(data).hexdigest()
+
     for res in results:
         for method, rows in sorted(res["methods"].items()):
             name = f"metrics_{method}_seed{res['seed']}.csv"
-            _write_atomic(os.path.join(out_dir, name), _csv_bytes(METRIC_FIELDS, rows))
-            artifacts[name] = None
-        name = f"reports_tuner_seed{res['seed']}.jsonl"
+            write(name, _csv_bytes(METRIC_FIELDS, rows))
         payload = "".join(
             json.dumps(r, sort_keys=True) + "\n" for r in res["reports"]
         )
-        _write_atomic(os.path.join(out_dir, name), payload.encode("utf-8"))
-        artifacts[name] = None
+        write(f"reports_tuner_seed{res['seed']}.jsonl", payload.encode("utf-8"))
 
     summary = _summary_rows(results)
-    _write_atomic(
-        os.path.join(out_dir, "summary.csv"), _csv_bytes(SUMMARY_FIELDS, summary)
-    )
-    artifacts["summary.csv"] = None
+    write("summary.csv", _csv_bytes(SUMMARY_FIELDS, summary))
 
-    per_round = {}
-    for method in sorted({m for r in results for m in r["methods"]}):
-        n_rounds = max(len(r["methods"][method]) for r in results)
-        series = []
-        for t in range(n_rounds):
-            vals = [
-                r["methods"][method][t]["improvement"]
-                for r in results
-                if t < len(r["methods"][method])
-            ]
-            series.append(statistics.fmean(vals))
-        per_round[method] = series
+    # every replication runs the same methods over the same number of rounds
+    per_round = {
+        method: [
+            statistics.fmean(row["improvement"] for row in rows)
+            for rows in zip(*(r["methods"][method] for r in results))
+        ]
+        for method in results[0]["methods"]
+    }
     for path in emit_plot_data(per_round, out_dir):
-        artifacts[os.path.basename(path)] = None
+        artifacts[os.path.basename(path)] = _sha256_file(path)
 
-    for name in artifacts:
-        artifacts[name] = _sha256_file(os.path.join(out_dir, name))
     manifest = {
         "format": MANIFEST_FORMAT,
         "package_version": __version__,

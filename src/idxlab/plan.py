@@ -95,47 +95,6 @@ class PlanNode:
             children=[c.clone() for c in self.children],
         )
 
-    def validate(self) -> None:
-        if self.kind not in PLAN_KINDS:
-            raise ConfigurationError(f"unknown plan kind {self.kind!r}")
-        if self.startup_cost < 0 or self.exec_cost < 0:
-            raise ConfigurationError("plan costs must be nonnegative")
-        if self.is_leaf:
-            if self.children:
-                raise ConfigurationError(f"{self.kind} must not have children")
-            if self.table is None:
-                raise ConfigurationError(f"{self.kind} needs a table reference")
-            if self.kind == "SeqScan" and self.index is not None:
-                raise ConfigurationError("SeqScan must not carry an index")
-            if self.kind != "SeqScan" and self.index is None:
-                raise ConfigurationError(f"{self.kind} needs an index reference")
-        else:
-            if not self.children:
-                raise ConfigurationError(f"{self.kind} needs children")
-        for c in self.children:
-            c.validate()
-
-    def to_dict(self) -> dict:
-        return {
-            "kind": self.kind,
-            "startup_cost": self.startup_cost,
-            "exec_cost": self.exec_cost,
-            "est_rows": self.est_rows,
-            "table": self.table,
-            "index": None
-            if self.index is None
-            else {
-                "table": self.index.table,
-                "key_columns": list(self.index.key_columns),
-                "estimated_size_bytes": self.index.estimated_size_bytes,
-            },
-            "predicates": [
-                {"column": list(p.column), "op": p.op, "value": p.value}
-                for p in self.predicates
-            ],
-            "children": [c.to_dict() for c in self.children],
-        }
-
 
 def leaves(root: PlanNode) -> list:
     """All leaf-kind nodes, depth-first outer-first."""

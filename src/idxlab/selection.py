@@ -16,8 +16,8 @@ on the query's template alone (``simulator.index_applicable``). Any other
 index leaves the plan unchanged, the indexable-column pruning of Chaudhuri &
 Narasayya (VLDB 1997). Likewise, a plan that uses no index at all is built
 node for node like the no-index plan. Both cases add the query's weighted
-gate-corrected no-index cost and contribute nothing to EV. Applicability is
-decided once per (template, candidate).
+gate-corrected no-index cost and contribute nothing to EV. `applicability`
+decides it once per (template, candidate), for valuation and the baselines.
 
 `round_context` builds a round's no-index pricing once, before any candidate
 is valued: the workload's no-index total and every query's no-index term,
@@ -192,6 +192,16 @@ def round_context(
     return CorrectionContext(*gate, workload, total, terms)
 
 
+def applicability(queries, candidate: IndexCandidate) -> list:
+    """`index_applicable` of each query's template to ``candidate``, in query
+    order; decided once per template."""
+    memo = {}  # id(template) -> index_applicable(template, candidate)
+    for q in queries:
+        if id(q.template) not in memo:
+            memo[id(q.template)] = index_applicable(q.template, candidate)
+    return [memo[id(q.template)] for q in queries]
+
+
 def candidate_valuation(
     candidate: IndexCandidate, ctx: CorrectionContext, explore_weight: float
 ) -> IndexValuation:
@@ -205,13 +215,7 @@ def candidate_valuation(
     """
     queries = ctx.workload.queries
     plans = {}  # query position -> its plan with the candidate, if it uses an index
-    applicable = {}  # id(template) -> index_applicable(template, candidate)
-    for i, q in enumerate(queries):
-        usable = applicable.get(id(q.template))
-        if usable is None:
-            usable = applicable[id(q.template)] = index_applicable(
-                q.template, candidate
-            )
+    for i, (q, usable) in enumerate(zip(queries, applicability(queries, candidate))):
         if usable:
             plan, _ = whatif_plan(q, (candidate,), ctx.catalog)
             if any(leaf.index is not None for leaf in leaves(plan)):

@@ -31,7 +31,7 @@ from dataclasses import dataclass
 
 from .catalog import Catalog, selectivity
 from .errors import ConfigurationError
-from .plan import PLAN_KINDS, PlanNode
+from .plan import LEAF_KINDS, PLAN_KINDS, PlanNode
 from .seeding import rng_for
 from .workload import Query
 
@@ -62,8 +62,6 @@ class GroundTruth:
 
 @dataclass(frozen=True)
 class ExecutionTelemetry:
-    query_key: tuple
-    config: tuple
     total_time: float
     per_operator: tuple
     plan: PlanNode
@@ -88,7 +86,7 @@ def make_ground_truth(
     rng = rng_for(seed, "ground-truth")
     multipliers = {}
     for kind in PLAN_KINDS:
-        systematic = kind in ("SeqScan", "IndexScan", "IndexOnlyScan")
+        systematic = kind in LEAF_KINDS
         for table in catalog.tables:
             if choices is None:
                 if systematic:
@@ -348,10 +346,4 @@ def execute(
         t = node.exec_cost * g * noise * TIME_UNIT_SECONDS
         per_operator.append((node, t))
         total += t
-    return ExecutionTelemetry(
-        query_key=query.key(),
-        config=indexes,
-        total_time=total,
-        per_operator=tuple(per_operator),
-        plan=root,
-    )
+    return ExecutionTelemetry(total, tuple(per_operator), root)

@@ -47,11 +47,12 @@ from .costmodel import MULTIPLIER_GRID, CostMultiplierModel, nearest_bucket_inde
 from .errors import FIELDS, ConfigurationError, ContractError, check_fields
 # encode_operator is not called here either (the gate's reports carry the
 # encodings), but perfbench/tracer.py patches tuner.encode_operator by name
-from .plan import PLAN_KINDS, encode_operator, encoding_length, leaves  # noqa: F401
+from .plan import LEAF_KINDS, encode_operator, encoding_length, leaves  # noqa: F401
 from .seeding import subseed
 from .selection import (
     Configuration,
     CorrectionContext,
+    applicability,
     candidate_valuation,
     enumerate_configuration,
     exploration_weight,
@@ -60,7 +61,7 @@ from .selection import (
     round_context,
     selection_probabilities,
 )
-from .simulator import GroundTruth, execute, index_applicable, whatif_plan
+from .simulator import GroundTruth, execute, whatif_plan
 from .workload import MiniWorkload, unseen_fraction
 
 CREATION_SECONDS_PER_100MB = 1.0
@@ -190,7 +191,8 @@ class Environment:
 
 
 class OnlineTuner:
-    """Owns the models, caches, and history of one tuning run."""
+    """Owns the models (one per leaf kind, built up front), caches, and
+    history of one tuning run."""
 
     def __init__(
         self,
@@ -203,7 +205,13 @@ class OnlineTuner:
         self.params = params
         self.seed = seed
         self.round = 0
-        self.models = {}
+        self.models = {
+            kind: CostMultiplierModel(
+                input_dim=encoding_length(catalog),
+                seed=subseed(seed, "model", kind),
+            )
+            for kind in LEAF_KINDS
+        }
         self.seen_templates = set()
         self.env = Environment(ground_truth, seed)
         self.metrics = []
@@ -211,17 +219,10 @@ class OnlineTuner:
         self._uncertainty_cache = {}
 
     def model_for(self, kind: str) -> CostMultiplierModel:
-        if kind not in self.models:
-            self.models[kind] = CostMultiplierModel(
-                input_dim=encoding_length(self.catalog),
-                seed=subseed(self.seed, "model", kind),
-            )
         return self.models[kind]
 
     def _context(self, workload: MiniWorkload) -> CorrectionContext:
         p = self.params
-        for kind in ("SeqScan", "IndexScan", "IndexOnlyScan"):
-            self.model_for(kind)
         drop_stale_scores(self._uncertainty_cache, self.models)
         return round_context(
             workload,
@@ -293,9 +294,9 @@ class OnlineTuner:
         mean_u_before = float(np.mean(probe_scores)) if probe_scores else 0.0
 
         # 7. model updates, one per operator kind in a fixed order
-        for kind in PLAN_KINDS:
+        for kind in LEAF_KINDS:
             if kind in by_kind:
-                self.model_for(kind).update(by_kind[kind])
+                self.models[kind].update(by_kind[kind])
 
         mean_u_after = self._mean_uncertainty(probe_encodings)
 
@@ -325,9 +326,8 @@ class OnlineTuner:
         if not probe_encodings:
             return 0.0
         p = self.params
-        models = {kind: self.model_for(kind) for kind, _ in probe_encodings}
         scores = cached_uncertainties(
-            models,
+            self.models,
             probe_encodings,
             p.uncertainty_mix,
             p.mcd_passes,
@@ -357,18 +357,12 @@ def _uncorrected_benefit(candidate, workload, catalog, noindex_costs, den):
     query whose template cannot use the candidate keeps its no-index cost,
     ``noindex_costs[i]`` for the ``i``-th query, which the planner would
     return anyway."""
+    queries = workload.queries
     num = 0.0
-    applicable = {}  # id(template) -> index_applicable(template, candidate)
-    for i, q in enumerate(workload.queries):
-        usable = applicable.get(id(q.template))
-        if usable is None:
-            usable = applicable[id(q.template)] = index_applicable(
-                q.template, candidate
-            )
-        if usable:
-            _, cost_x = whatif_plan(q, (candidate,), catalog)
-        else:
-            cost_x = noindex_costs[i]
+    for q, usable, noindex_cost in zip(
+        queries, applicability(queries, candidate), noindex_costs
+    ):
+        cost_x = whatif_plan(q, (candidate,), catalog)[1] if usable else noindex_cost
         num += q.frequency_weight * cost_x
     return 1.0 - num / den
 

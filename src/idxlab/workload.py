@@ -10,12 +10,13 @@ Literals are freshly sampled for every materialized query.
 import json
 import math
 import re
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from functools import cached_property
 
 import numpy as np
 
 from .catalog import (
+    COMPARISON_OPS,
     NUMERIC,
     STRING,
     Catalog,
@@ -27,7 +28,6 @@ from .errors import FIELDS, check_fields, require_finite, require_integer
 from .plan import Predicate
 from .seeding import rng_for
 
-_NUMERIC_OPS = ("=", ">", "<", ">=", "<=", "!=")
 _STRING_OPS = ("=", "!=")
 _STRING_TOKEN = re.compile(r"v[0-9]+")
 # the largest integer a float holds exactly; weighted cost sums stay finite
@@ -94,7 +94,7 @@ class QueryTemplate:
                 raise ConfigurationError(f"{self.id}: column {ref} off-template")
         for f in self.filter_specs:
             kind = catalog.column(*f.column).kind
-            ops = _NUMERIC_OPS if kind == NUMERIC else _STRING_OPS
+            ops = COMPARISON_OPS if kind == NUMERIC else _STRING_OPS
             if f.op not in ops:
                 raise ConfigurationError(
                     f"op of the filter on {kind} column {f.column} must be one of "
@@ -259,7 +259,7 @@ def generate_templates(catalog: Catalog, n: int, seed: int) -> list:
             t = tables[int(rng.integers(0, len(tables)))]
             cols = catalog.table(t).columns
             col = cols[int(rng.integers(0, len(cols)))]
-            ops = _NUMERIC_OPS if col.kind == NUMERIC else _STRING_OPS
+            ops = COMPARISON_OPS if col.kind == NUMERIC else _STRING_OPS
             op = ops[int(rng.integers(0, len(ops)))]
             if (t, col.name, op) in used:
                 continue
@@ -417,7 +417,7 @@ def schedule_to_dict(workloads) -> dict:
         for q in w.queries:
             templates.setdefault(q.template.id, q.template)
     return {
-        "templates": [_template_to_dict(t) for _, t in sorted(templates.items())],
+        "templates": [asdict(t) for _, t in sorted(templates.items())],
         "rounds": [
             {
                 "round": w.round,
@@ -438,6 +438,8 @@ def schedule_to_dict(workloads) -> dict:
 def schedule_from_dict(data: dict) -> list:
     templates = {}
     for t in data["templates"]:
+        if not isinstance(t["id"], str):
+            raise ConfigurationError(f"template id {t['id']!r} must be a string")
         if t["id"] in templates:
             raise ConfigurationError(f"template id {t['id']!r} is defined twice")
         templates[t["id"]] = _template_from_dict(t)
@@ -452,7 +454,12 @@ def schedule_from_dict(data: dict) -> list:
             )
         queries = []
         for q in r["queries"]:
-            template = templates[q["template"]]
+            name = q["template"]
+            if not isinstance(name, str) or name not in templates:
+                raise ConfigurationError(
+                    f"round {position}: template {name!r} is not defined"
+                )
+            template = templates[name]
             try:
                 literals = tuple(
                     v if isinstance(v, (str, bool)) else float(v) for v in q["literals"]
@@ -478,33 +485,6 @@ def load_schedule(path) -> list:
         except (AttributeError, KeyError, TypeError, ValueError) as exc:
             what = f"missing key {exc}" if isinstance(exc, KeyError) else exc
             raise ConfigurationError(f"schedule file {path}: {what}") from None
-
-
-def _template_to_dict(t: QueryTemplate) -> dict:
-    return {
-        "id": t.id,
-        "tables": list(t.tables),
-        "join_predicates": [
-            {"left": list(j.left), "right": list(j.right)}
-            for j in t.join_predicates
-        ],
-        "filter_specs": [
-            {
-                "column": list(f.column),
-                "op": f.op,
-                "sampler": {
-                    "kind": f.sampler.kind,
-                    "low": f.sampler.low,
-                    "high": f.sampler.high,
-                    "distinct": f.sampler.distinct,
-                },
-            }
-            for f in t.filter_specs
-        ],
-        "order_by": [list(c) for c in t.order_by],
-        "group_by": [list(c) for c in t.group_by],
-        "payload_columns": [list(c) for c in t.payload_columns],
-    }
 
 
 def _template_from_dict(d: dict) -> QueryTemplate:

@@ -1,4 +1,5 @@
 import math
+from dataclasses import asdict
 from functools import lru_cache
 
 import numpy as np
@@ -116,9 +117,9 @@ def test_example_propagation_is_exact():
 
 def test_identity_multiplier_changes_nothing():
     root, outer, inner = nlj_example_plan()
-    before = root.to_dict()
+    before = asdict(root)
     ledger = update_cost(root, inner, 1.0)
-    assert root.to_dict() == before
+    assert asdict(root) == before
     assert all(d == (0.0, 0.0) for d in
                (ledger.delta_for(n) for n in root.walk()))
 

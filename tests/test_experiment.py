@@ -1,11 +1,17 @@
 import concurrent.futures
+import csv
 import hashlib
+import importlib
 import json
 import os
+import pkgutil
+import re
+import statistics
 
 import numpy as np
 import pytest
 
+import idxlab
 from idxlab.cli import EXIT_REPLAY, main
 from idxlab.errors import FIELDS, MAX_EXPLORE_INIT, ConfigurationError
 from idxlab.experiment import (
@@ -90,6 +96,38 @@ def test_replay_reproduces_every_csv_byte(tmp_path):
     for name in os.listdir(out):
         if name.endswith(".csv") or name.endswith(".tsv") or name.endswith(".jsonl"):
             assert read_bytes(out / name) == read_bytes(replay_dir / name), name
+
+
+@pytest.fixture(scope="module")
+def two_replications(tmp_path_factory):
+    """An experiment over replications 1 and 2: (out dir, manifest)."""
+    out = tmp_path_factory.mktemp("two") / "out"
+    manifest = run_experiment({**SMALL_CONFIG, "replications": [1, 2]}, str(out))
+    return out, manifest
+
+
+def test_manifest_checksums_match_the_files_on_disk(two_replications):
+    out, manifest = two_replications
+    written = set(os.listdir(out)) - {"manifest.json"}
+    assert set(manifest["artifacts"]) == written
+    for name, digest in manifest["artifacts"].items():
+        assert hashlib.sha256(read_bytes(out / name)).hexdigest() == digest, name
+
+
+def test_plot_rows_are_the_mean_over_replications(two_replications):
+    out, manifest = two_replications
+    methods = ("tuner", *manifest["config"]["baselines"])
+    for method in methods:
+        columns = []
+        for seed in (1, 2):
+            with open(out / f"metrics_{method}_seed{seed}.csv") as f:
+                columns.append([float(r["improvement"]) for r in csv.DictReader(f)])
+        want = [
+            f"{t}\t{statistics.fmean(pair)!r}" for t, pair in enumerate(zip(*columns))
+        ]
+        assert len(want) == SMALL_CONFIG["workload"]["total_rounds"]
+        rows = read_bytes(out / f"plot_{method}.tsv").decode().splitlines()
+        assert rows == want, method
 
 
 def test_unknown_config_key_is_rejected():
@@ -325,6 +363,26 @@ def test_readme_lists_every_config_field():
         assert row.range in listed[0], path
 
 
+def test_readme_names_resolve():
+    # a backticked module.NAME that is not a config field must exist
+    with open(os.path.join(os.path.dirname(__file__), "..", "README.md")) as f:
+        text = f.read()
+    modules = {m.name for m in pkgutil.iter_modules(idxlab.__path__)}
+    checked = 0
+    for name in re.findall(r"`([a-z_]+(?:\.\w+)+)`", text):
+        module, *attrs = name.split(".")
+        if module == "idxlab":
+            module, *attrs = attrs
+        elif name in FIELDS or module not in modules:
+            continue  # a config field, or a file name such as summary.csv
+        obj = importlib.import_module(f"idxlab.{module}")
+        for attr in attrs:
+            assert hasattr(obj, attr), name
+            obj = getattr(obj, attr)
+        checked += 1
+    assert checked > 0
+
+
 def test_noise_sigma_bounds_are_inclusive():
     for sigma in (0, 10):
         cfg = resolve_config({"environment": {"noise_sigma": sigma}})
@@ -477,6 +535,22 @@ def test_cli_schedule_template_defined_twice_exits_2(tmp_path, capsys):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("reference", [7, "7"])
+def test_cli_schedule_template_with_an_integer_id_exits_2(tmp_path, capsys, reference):
+    query = {"template": reference, "literals": [0.5, "v0"]}
+    schedule, cfg = write_one_table_schedule(tmp_path, [{"round": 0, "queries": [query]}])
+    data = json.loads(schedule.read_text())
+    data["templates"][0]["id"] = 7
+    schedule.write_text(json.dumps(data))
+    out = tmp_path / "never"
+    assert main(["run", cfg, "--out", str(out)]) == 2
+    assert not out.exists()
+    err = capsys.readouterr().err
+    assert len(err.strip().splitlines()) == 1
+    assert str(schedule) in err and "template id 7 must be a string" in err
+    assert "Traceback" not in err and "missing key" not in err
+
+
 AT_ROUND_0 = "round 0: template 'tpl_t0': "
 FITTING_QUERY = {"template": "tpl_t0", "literals": [0.5, "v0"]}
 
@@ -510,6 +584,8 @@ FITTING_QUERY = {"template": "tpl_t0", "literals": [0.5, "v0"]}
         ),
         ({"frequency_weight": 10**308}, None, [AT_ROUND_0, "frequency_weight"]),
         ({"frequency_weight": 10**320}, None, [AT_ROUND_0, "frequency_weight"]),
+        ({"template": "T999"}, None, ["round 0: template 'T999' is not defined"]),
+        ({"template": ["tpl_t0"]}, None, ["round 0: template ['tpl_t0'] is not defined"]),
     ],
 )
 def test_cli_schedule_query_that_does_not_fit_exits_2(

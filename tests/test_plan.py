@@ -7,7 +7,7 @@ from idxlab.catalog import (
     IndexCandidate,
     generate_catalog,
 )
-from idxlab.errors import CatalogLookupError, ConfigurationError
+from idxlab.errors import CatalogLookupError
 from idxlab.plan import (
     COMPARISON_OPS,
     PLAN_KINDS,
@@ -196,17 +196,6 @@ def test_path_to_root():
     assert path_to_root(root, inner) == [inner, root]
     with pytest.raises(CatalogLookupError):
         path_to_root(root, PlanNode("SeqScan", table="x"))
-
-
-def test_plan_validation():
-    with pytest.raises(ConfigurationError):
-        PlanNode("SeqScan").validate()  # no table
-    with pytest.raises(ConfigurationError):
-        PlanNode("IndexScan", table="t").validate()  # no index
-    with pytest.raises(ConfigurationError):
-        PlanNode("HashJoin").validate()  # no children
-    root, _, _ = nlj_example_plan()
-    root.validate()
 
 
 def test_clone_is_deep():

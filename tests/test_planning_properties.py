@@ -116,7 +116,7 @@ def test_planning_through_the_memo_equals_planning_fresh_copies(case):
     for current in (catalog, catalog, other, catalog, other, other):
         plan, cost = whatif_plan(query, config, current)
         want_plan, want_cost = whatif_plan(fresh_copy(query), config, current)
-        assert plan.to_dict() == want_plan.to_dict()
+        assert dataclasses.asdict(plan) == dataclasses.asdict(want_plan)
         assert cost == want_cost
     for index in config:
         assert index_applicable(query.template, index) == index_applicable(
@@ -147,7 +147,7 @@ def test_corrected_baseline_of_the_environment_plan_equals_a_fresh_plan(
     others = tuple(bind_query(query.template, rng, w) for w in weights)
     workload = MiniWorkload(0, (query, query) + others)
     env = Environment(make_ground_truth(catalog, seed), seed)
-    shared = [env.noindex_telemetry(q).plan.to_dict() for q in workload.queries]
+    shared = [dataclasses.asdict(env.noindex_telemetry(q).plan) for q in workload.queries]
     ctx = round_context(
         workload,
         catalog,
@@ -168,7 +168,7 @@ def test_corrected_baseline_of_the_environment_plan_equals_a_fresh_plan(
         total += q.frequency_weight * cost
     assert ctx.noindex_total == total
     # the environment's plans are corrected through copies only
-    assert [env.noindex_telemetry(q).plan.to_dict() for q in workload.queries] == shared
+    assert [dataclasses.asdict(env.noindex_telemetry(q).plan) for q in workload.queries] == shared
 
 
 @st.composite

@@ -3,6 +3,7 @@ must equal, bit for bit, a loop that prices every (candidate, query) pair."""
 
 import copy
 import math
+from dataclasses import asdict
 from functools import lru_cache
 
 import numpy as np
@@ -64,7 +65,7 @@ def test_index_off_the_query_leaves_plan_unchanged(case):
     catalog, query, candidate = case
     plan, cost = whatif_plan(query, (candidate,), catalog)
     bare, bare_cost = whatif_plan(query, (), catalog)
-    assert plan.to_dict() == bare.to_dict()
+    assert asdict(plan) == asdict(bare)
     assert cost == bare_cost
 
 
@@ -75,7 +76,7 @@ def test_plan_without_index_leaf_is_the_no_index_plan(case):
     plan, cost = whatif_plan(query, (candidate,), catalog)
     assume(all(leaf.index is None for leaf in leaves(plan)))
     bare, bare_cost = whatif_plan(query, (), catalog)
-    assert plan.to_dict() == bare.to_dict()
+    assert asdict(plan) == asdict(bare)
     assert cost == bare_cost
 
 
@@ -124,7 +125,7 @@ def test_index_applicable_exactly_when_the_planner_can_use_the_index(case):
         assert applicable == offered(catalog, query, ix)
         plan, cost = whatif_plan(query, (ix,), catalog)
         if not applicable:
-            assert plan.to_dict() == bare.to_dict()
+            assert asdict(plan) == asdict(bare)
             assert cost == bare_cost
         if any(leaf.index == ix for leaf in leaves(plan)):
             assert applicable

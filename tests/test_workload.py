@@ -1,3 +1,4 @@
+import json
 import math
 
 import pytest
@@ -160,3 +161,35 @@ def test_schedule_json_roundtrip(templates, tmp_path):
     path = tmp_path / "schedule.json"
     save_schedule(ws, path)
     assert load_schedule(path) == ws
+
+
+def test_schedule_file_format_is_fixed(templates, tmp_path):
+    sched = DriftSchedule("continuous", total_rounds=4, templates_per_round=5)
+    first, second = tmp_path / "first.json", tmp_path / "second.json"
+    save_schedule(build_schedule(templates, sched, seed=19), first)
+    save_schedule(load_schedule(first), second)
+    assert first.read_bytes() == second.read_bytes()
+
+    def is_column(ref):
+        return isinstance(ref, list) and len(ref) == 2
+
+    written = json.loads(first.read_text())["templates"]
+    assert any(t["join_predicates"] for t in written)
+    for t in written:
+        assert set(t) == {
+            "id",
+            "tables",
+            "join_predicates",
+            "filter_specs",
+            "order_by",
+            "group_by",
+            "payload_columns",
+        }
+        for j in t["join_predicates"]:
+            assert set(j) == {"left", "right"}
+            assert is_column(j["left"]) and is_column(j["right"])
+        for f in t["filter_specs"]:
+            assert set(f) == {"column", "op", "sampler"} and is_column(f["column"])
+            assert set(f["sampler"]) == {"kind", "low", "high", "distinct"}
+        for key in ("order_by", "group_by", "payload_columns"):
+            assert all(is_column(ref) for ref in t[key])
