@@ -2,7 +2,10 @@
 
 A config is a single JSON (or TOML) file; every field has a default, so a
 minimal config is a handful of lines. One experiment runs the tuner and the
-requested baselines once per replication seed, writes per-replication metrics
+requested baselines once per replication seed, each seed and baseline kind
+listed once. A replication's methods share its no-index calibration, and its
+baselines each round's raw ranking, both computed once; every method's
+results are those it gets alone. The experiment writes per-replication metrics
 CSVs, tuner round reports as JSON lines, per-method plot TSVs, a summary
 table, and a manifest (config hash, seeds, the sha256 of each artifact's
 bytes) from which the whole run can be replayed byte-identically. The
@@ -35,6 +38,8 @@ from .simulator import make_ground_truth
 from .tuner import (
     BASELINE_KINDS,
     METRIC_FIELDS,
+    BaselineRanking,
+    Calibration,
     OnlineTuner,
     TunerParams,
     overall_improvement,
@@ -126,6 +131,12 @@ def resolve_config(user_config: dict) -> dict:
     for kind in baselines:
         if kind not in BASELINE_KINDS:
             raise ConfigurationError(f"baselines: unknown kind {kind!r}")
+    # a repeated method or seed would run twice and count as two results
+    for path in ("baselines", "replications"):
+        items = cfg[path]
+        for i, item in enumerate(items):
+            if item in items[:i]:
+                raise ConfigurationError(f"{path}: {item!r} is listed twice")
     budget = cfg["budget"]
     if budget["mode"] == "storage" and budget["storage_bytes"] is None:
         raise ConfigurationError(
@@ -201,11 +212,18 @@ def _environment(cfg, replication_seed):
 
 
 def run_replication(cfg: dict, replication_seed: int) -> dict:
-    """All methods for one replication seed; returns their metrics logs."""
+    """All methods for one replication seed; returns their metrics logs.
+
+    The methods share one `Calibration` and the baselines one
+    `BaselineRanking`, so each query is calibrated and each round ranked
+    once; the results equal those of each method run alone.
+    """
     catalog, schedule, ground_truth = _environment(cfg, replication_seed)
     params = _tuner_params(cfg)
-    tuner = OnlineTuner(catalog, ground_truth, params, seed=replication_seed)
+    calibration = Calibration(ground_truth, replication_seed)
+    tuner = OnlineTuner(catalog, ground_truth, params, replication_seed, calibration)
     tuner.run(schedule)
+    ranking = BaselineRanking(catalog, calibration)
     out = {
         "seed": replication_seed,
         "methods": {"tuner": tuner.metrics},
@@ -213,7 +231,7 @@ def run_replication(cfg: dict, replication_seed: int) -> dict:
     }
     for kind in cfg["baselines"]:
         out["methods"][kind] = run_baseline(
-            kind, catalog, ground_truth, schedule, params, seed=replication_seed
+            kind, catalog, ground_truth, schedule, params, replication_seed, ranking
         )
     return out
 

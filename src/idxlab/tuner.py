@@ -1,15 +1,19 @@
 """The online tuning loop, its metrics, and the comparison baselines.
 
-The tuner and both baselines are policies over one ``Environment``, whose
-``step`` "creates" the indexes of a round's configuration that are not yet
-deployed (1 s per 100 MB), executes every query, and builds the metrics row.
-No-index execution times are calibrated once per (template, literals) query
-with a dedicated seed and cached; a round deployed with an empty
-configuration reuses the calibration telemetry verbatim. The calibration
-plan is the query's one no-index plan for the whole run: every method prices
-its benefits against that plan's cost, and the tuner corrects copies of it.
-Nothing mutates it. Each round, every method divides by the same
-`selection.noindex_total` of those plans.
+The tuner and both baselines are policies over one ``Environment`` each,
+whose ``step`` "creates" the indexes of a round's configuration that are not
+yet deployed (1 s per 100 MB), executes every query, and builds the metrics
+row. No-index execution times come from a `Calibration`: each (template,
+literals) query is executed once with a dedicated seed and cached, and the
+methods of one replication share it, so a query is calibrated once for all
+of them. A round deployed with an empty configuration reuses the calibration
+telemetry verbatim. The calibration plan is the query's one no-index plan
+for the whole run: every method prices its benefits against that plan's
+cost, and the tuner corrects copies of it. Nothing mutates it. Each round,
+every method divides by the same `selection.noindex_total` of those plans.
+The baselines rank a round's candidates by raw what-if benefit through a
+`BaselineRanking`, which ranks a workload once however many baselines read
+it. Shared or private, calibration and ranking give the same results.
 
 A tuner round measures workload novelty and decays the exploration weight,
 builds the round's no-index pricing, prices each candidate with
@@ -134,30 +138,60 @@ def creation_seconds(indexes) -> float:
     return CREATION_SECONDS_PER_100MB * total_bytes / _100MB
 
 
-class Environment:
-    """Deploys each round's configuration and executes the round.
+class Calibration:
+    """One replication's no-index calibration, shared by its methods.
 
-    Re-deploying an index costs nothing; building one again after a drop
-    costs its build time, but it does not count as a new index. The methods
-    price against the no-index plans it executes, so their catalog must be
-    the ground truth's.
+    Each distinct query (by ``query.key()``) is executed once under the empty
+    configuration with the calibration seed, and its telemetry is kept; every
+    method's `Environment` over this ground truth and seed reads the same
+    telemetry objects, whose plans nobody mutates.
     """
 
     def __init__(self, ground_truth: GroundTruth, seed: int):
         self.ground_truth = ground_truth
         self.seed = seed
-        self.deployed = Configuration()
-        self.ever_deployed = set()
-        self._noindex = {}
-        self._calibration_seed = subseed(seed, "calibration")
+        self._seed = subseed(seed, "calibration")
+        self._telemetry = {}
+
+    def check(self, ground_truth: GroundTruth, seed: int) -> None:
+        """Raise ContractError unless this calibration is the one of
+        ``ground_truth`` and ``seed``."""
+        if ground_truth != self.ground_truth or seed != self.seed:
+            raise ContractError(
+                "a calibration is shared only under its own ground truth and seed"
+            )
 
     def noindex_telemetry(self, query):
         key = query.key()
-        if key not in self._noindex:
-            self._noindex[key] = execute(
-                query, (), self.ground_truth, self._calibration_seed
-            )
-        return self._noindex[key]
+        if key not in self._telemetry:
+            self._telemetry[key] = execute(query, (), self.ground_truth, self._seed)
+        return self._telemetry[key]
+
+    def noindex_plan(self, query):
+        return self.noindex_telemetry(query).plan
+
+
+class Environment:
+    """Deploys one method's configuration each round and executes the round.
+
+    Re-deploying an index costs nothing; building one again after a drop
+    costs its build time, but it does not count as a new index. The no-index
+    telemetry comes from ``calibration``, private unless one replication's
+    methods pass the same one. The methods price against its no-index plans,
+    so their catalog must be the ground truth's.
+    """
+
+    def __init__(
+        self, ground_truth: GroundTruth, seed: int, calibration: Calibration = None
+    ):
+        if calibration is None:
+            calibration = Calibration(ground_truth, seed)
+        calibration.check(ground_truth, seed)
+        self.ground_truth = ground_truth
+        self.seed = seed
+        self.calibration = calibration
+        self.deployed = Configuration()
+        self.ever_deployed = set()
 
     def step(self, t: int, workload: MiniWorkload, config: Configuration):
         """Deploy ``config`` and execute round ``t`` under it.
@@ -177,7 +211,7 @@ class Environment:
         executed = []
         exec_time, noindex_time = 0.0, 0.0
         for q in workload.queries:
-            baseline = self.noindex_telemetry(q)
+            baseline = self.calibration.noindex_telemetry(q)
             if config.indexes:
                 telemetry = execute(q, config, self.ground_truth, round_seed)
             else:
@@ -192,7 +226,7 @@ class Environment:
 
 class OnlineTuner:
     """Owns the models (one per leaf kind, built up front), caches, and
-    history of one tuning run."""
+    history of one tuning run; ``calibration`` is its environment's."""
 
     def __init__(
         self,
@@ -200,6 +234,7 @@ class OnlineTuner:
         ground_truth: GroundTruth,
         params: TunerParams = TunerParams(),
         seed: int = 0,
+        calibration: Calibration = None,
     ):
         self.catalog = catalog
         self.params = params
@@ -213,7 +248,7 @@ class OnlineTuner:
             for kind in LEAF_KINDS
         }
         self.seen_templates = set()
-        self.env = Environment(ground_truth, seed)
+        self.env = Environment(ground_truth, seed, calibration)
         self.metrics = []
         self.reports = []
         self._uncertainty_cache = {}
@@ -232,7 +267,7 @@ class OnlineTuner:
             p.uncertainty_mix,
             p.mcd_passes,
             self._uncertainty_cache,
-            lambda q: self.env.noindex_telemetry(q).plan,
+            self.env.calibration.noindex_plan,
         )
 
     def run_round(self, workload: MiniWorkload) -> RoundReport:
@@ -367,6 +402,40 @@ def _uncorrected_benefit(candidate, workload, catalog, noindex_costs, den):
     return 1.0 - num / den
 
 
+class BaselineRanking:
+    """Each round's candidates ordered by raw what-if benefit, computed once
+    for every baseline of a replication.
+
+    The order is a pure function of the round's workload, of its
+    candidates, which `generate_candidates` derives from the workload and
+    ``catalog``, and of ``calibration``'s no-index plans. Orders are keyed by
+    the whole workload, its round number and its queries with their
+    frequency weights, so no other workload ever reads one.
+    """
+
+    def __init__(self, catalog: Catalog, calibration: Calibration):
+        self.catalog = catalog
+        self.calibration = calibration
+        self._orders = {}
+
+    def order(self, workload: MiniWorkload, candidates) -> list:
+        """Positions into ``candidates`` by descending benefit, ties by
+        position."""
+        if workload not in self._orders:
+            # the no-index plans every environment of this calibration executes
+            plan = self.calibration.noindex_plan
+            den = noindex_total(workload, plan)
+            costs = [plan(q).total_cost for q in workload.queries]
+            benefits = [
+                _uncorrected_benefit(x, workload, self.catalog, costs, den)
+                for x in candidates
+            ]
+            self._orders[workload] = sorted(
+                range(len(candidates)), key=lambda i: (-benefits[i], i)
+            )
+        return self._orders[workload]
+
+
 def run_baseline(
     kind: str,
     catalog: Catalog,
@@ -374,28 +443,28 @@ def run_baseline(
     schedule,
     params: TunerParams = TunerParams(),
     seed: int = 0,
+    ranking: BaselineRanking = None,
 ) -> list:
     """Comparison policies sharing the tuner's environment seeds.
 
     whatif_greedy takes the top-K candidates by raw what-if benefit each
     round; plain_epsilon_greedy replaces each greedy pick with a uniform
-    random candidate with probability epsilon. Neither learns.
+    random candidate with probability epsilon. Neither learns. ``ranking``,
+    private unless the baselines of one replication pass the same one,
+    orders each round's candidates; its calibration is the environment's.
     """
     if kind not in BASELINE_KINDS:
         raise ConfigurationError(f"unknown baseline kind {kind!r}")
+    if ranking is None:
+        ranking = BaselineRanking(catalog, Calibration(ground_truth, seed))
+    elif ranking.catalog != catalog:
+        raise ContractError("a baseline ranking is shared only under its own catalog")
     rng = np.random.default_rng(subseed(seed, "baseline", kind))
-    env = Environment(ground_truth, seed)
+    env = Environment(ground_truth, seed, ranking.calibration)
     metrics = []
     for t, workload in enumerate(schedule):
         candidates = generate_candidates(workload, catalog)
-        # the environment's no-index plans, which it executes this round too
-        den = noindex_total(workload, lambda q: env.noindex_telemetry(q).plan)
-        costs = [env.noindex_telemetry(q).plan.total_cost for q in workload.queries]
-        benefits = [
-            _uncorrected_benefit(x, workload, catalog, costs, den)
-            for x in candidates
-        ]
-        order = sorted(range(len(candidates)), key=lambda i: (-benefits[i], i))
+        order = ranking.order(workload, candidates)
         selected = []
         if kind == "whatif_greedy":
             selected = [candidates[i] for i in order[: params.max_indexes]]

@@ -328,6 +328,13 @@ def test_cli_runs_on_one_row_tables(tmp_path, rows_range):
             {"workload": {"kind": "cyclic", "n_templates": 4, "templates_per_round": 4}},
             "workload.change_fraction",
         ),
+        # a repeated seed or kind would run twice and count as two results
+        ({"replications": [5, 5]}, "replications: 5"),
+        ({"replications": [1, 2, 1]}, "replications: 1"),
+        (
+            {"baselines": ["whatif_greedy", "whatif_greedy"]},
+            "baselines: 'whatif_greedy'",
+        ),
     ],
 )
 def test_cli_rejects_mistyped_field(tmp_path, capsys, override, field):

@@ -147,7 +147,7 @@ def test_corrected_baseline_of_the_environment_plan_equals_a_fresh_plan(
     others = tuple(bind_query(query.template, rng, w) for w in weights)
     workload = MiniWorkload(0, (query, query) + others)
     env = Environment(make_ground_truth(catalog, seed), seed)
-    shared = [dataclasses.asdict(env.noindex_telemetry(q).plan) for q in workload.queries]
+    shared = [dataclasses.asdict(env.calibration.noindex_plan(q)) for q in workload.queries]
     ctx = round_context(
         workload,
         catalog,
@@ -156,7 +156,7 @@ def test_corrected_baseline_of_the_environment_plan_equals_a_fresh_plan(
         0.5,
         5,
         {},
-        lambda q: env.noindex_telemetry(q).plan,
+        env.calibration.noindex_plan,
     )
     # each query's corrected no-index term, as candidate valuation takes it
     assert len(ctx.noindex_terms) == len(workload.queries)
@@ -168,7 +168,7 @@ def test_corrected_baseline_of_the_environment_plan_equals_a_fresh_plan(
         total += q.frequency_weight * cost
     assert ctx.noindex_total == total
     # the environment's plans are corrected through copies only
-    assert [dataclasses.asdict(env.noindex_telemetry(q).plan) for q in workload.queries] == shared
+    assert [dataclasses.asdict(env.calibration.noindex_plan(q)) for q in workload.queries] == shared
 
 
 @st.composite

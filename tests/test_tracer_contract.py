@@ -4,7 +4,10 @@ A renamed or removed name makes `perfbench/run.py --trace 1` fail with an
 AttributeError, so this checks that a layered tracer installs over the
 current package and that restoring it leaves every attribute as it was. A
 call that moves behind a name the tracer does not patch makes its layer read
-zero, so a short traced run must see every layer it counts.
+zero, so a short traced run must see every layer it counts. The benchmark
+attributes time to methods by their spans and to rounds by its reference
+runs, so a traced experiment must show one span per method and one reference
+per round of each.
 """
 
 import importlib.util
@@ -106,3 +109,33 @@ def test_layered_tracer_sees_every_layer_of_a_short_run():
     assert len(direct) == sum(2 * len(w.queries) for w in schedule)
     baseline_calls, _ = tracer.self_times(within="method.whatif_greedy")
     assert baseline_calls["simulator.whatif_plan"] > 0
+
+
+def test_layered_tracer_attributes_each_method_of_an_experiment(tmp_path):
+    rounds = 3
+    config = {
+        "catalog": {"n_tables": 2, "rows_range": [1000, 5000]},
+        "workload": {
+            "n_templates": 6,
+            "total_rounds": rounds,
+            "templates_per_round": 4,
+            "queries_per_template": 2,
+        },
+        "tuner": {"mcd_passes": 5},
+        "replications": [1],
+    }
+    tracer = load_tracer().Tracer(layers=True, reference=lambda: None)
+    with tracer:
+        experiment.run_experiment(config, out_dir=str(tmp_path / "out"))
+    calls, _ = tracer.self_times()
+    assert calls["experiment.run_experiment"] == 1
+    for kind in tuner.BASELINE_KINDS:
+        assert calls[f"method.{kind}"] == 1, kind
+    runs = tracer.method_runs()
+    assert [run["method"] for run in runs] == ["tuner", *tuner.BASELINE_KINDS]
+    for run in runs:
+        assert len(run["refs"]) == rounds, run["method"]
+    # the first baseline ranks every round; the second reads its ranking
+    first, second = tuner.BASELINE_KINDS
+    assert tracer.self_times(within=f"method.{first}")[0]["simulator.whatif_plan"] > 0
+    assert tracer.self_times(within=f"method.{second}")[0]["simulator.whatif_plan"] == 0

@@ -349,7 +349,7 @@ def test_environment_empty_configuration_reuses_calibration(env):
     assert [q for q, _, _ in executed] == list(schedule[0].queries)
     for q, telemetry, baseline in executed:
         assert telemetry is baseline
-        assert baseline is environment.noindex_telemetry(q)
+        assert baseline is environment.calibration.noindex_telemetry(q)
     assert row["exec_time_s"] == row["noindex_time_s"] > 0
     assert row["improvement"] == 0.0
     assert row["creation_s"] == 0 and row["n_new_indexes"] == 0

@@ -205,7 +205,7 @@ def test_valuation_matches_pricing_every_pair(trained, gate):
         tuned.mix_weight,
         tuned.passes,
         tuned.uncertainty_cache,
-        lambda q: tuner.env.noindex_telemetry(q).plan,
+        tuner.env.calibration.noindex_plan,
     )
     corrected = 0
     for candidate in candidates:
@@ -218,10 +218,7 @@ def test_valuation_matches_pricing_every_pair(trained, gate):
 
 def test_uncorrected_benefit_matches_pricing_every_pair(trained):
     tuner, workload = trained
-
-    def noindex_plan(query):
-        return tuner.env.noindex_telemetry(query).plan
-
+    noindex_plan = tuner.env.calibration.noindex_plan
     den = noindex_total(workload, noindex_plan)
     costs = [noindex_plan(q).total_cost for q in workload.queries]
     for candidate in generate_candidates(workload, tuner.catalog):
