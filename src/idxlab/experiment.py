@@ -4,14 +4,15 @@ A config is a single JSON (or TOML) file; every field has a default, so a
 minimal config is a handful of lines. One experiment runs the tuner and the
 requested baselines once per replication seed, each seed and baseline kind
 listed once. A replication's methods share its no-index calibration, and its
-baselines each round's raw ranking, both computed once; every method's
-results are those it gets alone. The experiment writes per-replication metrics
-CSVs, tuner round reports as JSON lines, per-method plot TSVs, a summary
-table, and a manifest (config hash, seeds, the sha256 of each artifact's
-bytes) from which the whole run can be replayed byte-identically. The
-manifest also records what the artifacts depend on beyond the config: the
-numpy version, its BLAS build, and the sha256 of a schedule file, so a replay
-that diverges can say why.
+baselines read each round's raw ranking from the tuner's valuation, so each
+query is calibrated once and each (query, candidate) pair planned once;
+every method's results are those it gets alone. The experiment writes
+per-replication metrics CSVs, tuner round reports as JSON lines, per-method
+plot TSVs, a summary table, and a manifest (config hash, seeds, the sha256
+of each artifact's bytes) from which the whole run can be replayed
+byte-identically. The manifest also records what the artifacts depend on
+beyond the config: the numpy version, its BLAS build, and the sha256 of a
+schedule file, so a replay that diverges can say why.
 """
 
 import concurrent.futures
@@ -38,7 +39,6 @@ from .simulator import make_ground_truth
 from .tuner import (
     BASELINE_KINDS,
     METRIC_FIELDS,
-    BaselineRanking,
     Calibration,
     OnlineTuner,
     TunerParams,
@@ -214,16 +214,16 @@ def _environment(cfg, replication_seed):
 def run_replication(cfg: dict, replication_seed: int) -> dict:
     """All methods for one replication seed; returns their metrics logs.
 
-    The methods share one `Calibration` and the baselines one
-    `BaselineRanking`, so each query is calibrated and each round ranked
-    once; the results equal those of each method run alone.
+    The methods share one `Calibration`, so each query is calibrated once,
+    and the baselines read each round's raw what-if ranking that the tuner's
+    valuation recorded in it, pricing nothing; the results equal those of
+    each method run alone.
     """
     catalog, schedule, ground_truth = _environment(cfg, replication_seed)
     params = _tuner_params(cfg)
     calibration = Calibration(ground_truth, replication_seed)
     tuner = OnlineTuner(catalog, ground_truth, params, replication_seed, calibration)
     tuner.run(schedule)
-    ranking = BaselineRanking(catalog, calibration)
     out = {
         "seed": replication_seed,
         "methods": {"tuner": tuner.metrics},
@@ -231,7 +231,8 @@ def run_replication(cfg: dict, replication_seed: int) -> dict:
     }
     for kind in cfg["baselines"]:
         out["methods"][kind] = run_baseline(
-            kind, catalog, ground_truth, schedule, params, replication_seed, ranking
+            kind, catalog, ground_truth, schedule, params, replication_seed,
+            calibration,
         )
     return out
 

@@ -17,15 +17,22 @@ index leaves the plan unchanged, the indexable-column pruning of Chaudhuri &
 Narasayya (VLDB 1997). Likewise, a plan that uses no index at all is built
 node for node like the no-index plan. Both cases add the query's weighted
 gate-corrected no-index cost and contribute nothing to EV. `applicability`
-decides it once per (template, candidate), for valuation and the baselines.
+decides it once per (template, candidate).
+
+`whatif_pricing` is the one loop that plans a candidate's applicable pairs.
+Before any plan is corrected, it also sums the candidate's raw what-if total,
+one multiply-add per query, so valuation returns the raw EB beside the
+corrected one. The baselines rank by that raw EB: they read it from the
+tuner's valuation, or price it through the same loop when they run alone,
+and get the same floats either way.
 
 `round_context` builds a round's no-index pricing once, before any candidate
-is valued: the workload's no-index total and every query's no-index term,
-corrected from a copy of the query's shared no-index plan. A candidate's
-plans are corrected together, and so are the round's no-index terms: the
-uncached uncertainty scores of each group's leaves take one batched call per
-operator kind. The sums run in query order and are bit-identical to pricing
-every pair.
+is valued: the workload's no-index total, every query's raw no-index cost,
+and every query's no-index term, corrected from a copy of the query's shared
+no-index plan. A candidate's plans are corrected together, and so are the
+round's no-index terms: the uncached uncertainty scores of each group's
+leaves take one batched call per operator kind. The sums run in query order
+and are bit-identical to pricing every pair.
 """
 
 from dataclasses import dataclass
@@ -65,10 +72,14 @@ class Configuration:
 
 @dataclass(frozen=True)
 class IndexValuation:
+    """A candidate's corrected EB, its EV and value, and ``raw_benefit``, its
+    EB under the uncorrected what-if costs."""
+
     candidate: IndexCandidate
     execution_benefit: float
     exploratory_value: float
     value: float
+    raw_benefit: float
 
 
 def generate_candidates(workload: MiniWorkload, catalog: Catalog) -> list:
@@ -115,8 +126,9 @@ class CorrectionContext:
     were corrected under their current state. ``uncertainty_cache`` may be
     shared across rounds, because its keys carry each model's ``step_count``,
     which every update advances. ``noindex_total`` is the round workload's
-    `noindex_total`, and ``noindex_terms[i]`` is its ``i``-th query's
-    frequency weight times the gate-corrected cost of its no-index plan.
+    `noindex_total`, ``noindex_costs[i]`` is the cost of its ``i``-th query's
+    no-index plan, and ``noindex_terms[i]`` is that query's frequency weight
+    times the plan's gate-corrected cost.
     """
 
     catalog: Catalog
@@ -127,6 +139,7 @@ class CorrectionContext:
     uncertainty_cache: dict
     workload: MiniWorkload
     noindex_total: float
+    noindex_costs: tuple
     noindex_terms: tuple
 
     def correct_all(self, plans) -> list:
@@ -181,15 +194,17 @@ def round_context(
     total = noindex_total(workload, noindex_plan)
     if total <= 0:
         raise ContractError("workload has nonpositive no-index cost")
+    plans = [noindex_plan(q) for q in workload.queries]
     gate = (catalog, models, threshold, mix_weight, passes, uncertainty_cache)
-    corrected = CorrectionContext(*gate, workload, total, ()).correct_all(
-        [noindex_plan(q).clone() for q in workload.queries]
+    pricing = (workload, total, tuple(plan.total_cost for plan in plans))
+    corrected = CorrectionContext(*gate, *pricing, ()).correct_all(
+        [plan.clone() for plan in plans]
     )
     terms = tuple(
         q.frequency_weight * result.corrected_cost
         for q, result in zip(workload.queries, corrected)
     )
-    return CorrectionContext(*gate, workload, total, terms)
+    return CorrectionContext(*gate, *pricing, terms)
 
 
 def applicability(queries, candidate: IndexCandidate) -> list:
@@ -202,24 +217,48 @@ def applicability(queries, candidate: IndexCandidate) -> list:
     return [memo[id(q.template)] for q in queries]
 
 
+def whatif_pricing(
+    candidate: IndexCandidate, queries, catalog: Catalog, noindex_costs
+):
+    """``candidate``'s what-if plan of each query whose template can use it,
+    by query position, and the raw what-if total: the frequency-weighted plan
+    costs summed in query order, where any other query keeps
+    ``noindex_costs[i]``, the cost the planner would return anyway.
+
+    Valuation and the baselines' own ranking both price through this one
+    loop, so a raw benefit is the same float whichever of them computed it.
+    """
+    plans = {}
+    total = 0.0
+    for i, (q, usable, cost) in enumerate(
+        zip(queries, applicability(queries, candidate), noindex_costs)
+    ):
+        if usable:
+            plans[i], cost = whatif_plan(q, (candidate,), catalog)
+        total += q.frequency_weight * cost
+    return plans, total
+
+
 def candidate_valuation(
     candidate: IndexCandidate, ctx: CorrectionContext, explore_weight: float
 ) -> IndexValuation:
-    """Corrected EB, uncertainty EV, and total value for one candidate over
-    the context's workload.
+    """Corrected EB, uncertainty EV, total value, and raw what-if EB for one
+    candidate over the context's workload.
 
     Pairs whose plan cannot use the candidate take the query's corrected
     no-index term from ``ctx`` (see the module docstring). The candidate's
     own plans are corrected together, so their leaves are scored in one
-    batched call per operator kind.
+    batched call per operator kind. The raw EB is summed from the same plans
+    before correction, by `whatif_pricing`.
     """
     queries = ctx.workload.queries
-    plans = {}  # query position -> its plan with the candidate, if it uses an index
-    for i, (q, usable) in enumerate(zip(queries, applicability(queries, candidate))):
-        if usable:
-            plan, _ = whatif_plan(q, (candidate,), ctx.catalog)
-            if any(leaf.index is not None for leaf in leaves(plan)):
-                plans[i] = plan
+    planned, raw = whatif_pricing(candidate, queries, ctx.catalog, ctx.noindex_costs)
+    # query position -> its plan with the candidate, if it uses an index
+    plans = {
+        i: plan
+        for i, plan in planned.items()
+        if any(leaf.index is not None for leaf in leaves(plan))
+    }
     results = dict(zip(plans, ctx.correct_all(list(plans.values()))))
     num = 0.0
     ev = 0.0
@@ -233,7 +272,8 @@ def candidate_valuation(
             if report.leaf.index == candidate and report.score is not None:
                 ev += report.score.combined
     eb = 1.0 - num / ctx.noindex_total
-    return IndexValuation(candidate, eb, ev, total_value(eb, ev, explore_weight))
+    value = total_value(eb, ev, explore_weight)
+    return IndexValuation(candidate, eb, ev, value, 1.0 - raw / ctx.noindex_total)
 
 
 def total_value(eb: float, ev: float, explore_weight: float) -> float:

@@ -11,9 +11,13 @@ telemetry verbatim. The calibration plan is the query's one no-index plan
 for the whole run: every method prices its benefits against that plan's
 cost, and the tuner corrects copies of it. Nothing mutates it. Each round,
 every method divides by the same `selection.noindex_total` of those plans.
-The baselines rank a round's candidates by raw what-if benefit through a
-`BaselineRanking`, which ranks a workload once however many baselines read
-it. Shared or private, calibration and ranking give the same results.
+The baselines rank a round's candidates by raw what-if benefit, and the
+calibration keeps each order under the round's queries with their frequency
+weights, not under the round number. The tuner's valuation prices every
+raw benefit as a by-product and records each round's order, so the
+baselines of a replication price nothing; a baseline alone prices each
+distinct query set once. Shared or private, calibration and ranking give
+the same results.
 
 A tuner round measures workload novelty and decays the exploration weight,
 builds the round's no-index pricing, prices each candidate with
@@ -56,7 +60,6 @@ from .seeding import subseed
 from .selection import (
     Configuration,
     CorrectionContext,
-    applicability,
     candidate_valuation,
     enumerate_configuration,
     exploration_weight,
@@ -64,8 +67,11 @@ from .selection import (
     noindex_total,
     round_context,
     selection_probabilities,
+    whatif_pricing,
 )
-from .simulator import GroundTruth, execute, whatif_plan
+# whatif_plan is not called here (pricing goes through
+# selection.whatif_pricing), but perfbench/tracer.py patches tuner.whatif_plan
+from .simulator import GroundTruth, execute, whatif_plan  # noqa: F401
 from .workload import MiniWorkload, unseen_fraction
 
 CREATION_SECONDS_PER_100MB = 1.0
@@ -138,13 +144,30 @@ def creation_seconds(indexes) -> float:
     return CREATION_SECONDS_PER_100MB * total_bytes / _100MB
 
 
+def _check_catalog(catalog: Catalog, ground_truth: GroundTruth) -> None:
+    """Raise ContractError unless a method's ``catalog`` is the one its
+    calibration plans against, ``ground_truth``'s."""
+    if catalog != ground_truth.catalog:
+        raise ContractError("a method prices against its ground truth's catalog")
+
+
 class Calibration:
-    """One replication's no-index calibration, shared by its methods.
+    """One replication's no-index calibration and raw what-if ranking, shared
+    by its methods.
 
     Each distinct query (by ``query.key()``) is executed once under the empty
     configuration with the calibration seed, and its telemetry is kept; every
     method's `Environment` over this ground truth and seed reads the same
     telemetry objects, whose plans nobody mutates.
+
+    Each round's candidates, ordered by raw what-if benefit, are kept under
+    the round's queries, which carry their frequency weights. The order is a
+    pure function of those queries: the candidates are those
+    `generate_candidates` derives from them and the ground truth's catalog,
+    and every benefit is priced against this calibration's no-index plans.
+    So a round that repeats an earlier round's queries reads its order, and
+    the round number plays no part. The tuner records the order its
+    valuation already priced; a round nobody recorded is priced here.
     """
 
     def __init__(self, ground_truth: GroundTruth, seed: int):
@@ -152,6 +175,7 @@ class Calibration:
         self.seed = seed
         self._seed = subseed(seed, "calibration")
         self._telemetry = {}
+        self._orders = {}  # round queries -> candidate positions, best first
 
     def check(self, ground_truth: GroundTruth, seed: int) -> None:
         """Raise ContractError unless this calibration is the one of
@@ -169,6 +193,35 @@ class Calibration:
 
     def noindex_plan(self, query):
         return self.noindex_telemetry(query).plan
+
+    def record_order(self, queries, raw_benefits) -> list:
+        """Keep and return the order of ``raw_benefits``, the raw what-if
+        benefit of each candidate `generate_candidates` derives from
+        ``queries``, unless an order of ``queries`` is kept already; then
+        return that one."""
+        # one lookup: hashing a round's queries costs more than the sort
+        return self._orders.setdefault(
+            queries,
+            sorted(range(len(raw_benefits)), key=lambda i: (-raw_benefits[i], i)),
+        )
+
+    def order(self, workload: MiniWorkload, candidates) -> list:
+        """Positions into ``candidates``, the round's `generate_candidates`,
+        by descending raw what-if benefit, ties by position."""
+        queries = workload.queries
+        order = self._orders.get(queries)
+        if order is None:
+            catalog = self.ground_truth.catalog
+            den = noindex_total(workload, self.noindex_plan)
+            costs = [self.noindex_plan(q).total_cost for q in queries]
+            order = self.record_order(
+                queries,
+                [
+                    1.0 - whatif_pricing(x, queries, catalog, costs)[1] / den
+                    for x in candidates
+                ],
+            )
+        return order
 
 
 class Environment:
@@ -236,6 +289,7 @@ class OnlineTuner:
         seed: int = 0,
         calibration: Calibration = None,
     ):
+        _check_catalog(catalog, ground_truth)
         self.catalog = catalog
         self.params = params
         self.seed = seed
@@ -284,6 +338,10 @@ class OnlineTuner:
         config = Configuration()
         if candidates:
             values = [candidate_valuation(x, ctx, explore) for x in candidates]
+            # the baselines sharing this calibration read it without pricing
+            self.env.calibration.record_order(
+                workload.queries, [v.raw_benefit for v in values]
+            )
             config = enumerate_configuration(
                 candidates,
                 selection_probabilities(values),
@@ -387,55 +445,6 @@ def overall_improvement(metrics_log) -> float:
     return (noindex - exec_) / noindex
 
 
-def _uncorrected_benefit(candidate, workload, catalog, noindex_costs, den):
-    """Raw what-if benefit over ``den``, the workload's `noindex_total`; a
-    query whose template cannot use the candidate keeps its no-index cost,
-    ``noindex_costs[i]`` for the ``i``-th query, which the planner would
-    return anyway."""
-    queries = workload.queries
-    num = 0.0
-    for q, usable, noindex_cost in zip(
-        queries, applicability(queries, candidate), noindex_costs
-    ):
-        cost_x = whatif_plan(q, (candidate,), catalog)[1] if usable else noindex_cost
-        num += q.frequency_weight * cost_x
-    return 1.0 - num / den
-
-
-class BaselineRanking:
-    """Each round's candidates ordered by raw what-if benefit, computed once
-    for every baseline of a replication.
-
-    The order is a pure function of the round's workload, of its
-    candidates, which `generate_candidates` derives from the workload and
-    ``catalog``, and of ``calibration``'s no-index plans. Orders are keyed by
-    the whole workload, its round number and its queries with their
-    frequency weights, so no other workload ever reads one.
-    """
-
-    def __init__(self, catalog: Catalog, calibration: Calibration):
-        self.catalog = catalog
-        self.calibration = calibration
-        self._orders = {}
-
-    def order(self, workload: MiniWorkload, candidates) -> list:
-        """Positions into ``candidates`` by descending benefit, ties by
-        position."""
-        if workload not in self._orders:
-            # the no-index plans every environment of this calibration executes
-            plan = self.calibration.noindex_plan
-            den = noindex_total(workload, plan)
-            costs = [plan(q).total_cost for q in workload.queries]
-            benefits = [
-                _uncorrected_benefit(x, workload, self.catalog, costs, den)
-                for x in candidates
-            ]
-            self._orders[workload] = sorted(
-                range(len(candidates)), key=lambda i: (-benefits[i], i)
-            )
-        return self._orders[workload]
-
-
 def run_baseline(
     kind: str,
     catalog: Catalog,
@@ -443,28 +452,26 @@ def run_baseline(
     schedule,
     params: TunerParams = TunerParams(),
     seed: int = 0,
-    ranking: BaselineRanking = None,
+    calibration: Calibration = None,
 ) -> list:
     """Comparison policies sharing the tuner's environment seeds.
 
     whatif_greedy takes the top-K candidates by raw what-if benefit each
     round; plain_epsilon_greedy replaces each greedy pick with a uniform
-    random candidate with probability epsilon. Neither learns. ``ranking``,
-    private unless the baselines of one replication pass the same one,
-    orders each round's candidates; its calibration is the environment's.
+    random candidate with probability epsilon. Neither learns. The order of
+    each round's candidates is ``calibration``'s: private unless one
+    replication's methods pass the same one, in which case a round the tuner
+    or another baseline already ranked is read, not priced again.
     """
     if kind not in BASELINE_KINDS:
         raise ConfigurationError(f"unknown baseline kind {kind!r}")
-    if ranking is None:
-        ranking = BaselineRanking(catalog, Calibration(ground_truth, seed))
-    elif ranking.catalog != catalog:
-        raise ContractError("a baseline ranking is shared only under its own catalog")
+    _check_catalog(catalog, ground_truth)
     rng = np.random.default_rng(subseed(seed, "baseline", kind))
-    env = Environment(ground_truth, seed, ranking.calibration)
+    env = Environment(ground_truth, seed, calibration)
     metrics = []
     for t, workload in enumerate(schedule):
         candidates = generate_candidates(workload, catalog)
-        order = ranking.order(workload, candidates)
+        order = env.calibration.order(workload, candidates)
         selected = []
         if kind == "whatif_greedy":
             selected = [candidates[i] for i in order[: params.max_indexes]]

@@ -1,13 +1,19 @@
-"""One replication's methods share a calibration and a baseline ranking.
+"""One replication's methods share a calibration and its raw ranking.
 
 `experiment.run_replication` calibrates each query once for the tuner and
-both baselines, and ranks each round once for both baselines. Sharing must
-not change a single result: every method must read exactly what it reads
-when it runs alone with private state.
+both baselines, and the baselines read each round's raw what-if ranking from
+the tuner's valuation instead of planning it again. A ranking is kept under
+the round's queries with their weights, so a lone baseline plans a repeated
+query set once. Sharing must not change a single result: every method must
+read exactly what it reads when it runs alone with private state.
 """
+
+import dataclasses
+from collections import Counter
 
 import pytest
 
+from idxlab import experiment, selection, tuner
 from idxlab.errors import ContractError
 from idxlab.experiment import (
     _environment,
@@ -15,10 +21,10 @@ from idxlab.experiment import (
     resolve_config,
     run_replication,
 )
-from idxlab.selection import Configuration, generate_candidates
+from idxlab.selection import Configuration, applicability, generate_candidates
 from idxlab.simulator import make_ground_truth
 from idxlab.tuner import (
-    BaselineRanking,
+    BASELINE_KINDS,
     Calibration,
     Environment,
     OnlineTuner,
@@ -93,31 +99,115 @@ def test_replication_equals_each_method_alone(tmp_path, baselines, repeating):
         assert any(row["n_new_indexes"] for row in shared["methods"][kind])
 
 
+def counting_planner(monkeypatch):
+    """Count every what-if planner call made through the names pricing uses,
+    under the label ``method[0]`` holds when the call is made."""
+    calls, method = Counter(), ["tuner"]
+
+    def wrap(original):
+        def wrapper(*args, **kwargs):
+            calls[method[0]] += 1
+            return original(*args, **kwargs)
+
+        return wrapper
+
+    for module in (selection, tuner):
+        monkeypatch.setattr(module, "whatif_plan", wrap(module.whatif_plan))
+    return calls, method
+
+
 def test_ranking_never_serves_a_round_of_another_workload():
     cfg = resolve_config(CONFIG)
     catalog, schedule, ground_truth = _environment(cfg, SEED)
     params = _tuner_params(cfg)
     # the same workloads in another order, numbered from 0 again
     other = [MiniWorkload(t, w.queries) for t, w in enumerate(reversed(schedule))]
-    ranking = BaselineRanking(catalog, Calibration(ground_truth, SEED))
-    for kind in ("whatif_greedy", "plain_epsilon_greedy"):
+    calibration = Calibration(ground_truth, SEED)
+    for kind in BASELINE_KINDS:
         for rounds in (schedule, other):
             alone = run_baseline(kind, catalog, ground_truth, rounds, params, SEED)
             got = run_baseline(
-                kind, catalog, ground_truth, rounds, params, SEED, ranking
+                kind, catalog, ground_truth, rounds, params, SEED, calibration
             )
             assert got == alone
+
+
+def test_queries_with_another_weight_get_their_own_order():
+    cfg = resolve_config(CONFIG)
+    catalog, schedule, ground_truth = _environment(cfg, SEED)
+    light = schedule[0]
+    # the same queries, the last one weighted far above the rest
+    last = light.queries[-1]
+    heavy = MiniWorkload(
+        light.round,
+        light.queries[:-1] + (dataclasses.replace(last, frequency_weight=10**6),),
+    )
+    candidates = generate_candidates(light, catalog)
+    assert generate_candidates(heavy, catalog) == candidates
+    calibration = Calibration(ground_truth, SEED)
+    light_order = calibration.order(light, candidates)
+    heavy_order = calibration.order(heavy, candidates)
+    assert heavy_order == Calibration(ground_truth, SEED).order(heavy, candidates)
+    # so an order kept without the weights would have served the wrong one
+    assert heavy_order != light_order
+
+
+def test_replication_baselines_plan_nothing(monkeypatch):
+    calls, method = counting_planner(monkeypatch)
+
+    def labelled(kind, *args):
+        method[0] = kind
+        return tuner.run_baseline(kind, *args)
+
+    monkeypatch.setattr(experiment, "run_baseline", labelled)
+    shared = run_replication(resolve_config(CONFIG), SEED)
+    assert list(shared["methods"]) == ["tuner", *BASELINE_KINDS]
+    assert method[0] == BASELINE_KINDS[-1]
+    # the tuner's valuation planned every pair, and each baseline read it
+    assert calls["tuner"] > 0
+    assert calls == Counter(tuner=calls["tuner"])
+
+
+def test_lone_baseline_plans_a_repeated_query_set_once(tmp_path, monkeypatch):
+    cfg = resolve_config(repeating_schedule_config(tmp_path))
+    catalog, schedule, ground_truth = _environment(cfg, SEED)
+    assert len(schedule) > 1
+    assert all(w.queries == schedule[0].queries for w in schedule)
+    queries = schedule[0].queries
+    pairs = sum(
+        sum(applicability(queries, x))
+        for x in generate_candidates(schedule[0], catalog)
+    )
+    assert pairs > 0
+    calls, _ = counting_planner(monkeypatch)
+    for kind in BASELINE_KINDS:
+        calls.clear()
+        run_baseline(kind, catalog, ground_truth, schedule, _tuner_params(cfg), SEED)
+        # round 0's applicable pairs, and none of a later round's
+        assert calls == Counter(tuner=pairs)
 
 
 def test_ranking_of_another_catalog_is_rejected():
     cfg = resolve_config(CONFIG)
     catalog, schedule, ground_truth = _environment(cfg, SEED)
     other_catalog, _, _ = _environment(cfg, SEED + 1)
-    ranking = BaselineRanking(other_catalog, Calibration(ground_truth, SEED))
+    calibration = Calibration(ground_truth, SEED)
+    # the calibration ranks against its ground truth's catalog
     with pytest.raises(ContractError):
         run_baseline(
-            "whatif_greedy", catalog, ground_truth, schedule, seed=SEED, ranking=ranking
+            "whatif_greedy", other_catalog, ground_truth, schedule, seed=SEED
         )
+    with pytest.raises(ContractError):
+        run_baseline(
+            "whatif_greedy",
+            other_catalog,
+            ground_truth,
+            schedule,
+            seed=SEED,
+            calibration=calibration,
+        )
+    with pytest.raises(ContractError):
+        OnlineTuner(other_catalog, ground_truth, seed=SEED, calibration=calibration)
 
 
 def test_calibration_rejects_another_ground_truth_or_seed():

@@ -135,7 +135,11 @@ def test_layered_tracer_attributes_each_method_of_an_experiment(tmp_path):
     assert [run["method"] for run in runs] == ["tuner", *tuner.BASELINE_KINDS]
     for run in runs:
         assert len(run["refs"]) == rounds, run["method"]
-    # the first baseline ranks every round; the second reads its ranking
-    first, second = tuner.BASELINE_KINDS
-    assert tracer.self_times(within=f"method.{first}")[0]["simulator.whatif_plan"] > 0
-    assert tracer.self_times(within=f"method.{second}")[0]["simulator.whatif_plan"] == 0
+    # the tuner's valuation plans every pair; both baselines read its ranking
+    planned = {
+        method: tracer.self_times(within=f"method.{method}")[0]["simulator.whatif_plan"]
+        for method in ("tuner", *tuner.BASELINE_KINDS)
+    }
+    assert planned["tuner"] > 0
+    for kind in tuner.BASELINE_KINDS:
+        assert planned[kind] == 0, kind

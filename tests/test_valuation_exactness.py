@@ -20,6 +20,7 @@ from idxlab.selection import (
     noindex_total,
     round_context,
     total_value,
+    whatif_pricing,
 )
 from idxlab.simulator import (
     _matched_selectivity,
@@ -27,7 +28,7 @@ from idxlab.simulator import (
     make_ground_truth,
     whatif_plan,
 )
-from idxlab.tuner import OnlineTuner, TunerParams, _uncorrected_benefit
+from idxlab.tuner import Calibration, OnlineTuner, TunerParams
 from idxlab.workload import (
     DriftSchedule,
     MiniWorkload,
@@ -160,15 +161,21 @@ def reference_uncorrected_benefit(candidate, workload, catalog):
 
 
 @pytest.fixture(scope="module")
-def trained():
-    """A tuner after a few rounds, plus the next round's workload."""
+def scenario():
+    """A catalog, a five-round static schedule over it, and its ground truth."""
     catalog = generate_catalog(CatalogSpec(n_tables=4), seed=42)
     templates = generate_templates(catalog, 10, seed=1)
     sched = DriftSchedule(
         "static", total_rounds=5, templates_per_round=6, queries_per_template=2
     )
     schedule = build_schedule(templates, sched, seed=2)
-    gt = make_ground_truth(catalog, seed=5, noise_sigma=0.05)
+    return catalog, schedule, make_ground_truth(catalog, seed=5, noise_sigma=0.05)
+
+
+@pytest.fixture(scope="module")
+def trained(scenario):
+    """A tuner after a few rounds, plus the next round's workload."""
+    catalog, schedule, gt = scenario
     tuner = OnlineTuner(catalog, gt, TunerParams(mcd_passes=5), seed=7)
     for workload in schedule[:4]:
         tuner.run_round(workload)
@@ -216,15 +223,26 @@ def test_valuation_matches_pricing_every_pair(trained, gate):
     assert corrected > 0  # the gates opened, so corrections were compared too
 
 
-def test_uncorrected_benefit_matches_pricing_every_pair(trained):
-    tuner, workload = trained
-    noindex_plan = tuner.env.calibration.noindex_plan
-    den = noindex_total(workload, noindex_plan)
-    costs = [noindex_plan(q).total_cost for q in workload.queries]
-    for candidate in generate_candidates(workload, tuner.catalog):
-        assert _uncorrected_benefit(
-            candidate, workload, tuner.catalog, costs, den
-        ) == reference_uncorrected_benefit(candidate, workload, tuner.catalog)
+def test_uncorrected_benefit_matches_pricing_every_pair(scenario):
+    catalog, schedule, gt = scenario
+    tuner = OnlineTuner(catalog, gt, TunerParams(mcd_passes=5), seed=7)
+    alone = Calibration(gt, 7)  # prices every order itself, as a lone baseline
+    for workload in schedule:
+        ctx = tuner._context(workload)
+        candidates = generate_candidates(workload, catalog)
+        want = [reference_uncorrected_benefit(x, workload, catalog) for x in candidates]
+        den = noindex_total(workload, alone.noindex_plan)
+        costs = [alone.noindex_plan(q).total_cost for q in workload.queries]
+        for candidate, benefit in zip(candidates, want):
+            # valuation's by-product, summed before correction
+            assert candidate_valuation(candidate, ctx, 0.5).raw_benefit == benefit
+            # a lone baseline's own pricing, against the calibration's plans
+            _, num = whatif_pricing(candidate, workload.queries, catalog, costs)
+            assert 1.0 - num / den == benefit
+        tuner.run_round(workload)
+        ranked = sorted(range(len(want)), key=lambda i: (-want[i], i))
+        assert tuner.env.calibration.order(workload, candidates) == ranked
+        assert alone.order(workload, candidates) == ranked
 
 
 def test_mean_uncertainty_before_reuses_gate_scores(trained):
