@@ -12,7 +12,10 @@ costs compose:
     GatherMerge      dcs = sum(dcs(children));  dce = dce(probe child)
 
 A leaf is corrected only when its combined uncertainty is at or below the
-gate threshold. Labeling runs the same rules once per config-related leaf
+gate threshold. `update_cost` applies one correction to a plan in place;
+`correct_plan`, the gate, sums the root's deltas instead and never changes
+a plan, so planner and executor plans can be corrected, shared and kept
+without copies. Labeling runs the same rules once per config-related leaf
 with the whole multiplier grid as a vector (every rule is `+` and `*`, so
 each element takes the scalar path's IEEE operations in the same order) and
 keeps the multiplier whose corrected benefit comes closest to the observed
@@ -159,8 +162,15 @@ def correct_plan(
     uncertainty_cache: Optional[dict] = None,
     encoded: Optional[list] = None,
 ) -> PlanCorrection:
-    """Gate-and-correct every leaf in depth-first order; mutates the plan.
+    """Gate-and-correct every leaf in depth-first order; the plan is left
+    as it is.
 
+    Each corrected leaf's root delta is added to the root's startup and
+    execution costs, kept here, in leaf order: the same additions, in the
+    same order, as `update_cost` makes on the root. A delta reads only the
+    leaf's own execution cost and the rows of its path, which no other
+    leaf's correction changes, so the corrected cost is bit-identical to
+    `update_cost` applied to a copy of the plan once per corrected leaf.
     ``encoded`` is the plan's `leaf_encodings`, when the caller has them."""
     if not threshold >= 0:  # also rejects NaN, which would close every gate
         raise ConfigurationError("uncertainty threshold must be >= 0")
@@ -172,6 +182,7 @@ def correct_plan(
         )
     )
     reports = []
+    startup, execution = plan.startup_cost, plan.exec_cost
     for leaf, encoding in encoded:
         if encoding is None:
             reports.append(LeafCorrection(leaf, None, None))
@@ -180,15 +191,17 @@ def correct_plan(
         applied = None
         if score.combined <= threshold:
             applied = models[leaf.kind].predict_multiplier(encoding)
-            update_cost(plan, leaf, applied)
+            dcs, dce = _path_deltas(path_to_root(plan, leaf), applied)[id(plan)]
+            startup += dcs
+            execution += dce
         reports.append(LeafCorrection(leaf, score, applied, encoding))
-    return PlanCorrection(plan.total_cost, tuple(reports))
+    return PlanCorrection(startup + execution, tuple(reports))
 
 
 def leaf_encodings(plan: PlanNode, models: dict, catalog: Catalog) -> list:
     """(leaf, encoding) per leaf of ``plan`` in depth-first order; the
-    encoding is None when no model covers the leaf's kind. Correcting a leaf
-    changes costs only, so the pairs stay valid while the plan is corrected."""
+    encoding is None when no model covers the leaf's kind. Correction never
+    changes a plan, so the pairs stay valid for as long as the plan is kept."""
     from .plan import encode_operator
 
     return [

@@ -28,11 +28,20 @@ and get the same floats either way.
 
 `round_context` builds a round's no-index pricing once, before any candidate
 is valued: the workload's no-index total, every query's raw no-index cost,
-and every query's no-index term, corrected from a copy of the query's shared
-no-index plan. A candidate's plans are corrected together, and so are the
-round's no-index terms: the uncached uncertainty scores of each group's
-leaves take one batched call per operator kind. The sums run in query order
-and are bit-identical to pricing every pair.
+and every query's no-index term, corrected from the query's shared no-index
+plan, which correction leaves as it is. A candidate's plans are corrected
+together, and so are the round's no-index terms: the uncached uncertainty
+scores of each group's leaves take one batched call per operator kind. The
+sums run in query order and are bit-identical to pricing every pair.
+
+A tuner keeps the pricing of a recurring query's pairs across rounds, in the
+context's ``plan_memo``: each (query key, candidate) pair's what-if cost and,
+when the plan uses an index, the plan and its leaf encodings. A what-if plan
+is a pure function of the query's key, the candidate and the catalog, and
+correction never changes it, so a kept pair is only corrected again, under
+the models as they are now. A pair is stored only when its query was in the
+previous round too, and the tuner drops the pairs of queries that left the
+round, so a workload whose queries do not recur keeps nothing.
 """
 
 from dataclasses import dataclass
@@ -61,10 +70,6 @@ class Configuration:
     """A deployed index set."""
 
     indexes: tuple = ()
-
-    @property
-    def total_size_bytes(self) -> int:
-        return sum(ix.estimated_size_bytes for ix in self.indexes)
 
     def __len__(self) -> int:
         return len(self.indexes)
@@ -125,10 +130,13 @@ class CorrectionContext:
     The models must not change while a context is in use: its no-index terms
     were corrected under their current state. ``uncertainty_cache`` may be
     shared across rounds, because its keys carry each model's ``step_count``,
-    which every update advances. ``noindex_total`` is the round workload's
-    `noindex_total`, ``noindex_costs[i]`` is the cost of its ``i``-th query's
-    no-index plan, and ``noindex_terms[i]`` is that query's frequency weight
-    times the plan's gate-corrected cost.
+    which every update advances, and so may ``plan_memo`` (see `whatif`).
+    ``recurring`` holds the keys of the previous round's queries.
+    ``query_keys[i]`` is the key of the round workload's ``i``-th query,
+    ``noindex_total`` is the workload's `noindex_total`, ``noindex_costs[i]``
+    is the cost of its ``i``-th query's no-index plan, and
+    ``noindex_terms[i]`` is that query's frequency weight times the plan's
+    gate-corrected cost.
     """
 
     catalog: Catalog
@@ -137,16 +145,21 @@ class CorrectionContext:
     mix_weight: float
     passes: int
     uncertainty_cache: dict
+    plan_memo: dict
+    recurring: frozenset
     workload: MiniWorkload
+    query_keys: tuple
     noindex_total: float
     noindex_costs: tuple
     noindex_terms: tuple
 
-    def correct_all(self, plans) -> list:
-        """Gate-and-correct each plan in place under this context's models,
-        after scoring the uncached leaves of them all in one batched call per
-        operator kind."""
-        encoded = [leaf_encodings(p, self.models, self.catalog) for p in plans]
+    def correct_all(self, plans, encoded=None) -> list:
+        """Gate-and-correct each plan under this context's models, after
+        scoring the uncached leaves of them all in one batched call per
+        operator kind; ``encoded[j]`` is plan ``j``'s `leaf_encodings`, when
+        the caller has them. No plan is changed."""
+        if encoded is None:
+            encoded = [leaf_encodings(p, self.models, self.catalog) for p in plans]
         cached_uncertainties(
             self.models,
             [pair for e in encoded for pair in scored_leaves(e)],
@@ -168,6 +181,35 @@ class CorrectionContext:
             for p, e in zip(plans, encoded)
         ]
 
+    def whatif(self, candidate: IndexCandidate) -> Callable:
+        """The `whatif_pricing` ``price`` of ``candidate`` for valuation.
+
+        ``price(i, query)`` returns ``(entry, cost)`` for the ``i``-th
+        query: ``entry`` is the query's what-if plan with the candidate and
+        its `leaf_encodings` when the plan uses an index, else None, and
+        ``cost`` is the plan's cost. A pair is read from ``plan_memo``, under
+        (query key, candidate), when it is there. Otherwise it is planned,
+        and stored when the query's key is in ``recurring``. A what-if plan
+        is a pure function of the query's key, the candidate and the
+        catalog, and no correction changes it, so a stored pair is exact for
+        as long as it is kept.
+        """
+
+        def price(i, query):
+            key = (self.query_keys[i], candidate)
+            priced = self.plan_memo.get(key)
+            if priced is None:
+                plan, cost = whatif_plan(query, (candidate,), self.catalog)
+                entry = None
+                if any(leaf.index is not None for leaf in leaves(plan)):
+                    entry = (plan, leaf_encodings(plan, self.models, self.catalog))
+                priced = (entry, cost)
+                if key[0] in self.recurring:
+                    self.plan_memo[key] = priced
+            return priced
+
+        return price
+
 
 def noindex_total(workload: MiniWorkload, noindex_plan: Callable) -> float:
     """Frequency-weighted cost of each query's ``noindex_plan``, summed in
@@ -187,24 +229,29 @@ def round_context(
     passes: int,
     uncertainty_cache: dict,
     noindex_plan: Callable,
+    plan_memo: dict = None,
+    recurring: frozenset = frozenset(),
 ) -> CorrectionContext:
     """The round's `CorrectionContext`, its no-index terms corrected from
-    copies of each query's ``noindex_plan``, which is shared and never
-    mutated; raises ContractError when the no-index total is not positive."""
+    each query's ``noindex_plan``, which is shared and stays as it is;
+    raises ContractError when the no-index total is not positive.
+
+    ``plan_memo`` and ``recurring`` are the tuner's (see `CorrectionContext`);
+    without them, valuation plans every pair and keeps none."""
     total = noindex_total(workload, noindex_plan)
     if total <= 0:
         raise ContractError("workload has nonpositive no-index cost")
     plans = [noindex_plan(q) for q in workload.queries]
     gate = (catalog, models, threshold, mix_weight, passes, uncertainty_cache)
-    pricing = (workload, total, tuple(plan.total_cost for plan in plans))
-    corrected = CorrectionContext(*gate, *pricing, ()).correct_all(
-        [plan.clone() for plan in plans]
-    )
+    memo = ({} if plan_memo is None else plan_memo, recurring)
+    keys = tuple(q.key() for q in workload.queries)
+    pricing = (workload, keys, total, tuple(plan.total_cost for plan in plans))
+    corrected = CorrectionContext(*gate, *memo, *pricing, ()).correct_all(plans)
     terms = tuple(
         q.frequency_weight * result.corrected_cost
         for q, result in zip(workload.queries, corrected)
     )
-    return CorrectionContext(*gate, *pricing, terms)
+    return CorrectionContext(*gate, *memo, *pricing, terms)
 
 
 def applicability(queries, candidate: IndexCandidate) -> list:
@@ -218,15 +265,18 @@ def applicability(queries, candidate: IndexCandidate) -> list:
 
 
 def whatif_pricing(
-    candidate: IndexCandidate, queries, catalog: Catalog, noindex_costs
+    candidate: IndexCandidate, queries, catalog: Catalog, noindex_costs, price=None
 ):
     """``candidate``'s what-if plan of each query whose template can use it,
     by query position, and the raw what-if total: the frequency-weighted plan
     costs summed in query order, where any other query keeps
     ``noindex_costs[i]``, the cost the planner would return anyway.
 
-    Valuation and the baselines' own ranking both price through this one
-    loop, so a raw benefit is the same float whichever of them computed it.
+    ``price(i, query)``, when given, prices the ``i``-th query's pair in the
+    planner's stead and returns what to keep for it in place of the plan,
+    and its cost (`CorrectionContext.whatif`). Valuation and the baselines'
+    own ranking both price through this one loop, so a raw benefit is the
+    same float whichever of them computed it.
     """
     plans = {}
     total = 0.0
@@ -234,7 +284,10 @@ def whatif_pricing(
         zip(queries, applicability(queries, candidate), noindex_costs)
     ):
         if usable:
-            plans[i], cost = whatif_plan(q, (candidate,), catalog)
+            if price is None:
+                plans[i], cost = whatif_plan(q, (candidate,), catalog)
+            else:
+                plans[i], cost = price(i, q)
         total += q.frequency_weight * cost
     return plans, total
 
@@ -249,17 +302,19 @@ def candidate_valuation(
     no-index term from ``ctx`` (see the module docstring). The candidate's
     own plans are corrected together, so their leaves are scored in one
     batched call per operator kind. The raw EB is summed from the same plans
-    before correction, by `whatif_pricing`.
+    before correction, by `whatif_pricing`, which reads a recurring query's
+    pairs from the context's memo.
     """
     queries = ctx.workload.queries
-    planned, raw = whatif_pricing(candidate, queries, ctx.catalog, ctx.noindex_costs)
-    # query position -> its plan with the candidate, if it uses an index
-    plans = {
-        i: plan
-        for i, plan in planned.items()
-        if any(leaf.index is not None for leaf in leaves(plan))
-    }
-    results = dict(zip(plans, ctx.correct_all(list(plans.values()))))
+    priced, raw = whatif_pricing(
+        candidate, queries, ctx.catalog, ctx.noindex_costs, ctx.whatif(candidate)
+    )
+    # query position -> (plan, leaf encodings) of its plan with the
+    # candidate, if that plan uses an index
+    entries = {i: entry for i, entry in priced.items() if entry is not None}
+    plans = [plan for plan, _ in entries.values()]
+    encoded = [leaf_pairs for _, leaf_pairs in entries.values()]
+    results = dict(zip(entries, ctx.correct_all(plans, encoded)))
     num = 0.0
     ev = 0.0
     for i, q in enumerate(queries):

@@ -14,9 +14,12 @@ predicates per table (``Query.predicates_by_table``) and each table's filter
 selectivity (``Query.filter_selectivities``), which is kept for the catalog
 object it was computed against and recomputed under any other. Each catalog
 table maps its column names once. All of these are pure functions of frozen
-values, so every plan is built node for node as from scratch. Unlike the
-plan memos tried before, nothing here hashes a query or keeps a plan: each
-call still plans the whole query under its configuration.
+values, so every plan is built node for node as from scratch. The planner
+itself hashes no query and keeps no plan: each call plans the whole query
+under its configuration. A what-if plan is therefore a pure function of the
+query's key, the configuration and the catalog, which is what lets the
+tuner keep the plans of queries that recur from one round to the next
+(`selection.CorrectionContext.whatif`).
 
 The executor turns per-operator execution costs into "true" runtimes through
 hidden per-(operator kind, table) multipliers and optional lognormal noise;

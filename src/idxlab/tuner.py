@@ -9,7 +9,7 @@ methods of one replication share it, so a query is calibrated once for all
 of them. A round deployed with an empty configuration reuses the calibration
 telemetry verbatim. The calibration plan is the query's one no-index plan
 for the whole run: every method prices its benefits against that plan's
-cost, and the tuner corrects copies of it. Nothing mutates it. Each round,
+cost, and the tuner corrects it, which leaves it as it is. Each round,
 every method divides by the same `selection.noindex_total` of those plans.
 The baselines rank a round's candidates by raw what-if benefit, and the
 calibration keeps each order under the round's queries with their frequency
@@ -29,11 +29,19 @@ candidate is valued; a candidate is planned against a query only when the
 query's template can use it; the deployed configuration is corrected from
 the plan the executor already built; the labels reuse the encodings the gate
 scored; and the round's mean uncertainty before the model update is the mean
-of the gate scores that correction produced. Uncertainty scores are cached
-for the tuner's lifetime under keys that carry each model's training step,
-so the probe after an update and the next round's gate score a leaf once.
-The round's no-index plans, each candidate's plans, the round's deployed
-plans and the probe are scored in one batched call per operator kind.
+of the gate scores that correction produced. Correction never changes a
+plan, so no plan is copied. Uncertainty scores are cached for the tuner's
+lifetime under keys that carry each model's training step, so the probe
+after an update and the next round's gate score a leaf once. The round's
+no-index plans, each candidate's plans, the round's deployed plans and the
+probe are scored in one batched call per operator kind.
+
+Nor is planning repeated across rounds for a query that recurs: the tuner
+keeps the what-if pricing of each (query key, candidate) pair whose query
+was in the previous round too, with the plan's leaf encodings when it uses
+an index, and drops the pairs of queries that leave the round. A kept pair
+is only corrected again, under the models as they are now, so the reports
+are those of planning every pair anew (see `selection`).
 """
 
 from dataclasses import dataclass
@@ -55,7 +63,7 @@ from .costmodel import MULTIPLIER_GRID, CostMultiplierModel, nearest_bucket_inde
 from .errors import FIELDS, ConfigurationError, ContractError, check_fields
 # encode_operator is not called here either (the gate's reports carry the
 # encodings), but perfbench/tracer.py patches tuner.encode_operator by name
-from .plan import LEAF_KINDS, encode_operator, encoding_length, leaves  # noqa: F401
+from .plan import LEAF_KINDS, encode_operator, encoding_length  # noqa: F401
 from .seeding import subseed
 from .selection import (
     Configuration,
@@ -279,7 +287,10 @@ class Environment:
 
 class OnlineTuner:
     """Owns the models (one per leaf kind, built up front), caches, and
-    history of one tuning run; ``calibration`` is its environment's."""
+    history of one tuning run; ``calibration`` is its environment's.
+
+    ``_plan_memo`` is the context's `CorrectionContext.plan_memo`, and
+    ``_recurring`` the keys of the last round's queries."""
 
     def __init__(
         self,
@@ -306,6 +317,8 @@ class OnlineTuner:
         self.metrics = []
         self.reports = []
         self._uncertainty_cache = {}
+        self._plan_memo = {}
+        self._recurring = frozenset()
 
     def model_for(self, kind: str) -> CostMultiplierModel:
         return self.models[kind]
@@ -313,7 +326,7 @@ class OnlineTuner:
     def _context(self, workload: MiniWorkload) -> CorrectionContext:
         p = self.params
         drop_stale_scores(self._uncertainty_cache, self.models)
-        return round_context(
+        ctx = round_context(
             workload,
             self.catalog,
             self.models,
@@ -322,7 +335,15 @@ class OnlineTuner:
             p.mcd_passes,
             self._uncertainty_cache,
             self.env.calibration.noindex_plan,
+            self._plan_memo,
+            self._recurring,
         )
+        # keep the pairs of this round's queries only, so the memo holds at
+        # most one round's plans
+        current = set(ctx.query_keys)
+        for key in [k for k in self._plan_memo if k[0] not in current]:
+            del self._plan_memo[key]
+        return ctx
 
     def run_round(self, workload: MiniWorkload) -> RoundReport:
         p = self.params
@@ -354,11 +375,9 @@ class OnlineTuner:
         # 5. index creation plus execution under the new configuration
         executed, row = self.env.step(t, workload, config)
 
-        # the executor's plans of the deployed and the empty configuration are
-        # never mutated; copies of the deployed ones are corrected together
-        corrections = ctx.correct_all(
-            [telemetry.plan.clone() for _, telemetry, _ in executed]
-        )
+        # the executor's plans of the deployed configuration, corrected
+        # together; correction leaves them, and the no-index plans, as they are
+        corrections = ctx.correct_all([telemetry.plan for _, telemetry, _ in executed])
         per_query, probe_encodings, probe_scores = [], [], []
         by_kind = {}  # operator kind -> (encoding, bucket) labels
         for (q, telemetry, baseline), corrected in zip(executed, corrections):
@@ -367,20 +386,19 @@ class OnlineTuner:
             noindex_cost = baseline.plan.total_cost
             b_est = estimated_benefit(noindex_cost, corrected.corrected_cost)
             per_query.append((b_est, b_actual))
-            # the clone lists its leaves in the plan's order
-            encodings = {}
-            for leaf, report in zip(leaves(plan), corrected.reports):
+            encodings = {}  # leaf -> the encoding the gate scored
+            for report in corrected.reports:
                 if report.score is not None:
-                    probe_encodings.append((leaf.kind, report.encoding))
+                    probe_encodings.append((report.leaf.kind, report.encoding))
                     probe_scores.append(report.score.combined)
-                    encodings[id(leaf)] = report.encoding
+                    encodings[report.leaf] = report.encoding
 
             # 6. telemetry to multiplier labels on the pristine plan
             for leaf, multiplier in telemetry_to_labels(
                 plan, config.indexes, MULTIPLIER_GRID, b_actual, noindex_cost
             ):
                 by_kind.setdefault(leaf.kind, []).append(
-                    (encodings[id(leaf)], nearest_bucket_index(multiplier))
+                    (encodings[leaf], nearest_bucket_index(multiplier))
                 )
 
         # the gate scored every probe under the models as they are now
@@ -412,6 +430,7 @@ class OnlineTuner:
         self.metrics.append(row)
         self.reports.append(report)
         self.seen_templates.update(workload.template_ids())
+        self._recurring = frozenset(ctx.query_keys)
         self.round += 1
         return report
 

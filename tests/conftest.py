@@ -28,6 +28,11 @@ def build_catalog():
     return Catalog(tables=(table,), seed=0)
 
 
+def total_size_bytes(config) -> int:
+    """The estimated bytes of a configuration's indexes."""
+    return sum(ix.estimated_size_bytes for ix in config.indexes)
+
+
 @pytest.fixture
 def small_catalog():
     return build_catalog()

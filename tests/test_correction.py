@@ -302,7 +302,61 @@ def test_unbounded_threshold_corrects_every_leaf():
     manual = plan.clone()
     for pos, report in enumerate(result.reports):
         update_cost(manual, leaves(manual)[pos], report.multiplier)
-    assert result.corrected_cost == pytest.approx(manual.total_cost, rel=1e-12)
+    assert result.corrected_cost == manual.total_cost
+
+
+@lru_cache(maxsize=None)
+def gate_cases():
+    """Simulator plans with two or more leaves, their catalog, and models
+    with random output weights, so that gate scores spread out over the
+    leaves and the predicted multipliers differ from 1."""
+    cases = [c for c in _simulator_plans(200, seed=12) if len(leaves(c[3])) > 1]
+    catalog = cases[0][0]
+    rng = np.random.default_rng(4)
+    models = {}
+    for seed, kind in enumerate(("SeqScan", "IndexScan", "IndexOnlyScan")):
+        m = CostMultiplierModel(input_dim=encoding_length(catalog), seed=seed)
+        m.params["W3"][...] = rng.normal(0.0, 1.0, m.params["W3"].shape)
+        models[kind] = m
+    return catalog, models, tuple(plan for _, _, _, plan, _ in cases)
+
+
+gate_plans = st.deferred(lambda: st.sampled_from(gate_cases()[2]))
+
+
+@settings(max_examples=80, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(gate_plans, st.one_of(st.floats(min_value=0.0, max_value=2.0), st.just(math.inf)))
+def test_correct_plan_leaves_the_plan_and_equals_update_cost_on_a_clone(
+    plan, threshold
+):
+    catalog, models, _ = gate_cases()
+    before = [(node.startup_cost, node.exec_cost) for node in plan.walk()]
+    result = correct_plan(plan, models, catalog, threshold, 0.5, 10)
+    assert [(node.startup_cost, node.exec_cost) for node in plan.walk()] == before
+    # update_cost on a clone, once per corrected leaf in report order
+    manual = plan.clone()
+    for pos, report in enumerate(result.reports):
+        assert report.leaf is leaves(plan)[pos]
+        if report.multiplier is not None:
+            update_cost(manual, leaves(manual)[pos], report.multiplier)
+    assert result.corrected_cost == manual.total_cost
+
+
+def test_gate_cases_correct_some_leaves_of_every_plan_and_not_others():
+    catalog, models, plans = gate_cases()
+    scores = [
+        report.score.combined
+        for plan in plans
+        for report in correct_plan(plan, models, catalog, 0.0, 0.5, 10).reports
+    ]
+    threshold = float(np.median(scores))
+    for plan in plans:
+        applied = [
+            report.multiplier
+            for report in correct_plan(plan, models, catalog, threshold, 0.5, 10).reports
+        ]
+        assert None in applied
+        assert any(m is not None and m != 1.0 for m in applied)
 
 
 def test_example_gate_only_low_uncertainty_leaf_corrected():
@@ -326,9 +380,9 @@ def test_example_gate_only_low_uncertainty_leaf_corrected():
     models = {"SeqScan": seq_model, "IndexScan": idx_model}
     result = correct_plan(root, models, catalog, 0.1, 0.5, 10)
     assert [r.multiplier for r in result.reports] == [None, 2.0]
-    assert inner.exec_cost == 2.70
-    assert root.exec_cost == 181087.0
-    assert result.corrected_cost == root.total_cost
+    # the corrected root execution cost, with the plan itself left as it was
+    assert result.corrected_cost == root.startup_cost + 181087.0
+    assert inner.exec_cost == 1.35
 
 
 # --- benefits ----------------------------------------------------------------

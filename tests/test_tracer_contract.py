@@ -16,7 +16,12 @@ import os
 from idxlab import correction, costmodel, experiment, plan, selection, tuner
 from idxlab.catalog import CatalogSpec, generate_catalog
 from idxlab.simulator import make_ground_truth
-from idxlab.workload import DriftSchedule, build_schedule, generate_templates
+from idxlab.workload import (
+    DriftSchedule,
+    MiniWorkload,
+    build_schedule,
+    generate_templates,
+)
 
 TRACER_PATH = os.path.join(
     os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
@@ -109,6 +114,39 @@ def test_layered_tracer_sees_every_layer_of_a_short_run():
     assert len(direct) == sum(2 * len(w.queries) for w in schedule)
     baseline_calls, _ = tracer.self_times(within="method.whatif_greedy")
     assert baseline_calls["simulator.whatif_plan"] > 0
+
+
+def test_layered_tracer_sees_every_correction_of_a_hot_schedule():
+    # round 0's queries every round: from round 2 on, valuation reads every
+    # pair from the tuner's memo, but every plan is still corrected through
+    # the traced gate
+    catalog = generate_catalog(CatalogSpec(n_tables=3), seed=42)
+    templates = generate_templates(catalog, 6, seed=1)
+    sched = DriftSchedule(
+        "static", total_rounds=1, templates_per_round=4, queries_per_template=2
+    )
+    first = build_schedule(templates, sched, seed=2)[0]
+    schedule = [MiniWorkload(t, first.queries) for t in range(3)]
+    gt = make_ground_truth(catalog, seed=5)
+    tracer = load_tracer().Tracer(layers=True)
+    with tracer:
+        tuner.OnlineTuner(catalog, gt, tuner.TunerParams(mcd_passes=5), seed=7).run(
+            schedule
+        )
+    calls, _ = tracer.self_times(by_round=True)
+    for t in range(3):
+        direct = [
+            span
+            for span in tracer.spans
+            if span[0] == "correction.correct_plan"
+            and span[4] == t
+            and tracer.spans[span[3]][0] == "tuner.run_round"
+        ]
+        assert len(direct) == 2 * len(first.queries), t
+        assert calls[("selection.candidate_valuation", t)] > 0, t
+    assert calls[("simulator.whatif_plan", 0)] > 0
+    assert calls[("simulator.whatif_plan", 2)] == 0
+    assert calls[("correction.correct_plan", 2)] > 2 * len(first.queries)
 
 
 def test_layered_tracer_attributes_each_method_of_an_experiment(tmp_path):

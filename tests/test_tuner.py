@@ -7,7 +7,7 @@ import pytest
 from idxlab.catalog import CatalogSpec, ColumnRef, generate_catalog
 from idxlab.costmodel import nearest_bucket_index
 from idxlab.errors import ConfigurationError, ContractError
-from idxlab.simulator import make_ground_truth
+from idxlab.simulator import make_ground_truth, whatif_plan
 from idxlab.selection import Configuration, generate_candidates
 from idxlab.tuner import (
     Environment,
@@ -27,6 +27,8 @@ from idxlab.workload import (
     build_schedule,
     generate_templates,
 )
+
+from conftest import total_size_bytes
 
 
 @pytest.fixture(scope="module")
@@ -168,6 +170,103 @@ def test_lifetime_uncertainty_cache_changes_no_report(env, threshold):
     assert tuner.metrics == fresh.metrics
 
 
+class FreshMemoTuner(OnlineTuner):
+    """Plans every (query, candidate) pair anew: the reference for the
+    recurring-query pricing memo. It counts no query as recurring, so its
+    memo stays empty, even for a query that comes twice in one round."""
+
+    def _context(self, workload):
+        self._recurring = frozenset()
+        return super()._context(workload)
+
+
+def hot_schedule(schedule):
+    """Round 0's queries in every round."""
+    return [MiniWorkload(t, schedule[0].queries) for t in range(len(schedule))]
+
+
+def half_recurring_schedule(schedule):
+    """Each round keeps the second half of the round before's queries, after
+    half of its own: round 0's second half recurs in every round."""
+    out = [schedule[0]]
+    for t, w in enumerate(schedule[1:], start=1):
+        kept = out[-1].queries[len(out[-1].queries) // 2 :]
+        out.append(MiniWorkload(t, w.queries[: len(w.queries) // 2] + kept))
+    return out
+
+
+def gap_schedule(schedule):
+    """Round 0's queries again after one other round, then in a row."""
+    a, b = schedule[0].queries, schedule[1].queries
+    return [MiniWorkload(t, q) for t, q in enumerate((a, b, a, a, a, b))]
+
+
+def round_keys(workload):
+    return {q.key() for q in workload.queries}
+
+
+@pytest.mark.parametrize("threshold", [0.1, math.inf])
+@pytest.mark.parametrize(
+    "build", [hot_schedule, half_recurring_schedule, gap_schedule]
+)
+def test_plan_memo_changes_no_report(env, monkeypatch, build, threshold):
+    from idxlab import selection, tuner as tuner_module
+
+    catalog, schedule, gt = env
+    rounds = build(schedule)
+    planned, valued = [], []
+
+    def counting_whatif_plan(*args, **kwargs):
+        planned[-1] += 1
+        return whatif_plan(*args, **kwargs)
+
+    valuation = tuner_module.candidate_valuation
+
+    def recording_valuation(*args, **kwargs):
+        valued[-1].append(valuation(*args, **kwargs))
+        return valued[-1][-1]
+
+    params = TunerParams(uncertainty_threshold=threshold)
+    tuner = OnlineTuner(catalog, gt, params, seed=13)
+    fresh = FreshMemoTuner(catalog, gt, params, seed=13)
+    saved = 0
+    for t, w in enumerate(rounds):
+        with monkeypatch.context() as m:
+            m.setattr(selection, "whatif_plan", counting_whatif_plan)
+            m.setattr(tuner_module, "candidate_valuation", recording_valuation)
+            planned.append(0)
+            valued.append([])
+            report = tuner.run_round(w)
+            planned.append(0)
+            valued.append([])
+            want = fresh.run_round(w)
+        # every candidate's valuation, not only the sampled configuration
+        assert valued[-2] == valued[-1]
+        assert report.to_dict() == want.to_dict()
+        # valuation's planner calls, with the memo and without it
+        with_memo, without = planned[-2:]
+        assert with_memo <= without
+        saved += without - with_memo
+        if build is hot_schedule and t >= 2:
+            assert with_memo == 0, t
+        # the memo holds pairs of this round's queries only
+        assert {key for key, _ in tuner._plan_memo} <= round_keys(w)
+        recurring = t > 0 and round_keys(w) & round_keys(rounds[t - 1])
+        assert bool(tuner._plan_memo) == bool(recurring), t
+    assert tuner.metrics == fresh.metrics
+    assert saved > 0
+
+
+def test_plan_memo_stays_empty_when_no_query_recurs(env):
+    catalog, schedule, gt = env
+    for earlier, w in zip(schedule, schedule[1:]):
+        assert not round_keys(earlier) & round_keys(w)
+    tuner = OnlineTuner(catalog, gt, TunerParams(), seed=13)
+    for w in schedule:
+        tuner.run_round(w)
+        assert tuner._plan_memo == {}
+
+
 def test_context_keeps_only_scores_of_current_model_steps(env):
     catalog, schedule, gt = env
     tuner = OnlineTuner(catalog, gt, TunerParams(), seed=13)
@@ -203,7 +302,7 @@ def test_storage_budget_mode(env):
     params = TunerParams(storage_budget_bytes=300000)
     tuner = OnlineTuner(catalog, gt, params, seed=19)
     report = tuner.run_round(schedule[0])
-    assert report.configuration.total_size_bytes <= 300000
+    assert total_size_bytes(report.configuration) <= 300000
 
 
 def test_learning_signal_shrinks_benefit_gap():
