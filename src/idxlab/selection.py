@@ -26,25 +26,31 @@ corrected one. The baselines rank by that raw EB: they read it from the
 tuner's valuation, or price it through the same loop when they run alone,
 and get the same floats either way.
 
-`round_context` builds a round's no-index pricing once, before any candidate
-is valued: the workload's no-index total, every query's raw no-index cost,
-and every query's no-index term, corrected from the query's shared no-index
-plan, which correction leaves as it is. A candidate's plans are corrected
-together, and so are the round's no-index terms: the uncached uncertainty
-scores of each group's leaves take one batched call per operator kind. The
-sums run in query order and are bit-identical to pricing every pair.
+A tuner's `Gate` owns what outlives a round: the catalog, the models, the
+gate threshold, mix weight and MC-dropout passes, the uncertainty scores,
+cached under keys that carry each model's training step, and the memo of
+recurring pairs below. It scores through `Gate.score` and corrects through
+`Gate.correct_all`, which scores the uncached leaves of a group of plans in
+one batched call per operator kind before `correct_plan` gates each of them.
 
-A tuner keeps the pricing of a recurring query's pairs across rounds, in the
-context's ``plan_memo``: each (query key, candidate) pair's what-if cost and,
+`round_context` builds a round's `CorrectionContext` once, before any
+candidate is valued: the workload's no-index total, every query's raw
+no-index cost, and every query's no-index term, corrected from the query's
+shared no-index plan, which correction leaves as it is. A candidate's plans
+are corrected together, and so are the round's no-index terms. The sums run
+in query order and are bit-identical to pricing every pair.
+
+A tuner keeps the pricing of a recurring query's pairs across rounds, in its
+gate's ``plan_memo``: each (query key, candidate) pair's what-if cost and,
 when the plan uses an index, the plan and its leaf encodings. A what-if plan
 is a pure function of the query's key, the candidate and the catalog, and
 correction never changes it, so a kept pair is only corrected again, under
 the models as they are now. A pair is stored only when its query was in the
-previous round too, and the tuner drops the pairs of queries that left the
-round, so a workload whose queries do not recur keeps nothing.
+previous round too, and `round_context` drops the pairs of queries that left
+the round, so a workload whose queries do not recur keeps nothing.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
@@ -53,6 +59,7 @@ from .catalog import Catalog, IndexCandidate, sized_candidate
 from .correction import (
     cached_uncertainties,
     correct_plan,
+    drop_stale_scores,
     leaf_encodings,
     scored_leaves,
 )
@@ -123,20 +130,14 @@ def generate_candidates(workload: MiniWorkload, catalog: Catalog) -> list:
 
 
 @dataclass(frozen=True)
-class CorrectionContext:
-    """Everything candidate valuation needs to price one round's corrected
-    plans; `round_context` builds it.
-
-    The models must not change while a context is in use: its no-index terms
-    were corrected under their current state. ``uncertainty_cache`` may be
-    shared across rounds, because its keys carry each model's ``step_count``,
-    which every update advances, and so may ``plan_memo`` (see `whatif`).
-    ``recurring`` holds the keys of the previous round's queries.
-    ``query_keys[i]`` is the key of the round workload's ``i``-th query,
-    ``noindex_total`` is the workload's `noindex_total`, ``noindex_costs[i]``
-    is the cost of its ``i``-th query's no-index plan, and
-    ``noindex_terms[i]`` is that query's frequency weight times the plan's
-    gate-corrected cost.
+class Gate:
+    """The uncertainty gate of one tuner: its catalog, its models (one per
+    leaf kind, which the tuner trains in place), the gate threshold, mix
+    weight and MC-dropout passes, and its two caches (see the module
+    docstring). ``score_cache`` is `cached_uncertainties`'s cache, and
+    ``plan_memo`` maps (query key, candidate) to `CorrectionContext.whatif`'s
+    pricing; `round_context` keeps each to the entries that can still be
+    read.
     """
 
     catalog: Catalog
@@ -144,29 +145,23 @@ class CorrectionContext:
     threshold: float
     mix_weight: float
     passes: int
-    uncertainty_cache: dict
-    plan_memo: dict
-    recurring: frozenset
-    workload: MiniWorkload
-    query_keys: tuple
-    noindex_total: float
-    noindex_costs: tuple
-    noindex_terms: tuple
+    score_cache: dict = field(default_factory=dict)
+    plan_memo: dict = field(default_factory=dict)
+
+    def score(self, pairs) -> list:
+        """The cached `combined_uncertainty` of each (kind, encoding) pair."""
+        return cached_uncertainties(
+            self.models, pairs, self.mix_weight, self.passes, self.score_cache
+        )
 
     def correct_all(self, plans, encoded=None) -> list:
-        """Gate-and-correct each plan under this context's models, after
-        scoring the uncached leaves of them all in one batched call per
+        """Gate-and-correct each plan under the models as they are now,
+        after scoring the uncached leaves of them all in one batched call per
         operator kind; ``encoded[j]`` is plan ``j``'s `leaf_encodings`, when
         the caller has them. No plan is changed."""
         if encoded is None:
             encoded = [leaf_encodings(p, self.models, self.catalog) for p in plans]
-        cached_uncertainties(
-            self.models,
-            [pair for e in encoded for pair in scored_leaves(e)],
-            self.mix_weight,
-            self.passes,
-            self.uncertainty_cache,
-        )
+        self.score([pair for e in encoded for pair in scored_leaves(e)])
         return [
             correct_plan(
                 p,
@@ -175,11 +170,34 @@ class CorrectionContext:
                 self.threshold,
                 self.mix_weight,
                 self.passes,
-                self.uncertainty_cache,
+                self.score_cache,
                 e,
             )
             for p, e in zip(plans, encoded)
         ]
+
+
+@dataclass(frozen=True)
+class CorrectionContext:
+    """One round of candidate valuation under ``gate``; `round_context`
+    builds it.
+
+    The models must not change while a context is in use: its no-index terms
+    were corrected under their current state. ``recurring`` holds the keys
+    of the previous round's queries. ``query_keys[i]`` is the key of the
+    round workload's ``i``-th query, ``noindex_total`` is the workload's
+    `noindex_total`, ``noindex_costs[i]`` is the cost of its ``i``-th
+    query's no-index plan, and ``noindex_terms[i]`` is that query's
+    frequency weight times the plan's gate-corrected cost.
+    """
+
+    gate: Gate
+    recurring: frozenset
+    workload: MiniWorkload
+    query_keys: tuple
+    noindex_total: float
+    noindex_costs: tuple
+    noindex_terms: tuple
 
     def whatif(self, candidate: IndexCandidate) -> Callable:
         """The `whatif_pricing` ``price`` of ``candidate`` for valuation.
@@ -187,25 +205,26 @@ class CorrectionContext:
         ``price(i, query)`` returns ``(entry, cost)`` for the ``i``-th
         query: ``entry`` is the query's what-if plan with the candidate and
         its `leaf_encodings` when the plan uses an index, else None, and
-        ``cost`` is the plan's cost. A pair is read from ``plan_memo``, under
-        (query key, candidate), when it is there. Otherwise it is planned,
-        and stored when the query's key is in ``recurring``. A what-if plan
-        is a pure function of the query's key, the candidate and the
-        catalog, and no correction changes it, so a stored pair is exact for
-        as long as it is kept.
+        ``cost`` is the plan's cost. A pair is read from the gate's
+        ``plan_memo``, under (query key, candidate), when it is there.
+        Otherwise it is planned, and stored when the query's key is in
+        ``recurring``. A what-if plan is a pure function of the query's key,
+        the candidate and the catalog, and no correction changes it, so a
+        stored pair is exact for as long as it is kept.
         """
+        gate = self.gate
 
         def price(i, query):
             key = (self.query_keys[i], candidate)
-            priced = self.plan_memo.get(key)
+            priced = gate.plan_memo.get(key)
             if priced is None:
-                plan, cost = whatif_plan(query, (candidate,), self.catalog)
+                plan, cost = whatif_plan(query, (candidate,), gate.catalog)
                 entry = None
                 if any(leaf.index is not None for leaf in leaves(plan)):
-                    entry = (plan, leaf_encodings(plan, self.models, self.catalog))
+                    entry = (plan, leaf_encodings(plan, gate.models, gate.catalog))
                 priced = (entry, cost)
                 if key[0] in self.recurring:
-                    self.plan_memo[key] = priced
+                    gate.plan_memo[key] = priced
             return priced
 
         return price
@@ -222,36 +241,33 @@ def noindex_total(workload: MiniWorkload, noindex_plan: Callable) -> float:
 
 def round_context(
     workload: MiniWorkload,
-    catalog: Catalog,
-    models: dict,
-    threshold: float,
-    mix_weight: float,
-    passes: int,
-    uncertainty_cache: dict,
+    gate: Gate,
     noindex_plan: Callable,
-    plan_memo: dict = None,
     recurring: frozenset = frozenset(),
 ) -> CorrectionContext:
     """The round's `CorrectionContext`, its no-index terms corrected from
     each query's ``noindex_plan``, which is shared and stays as it is;
     raises ContractError when the no-index total is not positive.
 
-    ``plan_memo`` and ``recurring`` are the tuner's (see `CorrectionContext`);
-    without them, valuation plans every pair and keeps none."""
+    First drops from ``gate`` the scores of replaced model states and the
+    pairs of queries not in ``workload``. ``recurring`` is the previous
+    round's query keys (see `CorrectionContext`); without it, valuation
+    plans every pair and keeps none."""
     total = noindex_total(workload, noindex_plan)
     if total <= 0:
         raise ContractError("workload has nonpositive no-index cost")
-    plans = [noindex_plan(q) for q in workload.queries]
-    gate = (catalog, models, threshold, mix_weight, passes, uncertainty_cache)
-    memo = ({} if plan_memo is None else plan_memo, recurring)
     keys = tuple(q.key() for q in workload.queries)
-    pricing = (workload, keys, total, tuple(plan.total_cost for plan in plans))
-    corrected = CorrectionContext(*gate, *memo, *pricing, ()).correct_all(plans)
+    drop_stale_scores(gate.score_cache, gate.models)
+    current = set(keys)
+    for key in [k for k in gate.plan_memo if k[0] not in current]:
+        del gate.plan_memo[key]
+    plans = [noindex_plan(q) for q in workload.queries]
     terms = tuple(
         q.frequency_weight * result.corrected_cost
-        for q, result in zip(workload.queries, corrected)
+        for q, result in zip(workload.queries, gate.correct_all(plans))
     )
-    return CorrectionContext(*gate, *memo, *pricing, terms)
+    costs = tuple(plan.total_cost for plan in plans)
+    return CorrectionContext(gate, recurring, workload, keys, total, costs, terms)
 
 
 def applicability(queries, candidate: IndexCandidate) -> list:
@@ -264,19 +280,18 @@ def applicability(queries, candidate: IndexCandidate) -> list:
     return [memo[id(q.template)] for q in queries]
 
 
-def whatif_pricing(
-    candidate: IndexCandidate, queries, catalog: Catalog, noindex_costs, price=None
-):
-    """``candidate``'s what-if plan of each query whose template can use it,
-    by query position, and the raw what-if total: the frequency-weighted plan
-    costs summed in query order, where any other query keeps
-    ``noindex_costs[i]``, the cost the planner would return anyway.
+def whatif_pricing(candidate: IndexCandidate, queries, noindex_costs, price):
+    """``price(i, query)``'s entry of each query whose template can use
+    ``candidate``, by query position, and the raw what-if total: the
+    frequency-weighted costs that ``price`` returns summed in query order,
+    where any other query keeps ``noindex_costs[i]``, the cost the planner
+    would return anyway.
 
-    ``price(i, query)``, when given, prices the ``i``-th query's pair in the
-    planner's stead and returns what to keep for it in place of the plan,
-    and its cost (`CorrectionContext.whatif`). Valuation and the baselines'
-    own ranking both price through this one loop, so a raw benefit is the
-    same float whichever of them computed it.
+    ``price`` plans the ``i``-th query's pair and returns what to keep for it
+    and its cost: the planner itself for the baselines' own ranking
+    (`tuner.Calibration.order`), `CorrectionContext.whatif` for valuation.
+    Both price through this one loop, so a raw benefit is the same float
+    whichever of them computed it.
     """
     plans = {}
     total = 0.0
@@ -284,10 +299,7 @@ def whatif_pricing(
         zip(queries, applicability(queries, candidate), noindex_costs)
     ):
         if usable:
-            if price is None:
-                plans[i], cost = whatif_plan(q, (candidate,), catalog)
-            else:
-                plans[i], cost = price(i, q)
+            plans[i], cost = price(i, q)
         total += q.frequency_weight * cost
     return plans, total
 
@@ -307,14 +319,14 @@ def candidate_valuation(
     """
     queries = ctx.workload.queries
     priced, raw = whatif_pricing(
-        candidate, queries, ctx.catalog, ctx.noindex_costs, ctx.whatif(candidate)
+        candidate, queries, ctx.noindex_costs, ctx.whatif(candidate)
     )
     # query position -> (plan, leaf encodings) of its plan with the
     # candidate, if that plan uses an index
     entries = {i: entry for i, entry in priced.items() if entry is not None}
     plans = [plan for plan, _ in entries.values()]
     encoded = [leaf_pairs for _, leaf_pairs in entries.values()]
-    results = dict(zip(entries, ctx.correct_all(plans, encoded)))
+    results = dict(zip(entries, ctx.gate.correct_all(plans, encoded)))
     num = 0.0
     ev = 0.0
     for i, q in enumerate(queries):

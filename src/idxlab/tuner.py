@@ -22,26 +22,26 @@ the same results.
 A tuner round measures workload novelty and decays the exploration weight,
 builds the round's no-index pricing, prices each candidate with
 uncertainty-gated corrected costs, samples a configuration, steps the
-environment, and learns multiplier labels from the telemetry. No pricing is
-repeated within a round: `selection.round_context` builds the workload's
-no-index total and every query's corrected no-index term once, before any
-candidate is valued; a candidate is planned against a query only when the
-query's template can use it; the deployed configuration is corrected from
-the plan the executor already built; the labels reuse the encodings the gate
-scored; and the round's mean uncertainty before the model update is the mean
-of the gate scores that correction produced. Correction never changes a
-plan, so no plan is copied. Uncertainty scores are cached for the tuner's
-lifetime under keys that carry each model's training step, so the probe
-after an update and the next round's gate score a leaf once. The round's
-no-index plans, each candidate's plans, the round's deployed plans and the
-probe are scored in one batched call per operator kind.
+environment, and learns multiplier labels from the telemetry. The tuner's
+`selection.Gate`, built once from its `TunerParams`, owns the models, the
+gate's parameters and two caches for the tuner's lifetime: uncertainty
+scores, keyed by each model's training step, and the what-if pricing of
+recurring queries' pairs. A round's `selection.CorrectionContext` holds only
+the round. No pricing is repeated within a round: `selection.round_context`
+builds the workload's no-index total and every query's corrected no-index
+term once, before any candidate is valued; a candidate is planned against a
+query only when the query's template can use it; the deployed
+configuration is corrected from the plan the executor already built; the
+labels reuse the encodings the gate scored; and the round's mean
+uncertainty before the model update is the mean of the gate scores that
+correction produced. Correction never changes a plan, so no plan is copied.
+The probe after an update and the next round's gate score a leaf once, and
+the round's no-index plans, each candidate's plans, the round's deployed
+plans and the probe are scored in one batched call per operator kind.
 
-Nor is planning repeated across rounds for a query that recurs: the tuner
-keeps the what-if pricing of each (query key, candidate) pair whose query
-was in the previous round too, with the plan's leaf encodings when it uses
-an index, and drops the pairs of queries that leave the round. A kept pair
-is only corrected again, under the models as they are now, so the reports
-are those of planning every pair anew (see `selection`).
+Nor is planning repeated across rounds for a query that recurs (see
+`selection`): a kept pair is only corrected again, under the models as they
+are now, so the reports are those of planning every pair anew.
 """
 
 from dataclasses import dataclass
@@ -51,11 +51,9 @@ import numpy as np
 from .catalog import Catalog
 from .correction import (
     actual_benefit,
-    cached_uncertainties,
-    # not called here (corrections go through CorrectionContext.correct_all),
-    # but perfbench/tracer.py patches tuner.correct_plan by name
+    # not called here (corrections go through Gate.correct_all), but
+    # perfbench/tracer.py patches tuner.correct_plan by name
     correct_plan,  # noqa: F401
-    drop_stale_scores,
     estimated_benefit,
     telemetry_to_labels,
 )
@@ -68,6 +66,7 @@ from .seeding import subseed
 from .selection import (
     Configuration,
     CorrectionContext,
+    Gate,
     candidate_valuation,
     enumerate_configuration,
     exploration_weight,
@@ -77,9 +76,7 @@ from .selection import (
     selection_probabilities,
     whatif_pricing,
 )
-# whatif_plan is not called here (pricing goes through
-# selection.whatif_pricing), but perfbench/tracer.py patches tuner.whatif_plan
-from .simulator import GroundTruth, execute, whatif_plan  # noqa: F401
+from .simulator import GroundTruth, execute, whatif_plan
 from .workload import MiniWorkload, unseen_fraction
 
 CREATION_SECONDS_PER_100MB = 1.0
@@ -222,13 +219,13 @@ class Calibration:
             catalog = self.ground_truth.catalog
             den = noindex_total(workload, self.noindex_plan)
             costs = [self.noindex_plan(q).total_cost for q in queries]
-            order = self.record_order(
-                queries,
-                [
-                    1.0 - whatif_pricing(x, queries, catalog, costs)[1] / den
-                    for x in candidates
-                ],
-            )
+            raw = []
+            for x in candidates:
+                planned = whatif_pricing(
+                    x, queries, costs, lambda i, q: whatif_plan(q, (x,), catalog)
+                )
+                raw.append(1.0 - planned[1] / den)
+            order = self.record_order(queries, raw)
         return order
 
 
@@ -286,11 +283,10 @@ class Environment:
 
 
 class OnlineTuner:
-    """Owns the models (one per leaf kind, built up front), caches, and
-    history of one tuning run; ``calibration`` is its environment's.
-
-    ``_plan_memo`` is the context's `CorrectionContext.plan_memo`, and
-    ``_recurring`` the keys of the last round's queries."""
+    """Owns the gate of one tuning run, with its models (one per leaf kind,
+    built up front) and caches, and the run's history; ``calibration`` is
+    its environment's. ``_recurring`` holds the keys of the last round's
+    queries."""
 
     def __init__(
         self,
@@ -314,36 +310,23 @@ class OnlineTuner:
         }
         self.seen_templates = set()
         self.env = Environment(ground_truth, seed, calibration)
+        self.gate = Gate(
+            catalog,
+            self.models,
+            params.uncertainty_threshold,
+            params.uncertainty_mix,
+            params.mcd_passes,
+        )
         self.metrics = []
         self.reports = []
-        self._uncertainty_cache = {}
-        self._plan_memo = {}
         self._recurring = frozenset()
 
     def model_for(self, kind: str) -> CostMultiplierModel:
         return self.models[kind]
 
     def _context(self, workload: MiniWorkload) -> CorrectionContext:
-        p = self.params
-        drop_stale_scores(self._uncertainty_cache, self.models)
-        ctx = round_context(
-            workload,
-            self.catalog,
-            self.models,
-            p.uncertainty_threshold,
-            p.uncertainty_mix,
-            p.mcd_passes,
-            self._uncertainty_cache,
-            self.env.calibration.noindex_plan,
-            self._plan_memo,
-            self._recurring,
-        )
-        # keep the pairs of this round's queries only, so the memo holds at
-        # most one round's plans
-        current = set(ctx.query_keys)
-        for key in [k for k in self._plan_memo if k[0] not in current]:
-            del self._plan_memo[key]
-        return ctx
+        noindex_plan = self.env.calibration.noindex_plan
+        return round_context(workload, self.gate, noindex_plan, self._recurring)
 
     def run_round(self, workload: MiniWorkload) -> RoundReport:
         p = self.params
@@ -377,7 +360,9 @@ class OnlineTuner:
 
         # the executor's plans of the deployed configuration, corrected
         # together; correction leaves them, and the no-index plans, as they are
-        corrections = ctx.correct_all([telemetry.plan for _, telemetry, _ in executed])
+        corrections = self.gate.correct_all(
+            [telemetry.plan for _, telemetry, _ in executed]
+        )
         per_query, probe_encodings, probe_scores = [], [], []
         by_kind = {}  # operator kind -> (encoding, bucket) labels
         for (q, telemetry, baseline), corrected in zip(executed, corrections):
@@ -437,14 +422,7 @@ class OnlineTuner:
     def _mean_uncertainty(self, probe_encodings) -> float:
         if not probe_encodings:
             return 0.0
-        p = self.params
-        scores = cached_uncertainties(
-            self.models,
-            probe_encodings,
-            p.uncertainty_mix,
-            p.mcd_passes,
-            self._uncertainty_cache,
-        )
+        scores = self.gate.score(probe_encodings)
         return float(np.mean([score.combined for score in scores]))
 
     def run(self, schedule) -> list:

@@ -250,8 +250,8 @@ def test_delta_matches_recompute_oracle():
 def _trained_models(catalog, confident=True):
     dim = encoding_length(catalog)
     models = {}
-    for kind in ("SeqScan", "IndexScan", "IndexOnlyScan"):
-        m = CostMultiplierModel(input_dim=dim, seed=hash(kind) % 1000)
+    for seed, kind in enumerate(("SeqScan", "IndexScan", "IndexOnlyScan")):
+        m = CostMultiplierModel(input_dim=dim, seed=seed)
         if confident:
             m.params["b3"][:] = 0.0
             m.params["b3"][nearest_bucket_index(2.0)] = 800.0
@@ -530,6 +530,26 @@ def test_vector_totals_equal_update_cost_on_clones(case, extra):
             copy = plan.clone()
             update_cost(copy, leaves(copy)[pos], multiplier)
             assert total == copy.total_cost, (pos, multiplier)
+
+
+simulator_plans = st.deferred(
+    lambda: st.sampled_from([plan for _, _, _, plan, _ in _simulator_plans(30, seed=6)])
+)
+
+
+@settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(simulator_plans, st.data(), st.lists(multipliers, min_size=1, max_size=8))
+def test_corrected_totals_are_affine_in_the_leaf_multiplier(plan, data, extra):
+    # the slope comes from one update_cost on a clone, at multiplier 2
+    pos = data.draw(st.sampled_from(range(len(leaves(plan)))))
+    copy = plan.clone()
+    update_cost(copy, leaves(copy)[pos], 2.0)
+    slope = copy.total_cost - plan.total_cost
+    grid = np.concatenate([GRID, extra])
+    totals = _corrected_totals(plan, leaves(plan)[pos], grid)
+    for multiplier, total in zip(grid.tolist(), totals.tolist()):
+        want = plan.total_cost + (multiplier - 1.0) * slope
+        assert total == pytest.approx(want, rel=1e-9), (pos, multiplier)
 
 
 @st.composite

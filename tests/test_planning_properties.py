@@ -25,7 +25,7 @@ from idxlab.correction import correct_plan
 from idxlab.costmodel import CostMultiplierModel
 from idxlab.errors import ConfigurationError
 from idxlab.plan import LEAF_KINDS, Predicate, encode_operator, encoding_length, leaves
-from idxlab.selection import generate_candidates, round_context
+from idxlab.selection import Gate, generate_candidates, round_context
 from idxlab.simulator import index_applicable, make_ground_truth, whatif_plan
 from idxlab.tuner import Environment
 from idxlab.workload import MiniWorkload, Query, bind_query, generate_templates
@@ -148,16 +148,8 @@ def test_corrected_baseline_of_the_environment_plan_equals_a_fresh_plan(
     workload = MiniWorkload(0, (query, query) + others)
     env = Environment(make_ground_truth(catalog, seed), seed)
     shared = [dataclasses.asdict(env.calibration.noindex_plan(q)) for q in workload.queries]
-    ctx = round_context(
-        workload,
-        catalog,
-        models,
-        threshold,
-        0.5,
-        5,
-        {},
-        env.calibration.noindex_plan,
-    )
+    gate = Gate(catalog, models, threshold, 0.5, 5)
+    ctx = round_context(workload, gate, env.calibration.noindex_plan)
     # each query's corrected no-index term, as candidate valuation takes it
     assert len(ctx.noindex_terms) == len(workload.queries)
     total = 0.0

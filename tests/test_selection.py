@@ -16,6 +16,7 @@ from idxlab.costmodel import CostMultiplierModel
 from idxlab.errors import ConfigurationError, ContractError
 from idxlab.plan import encoding_length
 from idxlab.selection import (
+    Gate,
     candidate_valuation,
     enumerate_configuration,
     exploration_weight,
@@ -50,23 +51,23 @@ def env():
     return catalog, workload
 
 
-def untrained_context(catalog, workload):
-    """The round context of ``workload`` under untrained models, which
-    prices each query's no-index term from a fresh no-index plan."""
+def untrained_gate(catalog):
     dim = encoding_length(catalog)
     models = {
         kind: CostMultiplierModel(input_dim=dim, seed=i)
         for i, kind in enumerate(("SeqScan", "IndexScan", "IndexOnlyScan"))
     }
+    return Gate(catalog, models, threshold=0.1, mix_weight=0.5, passes=20)
+
+
+def untrained_context(catalog, workload, gate=None, recurring=frozenset()):
+    """The round context of ``workload`` under untrained models, which
+    prices each query's no-index term from a fresh no-index plan."""
     return round_context(
         workload,
-        catalog,
-        models,
-        threshold=0.1,
-        mix_weight=0.5,
-        passes=20,
-        uncertainty_cache={},
-        noindex_plan=lambda q: whatif_plan(q, (), catalog)[0],
+        untrained_gate(catalog) if gate is None else gate,
+        lambda q: whatif_plan(q, (), catalog)[0],
+        recurring,
     )
 
 
@@ -128,7 +129,31 @@ def test_round_context_rejects_a_nonpositive_noindex_total(env):
     catalog, workload = env
     free = SimpleNamespace(total_cost=0.0)
     with pytest.raises(ContractError, match="nonpositive"):
-        round_context(workload, catalog, {}, 0.1, 0.5, 20, {}, lambda q: free)
+        round_context(workload, Gate(catalog, {}, 0.1, 0.5, 20), lambda q: free)
+
+
+def test_round_context_drops_stale_scores_and_the_pairs_of_departed_queries(env):
+    catalog, workload = env
+    gate = untrained_gate(catalog)
+    everyone = frozenset(q.key() for q in workload.queries)
+    ctx = untrained_context(catalog, workload, gate, recurring=everyone)
+    for candidate in generate_candidates(workload, catalog):
+        candidate_valuation(candidate, ctx, 0.5)
+    # an update replaces the IndexScan model's state; half the queries leave
+    gate.models["IndexScan"].update([(np.ones(encoding_length(catalog)), 19)])
+    stayed = MiniWorkload(1, workload.queries[: len(workload.queries) // 2])
+    kept = {q.key() for q in stayed.queries}
+    scores, pairs = dict(gate.score_cache), dict(gate.plan_memo)
+    stale = {key for key in scores if key[0] == "IndexScan"}
+    departed = {key for key in pairs if key[0] not in kept}
+    assert stale and departed and len(pairs) > len(departed)
+
+    untrained_context(catalog, stayed, gate, recurring=everyone)
+    assert stale.isdisjoint(gate.score_cache)
+    for key, score in scores.items():
+        if key not in stale:
+            assert gate.score_cache[key] is score
+    assert gate.plan_memo == {k: v for k, v in pairs.items() if k not in departed}
 
 
 def test_execution_benefit_zero_for_untouched_candidate(env):

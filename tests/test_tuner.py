@@ -155,7 +155,7 @@ class FreshCacheTuner(OnlineTuner):
     tuner-lifetime uncertainty cache."""
 
     def _context(self, workload):
-        self._uncertainty_cache.clear()
+        self.gate.score_cache.clear()
         return super()._context(workload)
 
 
@@ -250,9 +250,9 @@ def test_plan_memo_changes_no_report(env, monkeypatch, build, threshold):
         if build is hot_schedule and t >= 2:
             assert with_memo == 0, t
         # the memo holds pairs of this round's queries only
-        assert {key for key, _ in tuner._plan_memo} <= round_keys(w)
+        assert {key for key, _ in tuner.gate.plan_memo} <= round_keys(w)
         recurring = t > 0 and round_keys(w) & round_keys(rounds[t - 1])
-        assert bool(tuner._plan_memo) == bool(recurring), t
+        assert bool(tuner.gate.plan_memo) == bool(recurring), t
     assert tuner.metrics == fresh.metrics
     assert saved > 0
 
@@ -264,7 +264,7 @@ def test_plan_memo_stays_empty_when_no_query_recurs(env):
     tuner = OnlineTuner(catalog, gt, TunerParams(), seed=13)
     for w in schedule:
         tuner.run_round(w)
-        assert tuner._plan_memo == {}
+        assert tuner.gate.plan_memo == {}
 
 
 def test_context_keeps_only_scores_of_current_model_steps(env):
@@ -272,15 +272,15 @@ def test_context_keeps_only_scores_of_current_model_steps(env):
     tuner = OnlineTuner(catalog, gt, TunerParams(), seed=13)
     for w, following in zip(schedule[:3], schedule[1:]):
         tuner.run_round(w)
-        before = set(tuner._uncertainty_cache)
+        before = set(tuner.gate.score_cache)
         current = {k for k in before if k[2] == tuner.models[k[0]].step_count}
         ctx = tuner._context(following)
-        assert ctx.uncertainty_cache is tuner._uncertainty_cache
+        assert ctx.gate is tuner.gate
         # the after-update probe's scores outlive the round they were made in
         assert 0 < len(current) < len(before)
-        assert before & set(ctx.uncertainty_cache) == current
+        assert before & set(tuner.gate.score_cache) == current
         # and the scores of the following round's no-index terms join them
-        for kind, _, step, _, _ in ctx.uncertainty_cache:
+        for kind, _, step, _, _ in tuner.gate.score_cache:
             assert step == tuner.models[kind].step_count
 
 

@@ -3,7 +3,7 @@ must equal, bit for bit, a loop that prices every (candidate, query) pair."""
 
 import copy
 import math
-from dataclasses import asdict
+from dataclasses import asdict, replace
 from functools import lru_cache
 
 import numpy as np
@@ -134,14 +134,20 @@ def test_index_applicable_exactly_when_the_planner_can_use_the_index(case):
 
 def reference_valuation(candidate, workload, ctx, explore_weight):
     """Prices every pair with its own plan and correction, no caches."""
+    gate = ctx.gate
     num = den = ev = 0.0
     corrected = 0
     for q in workload.queries:
         w = q.frequency_weight
-        den += w * whatif_plan(q, (), ctx.catalog)[1]
-        plan, _ = whatif_plan(q, (candidate,), ctx.catalog)
+        den += w * whatif_plan(q, (), gate.catalog)[1]
+        plan, _ = whatif_plan(q, (candidate,), gate.catalog)
         result = correct_plan(
-            plan, ctx.models, ctx.catalog, ctx.threshold, ctx.mix_weight, ctx.passes
+            plan,
+            gate.models,
+            gate.catalog,
+            gate.threshold,
+            gate.mix_weight,
+            gate.passes,
         )
         num += w * result.corrected_cost
         corrected += result.corrected_leaf_count
@@ -185,7 +191,6 @@ def trained(scenario):
 @pytest.mark.parametrize("gate", ["median", "open"])
 def test_valuation_matches_pricing_every_pair(trained, gate):
     tuner, workload = trained
-    tuned = tuner._context(workload)  # at the tuner's own threshold
     candidates = generate_candidates(workload, tuner.catalog)
     threshold = math.inf
     if gate == "median":
@@ -195,25 +200,17 @@ def test_valuation_matches_pricing_every_pair(trained, gate):
             for c in candidates
             for q in workload.queries
             for report in correct_plan(
-                whatif_plan(q, (c,), tuned.catalog)[0],
-                tuned.models,
-                tuned.catalog,
+                whatif_plan(q, (c,), tuner.catalog)[0],
+                tuner.models,
+                tuner.catalog,
                 math.inf,
-                tuned.mix_weight,
-                tuned.passes,
+                tuner.gate.mix_weight,
+                tuner.gate.passes,
             ).reports
         ]
         threshold = float(np.median(scores))
-    ctx = round_context(
-        workload,
-        tuned.catalog,
-        tuned.models,
-        threshold,
-        tuned.mix_weight,
-        tuned.passes,
-        tuned.uncertainty_cache,
-        tuner.env.calibration.noindex_plan,
-    )
+    shared = replace(tuner.gate, threshold=threshold)  # and the tuner's caches
+    ctx = round_context(workload, shared, tuner.env.calibration.noindex_plan)
     corrected = 0
     for candidate in candidates:
         got = candidate_valuation(candidate, ctx, 0.5)
@@ -237,7 +234,10 @@ def test_uncorrected_benefit_matches_pricing_every_pair(scenario):
             # valuation's by-product, summed before correction
             assert candidate_valuation(candidate, ctx, 0.5).raw_benefit == benefit
             # a lone baseline's own pricing, against the calibration's plans
-            _, num = whatif_pricing(candidate, workload.queries, catalog, costs)
+            def planner(i, q):
+                return whatif_plan(q, (candidate,), catalog)
+
+            _, num = whatif_pricing(candidate, workload.queries, costs, planner)
             assert 1.0 - num / den == benefit
         tuner.run_round(workload)
         ranked = sorted(range(len(want)), key=lambda i: (-want[i], i))
