@@ -1,7 +1,6 @@
 """Command line entry point: run / replay / compare."""
 
 import argparse
-import json
 import sys
 
 from .errors import DRIFT_KINDS, ConfigurationError, ReplayMismatchError
@@ -78,7 +77,7 @@ def main(argv=None) -> int:
     handlers = {"run": _cmd_run, "replay": _cmd_replay, "compare": _cmd_compare}
     try:
         return handlers[args.command](args)
-    except (ConfigurationError, json.JSONDecodeError) as exc:
+    except ConfigurationError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except OSError as exc:

@@ -1,7 +1,9 @@
-"""Exception types shared across the package, the type checks on user
-input that raise them, and the table of config fields that drives every
-config check, default and message."""
+"""Exception types shared across the package, the checks on user input
+that raise them (the one reader of config, manifest and schedule files
+included), and the table of config fields that drives every config check,
+default and message."""
 
+import json
 import math
 import numbers
 
@@ -37,6 +39,31 @@ def require_finite(value, where: str) -> None:
         or not isinstance(value, numbers.Integral) and not math.isfinite(value)
     ):
         raise ConfigurationError(f"{where} must be a finite number, got {value!r}")
+
+
+def read_text(path, what: str) -> str:
+    """The UTF-8 text of the file at ``path``; ``what`` names it in errors."""
+    with open(path, "rb") as f:
+        raw = f.read()
+    try:
+        return raw.decode("utf-8")
+    except UnicodeDecodeError:
+        raise ConfigurationError(f"{what} {path}: not UTF-8 text") from None
+
+
+def read_json_object(path, what: str) -> dict:
+    """The JSON object in the file at ``path``. A file that is not one is a
+    one-line ConfigurationError: ``<what> <path>: line L, column C: msg``,
+    ``<what> <path>: not UTF-8 text`` or ``<what> <path>: not a JSON object``."""
+    try:
+        data = json.loads(read_text(path, what))
+    except json.JSONDecodeError as exc:
+        raise ConfigurationError(
+            f"{what} {path}: line {exc.lineno}, column {exc.colno}: {exc.msg}"
+        ) from None
+    if not isinstance(data, dict):
+        raise ConfigurationError(f"{what} {path}: not a JSON object")
+    return data
 
 
 DRIFT_KINDS = ("static", "continuous", "periodic", "cyclic")

@@ -29,9 +29,10 @@ from . import __version__
 from .catalog import CatalogSpec, generate_catalog
 from .errors import (
     FIELDS,
-    CatalogLookupError,
     ConfigurationError,
     ReplayMismatchError,
+    read_json_object,
+    read_text,
     require_integer,
 )
 from .seeding import subseed
@@ -86,35 +87,22 @@ def _deep_merge(base: dict, override: dict, path="") -> dict:
 
 def load_config_file(path) -> dict:
     """Parse a JSON or TOML config file into a raw dict."""
-    with open(path, "rb") as f:
-        raw = f.read()
+    if not str(path).endswith(".toml"):
+        return read_json_object(path, "config file")
+    text = read_text(path, "config file")
     try:
-        text = raw.decode("utf-8")
-    except UnicodeDecodeError:
-        raise ConfigurationError(f"{path}: not UTF-8 text") from None
-    if str(path).endswith(".toml"):
+        import tomllib as toml
+    except ImportError:
         try:
-            import tomllib as toml
+            import tomli as toml
         except ImportError:
-            try:
-                import tomli as toml
-            except ImportError:
-                raise ConfigurationError(
-                    "TOML support needs Python >= 3.11 or the tomli package"
-                ) from None
-        try:
-            return toml.loads(text)
-        except toml.TOMLDecodeError as exc:
-            raise ConfigurationError(f"{path}: {exc}") from None
+            raise ConfigurationError(
+                "TOML support needs Python >= 3.11 or the tomli package"
+            ) from None
     try:
-        config = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ConfigurationError(
-            f"{path}: line {exc.lineno}, column {exc.colno}: {exc.msg}"
-        ) from None
-    if not isinstance(config, dict):
-        raise ConfigurationError(f"{path}: not a JSON object")
-    return config
+        return toml.loads(text)
+    except toml.TOMLDecodeError as exc:
+        raise ConfigurationError(f"config file {path}: {exc}") from None
 
 
 def resolve_config(user_config: dict) -> dict:
@@ -161,28 +149,6 @@ def _tuner_params(cfg) -> TunerParams:
     )
 
 
-def _load_schedule(path, catalog) -> list:
-    """A schedule file of at least one round whose every template and query
-    resolves against ``catalog``."""
-    schedule = load_schedule(path)
-    if not schedule:
-        raise ConfigurationError(f"schedule file {path}: no rounds")
-    valid_templates = set()
-    for w in schedule:
-        for q in w.queries:
-            try:
-                if q.template_id not in valid_templates:
-                    q.template.validate(catalog)
-                    valid_templates.add(q.template_id)
-                q.validate(catalog)
-            except (CatalogLookupError, ConfigurationError) as exc:
-                raise ConfigurationError(
-                    f"schedule file {path}: round {w.round}: "
-                    f"template {q.template_id!r}: {exc.args[0]}"
-                ) from None
-    return schedule
-
-
 def _environment(cfg, replication_seed):
     """Catalog, schedule, and ground truth for one replication."""
     cat_seed = cfg["catalog"]["seed"]
@@ -191,7 +157,7 @@ def _environment(cfg, replication_seed):
     catalog = generate_catalog(_section(CatalogSpec, cfg["catalog"]), cat_seed)
 
     if cfg["workload"]["schedule_file"] is not None:
-        schedule = _load_schedule(cfg["workload"]["schedule_file"], catalog)
+        schedule = load_schedule(cfg["workload"]["schedule_file"], catalog)
     else:
         wl_seed = cfg["workload"]["seed"]
         if wl_seed is None:
@@ -389,15 +355,7 @@ def run_experiment(config, out_dir=None, jobs: int = 1) -> dict:
 def replay(manifest_path, out_dir=None, jobs: int = 1) -> dict:
     """Re-run an experiment from its manifest and check that every artifact
     is byte-identical; raises `ReplayMismatchError` naming those that are not."""
-    with open(manifest_path, encoding="utf-8") as f:
-        try:
-            manifest = json.load(f)
-        except UnicodeDecodeError:
-            raise ConfigurationError(
-                f"manifest {manifest_path}: not UTF-8 text"
-            ) from None
-    if not isinstance(manifest, dict):
-        raise ConfigurationError(f"manifest {manifest_path}: not a JSON object")
+    manifest = read_json_object(manifest_path, "manifest")
     if manifest.get("format") != MANIFEST_FORMAT:
         raise ConfigurationError("unsupported manifest format")
     missing = [

@@ -2,9 +2,15 @@
 
 Templates fix a left-deep join order, so the simulated planner only ever
 chooses access paths. A schedule materializes one MiniWorkload per round under
-one of four drift patterns (static, continuous, periodic, cyclic); template
-replacement prefers never-used templates while any remain, then recycles.
-Literals are freshly sampled for every materialized query.
+one of four drift patterns, all built by one rule: the round's template set
+drifts every `period` rounds, which is 1 for continuous and cyclic,
+`DriftSchedule.period` for periodic and never for static, and a cyclic
+schedule replays its first `cycle_length` sets. Template replacement prefers
+never-used templates while any remain, then recycles. Literals are freshly
+sampled for every materialized query.
+
+A schedule file is read in one pass (`load_schedule`), which checks its
+structure, each template against the catalog and each query's literals.
 """
 
 import json
@@ -21,10 +27,17 @@ from .catalog import (
     STRING,
     Catalog,
     ColumnRef,
-    ConfigurationError,
     selectivity,
 )
-from .errors import FIELDS, check_fields, require_finite, require_integer
+from .errors import (
+    FIELDS,
+    CatalogLookupError,
+    ConfigurationError,
+    check_fields,
+    read_json_object,
+    require_finite,
+    require_integer,
+)
 from .plan import Predicate
 from .seeding import rng_for
 
@@ -191,7 +204,7 @@ class MiniWorkload:
 
     def __post_init__(self):
         if len(self.queries) == 0:
-            raise ConfigurationError("mini-workload must be nonempty")
+            raise ConfigurationError(f"round {self.round}: no queries")
 
     def template_ids(self) -> tuple:
         seen, out = set(), []
@@ -370,27 +383,15 @@ def build_schedule(templates, sched: DriftSchedule, seed: int) -> list:
         used.update(chosen)
         return keep + chosen
 
-    sets = []
-    if sched.kind == "static":
-        sets = [list(current) for _ in range(sched.total_rounds)]
-    elif sched.kind == "continuous":
-        cur = list(current)
-        for _ in range(sched.total_rounds):
-            sets.append(list(cur))
-            cur = drift(cur)
-    elif sched.kind == "periodic":
-        cur = list(current)
-        for r in range(sched.total_rounds):
-            if r > 0 and r % sched.period == 0:
-                cur = drift(cur)
-            sets.append(list(cur))
-    else:  # cyclic: a drifting prefix of cycle_length rounds, then replay
-        cur = list(current)
-        base = []
-        for _ in range(min(sched.total_rounds, sched.cycle_length)):
-            base.append(list(cur))
-            cur = drift(cur)
-        sets = [base[r % sched.cycle_length] for r in range(sched.total_rounds)]
+    # the one drift rule of the module docstring
+    period = {"static": 0, "periodic": sched.period}.get(sched.kind, 1)
+    rounds = sched.total_rounds
+    if sched.kind == "cyclic":
+        rounds = min(rounds, sched.cycle_length)
+    sets = [current]
+    for r in range(1, rounds):
+        sets.append(drift(sets[-1]) if period and r % period == 0 else sets[-1])
+    sets = [sets[r % len(sets)] for r in range(sched.total_rounds)]
 
     workloads = []
     for r, members in enumerate(sets):
@@ -435,7 +436,10 @@ def schedule_to_dict(workloads) -> dict:
     }
 
 
-def schedule_from_dict(data: dict) -> list:
+def schedule_from_dict(data: dict, catalog: Catalog) -> list:
+    """The rounds of a parsed schedule file. Each template is checked against
+    ``catalog`` in the round that first uses it, and each query's literals as
+    the query is built; errors name the round and the template."""
     templates = {}
     for t in data["templates"]:
         if not isinstance(t["id"], str):
@@ -443,7 +447,9 @@ def schedule_from_dict(data: dict) -> list:
         if t["id"] in templates:
             raise ConfigurationError(f"template id {t['id']!r} is defined twice")
         templates[t["id"]] = _template_from_dict(t)
-    out = []
+    if not data["rounds"]:
+        raise ConfigurationError("no rounds")
+    checked, out = set(), []
     # the tuner numbers rounds by position, and error messages quote it
     for position, r in enumerate(data["rounds"]):
         number = r["round"]
@@ -461,14 +467,19 @@ def schedule_from_dict(data: dict) -> list:
                 )
             template = templates[name]
             try:
+                if name not in checked:
+                    template.validate(catalog)
+                    checked.add(name)
                 literals = tuple(
                     v if isinstance(v, (str, bool)) else float(v) for v in q["literals"]
                 )
-                queries.append(Query(template, literals, q.get("frequency_weight", 1)))
-            except (ArithmeticError, TypeError, ValueError) as exc:
+                query = Query(template, literals, q.get("frequency_weight", 1))
+                query.validate(catalog)
+            except (ArithmeticError, CatalogLookupError, TypeError, ValueError) as exc:
                 raise ConfigurationError(
-                    f"round {position}: template {template.id!r}: {exc}"
+                    f"round {position}: template {name!r}: {exc.args[0]}"
                 ) from None
+            queries.append(query)
         out.append(MiniWorkload(round=position, queries=tuple(queries)))
     return out
 
@@ -478,13 +489,15 @@ def save_schedule(workloads, path) -> None:
         json.dump(schedule_to_dict(workloads), f, indent=2, sort_keys=True)
 
 
-def load_schedule(path) -> list:
-    with open(path, encoding="utf-8") as f:
-        try:
-            return schedule_from_dict(json.load(f))
-        except (AttributeError, KeyError, TypeError, ValueError) as exc:
-            what = f"missing key {exc}" if isinstance(exc, KeyError) else exc
-            raise ConfigurationError(f"schedule file {path}: {what}") from None
+def load_schedule(path, catalog: Catalog) -> list:
+    """The schedule file at ``path``, checked against ``catalog``; any fault
+    in it is one ConfigurationError line naming the file."""
+    data = read_json_object(path, "schedule file")
+    try:
+        return schedule_from_dict(data, catalog)
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        what = f"missing key {exc}" if isinstance(exc, KeyError) else exc
+        raise ConfigurationError(f"schedule file {path}: {what}") from None
 
 
 def _template_from_dict(d: dict) -> QueryTemplate:

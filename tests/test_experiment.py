@@ -593,6 +593,7 @@ FITTING_QUERY = {"template": "tpl_t0", "literals": [0.5, "v0"]}
         ({"frequency_weight": 10**320}, None, [AT_ROUND_0, "frequency_weight"]),
         ({"template": "T999"}, None, ["round 0: template 'T999' is not defined"]),
         ({"template": ["tpl_t0"]}, None, ["round 0: template ['tpl_t0'] is not defined"]),
+        ({}, [{"round": 0, "queries": []}], ["round 0: no queries"]),
     ],
 )
 def test_cli_schedule_query_that_does_not_fit_exits_2(
@@ -753,6 +754,37 @@ def test_cli_replay_of_manifest_not_utf8_exits_2(tmp_path, capsys):
     err = capsys.readouterr().err
     assert len(err.strip().splitlines()) == 1
     assert str(path) in err and "UTF-8" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("what", ["config file", "manifest", "schedule file"])
+@pytest.mark.parametrize(
+    "content, named",
+    [
+        (b'{"format": 1, ', ["line 1, column 15: Expecting property name"]),
+        (b'{"format": "caf\xe9"}', ["not UTF-8 text"]),
+        (b"[1, 2]", ["not a JSON object"]),
+    ],
+    ids=["truncated", "not-utf8", "not-an-object"],
+)
+def test_cli_json_file_that_does_not_read_exits_2(tmp_path, capsys, what, content, named):
+    """Config, manifest and schedule files share one reader, whose one-line
+    message names the file: ``<what> <path>: ...``."""
+    path = tmp_path / "file.json"
+    path.write_bytes(content)
+    out = tmp_path / "never"
+    if what == "manifest":
+        argv = ["replay", str(path), "--out", str(out)]
+    elif what == "config file":
+        argv = ["run", str(path), "--out", str(out)]
+    else:
+        config = {**SMALL_CONFIG, "workload": {"schedule_file": str(path)}}
+        argv = ["run", write_config(tmp_path, config), "--out", str(out)]
+    assert main(argv) == 2
+    assert not out.exists()
+    err = capsys.readouterr().err
+    assert len(err.strip().splitlines()) == 1
+    assert f"{what} {path}: " in err and all(word in err for word in named)
+    assert "Traceback" not in err
 
 
 def test_emit_plot_data_preserves_values(tmp_path):

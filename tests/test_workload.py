@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 
@@ -12,6 +13,7 @@ from idxlab.workload import (
     generate_templates,
     load_schedule,
     save_schedule,
+    schedule_to_dict,
     unseen_fraction,
 )
 
@@ -109,6 +111,63 @@ def test_cyclic_schedule_repeats(templates):
     assert sets[0] == sets[15] == sets[30]
 
 
+# sha256 of each schedule's canonical JSON: any change to the templates,
+# literals or drift draws of a kind's rounds changes its digest
+SCHEDULE_DIGESTS = [
+    (
+        dict(kind="static", total_rounds=5, templates_per_round=6),
+        "174d588e83adb57c689d9cc1320d7d784d31cc08b0e4d049dc50fc8794cc61c7",
+    ),
+    (
+        dict(kind="continuous", total_rounds=10, templates_per_round=6,
+             change_fraction=0.34),
+        "258d34f9514d112be729e9d3e11cd52288ab3d07c4cb557839552eca75218741",
+    ),
+    (
+        dict(kind="continuous", total_rounds=4, templates_per_round=5,
+             change_fraction=0.0),
+        "02073db700ad0e3a3e17a9de509ad04523ee4da591a1455cad4ece2fcb519bfe",
+    ),
+    (
+        dict(kind="periodic", total_rounds=9, templates_per_round=5, period=3),
+        "7714bf0955cdaf90734da20774f9245c97caac81d3aa8c97f30e0d3522718922",
+    ),
+    (
+        dict(kind="periodic", total_rounds=6, templates_per_round=4, period=1,
+             change_fraction=0.5),
+        "750740efdae6f5ae305ef822bd2d99bd5e967d1e261001186b564b91492ad105",
+    ),
+    (
+        dict(kind="cyclic", total_rounds=4, templates_per_round=5, cycle_length=15),
+        "4f377f3ae0b5bcfbc04f814be65c4c89b578351dbe6aba467134b6f24e7c35ce",
+    ),
+    (
+        dict(kind="cyclic", total_rounds=12, templates_per_round=5, cycle_length=5,
+             change_fraction=0.4, queries_per_template=2),
+        "2d7037904d7bbc2ba0258d77e554b62917be4c87642eaf697408b0162d5ef1bf",
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "fields, digest",
+    SCHEDULE_DIGESTS,
+    ids=[
+        "static",
+        "continuous",
+        "continuous-no-change",
+        "periodic",
+        "periodic-every-round",
+        "cyclic-short",
+        "cyclic-replayed",
+    ],
+)
+def test_schedule_bytes_are_pinned(templates, fields, digest):
+    ws = build_schedule(templates, DriftSchedule(**fields), seed=23)
+    text = json.dumps(schedule_to_dict(ws), sort_keys=True)
+    assert hashlib.sha256(text.encode("utf-8")).hexdigest() == digest
+
+
 def test_schedule_is_pure(templates):
     sched = DriftSchedule("continuous", total_rounds=6, templates_per_round=4)
     assert build_schedule(templates, sched, seed=11) == build_schedule(
@@ -155,19 +214,19 @@ def test_empty_workload_rejected():
         MiniWorkload(round=0, queries=())
 
 
-def test_schedule_json_roundtrip(templates, tmp_path):
+def test_schedule_json_roundtrip(catalog, templates, tmp_path):
     sched = DriftSchedule("periodic", total_rounds=6, templates_per_round=4, period=2)
     ws = build_schedule(templates, sched, seed=17)
     path = tmp_path / "schedule.json"
     save_schedule(ws, path)
-    assert load_schedule(path) == ws
+    assert load_schedule(path, catalog) == ws
 
 
-def test_schedule_file_format_is_fixed(templates, tmp_path):
+def test_schedule_file_format_is_fixed(catalog, templates, tmp_path):
     sched = DriftSchedule("continuous", total_rounds=4, templates_per_round=5)
     first, second = tmp_path / "first.json", tmp_path / "second.json"
     save_schedule(build_schedule(templates, sched, seed=19), first)
-    save_schedule(load_schedule(first), second)
+    save_schedule(load_schedule(first, catalog), second)
     assert first.read_bytes() == second.read_bytes()
 
     def is_column(ref):
