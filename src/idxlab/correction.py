@@ -198,16 +198,31 @@ def correct_plan(
     return PlanCorrection(startup + execution, tuple(reports))
 
 
-def leaf_encodings(plan: PlanNode, models: dict, catalog: Catalog) -> list:
+def leaf_encodings(
+    plan: PlanNode, models: dict, catalog: Catalog, known: Optional[dict] = None
+) -> list:
     """(leaf, encoding) per leaf of ``plan`` in depth-first order; the
     encoding is None when no model covers the leaf's kind. Correction never
-    changes a plan, so the pairs stay valid for as long as the plan is kept."""
+    changes a plan, so the pairs stay valid for as long as the plan is kept.
+
+    ``known`` maps (kind, table, index) to the encoding of a leaf of a plan
+    of the same query, and takes each leaf it lacks. `encode_operator` reads
+    only a leaf's kind, index and predicates, and the planner gives every
+    access to a table the query's one predicate list for that table, so a
+    leaf with the same kind, table and index has the same encoding."""
     from .plan import encode_operator
 
-    return [
-        (leaf, encode_operator(leaf, catalog) if leaf.kind in models else None)
-        for leaf in leaves(plan)
-    ]
+    known = {} if known is None else known
+    out = []
+    for leaf in leaves(plan):
+        encoding = None
+        if leaf.kind in models:
+            key = (leaf.kind, leaf.table, leaf.index)
+            encoding = known.get(key)
+            if encoding is None:
+                encoding = known[key] = encode_operator(leaf, catalog)
+        out.append((leaf, encoding))
+    return out
 
 
 def scored_leaves(encoded) -> list:

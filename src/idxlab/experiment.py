@@ -357,7 +357,10 @@ def replay(manifest_path, out_dir=None, jobs: int = 1) -> dict:
     is byte-identical; raises `ReplayMismatchError` naming those that are not."""
     manifest = read_json_object(manifest_path, "manifest")
     if manifest.get("format") != MANIFEST_FORMAT:
-        raise ConfigurationError("unsupported manifest format")
+        raise ConfigurationError(
+            f"manifest {manifest_path}: unsupported format "
+            f"{manifest.get('format')!r}, expected {MANIFEST_FORMAT}"
+        )
     missing = [
         key
         for key in ("config", "config_sha256", "seeds", "artifacts")
@@ -374,7 +377,7 @@ def replay(manifest_path, out_dir=None, jobs: int = 1) -> dict:
             )
     cfg = manifest["config"]
     if _config_hash(cfg) != manifest["config_sha256"]:
-        raise ConfigurationError("manifest config hash mismatch")
+        raise ConfigurationError(f"manifest {manifest_path}: config hash mismatch")
     out_dir = out_dir or f"{os.path.dirname(os.path.abspath(manifest_path))}_replay"
     cfg = dict(cfg)
     cfg["replications"] = manifest["seeds"]

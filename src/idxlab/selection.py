@@ -29,16 +29,24 @@ and get the same floats either way.
 A tuner's `Gate` owns what outlives a round: the catalog, the models, the
 gate threshold, mix weight and MC-dropout passes, the uncertainty scores,
 cached under keys that carry each model's training step, and the memo of
-recurring pairs below. It scores through `Gate.score` and corrects through
-`Gate.correct_all`, which scores the uncached leaves of a group of plans in
-one batched call per operator kind before `correct_plan` gates each of them.
+recurring pairs below. It scores through `Gate.score`, which scores the
+uncached leaves of any number of plans in one batched call per operator
+kind, and corrects through `Gate.correct`.
 
-`round_context` builds a round's `CorrectionContext` once, before any
-candidate is valued: the workload's no-index total, every query's raw
-no-index cost, and every query's no-index term, corrected from the query's
-shared no-index plan, which correction leaves as it is. A candidate's plans
-are corrected together, and so are the round's no-index terms. The sums run
-in query order and are bit-identical to pricing every pair.
+`round_context` prices a whole round once, before any candidate is valued,
+into a `CorrectionContext` that is dropped with the round. It sums the
+workload's no-index total and takes every query's raw no-index cost. It
+plans each (query, candidate) pair whose template can use the candidate,
+once, through `whatif_pricing`. It encodes each distinct leaf of a query
+once: a leaf's encoding depends on its kind, table and index alone within
+one query (`correction.leaf_encodings`), so every SeqScan leaf of a
+candidate plan takes the encoding of the query's no-index leaf. It scores
+the leaves of the no-index plans and of every candidate plan in one
+`Gate.score` call, and corrects each query's no-index term from the query's
+shared no-index plan, which correction leaves as it is. `candidate_valuation`
+then only corrects the candidate's own plans from those scores and sums in
+query order, bit-identical to pricing every pair. The round's deployed plans
+take their leaf encodings from the same round.
 
 A tuner keeps the pricing of a recurring query's pairs across rounds, in its
 gate's ``plan_memo``: each (query key, candidate) pair's what-if cost and,
@@ -51,12 +59,14 @@ the round, so a workload whose queries do not recur keeps nothing.
 """
 
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Callable
 
 import numpy as np
 
 from .catalog import Catalog, IndexCandidate, sized_candidate
 from .correction import (
+    PlanCorrection,
     cached_uncertainties,
     correct_plan,
     drop_stale_scores,
@@ -135,9 +145,9 @@ class Gate:
     leaf kind, which the tuner trains in place), the gate threshold, mix
     weight and MC-dropout passes, and its two caches (see the module
     docstring). ``score_cache`` is `cached_uncertainties`'s cache, and
-    ``plan_memo`` maps (query key, candidate) to `CorrectionContext.whatif`'s
-    pricing; `round_context` keeps each to the entries that can still be
-    read.
+    ``plan_memo`` maps (query key, candidate) to ``(entry, cost)``: the
+    pair's entry in `CorrectionContext.pricing` and its what-if cost;
+    `round_context` keeps each to the entries that can still be read.
     """
 
     catalog: Catalog
@@ -154,80 +164,54 @@ class Gate:
             self.models, pairs, self.mix_weight, self.passes, self.score_cache
         )
 
-    def correct_all(self, plans, encoded=None) -> list:
-        """Gate-and-correct each plan under the models as they are now,
-        after scoring the uncached leaves of them all in one batched call per
-        operator kind; ``encoded[j]`` is plan ``j``'s `leaf_encodings`, when
-        the caller has them. No plan is changed."""
-        if encoded is None:
-            encoded = [leaf_encodings(p, self.models, self.catalog) for p in plans]
+    def correct(self, plan, encoded) -> PlanCorrection:
+        """Gate-and-correct ``plan``, whose `leaf_encodings` are
+        ``encoded``, under the models as they are now; a leaf whose score is
+        not cached yet is scored on its own. The plan is not changed."""
+        return correct_plan(
+            plan,
+            self.models,
+            self.catalog,
+            self.threshold,
+            self.mix_weight,
+            self.passes,
+            self.score_cache,
+            encoded,
+        )
+
+    def correct_all(self, plans, encoded) -> list:
+        """`correct` of each plan, after scoring the uncached leaves of them
+        all in one batched call per operator kind."""
         self.score([pair for e in encoded for pair in scored_leaves(e)])
-        return [
-            correct_plan(
-                p,
-                self.models,
-                self.catalog,
-                self.threshold,
-                self.mix_weight,
-                self.passes,
-                self.score_cache,
-                e,
-            )
-            for p, e in zip(plans, encoded)
-        ]
+        return [self.correct(p, e) for p, e in zip(plans, encoded)]
 
 
 @dataclass(frozen=True)
 class CorrectionContext:
     """One round of candidate valuation under ``gate``; `round_context`
-    builds it.
+    builds it, and it is dropped with the round.
 
     The models must not change while a context is in use: its no-index terms
-    were corrected under their current state. ``recurring`` holds the keys
-    of the previous round's queries. ``query_keys[i]`` is the key of the
-    round workload's ``i``-th query, ``noindex_total`` is the workload's
-    `noindex_total`, ``noindex_costs[i]`` is the cost of its ``i``-th
-    query's no-index plan, and ``noindex_terms[i]`` is that query's
-    frequency weight times the plan's gate-corrected cost.
+    and its scores were made under their current state. ``query_keys[i]`` is
+    the key of the round workload's ``i``-th query, ``noindex_total`` is the
+    workload's `noindex_total`, and ``noindex_terms[i]`` is the ``i``-th
+    query's frequency weight times its no-index plan's gate-corrected cost.
+    ``pricing`` maps each of the round's candidates to its `whatif_pricing`:
+    the pair entry of each query whose template can use the candidate, by
+    query position, and the raw what-if total. A pair entry is the what-if
+    plan with the candidate and its `leaf_encodings` when the plan uses an
+    index, else None. ``leaf_encodings(i, plan)`` is the `leaf_encodings`
+    of a plan of the ``i``-th query; it encodes only the leaves that no plan
+    of the query had this round.
     """
 
     gate: Gate
-    recurring: frozenset
     workload: MiniWorkload
     query_keys: tuple
     noindex_total: float
-    noindex_costs: tuple
     noindex_terms: tuple
-
-    def whatif(self, candidate: IndexCandidate) -> Callable:
-        """The `whatif_pricing` ``price`` of ``candidate`` for valuation.
-
-        ``price(i, query)`` returns ``(entry, cost)`` for the ``i``-th
-        query: ``entry`` is the query's what-if plan with the candidate and
-        its `leaf_encodings` when the plan uses an index, else None, and
-        ``cost`` is the plan's cost. A pair is read from the gate's
-        ``plan_memo``, under (query key, candidate), when it is there.
-        Otherwise it is planned, and stored when the query's key is in
-        ``recurring``. A what-if plan is a pure function of the query's key,
-        the candidate and the catalog, and no correction changes it, so a
-        stored pair is exact for as long as it is kept.
-        """
-        gate = self.gate
-
-        def price(i, query):
-            key = (self.query_keys[i], candidate)
-            priced = gate.plan_memo.get(key)
-            if priced is None:
-                plan, cost = whatif_plan(query, (candidate,), gate.catalog)
-                entry = None
-                if any(leaf.index is not None for leaf in leaves(plan)):
-                    entry = (plan, leaf_encodings(plan, gate.models, gate.catalog))
-                priced = (entry, cost)
-                if key[0] in self.recurring:
-                    gate.plan_memo[key] = priced
-            return priced
-
-        return price
+    pricing: dict
+    leaf_encodings: Callable
 
 
 def noindex_total(workload: MiniWorkload, noindex_plan: Callable) -> float:
@@ -241,33 +225,76 @@ def noindex_total(workload: MiniWorkload, noindex_plan: Callable) -> float:
 
 def round_context(
     workload: MiniWorkload,
+    candidates,
     gate: Gate,
     noindex_plan: Callable,
     recurring: frozenset = frozenset(),
 ) -> CorrectionContext:
-    """The round's `CorrectionContext`, its no-index terms corrected from
-    each query's ``noindex_plan``, which is shared and stays as it is;
-    raises ContractError when the no-index total is not positive.
+    """The round's `CorrectionContext`, with every candidate in
+    ``candidates`` priced; raises ContractError when the no-index total is
+    not positive.
 
     First drops from ``gate`` the scores of replaced model states and the
-    pairs of queries not in ``workload``. ``recurring`` is the previous
-    round's query keys (see `CorrectionContext`); without it, valuation
-    plans every pair and keeps none."""
+    pairs of queries not in ``workload``. Then it plans each (query,
+    candidate) pair whose template can use the candidate, reading the pair
+    from the gate's ``plan_memo`` when it is there, and storing it there
+    when the query's key is in ``recurring``, the previous round's query
+    keys; without them, it plans every pair and keeps none. A what-if plan
+    is a pure function of the query's key, the candidate and the catalog,
+    and no correction changes it, so a stored pair is exact for as long as
+    it is kept. Each distinct leaf of a query is encoded once. The leaves of
+    the no-index plans, from ``noindex_plan``, which are shared and stay as
+    they are, and of every candidate plan are scored in one batched call
+    per operator kind, and the no-index terms are corrected from those
+    scores."""
     total = noindex_total(workload, noindex_plan)
     if total <= 0:
         raise ContractError("workload has nonpositive no-index cost")
-    keys = tuple(q.key() for q in workload.queries)
+    queries = workload.queries
+    keys = tuple(q.key() for q in queries)
     drop_stale_scores(gate.score_cache, gate.models)
     current = set(keys)
     for key in [k for k in gate.plan_memo if k[0] not in current]:
         del gate.plan_memo[key]
-    plans = [noindex_plan(q) for q in workload.queries]
+    known = {}  # query key -> its leaves' encodings by (kind, table, index)
+
+    def encode(i, plan):
+        store = known.setdefault(keys[i], {})
+        return leaf_encodings(plan, gate.models, gate.catalog, store)
+
+    def price(candidate, i, query):
+        key = (keys[i], candidate)
+        priced = gate.plan_memo.get(key)
+        if priced is None:
+            plan, cost = whatif_plan(query, (candidate,), gate.catalog)
+            entry = None
+            if any(leaf.index is not None for leaf in leaves(plan)):
+                entry = (plan, encode(i, plan))
+            priced = (entry, cost)
+            if key[0] in recurring:
+                gate.plan_memo[key] = priced
+        return priced
+
+    plans = [noindex_plan(q) for q in queries]
+    noindex_encoded = [encode(i, plan) for i, plan in enumerate(plans)]
+    costs = [plan.total_cost for plan in plans]
+    pricing = {
+        x: whatif_pricing(x, queries, costs, partial(price, x)) for x in candidates
+    }
+    encoded = noindex_encoded + [
+        entry[1]
+        for entries, _ in pricing.values()
+        for entry in entries.values()
+        if entry is not None
+    ]
+    # each encoding object once: a query's plans share their leaves' encodings
+    pairs = {id(enc): (kind, enc) for e in encoded for kind, enc in scored_leaves(e)}
+    gate.score(list(pairs.values()))
     terms = tuple(
-        q.frequency_weight * result.corrected_cost
-        for q, result in zip(workload.queries, gate.correct_all(plans))
+        q.frequency_weight * gate.correct(plan, e).corrected_cost
+        for q, plan, e in zip(queries, plans, noindex_encoded)
     )
-    costs = tuple(plan.total_cost for plan in plans)
-    return CorrectionContext(gate, recurring, workload, keys, total, costs, terms)
+    return CorrectionContext(gate, workload, keys, total, terms, pricing, encode)
 
 
 def applicability(queries, candidate: IndexCandidate) -> list:
@@ -289,9 +316,9 @@ def whatif_pricing(candidate: IndexCandidate, queries, noindex_costs, price):
 
     ``price`` plans the ``i``-th query's pair and returns what to keep for it
     and its cost: the planner itself for the baselines' own ranking
-    (`tuner.Calibration.order`), `CorrectionContext.whatif` for valuation.
-    Both price through this one loop, so a raw benefit is the same float
-    whichever of them computed it.
+    (`tuner.Calibration.order`), the memo-backed planner of `round_context`
+    for valuation. Both price through this one loop, so a raw benefit is the
+    same float whichever of them computed it.
     """
     plans = {}
     total = 0.0
@@ -308,32 +335,26 @@ def candidate_valuation(
     candidate: IndexCandidate, ctx: CorrectionContext, explore_weight: float
 ) -> IndexValuation:
     """Corrected EB, uncertainty EV, total value, and raw what-if EB for one
-    candidate over the context's workload.
+    of the candidates ``ctx`` priced, over the context's workload; raises
+    ContractError for any other candidate.
 
     Pairs whose plan cannot use the candidate take the query's corrected
     no-index term from ``ctx`` (see the module docstring). The candidate's
-    own plans are corrected together, so their leaves are scored in one
-    batched call per operator kind. The raw EB is summed from the same plans
-    before correction, by `whatif_pricing`, which reads a recurring query's
-    pairs from the context's memo.
+    own plans are corrected from the scores `round_context` made. The raw
+    EB is the context's raw what-if total, summed before any correction.
     """
-    queries = ctx.workload.queries
-    priced, raw = whatif_pricing(
-        candidate, queries, ctx.noindex_costs, ctx.whatif(candidate)
-    )
-    # query position -> (plan, leaf encodings) of its plan with the
-    # candidate, if that plan uses an index
-    entries = {i: entry for i, entry in priced.items() if entry is not None}
-    plans = [plan for plan, _ in entries.values()]
-    encoded = [leaf_pairs for _, leaf_pairs in entries.values()]
-    results = dict(zip(entries, ctx.gate.correct_all(plans, encoded)))
+    priced = ctx.pricing.get(candidate)
+    if priced is None:
+        raise ContractError(f"candidate {candidate} was not priced this round")
+    entries, raw = priced
     num = 0.0
     ev = 0.0
-    for i, q in enumerate(queries):
-        result = results.get(i)
-        if result is None:
+    for i, q in enumerate(ctx.workload.queries):
+        entry = entries.get(i)
+        if entry is None:
             num += ctx.noindex_terms[i]
             continue
+        result = ctx.gate.correct(*entry)
         num += q.frequency_weight * result.corrected_cost
         for report in result.reports:
             if report.leaf.index == candidate and report.score is not None:

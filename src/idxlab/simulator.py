@@ -19,7 +19,7 @@ itself hashes no query and keeps no plan: each call plans the whole query
 under its configuration. A what-if plan is therefore a pure function of the
 query's key, the configuration and the catalog, which is what lets the
 tuner keep the plans of queries that recur from one round to the next
-(`selection.CorrectionContext.whatif`).
+(`selection.round_context`).
 
 The executor turns per-operator execution costs into "true" runtimes through
 hidden per-(operator kind, table) multipliers and optional lognormal noise;

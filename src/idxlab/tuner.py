@@ -20,24 +20,27 @@ distinct query set once. Shared or private, calibration and ranking give
 the same results.
 
 A tuner round measures workload novelty and decays the exploration weight,
-builds the round's no-index pricing, prices each candidate with
+generates the round's candidates, prices them all, values each with
 uncertainty-gated corrected costs, samples a configuration, steps the
 environment, and learns multiplier labels from the telemetry. The tuner's
 `selection.Gate`, built once from its `TunerParams`, owns the models, the
 gate's parameters and two caches for the tuner's lifetime: uncertainty
 scores, keyed by each model's training step, and the what-if pricing of
 recurring queries' pairs. A round's `selection.CorrectionContext` holds only
-the round. No pricing is repeated within a round: `selection.round_context`
-builds the workload's no-index total and every query's corrected no-index
-term once, before any candidate is valued; a candidate is planned against a
-query only when the query's template can use it; the deployed
-configuration is corrected from the plan the executor already built; the
-labels reuse the encodings the gate scored; and the round's mean
-uncertainty before the model update is the mean of the gate scores that
-correction produced. Correction never changes a plan, so no plan is copied.
-The probe after an update and the next round's gate score a leaf once, and
-the round's no-index plans, each candidate's plans, the round's deployed
-plans and the probe are scored in one batched call per operator kind.
+the round and is dropped with it. No pricing is repeated within a round:
+`selection.round_context` builds the workload's no-index total and every
+query's corrected no-index term, and plans every (query, candidate) pair
+whose template can use the candidate, once, before any candidate is valued;
+it encodes each distinct leaf of a query once, and scores the leaves of the
+no-index plans and of every candidate plan in one batched call per operator
+kind. Valuation only corrects a candidate's plans from those scores. The
+deployed configuration is corrected from the plan the executor already
+built, with the round's leaf encodings; the labels reuse the encodings the
+gate scored; and the round's mean uncertainty before the model update is
+the mean of the gate scores that correction produced. Correction never
+changes a plan, so no plan is copied. The probe after an update and the
+next round's gate score a leaf once, and the round's deployed plans and the
+probe are each scored in one batched call per operator kind.
 
 Nor is planning repeated across rounds for a query that recurs (see
 `selection`): a kept pair is only corrected again, under the models as they
@@ -51,7 +54,7 @@ import numpy as np
 from .catalog import Catalog
 from .correction import (
     actual_benefit,
-    # not called here (corrections go through Gate.correct_all), but
+    # not called here (corrections go through the Gate), but
     # perfbench/tracer.py patches tuner.correct_plan by name
     correct_plan,  # noqa: F401
     estimated_benefit,
@@ -324,9 +327,11 @@ class OnlineTuner:
     def model_for(self, kind: str) -> CostMultiplierModel:
         return self.models[kind]
 
-    def _context(self, workload: MiniWorkload) -> CorrectionContext:
+    def _context(self, workload: MiniWorkload, candidates) -> CorrectionContext:
         noindex_plan = self.env.calibration.noindex_plan
-        return round_context(workload, self.gate, noindex_plan, self._recurring)
+        return round_context(
+            workload, candidates, self.gate, noindex_plan, self._recurring
+        )
 
     def run_round(self, workload: MiniWorkload) -> RoundReport:
         p = self.params
@@ -336,9 +341,10 @@ class OnlineTuner:
         seen_fraction = 1.0 - unseen_fraction(workload, self.seen_templates)
         explore = exploration_weight(t, seen_fraction, p.explore_init, p.explore_decay)
 
-        # 2-4. candidates, their valuations under corrected costs, sampling
-        ctx = self._context(workload)
+        # 2-4. candidates, the round's pricing of them all, their
+        # valuations under corrected costs, sampling
         candidates = generate_candidates(workload, self.catalog)
+        ctx = self._context(workload, candidates)
         config = Configuration()
         if candidates:
             values = [candidate_valuation(x, ctx, explore) for x in candidates]
@@ -359,9 +365,11 @@ class OnlineTuner:
         executed, row = self.env.step(t, workload, config)
 
         # the executor's plans of the deployed configuration, corrected
-        # together; correction leaves them, and the no-index plans, as they are
+        # together from the round's leaf encodings; correction leaves them,
+        # and the no-index plans, as they are
+        plans = [telemetry.plan for _, telemetry, _ in executed]
         corrections = self.gate.correct_all(
-            [telemetry.plan for _, telemetry, _ in executed]
+            plans, [ctx.leaf_encodings(i, plan) for i, plan in enumerate(plans)]
         )
         per_query, probe_encodings, probe_scores = [], [], []
         by_kind = {}  # operator kind -> (encoding, bucket) labels

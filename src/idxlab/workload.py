@@ -441,17 +441,18 @@ def schedule_from_dict(data: dict, catalog: Catalog) -> list:
     ``catalog`` in the round that first uses it, and each query's literals as
     the query is built; errors name the round and the template."""
     templates = {}
-    for t in data["templates"]:
+    for t in _objects(data["templates"], "templates"):
         if not isinstance(t["id"], str):
             raise ConfigurationError(f"template id {t['id']!r} must be a string")
         if t["id"] in templates:
             raise ConfigurationError(f"template id {t['id']!r} is defined twice")
         templates[t["id"]] = _template_from_dict(t)
-    if not data["rounds"]:
+    rounds = _objects(data["rounds"], "rounds")
+    if not rounds:
         raise ConfigurationError("no rounds")
     checked, out = set(), []
     # the tuner numbers rounds by position, and error messages quote it
-    for position, r in enumerate(data["rounds"]):
+    for position, r in enumerate(rounds):
         number = r["round"]
         if type(number) is not int or number != position:
             raise ConfigurationError(
@@ -459,7 +460,7 @@ def schedule_from_dict(data: dict, catalog: Catalog) -> list:
                 f"got {number!r}"
             )
         queries = []
-        for q in r["queries"]:
+        for q in _objects(r["queries"], f"round {position}: queries"):
             name = q["template"]
             if not isinstance(name, str) or name not in templates:
                 raise ConfigurationError(
@@ -482,6 +483,17 @@ def schedule_from_dict(data: dict, catalog: Catalog) -> list:
             queries.append(query)
         out.append(MiniWorkload(round=position, queries=tuple(queries)))
     return out
+
+
+def _objects(value, name: str) -> list:
+    """``value``, the list ``name`` of a schedule file, once it is checked to
+    be a list of JSON objects."""
+    if not isinstance(value, list):
+        raise ConfigurationError(f"{name} is not a list")
+    for i, entry in enumerate(value):
+        if not isinstance(entry, dict):
+            raise ConfigurationError(f"{name}[{i}] is not a JSON object")
+    return value
 
 
 def save_schedule(workloads, path) -> None:

@@ -272,6 +272,30 @@ def test_batched_scores_equal_one_at_a_time_at_other_pass_counts(dim, passes):
 
 
 @pytest.mark.parametrize("dim", [175, 87])
+def test_batched_scores_equal_one_at_a_time_at_round_batch_sizes(dim):
+    # a tuner round scores its leaves in one call per operator kind: some
+    # 200 encodings, most of them sparse like the planner's, many repeated,
+    # and here a count that leaves a lone row in the last chunk
+    model, _ = trained_scoring_model(dim)
+    rng = rng_for(37, "round batch")
+    n = 25 * SCORE_CHUNK + 1
+    encodings = []
+    for i in range(n):
+        if i % 5 == 4:
+            encodings.append(rng.random(dim))
+        elif i % 3 == 2 and i > 10:
+            encodings.append(encodings[int(rng.integers(0, i))])
+        else:
+            row = np.zeros(dim)
+            row[rng.choice(dim - 2, size=5, replace=False)] = 1.0
+            row[dim - 2 + int(rng.integers(0, 2))] = rng.random()
+            encodings.append(row)
+    assert len(encodings) % SCORE_CHUNK == 1
+    want = [combined_uncertainty(model, e, 0.5, 20) for e in encodings]
+    assert combined_uncertainties(model, encodings, 0.5, 20) == want
+
+
+@pytest.mark.parametrize("dim", [175, 87])
 def test_batched_entropy_of_predictions_with_zero_probabilities(dim):
     model, encodings = trained_scoring_model(dim)
     # logit spreads past exp's underflow: some classes get exactly 0

@@ -435,6 +435,35 @@ def test_cli_malformed_schedule_file_exits_2(tmp_path, capsys):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize(
+    "data, named",
+    [
+        ({"templates": [["T0"]], "rounds": []}, "templates[0] is not a JSON object"),
+        ({"templates": [], "rounds": {"a": 1}}, "rounds is not a list"),
+        ({"templates": [], "rounds": ["r0"]}, "rounds[0] is not a JSON object"),
+        (
+            {"templates": [], "rounds": [{"round": 0, "queries": [7]}]},
+            "round 0: queries[0] is not a JSON object",
+        ),
+    ],
+    ids=["template-list", "rounds-object", "round-string", "query-number"],
+)
+def test_cli_schedule_entry_that_is_not_an_object_exits_2(tmp_path, capsys, data, named):
+    schedule = tmp_path / "schedule.json"
+    schedule.write_text(json.dumps(data))
+    cfg = write_config(
+        tmp_path,
+        {**SMALL_CONFIG, "workload": {"schedule_file": str(schedule)}},
+    )
+    out = tmp_path / "never"
+    assert main(["run", cfg, "--out", str(out)]) == 2
+    assert not out.exists()
+    err = capsys.readouterr().err
+    assert len(err.strip().splitlines()) == 1
+    assert f"schedule file {schedule}: {named}" in err
+    assert "Traceback" not in err and "indices" not in err
+
+
 def test_cli_schedule_template_off_the_catalog_exits_2(tmp_path, capsys):
     # the default catalog has tables t0..t3
     template = {
@@ -742,6 +771,35 @@ def test_cli_replay_of_malformed_manifest_exits_2(tmp_path, capsys, manifest, na
     err = capsys.readouterr().err
     assert len(err.strip().splitlines()) == 1
     assert str(path) in err and all(word in err for word in named)
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "manifest, named",
+    [
+        ({"format": 2}, "unsupported format 2, expected 1"),
+        (
+            {
+                "format": 1,
+                "config": {},
+                "config_sha256": "0" * 64,
+                "seeds": [1],
+                "artifacts": {},
+            },
+            "config hash mismatch",
+        ),
+    ],
+    ids=["format", "hash"],
+)
+def test_cli_replay_names_the_manifest_it_refuses(tmp_path, capsys, manifest, named):
+    path = tmp_path / "manifest.json"
+    path.write_text(json.dumps(manifest))
+    out = tmp_path / "never"
+    assert main(["replay", str(path), "--out", str(out)]) == 2
+    assert not out.exists()
+    err = capsys.readouterr().err
+    assert len(err.strip().splitlines()) == 1
+    assert f"manifest {path}: {named}" in err
     assert "Traceback" not in err
 
 

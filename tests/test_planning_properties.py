@@ -21,7 +21,7 @@ from idxlab.catalog import (
     generate_catalog,
     selectivity,
 )
-from idxlab.correction import correct_plan
+from idxlab.correction import correct_plan, leaf_encodings
 from idxlab.costmodel import CostMultiplierModel
 from idxlab.errors import ConfigurationError
 from idxlab.plan import LEAF_KINDS, Predicate, encode_operator, encoding_length, leaves
@@ -125,6 +125,20 @@ def test_planning_through_the_memo_equals_planning_fresh_copies(case):
 
 
 @SETTINGS
+@given(planning_cases())
+def test_leaves_with_one_kind_table_and_index_encode_alike(case):
+    # a round encodes each (kind, table, index) of a query once, and every
+    # plan of the query with such a leaf takes that encoding
+    catalog, query, config = case
+    models = dict.fromkeys(LEAF_KINDS)
+    known = {}
+    for indexes in [(), config, *((ix,) for ix in config)]:
+        plan, _ = whatif_plan(query, indexes, catalog)
+        for leaf, encoding in leaf_encodings(plan, models, catalog, known):
+            assert (encoding == encode_operator(leaf, catalog)).all()
+
+
+@SETTINGS
 @given(
     planning_cases(),
     st.sampled_from([0.0, 0.5, math.inf]),
@@ -149,7 +163,7 @@ def test_corrected_baseline_of_the_environment_plan_equals_a_fresh_plan(
     env = Environment(make_ground_truth(catalog, seed), seed)
     shared = [dataclasses.asdict(env.calibration.noindex_plan(q)) for q in workload.queries]
     gate = Gate(catalog, models, threshold, 0.5, 5)
-    ctx = round_context(workload, gate, env.calibration.noindex_plan)
+    ctx = round_context(workload, (), gate, env.calibration.noindex_plan)
     # each query's corrected no-index term, as candidate valuation takes it
     assert len(ctx.noindex_terms) == len(workload.queries)
     total = 0.0

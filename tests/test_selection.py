@@ -60,11 +60,17 @@ def untrained_gate(catalog):
     return Gate(catalog, models, threshold=0.1, mix_weight=0.5, passes=20)
 
 
-def untrained_context(catalog, workload, gate=None, recurring=frozenset()):
+def untrained_context(
+    catalog, workload, gate=None, recurring=frozenset(), candidates=None
+):
     """The round context of ``workload`` under untrained models, which
-    prices each query's no-index term from a fresh no-index plan."""
+    prices each query's no-index term from a fresh no-index plan, and
+    ``candidates``, by default the workload's own."""
+    if candidates is None:
+        candidates = generate_candidates(workload, catalog)
     return round_context(
         workload,
+        candidates,
         untrained_gate(catalog) if gate is None else gate,
         lambda q: whatif_plan(q, (), catalog)[0],
         recurring,
@@ -129,7 +135,7 @@ def test_round_context_rejects_a_nonpositive_noindex_total(env):
     catalog, workload = env
     free = SimpleNamespace(total_cost=0.0)
     with pytest.raises(ContractError, match="nonpositive"):
-        round_context(workload, Gate(catalog, {}, 0.1, 0.5, 20), lambda q: free)
+        round_context(workload, (), Gate(catalog, {}, 0.1, 0.5, 20), lambda q: free)
 
 
 def test_round_context_drops_stale_scores_and_the_pairs_of_departed_queries(env):
@@ -156,6 +162,14 @@ def test_round_context_drops_stale_scores_and_the_pairs_of_departed_queries(env)
     assert gate.plan_memo == {k: v for k, v in pairs.items() if k not in departed}
 
 
+def test_valuation_of_a_candidate_the_round_did_not_price_is_refused(env):
+    catalog, workload = env
+    x = generate_candidates(workload, catalog)[0]
+    ctx = untrained_context(catalog, workload, candidates=[])
+    with pytest.raises(ContractError, match="not priced"):
+        candidate_valuation(x, ctx, 0.5)
+
+
 def test_execution_benefit_zero_for_untouched_candidate(env):
     catalog, workload = env
     # untrained models keep the gate closed, so costs equal raw what-if costs;
@@ -166,8 +180,8 @@ def test_execution_benefit_zero_for_untouched_candidate(env):
     )
     assert queries
     untouched = MiniWorkload(workload.round, queries)
-    ctx = untrained_context(catalog, untouched)
     unused = sized_candidate(table.name, (table.columns[0].name,), catalog)
+    ctx = untrained_context(catalog, untouched, candidates=[unused])
     val = candidate_valuation(unused, ctx, 0.0)
     assert val.execution_benefit == 0.0
 
@@ -224,10 +238,10 @@ def test_exploratory_value_sums_accessing_operators(env):
 
 def test_exploratory_value_zero_when_unused(env):
     catalog, workload = env
-    ctx = untrained_context(catalog, workload)
     unused = sized_candidate(
         catalog.tables[0].name, (catalog.tables[0].columns[0].name,), catalog
     )
+    ctx = untrained_context(catalog, workload, candidates=[unused])
     plans_use_it = any(
         leaf.index == unused
         for q in workload.queries

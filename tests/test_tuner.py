@@ -154,9 +154,9 @@ class FreshCacheTuner(OnlineTuner):
     """Scores every model state anew each round: the reference for the
     tuner-lifetime uncertainty cache."""
 
-    def _context(self, workload):
+    def _context(self, workload, candidates):
         self.gate.score_cache.clear()
-        return super()._context(workload)
+        return super()._context(workload, candidates)
 
 
 @pytest.mark.parametrize("threshold", [0.1, math.inf])
@@ -175,9 +175,9 @@ class FreshMemoTuner(OnlineTuner):
     recurring-query pricing memo. It counts no query as recurring, so its
     memo stays empty, even for a query that comes twice in one round."""
 
-    def _context(self, workload):
+    def _context(self, workload, candidates):
         self._recurring = frozenset()
-        return super()._context(workload)
+        return super()._context(workload, candidates)
 
 
 def hot_schedule(schedule):
@@ -274,7 +274,7 @@ def test_context_keeps_only_scores_of_current_model_steps(env):
         tuner.run_round(w)
         before = set(tuner.gate.score_cache)
         current = {k for k in before if k[2] == tuner.models[k[0]].step_count}
-        ctx = tuner._context(following)
+        ctx = tuner._context(following, generate_candidates(following, catalog))
         assert ctx.gate is tuner.gate
         # the after-update probe's scores outlive the round they were made in
         assert 0 < len(current) < len(before)

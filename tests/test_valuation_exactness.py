@@ -2,8 +2,10 @@
 must equal, bit for bit, a loop that prices every (candidate, query) pair."""
 
 import copy
+import gc
 import math
-from dataclasses import asdict, replace
+import weakref
+from dataclasses import asdict, fields, replace
 from functools import lru_cache
 
 import numpy as np
@@ -13,8 +15,12 @@ from hypothesis import strategies as st
 
 from idxlab.catalog import CatalogSpec, generate_catalog, sized_candidate
 from idxlab.correction import correct_plan
+from idxlab.costmodel import combined_uncertainties
 from idxlab.plan import Predicate, encode_operator, leaves
 from idxlab.selection import (
+    Gate,
+    IndexValuation,
+    applicability,
     candidate_valuation,
     generate_candidates,
     noindex_total,
@@ -210,7 +216,8 @@ def test_valuation_matches_pricing_every_pair(trained, gate):
         ]
         threshold = float(np.median(scores))
     shared = replace(tuner.gate, threshold=threshold)  # and the tuner's caches
-    ctx = round_context(workload, shared, tuner.env.calibration.noindex_plan)
+    noindex_plan = tuner.env.calibration.noindex_plan
+    ctx = round_context(workload, candidates, shared, noindex_plan)
     corrected = 0
     for candidate in candidates:
         got = candidate_valuation(candidate, ctx, 0.5)
@@ -225,8 +232,8 @@ def test_uncorrected_benefit_matches_pricing_every_pair(scenario):
     tuner = OnlineTuner(catalog, gt, TunerParams(mcd_passes=5), seed=7)
     alone = Calibration(gt, 7)  # prices every order itself, as a lone baseline
     for workload in schedule:
-        ctx = tuner._context(workload)
         candidates = generate_candidates(workload, catalog)
+        ctx = tuner._context(workload, candidates)
         want = [reference_uncorrected_benefit(x, workload, catalog) for x in candidates]
         den = noindex_total(workload, alone.noindex_plan)
         costs = [alone.noindex_plan(q).total_cost for q in workload.queries]
@@ -258,3 +265,84 @@ def test_mean_uncertainty_before_reuses_gate_scores(trained):
     assert probes
     assert report.mean_uncertainty_before == before._mean_uncertainty(probes)
     assert report.mean_uncertainty_after == tuner._mean_uncertainty(probes)
+
+
+@pytest.mark.parametrize("hot", [False, True], ids=["static", "hot"])
+def test_round_pricing_plans_and_scores_once_and_values_exactly(
+    scenario, monkeypatch, hot
+):
+    """A round prices all its candidates before valuing any: each applicable
+    pair is planned at most once, valuation plans nothing, the leaves are
+    scored in at most one call per operator kind, every valuation equals
+    pricing every pair anew, and the round's pricing is dropped with it."""
+    from idxlab import correction, selection, tuner as tuner_module
+
+    catalog, schedule, gt = scenario
+    rounds = schedule[:4]
+    if hot:
+        rounds = [MiniWorkload(t, schedule[0].queries) for t in range(4)]
+    tuner = OnlineTuner(catalog, gt, TunerParams(mcd_passes=5), seed=7)
+    kind_of = {id(model): kind for kind, model in tuner.models.items()}
+    phase = [None]  # "pricing" or "valuation" while either runs
+    planned, scored, contexts = [], [], []
+
+    def during(name, function):
+        def wrapper(*args, **kwargs):
+            phase[0] = name
+            try:
+                return function(*args, **kwargs)
+            finally:
+                phase[0] = None
+
+        return wrapper
+
+    def planning(query, config, catalog):
+        planned.append((phase[0], query.key(), tuple(config)))
+        return whatif_plan(query, config, catalog)
+
+    def scoring(model, encodings, mix_weight, passes):
+        if phase[0] == "pricing":
+            scored.append(kind_of[id(model)])
+        return combined_uncertainties(model, encodings, mix_weight, passes)
+
+    def context(workload, candidates, gate, noindex_plan, recurring=frozenset()):
+        ctx = round_context(workload, candidates, gate, noindex_plan, recurring)
+        contexts.append(weakref.ref(ctx))
+        return ctx
+
+    def valuation(candidate, ctx, explore_weight):
+        got = candidate_valuation(candidate, ctx, explore_weight)
+        workload = ctx.workload
+        want, _ = reference_valuation(candidate, workload, ctx, explore_weight)
+        raw = reference_uncorrected_benefit(candidate, workload, catalog)
+        assert got == IndexValuation(candidate, *want, raw)
+        return got
+
+    monkeypatch.setattr(selection, "whatif_plan", planning)
+    monkeypatch.setattr(correction, "combined_uncertainties", scoring)
+    monkeypatch.setattr(tuner_module, "round_context", during("pricing", context))
+    monkeypatch.setattr(
+        tuner_module, "candidate_valuation", during("valuation", valuation)
+    )
+    previous = set()
+    for t, workload in enumerate(rounds):
+        del planned[:], scored[:]
+        tuner.run_round(workload)
+        queries = workload.queries
+        candidates = generate_candidates(workload, catalog)
+        applicable = sum(sum(applicability(queries, x)) for x in candidates)
+        assert {phase for phase, _, _ in planned} <= {"pricing"}
+        assert len(planned) <= applicable
+        if hot and t >= 2:
+            assert planned == []
+        keys = [q.key() for q in queries]
+        for key, config in {(key, config) for _, key, config in planned}:
+            assert planned.count(("pricing", key, config)) <= keys.count(key)
+        assert len(scored) == len(set(scored)) and scored
+        # nothing of the round outlives it but the memo of recurring pairs
+        gc.collect()
+        assert contexts[-1]() is None
+        assert set(vars(tuner.gate)) == {f.name for f in fields(Gate)}
+        assert {key for key, _ in tuner.gate.plan_memo} <= previous & set(keys)
+        previous = set(keys)
+    assert bool(tuner.gate.plan_memo) == hot
