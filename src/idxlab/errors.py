@@ -165,7 +165,9 @@ FIELDS = {
         Field("catalog.cols_per_table_range", "integer pair", [3, 6], 1),
         Field("catalog.string_column_fraction", "number", 0.25, 0, 1),
         Field("catalog.seed", "integer", None, *_SEEDS),
-        Field("workload.n_templates", "integer", 12, 1),
+        # a template search for far more templates than a catalog offers
+        # runs on without end
+        Field("workload.n_templates", "integer", 12, 1, 1000),
         Field("workload.kind", DRIFT_KINDS, "static"),
         Field("workload.total_rounds", "integer", 10, 1),
         Field("workload.templates_per_round", "integer", 8, 1),
@@ -184,7 +186,9 @@ FIELDS = {
         Field("tuner.uncertainty_mix", "number", 0.5, 0, 1, "()"),
         Field("tuner.explore_init", "number", 0.5, 0, MAX_EXPLORE_INIT, "(]"),
         Field("tuner.explore_decay", "number", 0.9, 0, 1, "()"),
-        Field("tuner.mcd_passes", "integer", 20, 2),
+        # the MC-dropout batch grows with the passes; at 1,000 a chunk of
+        # scored leaves takes about 8 MB
+        Field("tuner.mcd_passes", "integer", 20, 2, 1000),
         Field("tuner.epsilon", "number", 0.1, 0, 1),
         Field("tuner.per_table_cap", "integer", 3, 1),
         Field("budget.mode", ("count", "storage"), "count"),

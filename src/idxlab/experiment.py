@@ -245,17 +245,12 @@ def _summary_rows(results) -> list:
     return rows
 
 
-def emit_plot_data(per_round_improvements: dict, out_dir) -> list:
-    """One gnuplot-ready TSV per method with (round, improvement) rows."""
-    paths = []
-    for method, series in sorted(per_round_improvements.items()):
-        if not series:
-            raise ConfigurationError("plot series must be nonempty")
-        lines = [f"{r}\t{_format_value(v)}" for r, v in enumerate(series)]
-        path = os.path.join(out_dir, f"plot_{method}.tsv")
-        _write_atomic(path, ("\n".join(lines) + "\n").encode("utf-8"))
-        paths.append(path)
-    return paths
+def _plot_bytes(series) -> bytes:
+    """A gnuplot-ready TSV of one method's (round, improvement) rows."""
+    if not series:
+        raise ConfigurationError("plot series must be nonempty")
+    rows = "".join(f"{r}\t{_format_value(v)}\n" for r, v in enumerate(series))
+    return rows.encode("utf-8")
 
 
 def _config_hash(cfg: dict) -> str:
@@ -295,8 +290,9 @@ def run_experiment(config, out_dir=None, jobs: int = 1) -> dict:
     schedule_file = cfg["workload"]["schedule_file"]
     schedule_sha256 = None if schedule_file is None else _sha256_file(schedule_file)
 
-    # a pool starts all its workers at once, so never more than there is work
-    workers = min(jobs, len(seeds))
+    # a pool starts all its workers at once, so never more than there is
+    # work, nor more than there are CPUs to run them
+    workers = min(jobs, len(seeds), os.cpu_count() or 1)
     if workers > 1:
         with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(run_replication, [cfg] * len(seeds), seeds))
@@ -323,15 +319,12 @@ def run_experiment(config, out_dir=None, jobs: int = 1) -> dict:
     write("summary.csv", _csv_bytes(SUMMARY_FIELDS, summary))
 
     # every replication runs the same methods over the same number of rounds
-    per_round = {
-        method: [
+    for method in sorted(results[0]["methods"]):
+        per_round = [
             statistics.fmean(row["improvement"] for row in rows)
             for rows in zip(*(r["methods"][method] for r in results))
         ]
-        for method in results[0]["methods"]
-    }
-    for path in emit_plot_data(per_round, out_dir):
-        artifacts[os.path.basename(path)] = _sha256_file(path)
+        write(f"plot_{method}.tsv", _plot_bytes(per_round))
 
     manifest = {
         "format": MANIFEST_FORMAT,

@@ -29,9 +29,9 @@ and get the same floats either way.
 A tuner's `Gate` owns what outlives a round: the catalog, the models, the
 gate threshold, mix weight and MC-dropout passes, the uncertainty scores,
 cached under keys that carry each model's training step, and the memo of
-recurring pairs below. It scores through `Gate.score`, which scores the
-uncached leaves of any number of plans in one batched call per operator
-kind, and corrects through `Gate.correct`.
+recurring pairs below with the keys of the last round's queries. It scores
+through `Gate.score`, which scores the uncached leaves of any number of plans
+in one batched call per operator kind, and corrects through `Gate.correct`.
 
 `round_context` prices a whole round once, before any candidate is valued,
 into a `CorrectionContext` that is dropped with the round. It sums the
@@ -54,8 +54,12 @@ when the plan uses an index, the plan and its leaf encodings. A what-if plan
 is a pure function of the query's key, the candidate and the catalog, and
 correction never changes it, so a kept pair is only corrected again, under
 the models as they are now. A pair is stored only when its query was in the
-previous round too, and `round_context` drops the pairs of queries that left
-the round, so a workload whose queries do not recur keeps nothing.
+previous round too, by the gate's ``last_keys``, and `round_context` drops
+the pairs of queries that left the round, so a workload whose queries do not
+recur keeps nothing.
+
+The baselines neither value nor learn: each round they take `epsilon_greedy`
+of the round's candidates in raw what-if order, what-if greedy at epsilon 0.
 """
 
 from dataclasses import dataclass, field
@@ -147,7 +151,8 @@ class Gate:
     docstring). ``score_cache`` is `cached_uncertainties`'s cache, and
     ``plan_memo`` maps (query key, candidate) to ``(entry, cost)``: the
     pair's entry in `CorrectionContext.pricing` and its what-if cost;
-    `round_context` keeps each to the entries that can still be read.
+    `round_context` keeps each to the entries that can still be read, and
+    ``last_keys`` to the keys of the queries of the last round it priced.
     """
 
     catalog: Catalog
@@ -157,6 +162,7 @@ class Gate:
     passes: int
     score_cache: dict = field(default_factory=dict)
     plan_memo: dict = field(default_factory=dict)
+    last_keys: set = field(default_factory=set)
 
     def score(self, pairs) -> list:
         """The cached `combined_uncertainty` of each (kind, encoding) pair."""
@@ -192,9 +198,8 @@ class CorrectionContext:
     builds it, and it is dropped with the round.
 
     The models must not change while a context is in use: its no-index terms
-    and its scores were made under their current state. ``query_keys[i]`` is
-    the key of the round workload's ``i``-th query, ``noindex_total`` is the
-    workload's `noindex_total`, and ``noindex_terms[i]`` is the ``i``-th
+    and its scores were made under their current state. ``noindex_total`` is
+    the workload's `noindex_total`, and ``noindex_terms[i]`` is the ``i``-th
     query's frequency weight times its no-index plan's gate-corrected cost.
     ``pricing`` maps each of the round's candidates to its `whatif_pricing`:
     the pair entry of each query whose template can use the candidate, by
@@ -207,7 +212,6 @@ class CorrectionContext:
 
     gate: Gate
     workload: MiniWorkload
-    query_keys: tuple
     noindex_total: float
     noindex_terms: tuple
     pricing: dict
@@ -228,7 +232,6 @@ def round_context(
     candidates,
     gate: Gate,
     noindex_plan: Callable,
-    recurring: frozenset = frozenset(),
 ) -> CorrectionContext:
     """The round's `CorrectionContext`, with every candidate in
     ``candidates`` priced; raises ContractError when the no-index total is
@@ -238,8 +241,8 @@ def round_context(
     pairs of queries not in ``workload``. Then it plans each (query,
     candidate) pair whose template can use the candidate, reading the pair
     from the gate's ``plan_memo`` when it is there, and storing it there
-    when the query's key is in ``recurring``, the previous round's query
-    keys; without them, it plans every pair and keeps none. A what-if plan
+    when the query's key is in the gate's ``last_keys``, those of the round
+    it priced before; then ``last_keys`` are ``workload``'s. A what-if plan
     is a pure function of the query's key, the candidate and the catalog,
     and no correction changes it, so a stored pair is exact for as long as
     it is kept. Each distinct leaf of a query is encoded once. The leaves of
@@ -271,7 +274,7 @@ def round_context(
             if any(leaf.index is not None for leaf in leaves(plan)):
                 entry = (plan, encode(i, plan))
             priced = (entry, cost)
-            if key[0] in recurring:
+            if key[0] in gate.last_keys:
                 gate.plan_memo[key] = priced
         return priced
 
@@ -294,7 +297,9 @@ def round_context(
         q.frequency_weight * gate.correct(plan, e).corrected_cost
         for q, plan, e in zip(queries, plans, noindex_encoded)
     )
-    return CorrectionContext(gate, workload, keys, total, terms, pricing, encode)
+    gate.last_keys.clear()
+    gate.last_keys.update(current)
+    return CorrectionContext(gate, workload, total, terms, pricing, encode)
 
 
 def applicability(queries, candidate: IndexCandidate) -> list:
@@ -408,6 +413,19 @@ def _pruned(candidate: IndexCandidate, selected, per_table_cap: int) -> bool:
         if s.key_columns[: len(candidate.key_columns)] == candidate.key_columns:
             return True  # same prefix with more key columns already selected
     return False
+
+
+def epsilon_greedy(candidates, order, k: int, epsilon: float, rng) -> Configuration:
+    """``k`` picks, at most, from ``order``, positions into ``candidates``
+    best first: each pick is the best one left or, when ``rng.random()`` is
+    below ``epsilon``, a uniform random one of those left. At epsilon 0 this
+    is the first ``k`` of ``order``."""
+    pool = list(order)
+    selected = []
+    for _ in range(min(k, len(pool))):
+        pick = int(rng.integers(0, len(pool))) if rng.random() < epsilon else 0
+        selected.append(candidates[pool.pop(pick)])
+    return Configuration(tuple(selected))
 
 
 def enumerate_configuration(

@@ -2,22 +2,24 @@
 
 The tuner and both baselines are policies over one ``Environment`` each,
 whose ``step`` "creates" the indexes of a round's configuration that are not
-yet deployed (1 s per 100 MB), executes every query, and builds the metrics
-row. No-index execution times come from a `Calibration`: each (template,
-literals) query is executed once with a dedicated seed and cached, and the
-methods of one replication share it, so a query is calibrated once for all
-of them. A round deployed with an empty configuration reuses the calibration
-telemetry verbatim. The calibration plan is the query's one no-index plan
-for the whole run: every method prices its benefits against that plan's
-cost, and the tuner corrects it, which leaves it as it is. Each round,
-every method divides by the same `selection.noindex_total` of those plans.
+yet deployed (1 s per 100 MB), executes every query, and appends the round's
+row to the environment's ``metrics``, the method's metrics log. No-index
+execution times come from a `Calibration`: each (template, literals) query
+is executed once with a dedicated seed and cached, and the methods of one
+replication share it, so a query is calibrated once for all of them. A
+round deployed with an empty configuration reuses the calibration telemetry
+verbatim. The calibration plan is the query's one no-index plan for the
+whole run: every method prices its benefits against that plan's cost, and
+the tuner corrects it, which leaves it as it is. Each round, every method
+divides by the same `selection.noindex_total` of those plans.
 The baselines rank a round's candidates by raw what-if benefit, and the
 calibration keeps each order under the round's queries with their frequency
 weights, not under the round number. The tuner's valuation prices every
 raw benefit as a by-product and records each round's order, so the
 baselines of a replication price nothing; a baseline alone prices each
 distinct query set once. Shared or private, calibration and ranking give
-the same results.
+the same results. A baseline round is candidates, their order, one
+`selection.epsilon_greedy` pick of the configuration and the step.
 
 A tuner round measures workload novelty and decays the exploration weight,
 generates the round's candidates, prices them all, values each with
@@ -26,7 +28,8 @@ environment, and learns multiplier labels from the telemetry. The tuner's
 `selection.Gate`, built once from its `TunerParams`, owns the models, the
 gate's parameters and two caches for the tuner's lifetime: uncertainty
 scores, keyed by each model's training step, and the what-if pricing of
-recurring queries' pairs. A round's `selection.CorrectionContext` holds only
+recurring queries' pairs, with the keys of the last round's queries that
+tell which queries recur. A round's `selection.CorrectionContext` holds only
 the round and is dropped with it. No pricing is repeated within a round:
 `selection.round_context` builds the workload's no-index total and every
 query's corrected no-index term, and plans every (query, candidate) pair
@@ -72,6 +75,7 @@ from .selection import (
     Gate,
     candidate_valuation,
     enumerate_configuration,
+    epsilon_greedy,
     exploration_weight,
     generate_candidates,
     noindex_total,
@@ -253,13 +257,15 @@ class Environment:
         self.calibration = calibration
         self.deployed = Configuration()
         self.ever_deployed = set()
+        self.metrics = []
 
     def step(self, t: int, workload: MiniWorkload, config: Configuration):
         """Deploy ``config`` and execute round ``t`` under it.
 
         Returns ``(query, telemetry, no-index telemetry)`` per query, in
-        workload order, and the round's metrics row, whose
-        ``mean_uncertainty`` is 0.0 for the caller to fill in.
+        workload order, and the round's metrics row, which is appended to
+        ``metrics``; its ``mean_uncertainty`` is 0.0 for the caller to fill
+        in.
         """
         creation_s = creation_seconds(
             ix for ix in config.indexes if ix not in self.deployed.indexes
@@ -282,14 +288,14 @@ class Environment:
             executed.append((q, telemetry, baseline))
         improvement = 1.0 - exec_time / noindex_time if noindex_time > 0 else 0.0
         values = (t, exec_time, noindex_time, improvement, n_new, creation_s, 0.0)
-        return executed, dict(zip(METRIC_FIELDS, values))
+        self.metrics.append(dict(zip(METRIC_FIELDS, values)))
+        return executed, self.metrics[-1]
 
 
 class OnlineTuner:
     """Owns the gate of one tuning run, with its models (one per leaf kind,
     built up front) and caches, and the run's history; ``calibration`` is
-    its environment's. ``_recurring`` holds the keys of the last round's
-    queries."""
+    its environment's, and ``metrics`` is its environment's metrics log."""
 
     def __init__(
         self,
@@ -320,18 +326,15 @@ class OnlineTuner:
             params.uncertainty_mix,
             params.mcd_passes,
         )
-        self.metrics = []
+        self.metrics = self.env.metrics
         self.reports = []
-        self._recurring = frozenset()
 
     def model_for(self, kind: str) -> CostMultiplierModel:
         return self.models[kind]
 
     def _context(self, workload: MiniWorkload, candidates) -> CorrectionContext:
         noindex_plan = self.env.calibration.noindex_plan
-        return round_context(
-            workload, candidates, self.gate, noindex_plan, self._recurring
-        )
+        return round_context(workload, candidates, self.gate, noindex_plan)
 
     def run_round(self, workload: MiniWorkload) -> RoundReport:
         p = self.params
@@ -420,10 +423,8 @@ class OnlineTuner:
             n_new_indexes=row["n_new_indexes"],
             explore_weight=explore,
         )
-        self.metrics.append(row)
         self.reports.append(report)
         self.seen_templates.update(workload.template_ids())
-        self._recurring = frozenset(ctx.query_keys)
         self.round += 1
         return report
 
@@ -461,33 +462,24 @@ def run_baseline(
 ) -> list:
     """Comparison policies sharing the tuner's environment seeds.
 
-    whatif_greedy takes the top-K candidates by raw what-if benefit each
-    round; plain_epsilon_greedy replaces each greedy pick with a uniform
-    random candidate with probability epsilon. Neither learns. The order of
-    each round's candidates is ``calibration``'s: private unless one
-    replication's methods pass the same one, in which case a round the tuner
-    or another baseline already ranked is read, not priced again.
+    Each round both take `epsilon_greedy`'s top-K candidates by raw what-if
+    benefit: whatif_greedy at epsilon 0, plain_epsilon_greedy at
+    ``params.epsilon``, replacing each greedy pick with a uniform random
+    candidate with that probability. Neither learns; each returns its
+    environment's metrics log. The order of each round's candidates is
+    ``calibration``'s: private unless one replication's methods pass the
+    same one, in which case a round the tuner or another baseline already
+    ranked is read, not priced again.
     """
     if kind not in BASELINE_KINDS:
         raise ConfigurationError(f"unknown baseline kind {kind!r}")
     _check_catalog(catalog, ground_truth)
     rng = np.random.default_rng(subseed(seed, "baseline", kind))
+    epsilon = params.epsilon if kind == "plain_epsilon_greedy" else 0.0
     env = Environment(ground_truth, seed, calibration)
-    metrics = []
     for t, workload in enumerate(schedule):
         candidates = generate_candidates(workload, catalog)
         order = env.calibration.order(workload, candidates)
-        selected = []
-        if kind == "whatif_greedy":
-            selected = [candidates[i] for i in order[: params.max_indexes]]
-        else:
-            pool = list(order)
-            for _ in range(min(params.max_indexes, len(pool))):
-                if rng.random() < params.epsilon:
-                    pick = int(rng.integers(0, len(pool)))
-                else:
-                    pick = 0  # pool stays sorted by descending benefit
-                selected.append(candidates[pool.pop(pick)])
-        _, row = env.step(t, workload, Configuration(tuple(selected)))
-        metrics.append(row)
-    return metrics
+        config = epsilon_greedy(candidates, order, params.max_indexes, epsilon, rng)
+        env.step(t, workload, config)
+    return env.metrics

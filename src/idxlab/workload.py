@@ -33,6 +33,7 @@ from .errors import (
     FIELDS,
     CatalogLookupError,
     ConfigurationError,
+    Field,
     check_fields,
     read_json_object,
     require_finite,
@@ -113,6 +114,12 @@ class QueryTemplate:
                     f"op of the filter on {kind} column {f.column} must be one of "
                     f"{', '.join(map(repr, ops))}, got {f.op!r}"
                 )
+            # queries hash their template, so each field must be a plain value
+            sampler, where = f.sampler, f"sampler of the filter on {f.column}"
+            Field(f"{where}: kind", (kind,), kind).check(sampler.kind)
+            require_finite(sampler.low, f"{where}: low")
+            require_finite(sampler.high, f"{where}: high")
+            Field(f"{where}: distinct", "integer", 1, 1).check(sampler.distinct)
 
     @cached_property
     def referenced_columns(self) -> dict:

@@ -15,12 +15,13 @@ import idxlab
 from idxlab.cli import EXIT_REPLAY, main
 from idxlab.errors import FIELDS, MAX_EXPLORE_INIT, ConfigurationError
 from idxlab.experiment import (
-    emit_plot_data,
+    _plot_bytes,
     load_config_file,
     replay,
     resolve_config,
     run_experiment,
 )
+from idxlab.tuner import TunerParams
 
 NAN, INF = float("nan"), float("inf")
 
@@ -390,6 +391,21 @@ def test_readme_names_resolve():
     assert checked > 0
 
 
+@pytest.mark.parametrize("path", ["tuner.mcd_passes", "workload.n_templates"])
+def test_passes_and_templates_are_bounded_above(path):
+    # checked only: neither a tuner nor a template search runs here
+    section, key = path.split(".")
+    assert resolve_config({section: {key: 1000}})[section][key] == 1000
+    for value in (1001, 10**20):
+        with pytest.raises(ConfigurationError, match=rf"{path} .*in \[\d, 1000\]"):
+            resolve_config({section: {key: value}})
+    if path == "tuner.mcd_passes":
+        assert TunerParams(mcd_passes=1000).mcd_passes == 1000
+        for value in (1001, 10**20):
+            with pytest.raises(ConfigurationError, match=path):
+                TunerParams(mcd_passes=value)
+
+
 def test_noise_sigma_bounds_are_inclusive():
     for sigma in (0, 10):
         cfg = resolve_config({"environment": {"noise_sigma": sigma}})
@@ -462,6 +478,31 @@ def test_cli_schedule_entry_that_is_not_an_object_exits_2(tmp_path, capsys, data
     assert len(err.strip().splitlines()) == 1
     assert f"schedule file {schedule}: {named}" in err
     assert "Traceback" not in err and "indices" not in err
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [("high", ["t9", "c0"]), ("distinct", {}), ("kind", ["x"])],
+    ids=["high-list", "distinct-object", "kind-list"],
+)
+def test_cli_schedule_sampler_field_that_does_not_fit_exits_2(
+    tmp_path, capsys, field, value
+):
+    # each once passed the reader and failed mid-run, unhashable
+    schedule, cfg = write_one_table_schedule(
+        tmp_path, [{"round": 0, "queries": [{"template": "tpl_t0", "literals": [0.5, "v0"]}]}]
+    )
+    data = json.loads(schedule.read_text())
+    data["templates"][0]["filter_specs"][0]["sampler"][field] = value
+    schedule.write_text(json.dumps(data))
+    out = tmp_path / "never"
+    assert main(["run", cfg, "--out", str(out)]) == 2
+    assert not out.exists()
+    err = capsys.readouterr().err
+    assert len(err.strip().splitlines()) == 1
+    assert f"schedule file {schedule}: round 0: template 'tpl_t0': " in err
+    assert f"{field} must be" in err and repr(value) in err
+    assert "Traceback" not in err
 
 
 def test_cli_schedule_template_off_the_catalog_exits_2(tmp_path, capsys):
@@ -845,18 +886,11 @@ def test_cli_json_file_that_does_not_read_exits_2(tmp_path, capsys, what, conten
     assert "Traceback" not in err
 
 
-def test_emit_plot_data_preserves_values(tmp_path):
-    paths = emit_plot_data(
-        {"tuner": [0.0, -0.25, 0.5], "whatif_greedy": [0.0, 0.0]}, str(tmp_path)
-    )
-    assert sorted(os.path.basename(p) for p in paths) == [
-        "plot_tuner.tsv",
-        "plot_whatif_greedy.tsv",
-    ]
-    rows = read_bytes(tmp_path / "plot_tuner.tsv").decode().splitlines()
-    assert rows == ["0\t0.0", "1\t-0.25", "2\t0.5"]
-    zeros = read_bytes(tmp_path / "plot_whatif_greedy.tsv").decode().splitlines()
-    assert zeros == ["0\t0.0", "1\t0.0"]
+def test_emit_plot_data_preserves_values():
+    assert _plot_bytes([0.0, -0.25, 0.5]) == b"0\t0.0\n1\t-0.25\n2\t0.5\n"
+    assert _plot_bytes([0.0, 0.0]) == b"0\t0.0\n1\t0.0\n"
+    with pytest.raises(ConfigurationError, match="nonempty"):
+        _plot_bytes([])
 
 
 def test_toml_config_accepted(tmp_path):
@@ -907,9 +941,11 @@ def test_cli_rejects_jobs_below_one(tmp_path, capsys, command, jobs):
     assert "jobs" in err and jobs in err and "Traceback" not in err
 
 
-def test_jobs_are_capped_at_the_replication_count(tmp_path, monkeypatch):
-    # a pool starts every worker it is allowed, so record the request
-    # instead of starting processes
+@pytest.fixture
+def requested_pools(monkeypatch):
+    """The ``max_workers`` of each process pool asked for, in order; a pool
+    starts every worker it is allowed, so record the request instead of
+    starting processes."""
     requested = []
 
     class RecordingPool:
@@ -926,11 +962,28 @@ def test_jobs_are_capped_at_the_replication_count(tmp_path, monkeypatch):
             return map(fn, *iterables)
 
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+    return requested
+
+
+def test_jobs_are_capped_at_the_replication_count(
+    tmp_path, monkeypatch, requested_pools
+):
+    monkeypatch.setattr(os, "cpu_count", lambda: 64)
     cfg = {**SMALL_CONFIG, "baselines": [], "replications": [1, 2]}
     run_experiment(cfg, out_dir=str(tmp_path / "capped"), jobs=5000)
-    assert requested == [2]
+    assert requested_pools == [2]
     run_experiment(cfg, out_dir=str(tmp_path / "sequential"), jobs=1)
-    assert requested == [2]
+    assert requested_pools == [2]
+
+
+@pytest.mark.parametrize("cpus, want", [(3, [3]), (1, []), (None, [])])
+def test_jobs_are_capped_at_the_cpu_count(
+    tmp_path, monkeypatch, requested_pools, cpus, want
+):
+    monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+    cfg = {**SMALL_CONFIG, "baselines": [], "replications": [1, 2, 3, 4]}
+    run_experiment(cfg, out_dir=str(tmp_path / "capped"), jobs=5000)
+    assert requested_pools == want
 
 
 def test_manifest_records_runtime_and_schedule_hash(tmp_path):

@@ -17,8 +17,10 @@ from idxlab.errors import ConfigurationError, ContractError
 from idxlab.plan import encoding_length
 from idxlab.selection import (
     Gate,
+    applicability,
     candidate_valuation,
     enumerate_configuration,
+    epsilon_greedy,
     exploration_weight,
     generate_candidates,
     round_context,
@@ -60,9 +62,7 @@ def untrained_gate(catalog):
     return Gate(catalog, models, threshold=0.1, mix_weight=0.5, passes=20)
 
 
-def untrained_context(
-    catalog, workload, gate=None, recurring=frozenset(), candidates=None
-):
+def untrained_context(catalog, workload, gate=None, candidates=None):
     """The round context of ``workload`` under untrained models, which
     prices each query's no-index term from a fresh no-index plan, and
     ``candidates``, by default the workload's own."""
@@ -73,7 +73,6 @@ def untrained_context(
         candidates,
         untrained_gate(catalog) if gate is None else gate,
         lambda q: whatif_plan(q, (), catalog)[0],
-        recurring,
     )
 
 
@@ -141,8 +140,9 @@ def test_round_context_rejects_a_nonpositive_noindex_total(env):
 def test_round_context_drops_stale_scores_and_the_pairs_of_departed_queries(env):
     catalog, workload = env
     gate = untrained_gate(catalog)
-    everyone = frozenset(q.key() for q in workload.queries)
-    ctx = untrained_context(catalog, workload, gate, recurring=everyone)
+    # the second round of the same queries stores every pair of them
+    untrained_context(catalog, workload, gate)
+    ctx = untrained_context(catalog, workload, gate)
     for candidate in generate_candidates(workload, catalog):
         candidate_valuation(candidate, ctx, 0.5)
     # an update replaces the IndexScan model's state; half the queries leave
@@ -154,12 +154,35 @@ def test_round_context_drops_stale_scores_and_the_pairs_of_departed_queries(env)
     departed = {key for key in pairs if key[0] not in kept}
     assert stale and departed and len(pairs) > len(departed)
 
-    untrained_context(catalog, stayed, gate, recurring=everyone)
+    untrained_context(catalog, stayed, gate)
     assert stale.isdisjoint(gate.score_cache)
     for key, score in scores.items():
         if key not in stale:
             assert gate.score_cache[key] is score
     assert gate.plan_memo == {k: v for k, v in pairs.items() if k not in departed}
+
+
+def test_round_context_stores_the_pairs_of_queries_of_both_rounds(env):
+    catalog, workload = env
+    queries = workload.queries
+    n = len(queries)
+    first = MiniWorkload(0, queries[: 2 * n // 3])
+    second = MiniWorkload(1, queries[n // 3 :])
+    both = {q.key() for q in queries[n // 3 : 2 * n // 3]}
+    assert both and len(both) < len({q.key() for q in second.queries})
+    gate = untrained_gate(catalog)
+    untrained_context(catalog, first, gate)
+    assert gate.plan_memo == {}
+    assert gate.last_keys == {q.key() for q in first.queries}
+    untrained_context(catalog, second, gate)
+    want = {
+        (q.key(), x)
+        for x in generate_candidates(second, catalog)
+        for q, usable in zip(second.queries, applicability(second.queries, x))
+        if usable and q.key() in both
+    }
+    assert want and set(gate.plan_memo) == want
+    assert gate.last_keys == {q.key() for q in second.queries}
 
 
 def test_valuation_of_a_candidate_the_round_did_not_price_is_refused(env):
@@ -309,6 +332,27 @@ def _candidates():
     b = IndexCandidate("t", ("b",), 100)
     u = IndexCandidate("u", ("x",), 400)
     return a, ab, b, u
+
+
+@pytest.mark.parametrize("k", [1, 3, 4, 9])
+def test_epsilon_greedy_at_zero_takes_the_first_k_of_the_order(k):
+    candidates = _candidates()
+    order = [2, 0, 3, 1]
+    config = epsilon_greedy(candidates, order, k, 0.0, np.random.default_rng(5))
+    assert config.indexes == tuple(candidates[i] for i in order[:k])
+    assert order == [2, 0, 3, 1]
+
+
+def test_epsilon_greedy_at_one_draws_every_pick():
+    candidates = _candidates()
+    order = [2, 0, 3, 1]
+    config = epsilon_greedy(candidates, order, 3, 1.0, np.random.default_rng(5))
+    rng, pool, want = np.random.default_rng(5), list(order), []
+    for _ in range(3):
+        rng.random()  # below 1: the pick is random
+        want.append(candidates[pool.pop(int(rng.integers(0, len(pool))))])
+    assert config.indexes == tuple(want)
+    assert order == [2, 0, 3, 1]
 
 
 def test_enumerate_k1_returns_single(env):

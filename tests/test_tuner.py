@@ -172,11 +172,12 @@ def test_lifetime_uncertainty_cache_changes_no_report(env, threshold):
 
 class FreshMemoTuner(OnlineTuner):
     """Plans every (query, candidate) pair anew: the reference for the
-    recurring-query pricing memo. It counts no query as recurring, so its
+    recurring-query pricing memo. Its gate forgets the last round's queries
+    before each round's pricing, so it counts no query as recurring and its
     memo stays empty, even for a query that comes twice in one round."""
 
     def _context(self, workload, candidates):
-        self._recurring = frozenset()
+        self.gate.last_keys.clear()
         return super()._context(workload, candidates)
 
 

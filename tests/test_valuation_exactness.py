@@ -305,8 +305,8 @@ def test_round_pricing_plans_and_scores_once_and_values_exactly(
             scored.append(kind_of[id(model)])
         return combined_uncertainties(model, encodings, mix_weight, passes)
 
-    def context(workload, candidates, gate, noindex_plan, recurring=frozenset()):
-        ctx = round_context(workload, candidates, gate, noindex_plan, recurring)
+    def context(workload, candidates, gate, noindex_plan):
+        ctx = round_context(workload, candidates, gate, noindex_plan)
         contexts.append(weakref.ref(ctx))
         return ctx
 
