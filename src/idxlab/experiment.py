@@ -291,8 +291,12 @@ def run_experiment(config, out_dir=None, jobs: int = 1) -> dict:
     schedule_sha256 = None if schedule_file is None else _sha256_file(schedule_file)
 
     # a pool starts all its workers at once, so never more than there is
-    # work, nor more than there are CPUs to run them
-    workers = min(jobs, len(seeds), os.cpu_count() or 1)
+    # work, nor more than there are CPUs this process may run on
+    if hasattr(os, "sched_getaffinity"):
+        cpus = len(os.sched_getaffinity(0))
+    else:
+        cpus = os.cpu_count() or 1
+    workers = min(jobs, len(seeds), cpus)
     if workers > 1:
         with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(run_replication, [cfg] * len(seeds), seeds))

@@ -153,6 +153,8 @@ class Gate:
     pair's entry in `CorrectionContext.pricing` and its what-if cost;
     `round_context` keeps each to the entries that can still be read, and
     ``last_keys`` to the keys of the queries of the last round it priced.
+    Each `round_context` call moves the memo rule on by one round, so a
+    tuner makes exactly one per round.
     """
 
     catalog: Catalog
@@ -242,7 +244,9 @@ def round_context(
     candidate) pair whose template can use the candidate, reading the pair
     from the gate's ``plan_memo`` when it is there, and storing it there
     when the query's key is in the gate's ``last_keys``, those of the round
-    it priced before; then ``last_keys`` are ``workload``'s. A what-if plan
+    it priced before; then ``last_keys`` are ``workload``'s, so each call
+    moves the memo rule on by one round and must be made once per real
+    round, never as a side probe of a tuner's gate. A what-if plan
     is a pure function of the query's key, the candidate and the catalog,
     and no correction changes it, so a stored pair is exact for as long as
     it is kept. Each distinct leaf of a query is encoded once. The leaves of

@@ -965,10 +965,29 @@ def requested_pools(monkeypatch):
     return requested
 
 
+@pytest.fixture
+def usable_cpus(monkeypatch):
+    """Sets the CPUs this process may run on: ``usable_cpus(n)`` gives it an
+    affinity mask of ``n`` CPUs on a 64-CPU host, and ``usable_cpus(n,
+    mask=False)`` a host of ``n`` CPUs (None: unknown) with no mask."""
+
+    def set_cpus(n, mask=True):
+        if mask:
+            monkeypatch.setattr(
+                os, "sched_getaffinity", lambda pid: set(range(n)), raising=False
+            )
+            monkeypatch.setattr(os, "cpu_count", lambda: 64)
+        else:
+            monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+            monkeypatch.setattr(os, "cpu_count", lambda: n)
+
+    return set_cpus
+
+
 def test_jobs_are_capped_at_the_replication_count(
-    tmp_path, monkeypatch, requested_pools
+    tmp_path, requested_pools, usable_cpus
 ):
-    monkeypatch.setattr(os, "cpu_count", lambda: 64)
+    usable_cpus(64)
     cfg = {**SMALL_CONFIG, "baselines": [], "replications": [1, 2]}
     run_experiment(cfg, out_dir=str(tmp_path / "capped"), jobs=5000)
     assert requested_pools == [2]
@@ -976,11 +995,14 @@ def test_jobs_are_capped_at_the_replication_count(
     assert requested_pools == [2]
 
 
-@pytest.mark.parametrize("cpus, want", [(3, [3]), (1, []), (None, [])])
-def test_jobs_are_capped_at_the_cpu_count(
-    tmp_path, monkeypatch, requested_pools, cpus, want
+@pytest.mark.parametrize(
+    "cpus, mask, want",
+    [(3, True, [3]), (1, True, []), (3, False, [3]), (1, False, []), (None, False, [])],
+)
+def test_jobs_are_capped_at_the_usable_cpus(
+    tmp_path, requested_pools, usable_cpus, cpus, mask, want
 ):
-    monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+    usable_cpus(cpus, mask)
     cfg = {**SMALL_CONFIG, "baselines": [], "replications": [1, 2, 3, 4]}
     run_experiment(cfg, out_dir=str(tmp_path / "capped"), jobs=5000)
     assert requested_pools == want
@@ -1027,7 +1049,8 @@ def test_cli_replay_names_a_changed_numpy_and_schedule_file(tmp_path, capsys):
     assert "reports_tuner_seed1.jsonl" in lines[0].split(": ")[-1].split()
 
 
-def test_parallel_jobs_match_sequential(tmp_path):
+def test_parallel_jobs_match_sequential(tmp_path, usable_cpus):
+    usable_cpus(2)  # a pool of two workers on any host
     cfg = dict(SMALL_CONFIG)
     cfg["replications"] = [1, 2]
     seq = tmp_path / "seq"

@@ -5,10 +5,10 @@ and it is not part of a docstring (the first statement of a module, class or
 function body, when that statement is a string). A multi-line string that
 is not a docstring counts every line it spans.
 
-    python3 tools/code_lines.py [package directory]
+    python3 tools/code_lines.py
 
-prints one ``<lines>  <module>`` row per module of the package (by default
-``src/idxlab`` beside this directory) and their total.
+prints one ``<lines>  <module>`` row per module of ``src/idxlab`` and their
+total.
 """
 
 import ast
@@ -53,9 +53,8 @@ def code_lines(source: str) -> int:
     return len(lines - _docstring_lines(ast.parse(source)))
 
 
-def main(argv) -> int:
-    root = pathlib.Path(__file__).resolve().parent.parent / "src" / "idxlab"
-    package = pathlib.Path(argv[0]) if argv else root
+def main() -> int:
+    package = pathlib.Path(__file__).resolve().parent.parent / "src" / "idxlab"
     total = 0
     for path in sorted(package.glob("*.py")):
         n = code_lines(path.read_text(encoding="utf-8"))
@@ -66,4 +65,4 @@ def main(argv) -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(main(sys.argv[1:]))
+    sys.exit(main())
