@@ -44,15 +44,19 @@ maximum per-class variance across repeated dropout-on passes:
 
     U = mix_weight * mcd + (1 - mix_weight) * entropy.
 
-The dropout masks used for the variance estimate derive from (model seed,
-training step, encoding digest), so the score is a pure function of model
-state and input. `combined_uncertainties` scores a list of encodings with
-the same results. It stacks the dropout passes of SCORE_CHUNK = 8 encodings
-into one forward pass (Gal & Ghahramani's passes are independent), whose
-layer-1 product runs once per encoding, not once per pass, and whose masks
-are thresholded and scaled once. The dropout-off predictions of the whole
-list run as one (K, 1, d) stack, so each still runs the one-row product
-`predict` runs, and their entropies are one expression.
+The dropout masks used for the variance estimate come from the stream
+`seeding.rng_for(model seed, training step, encoding digest, passes)`, so
+the score is a pure function of model state and input.
+
+`combined_uncertainties` scores a list of encodings with the same results.
+It hashes the mask streams of the whole list in one `seeding.seed_words`
+pass, bit-identical to `rng_for`, and makes each chunk's Generators only
+when it scores that chunk. It stacks the dropout passes of SCORE_CHUNK = 8
+encodings into one forward pass (Gal & Ghahramani's passes are
+independent), whose layer-1 product runs once per encoding, not once per
+pass, and whose masks are thresholded and scaled once. The dropout-off
+predictions of the whole list run as one (K, 1, d) stack, so each still runs
+the one-row product `predict` runs, and their entropies are one expression.
 """
 
 import copy
@@ -64,7 +68,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigurationError, ContractError
-from .seeding import rng_for
+from .seeding import generators, rng_for, seed_words
 
 N_CLASSES = 37
 HIDDEN_UNITS = 64
@@ -474,9 +478,16 @@ def combined_uncertainties(
     X = np.concatenate(rows)
     mcd = [0.0] * len(X)
     if model.dropout_rate > 0.0:
+        # every row's mask stream is hashed here, in one pass, and each
+        # chunk's Generators are made only when the chunk is scored
+        words = seed_words(
+            (model.seed, model.step_count, zlib.crc32(row.tobytes()), passes)
+            for row in X
+        )
         for start in range(0, len(X), SCORE_CHUNK):
-            chunk = X[start : start + SCORE_CHUNK]
-            mcd[start : start + len(chunk)] = _stacked_mcd(model, chunk, passes)
+            chunk = slice(start, start + SCORE_CHUNK)
+            streams = generators(words[chunk])
+            mcd[chunk] = _stacked_mcd(model, X[chunk], passes, streams)
     probs = model._forward(X.reshape(len(X), 1, -1))["probs"][:, 0]
     scores = []
     for ent, mcd_value in zip(_entropies(probs), mcd):
@@ -496,8 +507,9 @@ def _entropies(probs) -> list:
     return [next(values) if fine else entropy(p) for fine, p in zip(ok, probs)]
 
 
-def _stacked_mcd(model: CostMultiplierModel, X, passes: int) -> list:
-    """`mc_dropout` of each row of ``X``, from one stacked forward pass.
+def _stacked_mcd(model: CostMultiplierModel, X, passes: int, streams) -> list:
+    """`mc_dropout` of each row of ``X``, from one stacked forward pass;
+    ``streams`` holds each row's `mc_dropout` mask stream.
 
     Layer 1's product runs once per row, and its ReLU output is repeated
     ``passes`` times before the masks apply, which is elementwise what the
@@ -506,8 +518,7 @@ def _stacked_mcd(model: CostMultiplierModel, X, passes: int) -> list:
     """
     k = len(X)
     masks = np.empty((2, k * passes, HIDDEN_UNITS))
-    for i, row in enumerate(X):
-        rng = rng_for(model.seed, model.step_count, zlib.crc32(row.tobytes()), passes)
+    for i, rng in enumerate(streams):
         block = slice(i * passes, (i + 1) * passes)
         model._mask_draws(rng, passes, (masks[0, block], masks[1, block]))
     model._scale_mask(masks)

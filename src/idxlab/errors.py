@@ -160,21 +160,29 @@ _SEEDS = (0, SEED_LIMIT, "[)")
 FIELDS = {
     row.path: row
     for row in (
-        Field("catalog.n_tables", "integer", 4, 1),
+        # every operator encoding has 4 entries per catalog column, and each
+        # model a first layer of 64 weights per entry, in six flat vectors
+        # (the parameters, Adam's two moments, the gradients and two scratch
+        # vectors): at 64 tables of 32 columns, about 25 MB a model
+        Field("catalog.n_tables", "integer", 4, 1, 64),
         Field("catalog.rows_range", "integer pair", [1000, 50000], 1),
-        Field("catalog.cols_per_table_range", "integer pair", [3, 6], 1),
+        Field("catalog.cols_per_table_range", "integer pair", [3, 6], 1, 32),
         Field("catalog.string_column_fraction", "number", 0.25, 0, 1),
         Field("catalog.seed", "integer", None, *_SEEDS),
         # a template search for far more templates than a catalog offers
         # runs on without end
         Field("workload.n_templates", "integer", 12, 1, 1000),
         Field("workload.kind", DRIFT_KINDS, "static"),
-        Field("workload.total_rounds", "integer", 10, 1),
+        # a schedule's bound queries are all drawn before the first round:
+        # total_rounds x templates_per_round x queries_per_template of them.
+        # The bounds sit far above what the repository runs (40 rounds, 8
+        # queries per template, 8 tables of up to 6 columns)
+        Field("workload.total_rounds", "integer", 10, 1, 1000),
         Field("workload.templates_per_round", "integer", 8, 1),
         Field("workload.change_fraction", "number", 0.2, 0, 1),
         Field("workload.period", "integer", 4, 1),
         Field("workload.cycle_length", "integer", 15, 1),
-        Field("workload.queries_per_template", "integer", 3, 1),
+        Field("workload.queries_per_template", "integer", 3, 1, 100),
         Field("workload.seed", "integer", None, *_SEEDS),
         Field("workload.schedule_file", "string", None),
         # execution noise factors are exp(sigma * z) with z standard normal; at

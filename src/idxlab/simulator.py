@@ -24,7 +24,11 @@ tuner keep the plans of queries that recur from one round to the next
 The executor turns per-operator execution costs into "true" runtimes through
 hidden per-(operator kind, table) multipliers and optional lognormal noise;
 those multipliers are the systematic estimation errors the learned models
-must recover. One optimizer cost unit is worth 1 ms of simulated time, a
+must recover. Each execution draws its noise from its own stream,
+`seeding.rng_for(ground truth seed, round seed, digest of the query and the
+configuration)`; `noise_streams` makes the streams of many queries in one
+hash pass (`seeding.rng_streams`), and `execute` takes one of them in place
+of making its own. One optimizer cost unit is worth 1 ms of simulated time, a
 constant that cancels in every benefit ratio.
 """
 
@@ -35,7 +39,7 @@ from dataclasses import dataclass
 from .catalog import Catalog, selectivity
 from .errors import ConfigurationError
 from .plan import LEAF_KINDS, PLAN_KINDS, PlanNode
-from .seeding import rng_for
+from .seeding import rng_for, rng_streams
 from .workload import Query
 
 SEQ_PAGE_COST = 1.0
@@ -331,17 +335,36 @@ def _query_digest(query: Query, indexes) -> int:
     return zlib.crc32("|".join(parts).encode("utf-8"))
 
 
+def _noise_key(query: Query, indexes, ground_truth: GroundTruth, round_seed: int):
+    """The `rng_for` parts of the query's noise stream under ``indexes``."""
+    return ground_truth.seed, round_seed, _query_digest(query, indexes)
+
+
+def noise_streams(queries, config, ground_truth: GroundTruth, round_seed: int) -> list:
+    """The noise stream `execute` draws from for each of ``queries`` under
+    ``config``, made together by `seeding.rng_streams`."""
+    indexes = _config_indexes(config)
+    keys = (_noise_key(q, indexes, ground_truth, round_seed) for q in queries)
+    return rng_streams(keys)
+
+
 def execute(
-    query: Query, config, ground_truth: GroundTruth, round_seed: int
+    query: Query, config, ground_truth: GroundTruth, round_seed: int, *, stream=None
 ) -> ExecutionTelemetry:
-    """Simulated execution: per-operator time = exec cost x multiplier x noise."""
+    """Simulated execution: per-operator time = exec cost x multiplier x noise.
+
+    The noise comes from the query's own stream, a pure function of the
+    ground truth's seed, ``round_seed``, the query and the configuration.
+    ``stream`` is that stream when the caller made it already, as
+    `noise_streams` makes a round's."""
     indexes = _config_indexes(config)
     root, _ = whatif_plan(query, indexes, ground_truth.catalog)
-    rng = rng_for(ground_truth.seed, round_seed, _query_digest(query, indexes))
+    if stream is None:
+        stream = rng_for(*_noise_key(query, indexes, ground_truth, round_seed))
     nodes = list(root.walk())
     # one draw per node in walk order, the values and generator state of a
     # scalar draw per node
-    noises = rng.lognormal(0.0, ground_truth.noise_sigma, size=len(nodes)).tolist()
+    noises = stream.lognormal(0.0, ground_truth.noise_sigma, size=len(nodes)).tolist()
     per_operator = []
     total = 0.0
     for node, noise in zip(nodes, noises):

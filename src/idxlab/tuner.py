@@ -3,12 +3,16 @@
 The tuner and both baselines are policies over one ``Environment`` each,
 whose ``step`` "creates" the indexes of a round's configuration that are not
 yet deployed (1 s per 100 MB), executes every query, and appends the round's
-row to the environment's ``metrics``, the method's metrics log. No-index
+row to the environment's ``metrics``, the method's metrics log. A round's
+executions draw from noise streams made together
+(`simulator.noise_streams`), each passed to its `execute` call. No-index
 execution times come from a `Calibration`: each (template, literals) query
 is executed once with a dedicated seed and cached, and the methods of one
-replication share it, so a query is calibrated once for all of them. A
-round deployed with an empty configuration reuses the calibration telemetry
-verbatim. The calibration plan is the query's one no-index plan for the
+replication share it, so a query is calibrated once for all of them; its
+`Calibration.calibrate` runs a round's uncalibrated queries from one hash
+pass, before the round is priced or executed. A round deployed with an
+empty configuration reuses the calibration telemetry verbatim. The
+calibration plan is the query's one no-index plan for the
 whole run: every method prices its benefits against that plan's cost, and
 the tuner corrects it, which leaves it as it is. Each round, every method
 divides by the same `selection.noindex_total` of those plans.
@@ -83,7 +87,7 @@ from .selection import (
     selection_probabilities,
     whatif_pricing,
 )
-from .simulator import GroundTruth, execute, whatif_plan
+from .simulator import GroundTruth, execute, noise_streams, whatif_plan
 from .workload import MiniWorkload, unseen_fraction
 
 CREATION_SECONDS_PER_100MB = 1.0
@@ -197,11 +201,24 @@ class Calibration:
                 "a calibration is shared only under its own ground truth and seed"
             )
 
+    def calibrate(self, queries) -> list:
+        """The no-index telemetry of each of ``queries``, in order. Each
+        distinct query not calibrated yet is executed once, all of them from
+        noise streams made in one pass."""
+        todo = {}
+        for q in queries:
+            if q.key() not in self._telemetry:
+                todo.setdefault(q.key(), q)
+        if todo:
+            streams = noise_streams(todo.values(), (), self.ground_truth, self._seed)
+            for (key, q), stream in zip(todo.items(), streams):
+                self._telemetry[key] = execute(
+                    q, (), self.ground_truth, self._seed, stream=stream
+                )
+        return [self._telemetry[q.key()] for q in queries]
+
     def noindex_telemetry(self, query):
-        key = query.key()
-        if key not in self._telemetry:
-            self._telemetry[key] = execute(query, (), self.ground_truth, self._seed)
-        return self._telemetry[key]
+        return self.calibrate((query,))[0]
 
     def noindex_plan(self, query):
         return self.noindex_telemetry(query).plan
@@ -223,6 +240,7 @@ class Calibration:
         queries = workload.queries
         order = self._orders.get(queries)
         if order is None:
+            self.calibrate(queries)
             catalog = self.ground_truth.catalog
             den = noindex_total(workload, self.noindex_plan)
             costs = [self.noindex_plan(q).total_cost for q in queries]
@@ -274,15 +292,19 @@ class Environment:
         self.ever_deployed.update(config.indexes)
         self.deployed = config
 
-        round_seed = subseed(self.seed, "execute", t)
+        queries = workload.queries
+        baselines = self.calibration.calibrate(queries)
+        telemetries = baselines
+        if config.indexes:
+            round_seed = subseed(self.seed, "execute", t)
+            streams = noise_streams(queries, config, self.ground_truth, round_seed)
+            telemetries = [
+                execute(q, config, self.ground_truth, round_seed, stream=stream)
+                for q, stream in zip(queries, streams)
+            ]
         executed = []
         exec_time, noindex_time = 0.0, 0.0
-        for q in workload.queries:
-            baseline = self.calibration.noindex_telemetry(q)
-            if config.indexes:
-                telemetry = execute(q, config, self.ground_truth, round_seed)
-            else:
-                telemetry = baseline
+        for q, telemetry, baseline in zip(queries, telemetries, baselines):
             exec_time += q.frequency_weight * telemetry.total_time
             noindex_time += q.frequency_weight * baseline.total_time
             executed.append((q, telemetry, baseline))
@@ -333,6 +355,7 @@ class OnlineTuner:
         return self.models[kind]
 
     def _context(self, workload: MiniWorkload, candidates) -> CorrectionContext:
+        self.env.calibration.calibrate(workload.queries)
         noindex_plan = self.env.calibration.noindex_plan
         return round_context(workload, candidates, self.gate, noindex_plan)
 

@@ -336,6 +336,14 @@ def test_cli_runs_on_one_row_tables(tmp_path, rows_range):
             {"baselines": ["whatif_greedy", "whatif_greedy"]},
             "baselines: 'whatif_greedy'",
         ),
+        # sizes that loop or allocate stop at an upper bound
+        ({"workload": {"total_rounds": 1001}}, "workload.total_rounds"),
+        ({"workload": {"queries_per_template": 101}}, "workload.queries_per_template"),
+        ({"catalog": {"n_tables": 65}}, "catalog.n_tables"),
+        (
+            {"catalog": {"cols_per_table_range": [3, 33]}},
+            "catalog.cols_per_table_range",
+        ),
     ],
 )
 def test_cli_rejects_mistyped_field(tmp_path, capsys, override, field):

@@ -22,7 +22,7 @@ from idxlab.experiment import (
     run_replication,
 )
 from idxlab.selection import Configuration, applicability, generate_candidates
-from idxlab.simulator import make_ground_truth
+from idxlab.simulator import _config_indexes, make_ground_truth
 from idxlab.tuner import (
     BASELINE_KINDS,
     Calibration,
@@ -166,6 +166,29 @@ def test_replication_baselines_plan_nothing(monkeypatch):
     # the tuner's valuation planned every pair, and each baseline read it
     assert calls["tuner"] > 0
     assert calls == Counter(tuner=calls["tuner"])
+
+
+@pytest.mark.parametrize("repeating", [False, True])
+def test_replication_calibrates_each_distinct_query_once(
+    tmp_path, monkeypatch, repeating
+):
+    config = repeating_schedule_config(tmp_path) if repeating else CONFIG
+    cfg = resolve_config(config)
+    _, schedule, _ = _environment(cfg, SEED)
+    calibrated = Counter()
+    execute = tuner.execute
+
+    def counting(query, config, *args, **kwargs):
+        if not _config_indexes(config):
+            calibrated[query.key()] += 1
+        return execute(query, config, *args, **kwargs)
+
+    monkeypatch.setattr(tuner, "execute", counting)
+    run_replication(cfg, SEED)
+    # only the calibration executes a query under no index, and it does so
+    # once per distinct query, across rounds and methods
+    keys = {q.key() for w in schedule for q in w.queries}
+    assert calibrated == Counter(dict.fromkeys(keys, 1))
 
 
 def test_lone_baseline_plans_a_repeated_query_set_once(tmp_path, monkeypatch):

@@ -15,6 +15,7 @@ from idxlab.simulator import (
     _query_digest,
     execute,
     make_ground_truth,
+    noise_streams,
     subtree_table,
     whatif_plan,
 )
@@ -248,3 +249,25 @@ def test_vector_noise_equals_one_draw_per_node(env, sigma):
         draws = [float(scalar.lognormal(0.0, sigma)) for _ in range(n)]
         assert vector.lognormal(0.0, sigma, size=n).tolist() == draws
         assert vector.bit_generator.state == scalar.bit_generator.state
+
+
+def telemetry_values(telemetry):
+    """Everything a telemetry says, its plan's nodes by kind, table and cost
+    (plans compare by identity)."""
+    return telemetry.total_time, [
+        (node.kind, node.table, node.index, node.exec_cost, t)
+        for node, t in telemetry.per_operator
+    ]
+
+
+@pytest.mark.parametrize("width", [0, 1, 3])
+def test_batch_made_noise_streams_execute_as_execute_does(env, width):
+    catalog, workload, candidates = env
+    gt = make_ground_truth(catalog, seed=13, noise_sigma=0.3)
+    config = candidates[:width]
+    queries = workload.queries
+    streams = noise_streams(queries, config, gt, round_seed=5)
+    assert len(streams) == len(queries)
+    for q, stream in zip(queries, streams):
+        got = execute(q, config, gt, 5, stream=stream)
+        assert telemetry_values(got) == telemetry_values(execute(q, config, gt, 5))
