@@ -133,13 +133,12 @@ def _parent_delta(parent: PlanNode, local: dict) -> tuple:
 
 @dataclass(frozen=True)
 class LeafCorrection:
-    """One leaf's gate outcome; ``encoding`` is what its model scored, or
-    None when no model covers the leaf's kind."""
+    """One leaf's gate outcome; ``score`` is None when no model covers the
+    leaf's kind."""
 
     leaf: PlanNode
     score: Optional[UncertaintyScore]
     multiplier: Optional[float]
-    encoding: Optional[np.ndarray] = field(default=None, compare=False, repr=False)
 
 
 @dataclass(frozen=True)
@@ -194,7 +193,7 @@ def correct_plan(
             dcs, dce = _path_deltas(path_to_root(plan, leaf), applied)[id(plan)]
             startup += dcs
             execution += dce
-        reports.append(LeafCorrection(leaf, score, applied, encoding))
+        reports.append(LeafCorrection(leaf, score, applied))
     return PlanCorrection(startup + execution, tuple(reports))
 
 

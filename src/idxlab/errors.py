@@ -165,7 +165,9 @@ FIELDS = {
         # (the parameters, Adam's two moments, the gradients and two scratch
         # vectors): at 64 tables of 32 columns, about 25 MB a model
         Field("catalog.n_tables", "integer", 4, 1, 64),
-        Field("catalog.rows_range", "integer pair", [1000, 50000], 1),
+        # row counts are drawn as int64, which ends below 10**19; the bound
+        # sits far above the 100,000 rows the repository runs
+        Field("catalog.rows_range", "integer pair", [1000, 50000], 1, 10**12),
         Field("catalog.cols_per_table_range", "integer pair", [3, 6], 1, 32),
         Field("catalog.string_column_fraction", "number", 0.25, 0, 1),
         Field("catalog.seed", "integer", None, *_SEEDS),

@@ -6,15 +6,15 @@ depends on Python's salted hash().
 
 `rng_for(*parts)` makes one stream: its parts go through one SeedSequence to
 a 64-bit `subseed`, and that seed through a second one, inside
-`np.random.default_rng`, to PCG64's four 64-bit seed words. `rng_streams`
-makes the streams of many rows at once, bit-identical to `rng_for` of each
-row. SeedSequence's hash is fixed uint32 arithmetic (numpy's NEP 19), so
-`seed_words` runs both stages over every row as columns of uint32 arrays,
-and `generators` hands each row's words to numpy's own PCG64 through a
-minimal `ISeedSequence`, so numpy still does the PCG seeding.
-tests/test_seeding.py checks both stages against numpy's own. A batch costs
-a fixed couple of hundred microseconds and then a few microseconds a row,
-so a lone stream stays on `rng_for`.
+`np.random.default_rng`, to PCG64's four 64-bit seed words.
+``generators(seed_words(rows))`` makes the streams of many rows at once,
+bit-identical to `rng_for` of each row. SeedSequence's hash is fixed uint32
+arithmetic (numpy's NEP 19), so `seed_words` runs both stages over every
+row as columns of uint32 arrays, and `generators` hands each row's words to
+numpy's own PCG64 through a minimal `ISeedSequence`, so numpy still does
+the PCG seeding. tests/test_seeding.py checks both stages against numpy's
+own. A batch costs a fixed couple of hundred microseconds and then a few
+microseconds a row, so a lone stream stays on `rng_for`.
 """
 
 import zlib
@@ -50,12 +50,6 @@ def rng_for(*parts) -> np.random.Generator:
     return np.random.default_rng(subseed(*parts))
 
 
-def rng_streams(rows) -> list:
-    """``[rng_for(*parts) for parts in rows]``, bit-identical, from one
-    hash pass over all of the rows."""
-    return generators(seed_words(rows))
-
-
 def seed_words(rows) -> np.ndarray:
     """PCG64's four uint64 seed words for ``rng_for(*parts)`` of each row
     of ``rows``, one row each.
@@ -82,7 +76,8 @@ def seed_words(rows) -> np.ndarray:
 
 def generators(words) -> list:
     """A `np.random.Generator` over numpy's PCG64 per row of ``words``,
-    each row a row of `seed_words`."""
+    each row a row of `seed_words`: ``generators(seed_words(rows))`` is
+    ``[rng_for(*parts) for parts in rows]``, bit for bit."""
     return [np.random.Generator(np.random.PCG64(_SeedWords(row))) for row in words]
 
 

@@ -21,10 +21,11 @@ decides it once per (template, candidate).
 
 `whatif_pricing` is the one loop that plans a candidate's applicable pairs.
 Before any plan is corrected, it also sums the candidate's raw what-if total,
-one multiply-add per query, so valuation returns the raw EB beside the
-corrected one. The baselines rank by that raw EB: they read it from the
-tuner's valuation, or price it through the same loop when they run alone,
-and get the same floats either way.
+one multiply-add per query, and `round_context` keeps it in the round's
+``pricing``. The baselines rank by raw EB, ``1 - total / noindex total``,
+which `tuner.Calibration.record_order` alone computes: the tuner feeds it
+the round's raw totals, and a baseline that runs alone prices its own
+through the same loop, so the floats are the same either way.
 
 A tuner's `Gate` owns what outlives a round: the catalog, the models, the
 gate threshold, mix weight and MC-dropout passes, the uncertainty scores,
@@ -98,14 +99,12 @@ class Configuration:
 
 @dataclass(frozen=True)
 class IndexValuation:
-    """A candidate's corrected EB, its EV and value, and ``raw_benefit``, its
-    EB under the uncorrected what-if costs."""
+    """A candidate's corrected EB, its EV and its value."""
 
     candidate: IndexCandidate
     execution_benefit: float
     exploratory_value: float
     value: float
-    raw_benefit: float
 
 
 def generate_candidates(workload: MiniWorkload, catalog: Catalog) -> list:
@@ -220,12 +219,12 @@ class CorrectionContext:
     leaf_encodings: Callable
 
 
-def noindex_total(workload: MiniWorkload, noindex_plan: Callable) -> float:
-    """Frequency-weighted cost of each query's ``noindex_plan``, summed in
-    query order."""
+def noindex_total(workload: MiniWorkload, noindex_plans) -> float:
+    """Frequency-weighted cost of each query's plan in ``noindex_plans``,
+    summed in query order."""
     total = 0.0
-    for q in workload.queries:
-        total += q.frequency_weight * noindex_plan(q).total_cost
+    for q, plan in zip(workload.queries, noindex_plans):
+        total += q.frequency_weight * plan.total_cost
     return total
 
 
@@ -233,7 +232,7 @@ def round_context(
     workload: MiniWorkload,
     candidates,
     gate: Gate,
-    noindex_plan: Callable,
+    noindex_plans,
 ) -> CorrectionContext:
     """The round's `CorrectionContext`, with every candidate in
     ``candidates`` priced; raises ContractError when the no-index total is
@@ -250,11 +249,11 @@ def round_context(
     is a pure function of the query's key, the candidate and the catalog,
     and no correction changes it, so a stored pair is exact for as long as
     it is kept. Each distinct leaf of a query is encoded once. The leaves of
-    the no-index plans, from ``noindex_plan``, which are shared and stay as
-    they are, and of every candidate plan are scored in one batched call
-    per operator kind, and the no-index terms are corrected from those
-    scores."""
-    total = noindex_total(workload, noindex_plan)
+    ``noindex_plans``, each query's no-index plan in query order, which are
+    shared and stay as they are, and of every candidate plan are scored in
+    one batched call per operator kind, and the no-index terms are
+    corrected from those scores."""
+    total = noindex_total(workload, noindex_plans)
     if total <= 0:
         raise ContractError("workload has nonpositive no-index cost")
     queries = workload.queries
@@ -282,9 +281,8 @@ def round_context(
                 gate.plan_memo[key] = priced
         return priced
 
-    plans = [noindex_plan(q) for q in queries]
-    noindex_encoded = [encode(i, plan) for i, plan in enumerate(plans)]
-    costs = [plan.total_cost for plan in plans]
+    noindex_encoded = [encode(i, plan) for i, plan in enumerate(noindex_plans)]
+    costs = [plan.total_cost for plan in noindex_plans]
     pricing = {
         x: whatif_pricing(x, queries, costs, partial(price, x)) for x in candidates
     }
@@ -299,7 +297,7 @@ def round_context(
     gate.score(list(pairs.values()))
     terms = tuple(
         q.frequency_weight * gate.correct(plan, e).corrected_cost
-        for q, plan, e in zip(queries, plans, noindex_encoded)
+        for q, plan, e in zip(queries, noindex_plans, noindex_encoded)
     )
     gate.last_keys.clear()
     gate.last_keys.update(current)
@@ -343,19 +341,18 @@ def whatif_pricing(candidate: IndexCandidate, queries, noindex_costs, price):
 def candidate_valuation(
     candidate: IndexCandidate, ctx: CorrectionContext, explore_weight: float
 ) -> IndexValuation:
-    """Corrected EB, uncertainty EV, total value, and raw what-if EB for one
-    of the candidates ``ctx`` priced, over the context's workload; raises
+    """Corrected EB, uncertainty EV and total value for one of the
+    candidates ``ctx`` priced, over the context's workload; raises
     ContractError for any other candidate.
 
     Pairs whose plan cannot use the candidate take the query's corrected
     no-index term from ``ctx`` (see the module docstring). The candidate's
-    own plans are corrected from the scores `round_context` made. The raw
-    EB is the context's raw what-if total, summed before any correction.
+    own plans are corrected from the scores `round_context` made.
     """
     priced = ctx.pricing.get(candidate)
     if priced is None:
         raise ContractError(f"candidate {candidate} was not priced this round")
-    entries, raw = priced
+    entries, _ = priced
     num = 0.0
     ev = 0.0
     for i, q in enumerate(ctx.workload.queries):
@@ -370,7 +367,7 @@ def candidate_valuation(
                 ev += report.score.combined
     eb = 1.0 - num / ctx.noindex_total
     value = total_value(eb, ev, explore_weight)
-    return IndexValuation(candidate, eb, ev, value, 1.0 - raw / ctx.noindex_total)
+    return IndexValuation(candidate, eb, ev, value)
 
 
 def total_value(eb: float, ev: float, explore_weight: float) -> float:
@@ -396,10 +393,8 @@ def exploration_weight(
 
 
 def selection_probabilities(values) -> np.ndarray:
-    """Probability proportional to max(V, 0) + 1e-6; always strictly positive."""
-    values = [
-        v.value if isinstance(v, IndexValuation) else float(v) for v in values
-    ]
+    """Probability proportional to max(V, 0) + 1e-6 for each value V;
+    always strictly positive."""
     if len(values) == 0:
         raise ValueError("at least one candidate is required")
     floored = np.maximum(np.asarray(values, dtype=float), 0.0) + VALUE_FLOOR

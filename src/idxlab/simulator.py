@@ -27,9 +27,10 @@ those multipliers are the systematic estimation errors the learned models
 must recover. Each execution draws its noise from its own stream,
 `seeding.rng_for(ground truth seed, round seed, digest of the query and the
 configuration)`; `noise_streams` makes the streams of many queries in one
-hash pass (`seeding.rng_streams`), and `execute` takes one of them in place
-of making its own. One optimizer cost unit is worth 1 ms of simulated time, a
-constant that cancels in every benefit ratio.
+hash pass (`seeding.seed_words`, then `seeding.generators`), and `execute`
+takes one of them in place of making its own. One optimizer cost unit is
+worth 1 ms of simulated time, a constant that cancels in every benefit
+ratio.
 """
 
 import math
@@ -39,7 +40,7 @@ from dataclasses import dataclass
 from .catalog import Catalog, selectivity
 from .errors import ConfigurationError
 from .plan import LEAF_KINDS, PLAN_KINDS, PlanNode
-from .seeding import rng_for, rng_streams
+from .seeding import generators, rng_for, seed_words
 from .workload import Query
 
 SEQ_PAGE_COST = 1.0
@@ -342,10 +343,10 @@ def _noise_key(query: Query, indexes, ground_truth: GroundTruth, round_seed: int
 
 def noise_streams(queries, config, ground_truth: GroundTruth, round_seed: int) -> list:
     """The noise stream `execute` draws from for each of ``queries`` under
-    ``config``, made together by `seeding.rng_streams`."""
+    ``config``, made together from one `seeding.seed_words` pass."""
     indexes = _config_indexes(config)
     keys = (_noise_key(q, indexes, ground_truth, round_seed) for q in queries)
-    return rng_streams(keys)
+    return generators(seed_words(keys))
 
 
 def execute(

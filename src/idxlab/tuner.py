@@ -3,27 +3,31 @@
 The tuner and both baselines are policies over one ``Environment`` each,
 whose ``step`` "creates" the indexes of a round's configuration that are not
 yet deployed (1 s per 100 MB), executes every query, and appends the round's
-row to the environment's ``metrics``, the method's metrics log. A round's
-executions draw from noise streams made together
-(`simulator.noise_streams`), each passed to its `execute` call. No-index
-execution times come from a `Calibration`: each (template, literals) query
-is executed once with a dedicated seed and cached, and the methods of one
-replication share it, so a query is calibrated once for all of them; its
-`Calibration.calibrate` runs a round's uncalibrated queries from one hash
-pass, before the round is priced or executed. A round deployed with an
+row to the environment's ``metrics``, the method's metrics log. One loop,
+`_execute_all`, executes queries: it makes their noise streams together
+(`simulator.noise_streams`) and passes each to its `execute` call.
+No-index execution times come from a `Calibration`: each (template,
+literals) query is executed once with a dedicated seed and cached, and the
+methods of one replication share it, so a query is calibrated once for all
+of them; its `Calibration.calibrate` runs a round's uncalibrated queries
+through that loop, before the round is priced or executed, and makes no
+batch when every query is calibrated already. A round deployed with an
 empty configuration reuses the calibration telemetry verbatim. The
-calibration plan is the query's one no-index plan for the
-whole run: every method prices its benefits against that plan's cost, and
-the tuner corrects it, which leaves it as it is. Each round, every method
-divides by the same `selection.noindex_total` of those plans.
-The baselines rank a round's candidates by raw what-if benefit, and the
-calibration keeps each order under the round's queries with their frequency
-weights, not under the round number. The tuner's valuation prices every
-raw benefit as a by-product and records each round's order, so the
-baselines of a replication price nothing; a baseline alone prices each
-distinct query set once. Shared or private, calibration and ranking give
-the same results. A baseline round is candidates, their order, one
-`selection.epsilon_greedy` pick of the configuration and the step.
+calibration plan is the query's one no-index plan for the whole run:
+`calibrate` hands a round's plans over as a list, every method prices its
+benefits against their costs, and the tuner corrects them, which leaves
+them as they are. Each round, every method divides by the same
+`selection.noindex_total` of those plans. The baselines rank a round's
+candidates by raw what-if benefit, and the calibration keeps each order
+under the round's queries with their frequency weights, not under the
+round number. `Calibration.record_order` is the one rule from a round's raw
+what-if totals to raw benefits and their order. The tuner feeds it the raw
+totals its round pricing sums anyway, so the baselines of a replication
+price nothing; a baseline alone prices each distinct query set once, in
+`Calibration.order`, and feeds it the same floats. Shared or private,
+calibration and ranking give the same results. A baseline round is
+candidates, their order, one `selection.epsilon_greedy` pick of the
+configuration and the step.
 
 A tuner round measures workload novelty and decays the exploration weight,
 generates the round's candidates, prices them all, values each with
@@ -42,12 +46,13 @@ it encodes each distinct leaf of a query once, and scores the leaves of the
 no-index plans and of every candidate plan in one batched call per operator
 kind. Valuation only corrects a candidate's plans from those scores. The
 deployed configuration is corrected from the plan the executor already
-built, with the round's leaf encodings; the labels reuse the encodings the
-gate scored; and the round's mean uncertainty before the model update is
-the mean of the gate scores that correction produced. Correction never
-changes a plan, so no plan is copied. The probe after an update and the
-next round's gate score a leaf once, and the round's deployed plans and the
-probe are each scored in one batched call per operator kind.
+built, with the round's leaf encodings; the labels and the probe reuse
+those encodings, which the gate scored; and the round's mean uncertainty
+before the model update is the mean of the gate scores that correction
+produced. Correction never changes a plan, so no plan is copied. The probe
+after an update and the next round's gate score a leaf once, and the
+round's deployed plans and the probe are each scored in one batched call
+per operator kind.
 
 Nor is planning repeated across rounds for a query that recurs (see
 `selection`): a kept pair is only corrected again, under the models as they
@@ -65,12 +70,13 @@ from .correction import (
     # perfbench/tracer.py patches tuner.correct_plan by name
     correct_plan,  # noqa: F401
     estimated_benefit,
+    scored_leaves,
     telemetry_to_labels,
 )
 from .costmodel import MULTIPLIER_GRID, CostMultiplierModel, nearest_bucket_index
 from .errors import FIELDS, ConfigurationError, ContractError, check_fields
-# encode_operator is not called here either (the gate's reports carry the
-# encodings), but perfbench/tracer.py patches tuner.encode_operator by name
+# encode_operator is not called here either (the round context encodes every
+# leaf), but perfbench/tracer.py patches tuner.encode_operator by name
 from .plan import LEAF_KINDS, encode_operator, encoding_length  # noqa: F401
 from .seeding import subseed
 from .selection import (
@@ -167,6 +173,16 @@ def _check_catalog(catalog: Catalog, ground_truth: GroundTruth) -> None:
         raise ContractError("a method prices against its ground truth's catalog")
 
 
+def _execute_all(queries, config, ground_truth: GroundTruth, round_seed: int) -> list:
+    """`execute` of each of ``queries`` under ``config``, in order, from
+    noise streams made in one pass."""
+    streams = noise_streams(queries, config, ground_truth, round_seed)
+    return [
+        execute(q, config, ground_truth, round_seed, stream=stream)
+        for q, stream in zip(queries, streams)
+    ]
+
+
 class Calibration:
     """One replication's no-index calibration and raw what-if ranking, shared
     by its methods.
@@ -205,34 +221,23 @@ class Calibration:
         """The no-index telemetry of each of ``queries``, in order. Each
         distinct query not calibrated yet is executed once, all of them from
         noise streams made in one pass."""
-        todo = {}
-        for q in queries:
-            if q.key() not in self._telemetry:
-                todo.setdefault(q.key(), q)
+        # queries of one key execute alike, whatever their frequency weights
+        todo = {q.key(): q for q in queries if q.key() not in self._telemetry}
         if todo:
-            streams = noise_streams(todo.values(), (), self.ground_truth, self._seed)
-            for (key, q), stream in zip(todo.items(), streams):
-                self._telemetry[key] = execute(
-                    q, (), self.ground_truth, self._seed, stream=stream
-                )
+            executed = _execute_all(todo.values(), (), self.ground_truth, self._seed)
+            self._telemetry.update(zip(todo, executed))
         return [self._telemetry[q.key()] for q in queries]
 
-    def noindex_telemetry(self, query):
-        return self.calibrate((query,))[0]
-
-    def noindex_plan(self, query):
-        return self.noindex_telemetry(query).plan
-
-    def record_order(self, queries, raw_benefits) -> list:
-        """Keep and return the order of ``raw_benefits``, the raw what-if
-        benefit of each candidate `generate_candidates` derives from
-        ``queries``, unless an order of ``queries`` is kept already; then
+    def record_order(self, queries, raw_totals, noindex_total) -> list:
+        """Keep and return the order of the candidates `generate_candidates`
+        derives from ``queries`` by raw what-if benefit, ``1 - total /
+        noindex_total`` of each of their ``raw_totals``, best first and ties
+        by position, unless an order of ``queries`` is kept already; then
         return that one."""
+        raw = [1.0 - total / noindex_total for total in raw_totals]
+        order = sorted(range(len(raw)), key=lambda i: (-raw[i], i))
         # one lookup: hashing a round's queries costs more than the sort
-        return self._orders.setdefault(
-            queries,
-            sorted(range(len(raw_benefits)), key=lambda i: (-raw_benefits[i], i)),
-        )
+        return self._orders.setdefault(queries, order)
 
     def order(self, workload: MiniWorkload, candidates) -> list:
         """Positions into ``candidates``, the round's `generate_candidates`,
@@ -240,17 +245,16 @@ class Calibration:
         queries = workload.queries
         order = self._orders.get(queries)
         if order is None:
-            self.calibrate(queries)
+            plans = [b.plan for b in self.calibrate(queries)]
             catalog = self.ground_truth.catalog
-            den = noindex_total(workload, self.noindex_plan)
-            costs = [self.noindex_plan(q).total_cost for q in queries]
-            raw = []
-            for x in candidates:
-                planned = whatif_pricing(
+            costs = [plan.total_cost for plan in plans]
+            raw = [
+                whatif_pricing(
                     x, queries, costs, lambda i, q: whatif_plan(q, (x,), catalog)
-                )
-                raw.append(1.0 - planned[1] / den)
-            order = self.record_order(queries, raw)
+                )[1]
+                for x in candidates
+            ]
+            order = self.record_order(queries, raw, noindex_total(workload, plans))
         return order
 
 
@@ -297,17 +301,12 @@ class Environment:
         telemetries = baselines
         if config.indexes:
             round_seed = subseed(self.seed, "execute", t)
-            streams = noise_streams(queries, config, self.ground_truth, round_seed)
-            telemetries = [
-                execute(q, config, self.ground_truth, round_seed, stream=stream)
-                for q, stream in zip(queries, streams)
-            ]
-        executed = []
+            telemetries = _execute_all(queries, config, self.ground_truth, round_seed)
+        executed = list(zip(queries, telemetries, baselines))
         exec_time, noindex_time = 0.0, 0.0
-        for q, telemetry, baseline in zip(queries, telemetries, baselines):
+        for q, telemetry, baseline in executed:
             exec_time += q.frequency_weight * telemetry.total_time
             noindex_time += q.frequency_weight * baseline.total_time
-            executed.append((q, telemetry, baseline))
         improvement = 1.0 - exec_time / noindex_time if noindex_time > 0 else 0.0
         values = (t, exec_time, noindex_time, improvement, n_new, creation_s, 0.0)
         self.metrics.append(dict(zip(METRIC_FIELDS, values)))
@@ -355,9 +354,8 @@ class OnlineTuner:
         return self.models[kind]
 
     def _context(self, workload: MiniWorkload, candidates) -> CorrectionContext:
-        self.env.calibration.calibrate(workload.queries)
-        noindex_plan = self.env.calibration.noindex_plan
-        return round_context(workload, candidates, self.gate, noindex_plan)
+        plans = [b.plan for b in self.env.calibration.calibrate(workload.queries)]
+        return round_context(workload, candidates, self.gate, plans)
 
     def run_round(self, workload: MiniWorkload) -> RoundReport:
         p = self.params
@@ -373,10 +371,12 @@ class OnlineTuner:
         ctx = self._context(workload, candidates)
         config = Configuration()
         if candidates:
-            values = [candidate_valuation(x, ctx, explore) for x in candidates]
+            values = [candidate_valuation(x, ctx, explore).value for x in candidates]
             # the baselines sharing this calibration read it without pricing
             self.env.calibration.record_order(
-                workload.queries, [v.raw_benefit for v in values]
+                workload.queries,
+                [raw for _, raw in ctx.pricing.values()],
+                ctx.noindex_total,
             )
             config = enumerate_configuration(
                 candidates,
@@ -394,23 +394,24 @@ class OnlineTuner:
         # together from the round's leaf encodings; correction leaves them,
         # and the no-index plans, as they are
         plans = [telemetry.plan for _, telemetry, _ in executed]
-        corrections = self.gate.correct_all(
-            plans, [ctx.leaf_encodings(i, plan) for i, plan in enumerate(plans)]
-        )
+        encoded = [ctx.leaf_encodings(i, plan) for i, plan in enumerate(plans)]
+        corrections = self.gate.correct_all(plans, encoded)
         per_query, probe_encodings, probe_scores = [], [], []
         by_kind = {}  # operator kind -> (encoding, bucket) labels
-        for (q, telemetry, baseline), corrected in zip(executed, corrections):
+        for (q, telemetry, baseline), corrected, pairs in zip(
+            executed, corrections, encoded
+        ):
             b_actual = actual_benefit(baseline.total_time, telemetry.total_time)
             plan = telemetry.plan
             noindex_cost = baseline.plan.total_cost
             b_est = estimated_benefit(noindex_cost, corrected.corrected_cost)
             per_query.append((b_est, b_actual))
-            encodings = {}  # leaf -> the encoding the gate scored
-            for report in corrected.reports:
-                if report.score is not None:
-                    probe_encodings.append((report.leaf.kind, report.encoding))
-                    probe_scores.append(report.score.combined)
-                    encodings[report.leaf] = report.encoding
+            # the gate scored exactly the leaves a model encoded
+            probe_encodings += scored_leaves(pairs)
+            probe_scores += [
+                r.score.combined for r in corrected.reports if r.score is not None
+            ]
+            encodings = dict(pairs)  # leaf -> its encoding
 
             # 6. telemetry to multiplier labels on the pristine plan
             for leaf, multiplier in telemetry_to_labels(

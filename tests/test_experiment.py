@@ -344,6 +344,7 @@ def test_cli_runs_on_one_row_tables(tmp_path, rows_range):
             {"catalog": {"cols_per_table_range": [3, 33]}},
             "catalog.cols_per_table_range",
         ),
+        ({"catalog": {"rows_range": [1000, 10**19]}}, "catalog.rows_range"),
     ],
 )
 def test_cli_rejects_mistyped_field(tmp_path, capsys, override, field):

@@ -161,9 +161,10 @@ def test_corrected_baseline_of_the_environment_plan_equals_a_fresh_plan(
     others = tuple(bind_query(query.template, rng, w) for w in weights)
     workload = MiniWorkload(0, (query, query) + others)
     env = Environment(make_ground_truth(catalog, seed), seed)
-    shared = [dataclasses.asdict(env.calibration.noindex_plan(q)) for q in workload.queries]
+    plans = [b.plan for b in env.calibration.calibrate(workload.queries)]
+    shared = [dataclasses.asdict(plan) for plan in plans]
     gate = Gate(catalog, models, threshold, 0.5, 5)
-    ctx = round_context(workload, (), gate, env.calibration.noindex_plan)
+    ctx = round_context(workload, (), gate, plans)
     # each query's corrected no-index term, as candidate valuation takes it
     assert len(ctx.noindex_terms) == len(workload.queries)
     total = 0.0
@@ -174,7 +175,8 @@ def test_corrected_baseline_of_the_environment_plan_equals_a_fresh_plan(
         total += q.frequency_weight * cost
     assert ctx.noindex_total == total
     # the environment's plans are corrected through copies only
-    assert [dataclasses.asdict(env.calibration.noindex_plan(q)) for q in workload.queries] == shared
+    plans = [b.plan for b in env.calibration.calibrate(workload.queries)]
+    assert [dataclasses.asdict(plan) for plan in plans] == shared
 
 
 @st.composite

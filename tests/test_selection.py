@@ -72,7 +72,7 @@ def untrained_context(catalog, workload, gate=None, candidates=None):
         workload,
         candidates,
         untrained_gate(catalog) if gate is None else gate,
-        lambda q: whatif_plan(q, (), catalog)[0],
+        [whatif_plan(q, (), catalog)[0] for q in workload.queries],
     )
 
 
@@ -134,7 +134,8 @@ def test_round_context_rejects_a_nonpositive_noindex_total(env):
     catalog, workload = env
     free = SimpleNamespace(total_cost=0.0)
     with pytest.raises(ContractError, match="nonpositive"):
-        round_context(workload, (), Gate(catalog, {}, 0.1, 0.5, 20), lambda q: free)
+        plans = [free] * len(workload.queries)
+        round_context(workload, (), Gate(catalog, {}, 0.1, 0.5, 20), plans)
 
 
 def test_round_context_drops_stale_scores_and_the_pairs_of_departed_queries(env):

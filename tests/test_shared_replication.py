@@ -262,7 +262,7 @@ def test_environments_sharing_a_calibration_keep_their_own_deployments():
     assert second.deployed == Configuration((b,)) and second.ever_deployed == {b}
     # one calibration run per query, read by both environments
     for (q, _, mine), (_, _, theirs) in zip(executed_first, executed_second):
-        assert mine is theirs is calibration.noindex_telemetry(q)
+        assert mine is theirs is calibration.calibrate((q,))[0]
     assert row_first["noindex_time_s"] == row_second["noindex_time_s"]
     # a private calibration executes the same no-index telemetry
     private = Environment(ground_truth, SEED)

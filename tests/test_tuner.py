@@ -7,7 +7,7 @@ import pytest
 from idxlab.catalog import CatalogSpec, ColumnRef, generate_catalog
 from idxlab.costmodel import nearest_bucket_index
 from idxlab.errors import ConfigurationError, ContractError
-from idxlab.simulator import make_ground_truth, whatif_plan
+from idxlab.simulator import make_ground_truth, noise_streams, whatif_plan
 from idxlab.selection import Configuration, generate_candidates
 from idxlab.tuner import (
     Environment,
@@ -442,6 +442,40 @@ def test_environment_rebuild_after_drop_costs_time_but_is_not_new(env):
     assert rebuilt["n_new_indexes"] == 0
 
 
+def test_known_queries_and_empty_configurations_make_no_noise_streams(
+    env, monkeypatch
+):
+    """A batch of noise streams has a fixed cost, so calibrating queries the
+    calibration holds, or stepping under the empty configuration, must make
+    none; a new query or a deployed index makes exactly one per call."""
+    from idxlab import tuner as tuner_module
+
+    catalog, schedule, gt = env
+    batches = []
+
+    def counting(queries, *args):
+        queries = list(queries)
+        batches.append(len(queries))
+        return noise_streams(queries, *args)
+
+    monkeypatch.setattr(tuner_module, "noise_streams", counting)
+    environment = Environment(gt, seed=3)
+    calibration = environment.calibration
+    first, second = schedule[0].queries, schedule[1].queries
+    calibration.calibrate(first)
+    assert batches == [len({q.key() for q in first})]
+    calibration.calibrate(first)
+    environment.step(0, schedule[0], Configuration())
+    assert len(batches) == 1
+    calibration.calibrate(first + second)
+    new = {q.key() for q in second} - {q.key() for q in first}
+    assert batches[1:] == [len(new)] and new
+    environment.step(1, schedule[1], Configuration())
+    assert len(batches) == 2
+    environment.step(2, schedule[0], Configuration(two_indexes(catalog, schedule[0])))
+    assert batches[2:] == [len(first)]
+
+
 def test_environment_empty_configuration_reuses_calibration(env):
     catalog, schedule, gt = env
     environment = Environment(gt, seed=3)
@@ -449,7 +483,7 @@ def test_environment_empty_configuration_reuses_calibration(env):
     assert [q for q, _, _ in executed] == list(schedule[0].queries)
     for q, telemetry, baseline in executed:
         assert telemetry is baseline
-        assert baseline is environment.calibration.noindex_telemetry(q)
+        assert baseline is environment.calibration.calibrate((q,))[0]
     assert row["exec_time_s"] == row["noindex_time_s"] > 0
     assert row["improvement"] == 0.0
     assert row["creation_s"] == 0 and row["n_new_indexes"] == 0

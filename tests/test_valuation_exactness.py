@@ -216,8 +216,8 @@ def test_valuation_matches_pricing_every_pair(trained, gate):
         ]
         threshold = float(np.median(scores))
     shared = replace(tuner.gate, threshold=threshold)  # and the tuner's caches
-    noindex_plan = tuner.env.calibration.noindex_plan
-    ctx = round_context(workload, candidates, shared, noindex_plan)
+    plans = [b.plan for b in tuner.env.calibration.calibrate(workload.queries)]
+    ctx = round_context(workload, candidates, shared, plans)
     corrected = 0
     for candidate in candidates:
         got = candidate_valuation(candidate, ctx, 0.5)
@@ -235,11 +235,12 @@ def test_uncorrected_benefit_matches_pricing_every_pair(scenario):
         candidates = generate_candidates(workload, catalog)
         ctx = tuner._context(workload, candidates)
         want = [reference_uncorrected_benefit(x, workload, catalog) for x in candidates]
-        den = noindex_total(workload, alone.noindex_plan)
-        costs = [alone.noindex_plan(q).total_cost for q in workload.queries]
+        plans = [b.plan for b in alone.calibrate(workload.queries)]
+        den = noindex_total(workload, plans)
+        costs = [plan.total_cost for plan in plans]
         for candidate, benefit in zip(candidates, want):
-            # valuation's by-product, summed before correction
-            assert candidate_valuation(candidate, ctx, 0.5).raw_benefit == benefit
+            # the round's pricing, summed before correction
+            assert 1.0 - ctx.pricing[candidate][1] / ctx.noindex_total == benefit
             # a lone baseline's own pricing, against the calibration's plans
             def planner(i, q):
                 return whatif_plan(q, (candidate,), catalog)
@@ -305,8 +306,8 @@ def test_round_pricing_plans_and_scores_once_and_values_exactly(
             scored.append(kind_of[id(model)])
         return combined_uncertainties(model, encodings, mix_weight, passes)
 
-    def context(workload, candidates, gate, noindex_plan):
-        ctx = round_context(workload, candidates, gate, noindex_plan)
+    def context(workload, candidates, gate, noindex_plans):
+        ctx = round_context(workload, candidates, gate, noindex_plans)
         contexts.append(weakref.ref(ctx))
         return ctx
 
@@ -315,7 +316,8 @@ def test_round_pricing_plans_and_scores_once_and_values_exactly(
         workload = ctx.workload
         want, _ = reference_valuation(candidate, workload, ctx, explore_weight)
         raw = reference_uncorrected_benefit(candidate, workload, catalog)
-        assert got == IndexValuation(candidate, *want, raw)
+        assert got == IndexValuation(candidate, *want)
+        assert 1.0 - ctx.pricing[candidate][1] / ctx.noindex_total == raw
         return got
 
     monkeypatch.setattr(selection, "whatif_plan", planning)
