@@ -38,7 +38,7 @@ catalog = Catalog(
 )
 dim = encoding_length(catalog)
 uncertain = CostMultiplierModel(input_dim=dim, seed=1)  # untrained: max entropy
-confident = CostMultiplierModel(input_dim=dim, seed=2, dropout_rate=0.0)
+confident = CostMultiplierModel(input_dim=dim, seed=2)
 confident.params["b3"][nearest_bucket_index(2.0)] = 800.0  # saturated at 2.0x
 
 fresh, _, _ = example_plan()

@@ -1,8 +1,8 @@
 """Per-operator-kind cost multiplier classifiers and their uncertainty scores.
 
 Each model is a small fully connected network (two ReLU hidden layers of
-HIDDEN_UNITS = 64 units, inverted dropout p=0.1 after each) ending in an
-N_CLASSES = 37-way softmax over the multiplier grid
+HIDDEN_UNITS = 64 units, inverted dropout at DROPOUT_RATE = 0.1 after each)
+ending in an N_CLASSES = 37-way softmax over the multiplier grid
 
     {0.01..0.09 step .01} u {0.1..0.9 step .1} u {1..9 step 1} u {10..100 step 10},
 
@@ -10,9 +10,9 @@ a non-uniform quantization that is dense near 1x and coarse at the extremes.
 The output head starts at zero so an untrained model is exactly uniform.
 Training is online: labels enter a REPLAY_CAPACITY = 512-slot FIFO replay
 buffer and every update runs EPOCHS = 5 epochs of minibatch (BATCH_SIZE = 32)
-cross-entropy with Adam at LEARNING_RATE = 1e-3. Every model shares this one
-architecture; only the dropout rate is a constructor argument, so a model
-without dropout can exercise the zero-variance paths.
+cross-entropy with Adam at LEARNING_RATE = 1e-3 (ADAM_BETA1 = 0.9,
+ADAM_BETA2 = 0.999, ADAM_EPS = 1e-8). Every model shares this one
+architecture.
 
 Training allocates nothing per step: the buffer is stacked once per update,
 and the forward pass, backward pass and Adam step write into one fixed
@@ -20,7 +20,7 @@ per-model workspace (a short last batch uses its leading rows). The six
 parameter arrays, Adam's two moments and the gradients are each views into
 one flat vector, so an Adam step is 14 whole-vector operations; copies and
 pickles rebuild the views. Every operation and its order is that of the
-plain array expressions, e.g. `(LEARNING_RATE * mhat) / (sqrt(vhat) + eps)`,
+plain array expressions, e.g. `(LEARNING_RATE * mhat) / (sqrt(vhat) + ADAM_EPS)`,
 so the parameters are bit-identical to those of an allocating loop.
 
 An operator encoding has at most about 7 nonzeros, so most encoding columns
@@ -72,7 +72,11 @@ from .seeding import generators, rng_for, seed_words
 
 N_CLASSES = 37
 HIDDEN_UNITS = 64
+DROPOUT_RATE = 0.1
 LEARNING_RATE = 1e-3
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
 BATCH_SIZE = 32
 EPOCHS = 5
 REPLAY_CAPACITY = 512
@@ -105,10 +109,9 @@ def nearest_bucket_index(value: float) -> int:
 class CostMultiplierModel:
     """MLP classifier over the multiplier grid for one operator kind."""
 
-    def __init__(self, input_dim: int, seed: int, dropout_rate: float = 0.1):
+    def __init__(self, input_dim: int, seed: int):
         self.input_dim = input_dim
         self.seed = seed
-        self.dropout_rate = dropout_rate
         self.rng = rng_for(seed, "model")
         shapes = _param_shapes(input_dim)
         size = sum(math.prod(shape) for shape in shapes.values())
@@ -169,12 +172,12 @@ class CostMultiplierModel:
         ``out`` maps buffer names to arrays of the right shape to write into
         (a training workspace); a name it lacks gets a fresh array. The
         dropout masks of layers 1 and 2 are drawn from ``drop_rng``; without
-        it, or at rate 0, no unit is dropped. ``X`` may be a stack of row
+        it, no unit is dropped. ``X`` may be a stack of row
         blocks: each layer works on the last axis.
         """
         o = {} if out is None else out
         masks = (None, None)
-        if drop_rng is not None and self.dropout_rate > 0.0:
+        if drop_rng is not None:
             draws = self._mask_draws(drop_rng, len(X), (o.get("m1"), o.get("m2")))
             masks = [self._scale_mask(u) for u in draws]
         cache = {"X": X}
@@ -216,8 +219,8 @@ class CostMultiplierModel:
     def _scale_mask(self, uniforms):
         """Uniform draws -> inverted-dropout mask, in place: kept units are
         1.0 / (1 - p), exactly as the bool mask divided by (1 - p)."""
-        np.greater_equal(uniforms, self.dropout_rate, out=uniforms)
-        np.divide(uniforms, 1.0 - self.dropout_rate, out=uniforms)
+        np.greater_equal(uniforms, DROPOUT_RATE, out=uniforms)
+        np.divide(uniforms, 1.0 - DROPOUT_RATE, out=uniforms)
         return uniforms
 
     def _backward(self, cache, y, out=None, grads_out=None):
@@ -266,30 +269,30 @@ class CostMultiplierModel:
         loss = float(-np.mean(np.log(cache["probs"][np.arange(n), y] + 1e-300)))
         return loss, self._backward(cache, y)
 
-    def _adam_step(self, beta1=0.9, beta2=0.999, eps=1e-8):
+    def _adam_step(self):
         """One Adam step from the workspace's gradients, each operation over
         the whole flat state at once."""
         self._adam_t += 1
-        bias1 = 1 - beta1**self._adam_t
-        bias2 = 1 - beta2**self._adam_t
+        bias1 = 1 - ADAM_BETA1**self._adam_t
+        bias2 = 1 - ADAM_BETA2**self._adam_t
         params, m, v = self._vectors
         g = self._workspace.grad_vector
         step, denom = self._workspace.scratch
-        # m = beta1*m + (1-beta1)*g
-        np.multiply(beta1, m, out=m)
-        np.multiply(1 - beta1, g, out=step)
+        # m = ADAM_BETA1*m + (1-ADAM_BETA1)*g
+        np.multiply(ADAM_BETA1, m, out=m)
+        np.multiply(1 - ADAM_BETA1, g, out=step)
         np.add(m, step, out=m)
-        # v = beta2*v + ((1-beta2)*g)*g
-        np.multiply(1 - beta2, g, out=step)
+        # v = ADAM_BETA2*v + ((1-ADAM_BETA2)*g)*g
+        np.multiply(1 - ADAM_BETA2, g, out=step)
         np.multiply(step, g, out=step)
-        np.multiply(beta2, v, out=v)
+        np.multiply(ADAM_BETA2, v, out=v)
         np.add(v, step, out=v)
-        # params -= (LEARNING_RATE * m/bias1) / (sqrt(v/bias2) + eps)
+        # params -= (LEARNING_RATE * m/bias1) / (sqrt(v/bias2) + ADAM_EPS)
         np.divide(m, bias1, out=step)
         np.multiply(LEARNING_RATE, step, out=step)
         np.divide(v, bias2, out=denom)
         np.sqrt(denom, out=denom)
-        np.add(denom, eps, out=denom)
+        np.add(denom, ADAM_EPS, out=denom)
         np.divide(step, denom, out=step)
         np.subtract(params, step, out=params)
 
@@ -350,7 +353,7 @@ class CostMultiplierModel:
         w1 = (cols[:, None] * h + np.arange(h)).ravel()
         flat = np.concatenate((w1, np.arange(self.input_dim * h, size)))
         compact = object.__new__(type(self))
-        compact.input_dim, compact.dropout_rate = len(cols), self.dropout_rate
+        compact.input_dim = len(cols)
         compact._adam_t = self._adam_t
         compact._vectors = tuple(vector[flat] for vector in self._vectors)
         compact._bind_views(self._workspace)
@@ -426,8 +429,6 @@ def mc_dropout(model: CostMultiplierModel, encoding, passes: int) -> float:
     if passes < 2:
         raise ValueError("passes must be >= 2")
     enc = model._check_input(encoding)
-    if model.dropout_rate == 0.0:
-        return 0.0  # all passes are identical by construction
     X = np.repeat(enc, passes, axis=0)
     digest = zlib.crc32(np.ascontiguousarray(enc).tobytes())
     rng = rng_for(model.seed, model.step_count, digest, passes)
@@ -476,18 +477,16 @@ def combined_uncertainties(
     if not rows:
         return []
     X = np.concatenate(rows)
-    mcd = [0.0] * len(X)
-    if model.dropout_rate > 0.0:
-        # every row's mask stream is hashed here, in one pass, and each
-        # chunk's Generators are made only when the chunk is scored
-        words = seed_words(
-            (model.seed, model.step_count, zlib.crc32(row.tobytes()), passes)
-            for row in X
-        )
-        for start in range(0, len(X), SCORE_CHUNK):
-            chunk = slice(start, start + SCORE_CHUNK)
-            streams = generators(words[chunk])
-            mcd[chunk] = _stacked_mcd(model, X[chunk], passes, streams)
+    mcd = []
+    # every row's mask stream is hashed here, in one pass, and each chunk's
+    # Generators are made only when the chunk is scored
+    words = seed_words(
+        (model.seed, model.step_count, zlib.crc32(row.tobytes()), passes)
+        for row in X
+    )
+    for start in range(0, len(X), SCORE_CHUNK):
+        chunk = slice(start, start + SCORE_CHUNK)
+        mcd += _stacked_mcd(model, X[chunk], passes, generators(words[chunk]))
     probs = model._forward(X.reshape(len(X), 1, -1))["probs"][:, 0]
     scores = []
     for ent, mcd_value in zip(_entropies(probs), mcd):

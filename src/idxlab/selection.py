@@ -29,10 +29,11 @@ through the same loop, so the floats are the same either way.
 
 A tuner's `Gate` owns what outlives a round: the catalog, the models, the
 gate threshold, mix weight and MC-dropout passes, the uncertainty scores,
-cached under keys that carry each model's training step, and the memo of
-recurring pairs below with the keys of the last round's queries. It scores
-through `Gate.score`, which scores the uncached leaves of any number of plans
-in one batched call per operator kind, and corrects through `Gate.correct`.
+cached under keys that carry each model's training step, and the memo of the
+last round's pairs below. It scores through `Gate.score`, which scores the
+uncached leaves of any number of plans in one batched call per operator
+kind, and corrects through `Gate.correct`, which scores a plan's uncached
+leaves itself.
 
 `round_context` prices a whole round once, before any candidate is valued,
 into a `CorrectionContext` that is dropped with the round. It sums the
@@ -49,15 +50,12 @@ then only corrects the candidate's own plans from those scores and sums in
 query order, bit-identical to pricing every pair. The round's deployed plans
 take their leaf encodings from the same round.
 
-A tuner keeps the pricing of a recurring query's pairs across rounds, in its
-gate's ``plan_memo``: each (query key, candidate) pair's what-if cost and,
-when the plan uses an index, the plan and its leaf encodings. A what-if plan
-is a pure function of the query's key, the candidate and the catalog, and
-correction never changes it, so a kept pair is only corrected again, under
-the models as they are now. A pair is stored only when its query was in the
-previous round too, by the gate's ``last_keys``, and `round_context` drops
-the pairs of queries that left the round, so a workload whose queries do not
-recur keeps nothing.
+A tuner keeps the last round's pricing in its gate's ``plan_memo``: each
+(query key, candidate) pair's what-if cost and, when the plan uses an index,
+the plan and its leaf encodings. A what-if plan is a pure function of the
+query's key, the candidate and the catalog, and correction never changes it,
+so a pair the round before priced is only corrected again, under the models
+as they are now, the plan reuse of INUM (Papadomanolakis et al., VLDB 2007).
 
 The baselines neither value nor learn: each round they take `epsilon_greedy`
 of the round's candidates in raw what-if order, what-if greedy at epsilon 0.
@@ -149,11 +147,9 @@ class Gate:
     weight and MC-dropout passes, and its two caches (see the module
     docstring). ``score_cache`` is `cached_uncertainties`'s cache, and
     ``plan_memo`` maps (query key, candidate) to ``(entry, cost)``: the
-    pair's entry in `CorrectionContext.pricing` and its what-if cost;
-    `round_context` keeps each to the entries that can still be read, and
-    ``last_keys`` to the keys of the queries of the last round it priced.
-    Each `round_context` call moves the memo rule on by one round, so a
-    tuner makes exactly one per round.
+    pair's entry in `CorrectionContext.pricing` and its what-if cost, for
+    each pair the last `round_context` call priced. Each call replaces the
+    memo with its own pairs, so a tuner makes exactly one per round.
     """
 
     catalog: Catalog
@@ -163,7 +159,6 @@ class Gate:
     passes: int
     score_cache: dict = field(default_factory=dict)
     plan_memo: dict = field(default_factory=dict)
-    last_keys: set = field(default_factory=set)
 
     def score(self, pairs) -> list:
         """The cached `combined_uncertainty` of each (kind, encoding) pair."""
@@ -185,12 +180,6 @@ class Gate:
             self.score_cache,
             encoded,
         )
-
-    def correct_all(self, plans, encoded) -> list:
-        """`correct` of each plan, after scoring the uncached leaves of them
-        all in one batched call per operator kind."""
-        self.score([pair for e in encoded for pair in scored_leaves(e)])
-        return [self.correct(p, e) for p, e in zip(plans, encoded)]
 
 
 @dataclass(frozen=True)
@@ -238,17 +227,14 @@ def round_context(
     ``candidates`` priced; raises ContractError when the no-index total is
     not positive.
 
-    First drops from ``gate`` the scores of replaced model states and the
-    pairs of queries not in ``workload``. Then it plans each (query,
-    candidate) pair whose template can use the candidate, reading the pair
-    from the gate's ``plan_memo`` when it is there, and storing it there
-    when the query's key is in the gate's ``last_keys``, those of the round
-    it priced before; then ``last_keys`` are ``workload``'s, so each call
-    moves the memo rule on by one round and must be made once per real
-    round, never as a side probe of a tuner's gate. A what-if plan
-    is a pure function of the query's key, the candidate and the catalog,
-    and no correction changes it, so a stored pair is exact for as long as
-    it is kept. Each distinct leaf of a query is encoded once. The leaves of
+    First drops from ``gate`` the scores of replaced model states. Then it
+    plans each (query, candidate) pair whose template can use the candidate,
+    reading the pair from the gate's ``plan_memo`` when the call before
+    priced it, and at the end the memo holds this call's pairs; so each call
+    must be made once per real round, never as a side probe of a tuner's
+    gate. A what-if plan is a pure function of the query's key, the
+    candidate and the catalog, and no correction changes it, so a kept pair
+    is exact. Each distinct leaf of a query is encoded once. The leaves of
     ``noindex_plans``, each query's no-index plan in query order, which are
     shared and stay as they are, and of every candidate plan are scored in
     one batched call per operator kind, and the no-index terms are
@@ -259,9 +245,7 @@ def round_context(
     queries = workload.queries
     keys = tuple(q.key() for q in queries)
     drop_stale_scores(gate.score_cache, gate.models)
-    current = set(keys)
-    for key in [k for k in gate.plan_memo if k[0] not in current]:
-        del gate.plan_memo[key]
+    priced_now = {}  # this round's pairs, the next round's memo
     known = {}  # query key -> its leaves' encodings by (kind, table, index)
 
     def encode(i, plan):
@@ -277,8 +261,7 @@ def round_context(
             if any(leaf.index is not None for leaf in leaves(plan)):
                 entry = (plan, encode(i, plan))
             priced = (entry, cost)
-            if key[0] in gate.last_keys:
-                gate.plan_memo[key] = priced
+        priced_now[key] = priced
         return priced
 
     noindex_encoded = [encode(i, plan) for i, plan in enumerate(noindex_plans)]
@@ -299,8 +282,8 @@ def round_context(
         q.frequency_weight * gate.correct(plan, e).corrected_cost
         for q, plan, e in zip(queries, noindex_plans, noindex_encoded)
     )
-    gate.last_keys.clear()
-    gate.last_keys.update(current)
+    gate.plan_memo.clear()
+    gate.plan_memo.update(priced_now)
     return CorrectionContext(gate, workload, total, terms, pricing, encode)
 
 

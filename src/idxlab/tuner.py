@@ -35,10 +35,9 @@ uncertainty-gated corrected costs, samples a configuration, steps the
 environment, and learns multiplier labels from the telemetry. The tuner's
 `selection.Gate`, built once from its `TunerParams`, owns the models, the
 gate's parameters and two caches for the tuner's lifetime: uncertainty
-scores, keyed by each model's training step, and the what-if pricing of
-recurring queries' pairs, with the keys of the last round's queries that
-tell which queries recur. A round's `selection.CorrectionContext` holds only
-the round and is dropped with it. No pricing is repeated within a round:
+scores, keyed by each model's training step, and the last round's what-if
+pricing. A round's `selection.CorrectionContext` holds only the round and is
+dropped with it. No pricing is repeated within a round:
 `selection.round_context` builds the workload's no-index total and every
 query's corrected no-index term, and plans every (query, candidate) pair
 whose template can use the candidate, once, before any candidate is valued;
@@ -49,14 +48,16 @@ deployed configuration is corrected from the plan the executor already
 built, with the round's leaf encodings; the labels and the probe reuse
 those encodings, which the gate scored; and the round's mean uncertainty
 before the model update is the mean of the gate scores that correction
-produced. Correction never changes a plan, so no plan is copied. The probe
-after an update and the next round's gate score a leaf once, and the
-round's deployed plans and the probe are each scored in one batched call
-per operator kind.
+produced. Correction never changes a plan, so no plan is copied. Each
+deployed plan goes through `selection.Gate.correct`, the one correction
+path: the round's pricing or the last round's probe has scored nearly every
+leaf of it, and the gate scores any other leaf itself. The probe after an
+update and the next round's gate score a leaf once, and the probe is scored
+in one batched call per operator kind.
 
-Nor is planning repeated across rounds for a query that recurs (see
-`selection`): a kept pair is only corrected again, under the models as they
-are now, so the reports are those of planning every pair anew.
+Nor is a pair the last round priced planned again (see `selection`): it is
+only corrected again, under the models as they are now, so the reports are
+those of planning every pair anew.
 """
 
 from dataclasses import dataclass
@@ -390,19 +391,16 @@ class OnlineTuner:
         # 5. index creation plus execution under the new configuration
         executed, row = self.env.step(t, workload, config)
 
-        # the executor's plans of the deployed configuration, corrected
-        # together from the round's leaf encodings; correction leaves them,
-        # and the no-index plans, as they are
-        plans = [telemetry.plan for _, telemetry, _ in executed]
-        encoded = [ctx.leaf_encodings(i, plan) for i, plan in enumerate(plans)]
-        corrections = self.gate.correct_all(plans, encoded)
         per_query, probe_encodings, probe_scores = [], [], []
         by_kind = {}  # operator kind -> (encoding, bucket) labels
-        for (q, telemetry, baseline), corrected, pairs in zip(
-            executed, corrections, encoded
-        ):
+        for i, (_, telemetry, baseline) in enumerate(executed):
             b_actual = actual_benefit(baseline.total_time, telemetry.total_time)
+            # the executor's plan of the deployed configuration, corrected
+            # from the round's leaf encodings; correction leaves it, and the
+            # no-index plan, as they are
             plan = telemetry.plan
+            pairs = ctx.leaf_encodings(i, plan)
+            corrected = self.gate.correct(plan, pairs)
             noindex_cost = baseline.plan.total_cost
             b_est = estimated_benefit(noindex_cost, corrected.corrected_cost)
             per_query.append((b_est, b_actual))

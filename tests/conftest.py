@@ -13,6 +13,7 @@ from idxlab.catalog import (
     TableDef,
 )
 from idxlab.plan import PlanNode
+from idxlab.selection import applicability, generate_candidates
 
 
 def build_catalog():
@@ -31,6 +32,18 @@ def build_catalog():
 def total_size_bytes(config) -> int:
     """The estimated bytes of a configuration's indexes."""
     return sum(ix.estimated_size_bytes for ix in config.indexes)
+
+
+def applicable_pairs(workload, catalog) -> set:
+    """The (query key, candidate) pairs that a round of ``workload`` prices:
+    each of its candidates with each query whose template can use it."""
+    queries = workload.queries
+    return {
+        (q.key(), x)
+        for x in generate_candidates(workload, catalog)
+        for q, usable in zip(queries, applicability(queries, x))
+        if usable
+    }
 
 
 @pytest.fixture

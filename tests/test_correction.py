@@ -255,7 +255,6 @@ def _trained_models(catalog, confident=True):
         if confident:
             m.params["b3"][:] = 0.0
             m.params["b3"][nearest_bucket_index(2.0)] = 800.0
-            m.dropout_rate = 0.0
         models[kind] = m
     return models
 
@@ -374,7 +373,7 @@ def test_example_gate_only_low_uncertainty_leaf_corrected():
     root, outer, inner = nlj_example_plan()
     dim = encoding_length(catalog)
     seq_model = CostMultiplierModel(input_dim=dim, seed=1)  # uniform: U ~ 1.8
-    idx_model = CostMultiplierModel(input_dim=dim, seed=2, dropout_rate=0.0)
+    idx_model = CostMultiplierModel(input_dim=dim, seed=2)
     idx_model.params["b3"][:] = 0.0
     idx_model.params["b3"][nearest_bucket_index(2.0)] = 800.0  # one-hot at 2.0
     models = {"SeqScan": seq_model, "IndexScan": idx_model}

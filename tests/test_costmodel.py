@@ -8,6 +8,7 @@ import pytest
 
 from idxlab.costmodel import (
     BATCH_SIZE,
+    DROPOUT_RATE,
     EPOCHS,
     LEARNING_RATE,
     MULTIPLIER_GRID,
@@ -69,8 +70,8 @@ def test_entropy_bounds_on_random_simplices():
         assert 0.0 <= entropy(p) <= math.log(37) + 1e-12
 
 
-def make_model(dim=12, seed=0, **kw):
-    return CostMultiplierModel(input_dim=dim, seed=seed, **kw)
+def make_model(dim=12, seed=0):
+    return CostMultiplierModel(input_dim=dim, seed=seed)
 
 
 def random_encoding(dim=12, seed=0):
@@ -174,12 +175,6 @@ def assert_gradients_match(seed, dim=12, n=5, h=1e-5, tol=1e-4):
             assert abs(numeric - g[i]) / denom <= tol, (name, i)
 
 
-def test_mcd_zero_when_dropout_disabled():
-    m = make_model(dropout_rate=0.0)
-    m.update([(random_encoding(seed=s), 3) for s in range(8)])
-    assert mc_dropout(m, random_encoding(seed=1), passes=20) == 0.0
-
-
 def test_mcd_requires_two_passes():
     m = make_model()
     with pytest.raises(ValueError):
@@ -204,13 +199,14 @@ def test_mcd_matches_max_class_variance():
     assert mc_dropout(m, enc, passes) == value
 
 
-@pytest.mark.parametrize("dropout_rate", [0.1, 0.0])
+# the models' one dropout rate, which the test ids name
+@pytest.mark.parametrize("dropout_rate", [DROPOUT_RATE])
 @pytest.mark.parametrize("trained", [False, True])
 # the encoding widths of the benchmark's static-c8 (8 tables) and drift-exp
 # (4 tables) catalogs
 @pytest.mark.parametrize("dim", [175, 87])
 def test_batched_scores_equal_one_at_a_time(dim, trained, dropout_rate):
-    model = make_model(dim=dim, seed=31, dropout_rate=dropout_rate)
+    model = make_model(dim=dim, seed=31)
     rng = rng_for(31, "encodings")
     if trained:
         model.update(
@@ -344,7 +340,7 @@ def test_weighted_sum_example():
 
 
 def test_saturated_model_has_zero_uncertainty():
-    m = make_model(dropout_rate=0.0)
+    m = make_model()
     # a head pinned hard enough that softmax underflows to an exact one-hot
     m.params["b3"][:] = 0.0
     m.params["b3"][4] = 800.0
@@ -386,15 +382,15 @@ def reference_update(model, labels):
     `update` must leave the model in exactly the state this one does."""
 
     def forward(X, drop_rng):
-        p, P = model.dropout_rate, model.params
+        p, P = DROPOUT_RATE, model.params
         z1 = X @ P["W1"] + P["b1"]
         h1 = np.maximum(z1, 0.0)
-        m1 = (drop_rng.random(h1.shape) >= p) / (1.0 - p) if p > 0.0 else None
-        a1 = h1 if m1 is None else h1 * m1
+        m1 = (drop_rng.random(h1.shape) >= p) / (1.0 - p)
+        a1 = h1 * m1
         z2 = a1 @ P["W2"] + P["b2"]
         h2 = np.maximum(z2, 0.0)
-        m2 = (drop_rng.random(h2.shape) >= p) / (1.0 - p) if p > 0.0 else None
-        a2 = h2 if m2 is None else h2 * m2
+        m2 = (drop_rng.random(h2.shape) >= p) / (1.0 - p)
+        a2 = h2 * m2
         logits = a2 @ P["W3"] + P["b3"]
         shifted = logits - logits.max(axis=1, keepdims=True)
         exp = np.exp(shifted)
@@ -411,14 +407,12 @@ def reference_update(model, labels):
         grads["W3"] = cache["a2"].T @ dlogits
         grads["b3"] = dlogits.sum(axis=0)
         da2 = dlogits @ model.params["W3"].T
-        if cache["m2"] is not None:
-            da2 = da2 * cache["m2"]
+        da2 = da2 * cache["m2"]
         dz2 = da2 * (cache["z2"] > 0)
         grads["W2"] = cache["a1"].T @ dz2
         grads["b2"] = dz2.sum(axis=0)
         da1 = dz2 @ model.params["W2"].T
-        if cache["m1"] is not None:
-            da1 = da1 * cache["m1"]
+        da1 = da1 * cache["m1"]
         dz1 = da1 * (cache["z1"] > 0)
         grads["W1"] = X.T @ dz1
         grads["b1"] = dz1.sum(axis=0)
@@ -454,13 +448,14 @@ def assert_same_model_state(a, b):
     assert a.rng.bit_generator.state == b.rng.bit_generator.state
 
 
-@pytest.mark.parametrize("dropout_rate", [0.1, 0.0])
+# the models' one dropout rate, which the test ids name
+@pytest.mark.parametrize("dropout_rate", [DROPOUT_RATE])
 def test_update_equals_allocating_reference(dropout_rate):
     # buffer sizes 1, 8, 41, 241 and then 512 (evicting) give tail batches of
     # 1, 8, 9, 17 and none, so every step size reuses the one workspace
     dim = 17
-    model = make_model(dim=dim, seed=21, dropout_rate=dropout_rate)
-    reference = make_model(dim=dim, seed=21, dropout_rate=dropout_rate)
+    model = make_model(dim=dim, seed=21)
+    reference = make_model(dim=dim, seed=21)
     rng = rng_for(21, "labels")
     for count in (1, 7, 33, 200, 600):
         labels = [
@@ -536,7 +531,8 @@ def flat_bytes(model):
     ]
 
 
-@pytest.mark.parametrize("dropout_rate", [0.1, 0.0])
+# the models' one dropout rate, which the test ids name
+@pytest.mark.parametrize("dropout_rate", [DROPOUT_RATE])
 # the encoding widths of the benchmark's drift-exp and static-c8 catalogs
 @pytest.mark.parametrize("dim", [87, 175])
 def test_sparse_update_equals_allocating_reference(dim, dropout_rate):
@@ -544,8 +540,8 @@ def test_sparse_update_equals_allocating_reference(dim, dropout_rate):
     rng = rng_for(41, "sparse labels", dim)
     rare, fresh = dim - 1, dim - 2
     pool = rng.choice(dim - 2, size=dim // 4, replace=False)
-    model = make_model(dim=dim, seed=41, dropout_rate=dropout_rate)
-    reference = make_model(dim=dim, seed=41, dropout_rate=dropout_rate)
+    model = make_model(dim=dim, seed=41)
+    reference = make_model(dim=dim, seed=41)
 
     def labels(count, extra=()):
         return [

@@ -1,5 +1,7 @@
 """A config or schedule file one field away from a valid one is read, or
-refused with one `ConfigurationError`: never any other exception.
+refused with one `ConfigurationError`: never any other exception. A manifest
+one field away from a tiny experiment's is replayed by the command line, or
+refused with an exit code and one line on stderr: never a traceback.
 
 Each mutant changes one field of a valid document, at any depth: it deletes
 the key (or list item), gives the value another JSON type, or sets an
@@ -8,20 +10,27 @@ passes and touches the catalog section also builds its catalog with
 `generate_catalog`, so that a range the config check lets through is one
 the catalog can be built from. A schedule mutant is written to a file and
 read with `load_schedule`. Each config path is its own case, so every one
-of them is mutated in every run.
+of them is mutated in every run. A manifest mutant keeps its
+``config_sha256`` the hash of its config, unless it mutates that field, so
+that the replay reaches the config check and the run.
 """
 
+import contextlib
 import copy
+import io
 import json
 import math
+import pathlib
+import tempfile
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from idxlab.catalog import CatalogSpec, generate_catalog
+from idxlab.cli import EXIT_CONFIG, EXIT_IO, EXIT_OK, EXIT_REPLAY, main
 from idxlab.errors import FIELDS, ConfigurationError
-from idxlab.experiment import resolve_config
+from idxlab.experiment import _config_hash, resolve_config, run_experiment
 from idxlab.workload import (
     DriftSchedule,
     build_schedule,
@@ -166,3 +175,61 @@ def test_one_field_schedule_mutants_are_read_or_refused(schedule_file, data):
         load_schedule(schedule_file, SCHEDULE_CATALOG)
     except ConfigurationError:
         pass
+
+
+# two rounds of two one-query templates on two tables, one baseline
+TINY_EXPERIMENT = {
+    "catalog": {"n_tables": 2, "rows_range": [1000, 5000]},
+    "workload": {
+        "n_templates": 3,
+        "total_rounds": 2,
+        "templates_per_round": 2,
+        "queries_per_template": 1,
+    },
+    "tuner": {"mcd_passes": 2},
+    "baselines": ["whatif_greedy"],
+    "replications": [1],
+}
+
+
+@pytest.fixture(scope="module")
+def manifest(tmp_path_factory):
+    """A tiny experiment's manifest and a directory for its mutants."""
+    out = tmp_path_factory.mktemp("experiment")
+    run_experiment(TINY_EXPERIMENT, out_dir=str(out))
+    return json.loads((out / "manifest.json").read_text()), out
+
+
+def replay_exit(path, out_dir):
+    """``idxlab replay``'s exit code and stderr; an exception escapes."""
+    err = io.StringIO()
+    argv = ["replay", str(path), "--out", str(out_dir)]
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, err.getvalue()
+
+
+def test_the_unmutated_manifest_replays(manifest):
+    document, out = manifest
+    path = out / "unmutated.json"
+    path.write_text(json.dumps(document))
+    assert replay_exit(path, out / "replay") == (EXIT_OK, "")
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_one_field_manifest_mutants_replay_or_exit_with_one_line(manifest, data):
+    document, out = manifest
+    path = data.draw(st.sampled_from(field_paths(document)))
+    value, delete = data.draw(mutations(document, path))
+    mutant = mutated(document, path, value, delete)
+    if path != ("config_sha256",) and "config" in mutant:
+        mutant["config_sha256"] = _config_hash(mutant["config"])
+    # new files only: a rename over an existing file can wait on a flush
+    here = pathlib.Path(tempfile.mkdtemp(dir=out))
+    (here / "manifest.json").write_text(json.dumps(mutant))
+    code, err = replay_exit(here / "manifest.json", here / "replay")
+    assert code in (EXIT_OK, EXIT_CONFIG, EXIT_IO, EXIT_REPLAY), (code, err)
+    assert err.count("\n") == (code != EXIT_OK), err
+    # a refused manifest writes nothing; a divergent replay keeps its files
+    assert code in (EXIT_OK, EXIT_REPLAY) or not (here / "replay").exists()

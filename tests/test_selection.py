@@ -41,7 +41,7 @@ from idxlab.workload import (
     generate_templates,
 )
 
-from conftest import total_size_bytes
+from conftest import applicable_pairs, total_size_bytes
 
 
 @pytest.fixture(scope="module")
@@ -141,8 +141,6 @@ def test_round_context_rejects_a_nonpositive_noindex_total(env):
 def test_round_context_drops_stale_scores_and_the_pairs_of_departed_queries(env):
     catalog, workload = env
     gate = untrained_gate(catalog)
-    # the second round of the same queries stores every pair of them
-    untrained_context(catalog, workload, gate)
     ctx = untrained_context(catalog, workload, gate)
     for candidate in generate_candidates(workload, catalog):
         candidate_valuation(candidate, ctx, 0.5)
@@ -160,7 +158,11 @@ def test_round_context_drops_stale_scores_and_the_pairs_of_departed_queries(env)
     for key, score in scores.items():
         if key not in stale:
             assert gate.score_cache[key] is score
-    assert gate.plan_memo == {k: v for k, v in pairs.items() if k not in departed}
+    # the memo holds the stayed round's pairs, each read from the round before
+    assert set(gate.plan_memo) == applicable_pairs(stayed, catalog)
+    assert departed.isdisjoint(gate.plan_memo)
+    for key, priced in gate.plan_memo.items():
+        assert priced is pairs[key]
 
 
 def test_round_context_stores_the_pairs_of_queries_of_both_rounds(env):
@@ -173,17 +175,15 @@ def test_round_context_stores_the_pairs_of_queries_of_both_rounds(env):
     assert both and len(both) < len({q.key() for q in second.queries})
     gate = untrained_gate(catalog)
     untrained_context(catalog, first, gate)
-    assert gate.plan_memo == {}
-    assert gate.last_keys == {q.key() for q in first.queries}
+    earlier = dict(gate.plan_memo)
+    assert set(earlier) == applicable_pairs(first, catalog)
     untrained_context(catalog, second, gate)
-    want = {
-        (q.key(), x)
-        for x in generate_candidates(second, catalog)
-        for q, usable in zip(second.queries, applicability(second.queries, x))
-        if usable and q.key() in both
-    }
-    assert want and set(gate.plan_memo) == want
-    assert gate.last_keys == {q.key() for q in second.queries}
+    assert set(gate.plan_memo) == applicable_pairs(second, catalog)
+    # a pair the first round priced is read, not planned again
+    read = set(earlier) & set(gate.plan_memo)
+    assert read and {key for key, _ in read} <= both
+    for key, priced in gate.plan_memo.items():
+        assert (key in read) == (priced is earlier.get(key))
 
 
 def test_valuation_of_a_candidate_the_round_did_not_price_is_refused(env):

@@ -28,7 +28,7 @@ from idxlab.workload import (
     generate_templates,
 )
 
-from conftest import total_size_bytes
+from conftest import applicable_pairs, total_size_bytes
 
 
 @pytest.fixture(scope="module")
@@ -172,12 +172,11 @@ def test_lifetime_uncertainty_cache_changes_no_report(env, threshold):
 
 class FreshMemoTuner(OnlineTuner):
     """Plans every (query, candidate) pair anew: the reference for the
-    recurring-query pricing memo. Its gate forgets the last round's queries
-    before each round's pricing, so it counts no query as recurring and its
-    memo stays empty, even for a query that comes twice in one round."""
+    pricing memo. Its gate forgets the last round's pairs before each
+    round's pricing, so it reads nothing from the memo."""
 
     def _context(self, workload, candidates):
-        self.gate.last_keys.clear()
+        self.gate.plan_memo.clear()
         return super()._context(workload, candidates)
 
 
@@ -248,24 +247,30 @@ def test_plan_memo_changes_no_report(env, monkeypatch, build, threshold):
         with_memo, without = planned[-2:]
         assert with_memo <= without
         saved += without - with_memo
-        if build is hot_schedule and t >= 2:
+        # a round that repeats the round before plans nothing: every hot
+        # round from round 1 on, and the gap schedule's rounds 3 and 4
+        if t > 0 and w.queries == rounds[t - 1].queries:
             assert with_memo == 0, t
-        # the memo holds pairs of this round's queries only
-        assert {key for key, _ in tuner.gate.plan_memo} <= round_keys(w)
-        recurring = t > 0 and round_keys(w) & round_keys(rounds[t - 1])
-        assert bool(tuner.gate.plan_memo) == bool(recurring), t
+        # the memo holds exactly the pairs this round priced
+        assert set(tuner.gate.plan_memo) == applicable_pairs(w, catalog), t
     assert tuner.metrics == fresh.metrics
     assert saved > 0
 
 
-def test_plan_memo_stays_empty_when_no_query_recurs(env):
+def test_plan_memo_holds_only_the_last_rounds_pairs(env):
     catalog, schedule, gt = env
     for earlier, w in zip(schedule, schedule[1:]):
         assert not round_keys(earlier) & round_keys(w)
     tuner = OnlineTuner(catalog, gt, TunerParams(), seed=13)
-    for w in schedule:
+    for t, w in enumerate(schedule):
         tuner.run_round(w)
-        assert tuner.gate.plan_memo == {}
+        memo = tuner.gate.plan_memo
+        assert set(memo) == applicable_pairs(w, catalog), t
+        # no pair of an earlier round is left, and each kept cost is the
+        # planner's
+        queries = {q.key(): q for q in w.queries}
+        for (key, x), (_, cost) in memo.items():
+            assert cost == whatif_plan(queries[key], (x,), catalog)[1]
 
 
 def test_context_keeps_only_scores_of_current_model_steps(env):
