@@ -54,30 +54,19 @@ _PROBE_KINDS = ("HashJoin", "GatherMerge")
 
 @dataclass
 class CorrectionLedger:
-    """Cumulative per-node (dcs, dce) deltas plus the applied corrections."""
+    """Per-node (dcs, dce) deltas of one correction."""
 
     deltas: dict = field(default_factory=dict)
-    applied: list = field(default_factory=list)
 
     def delta_for(self, node: PlanNode) -> tuple:
         return tuple(self.deltas.get(id(node), (0.0, 0.0)))
 
-    def _merge(self, local: dict) -> None:
-        for node_id, (dcs, dce) in local.items():
-            prev = self.deltas.get(node_id, (0.0, 0.0))
-            self.deltas[node_id] = (prev[0] + dcs, prev[1] + dce)
 
-
-def update_cost(
-    plan: PlanNode,
-    leaf: PlanNode,
-    multiplier: float,
-    ledger: Optional[CorrectionLedger] = None,
-) -> CorrectionLedger:
+def update_cost(plan: PlanNode, leaf: PlanNode, multiplier: float) -> CorrectionLedger:
     """Scale a leaf's execution cost by ``multiplier`` and propagate to the root.
 
-    Mutates the plan in place; returns the (possibly shared) ledger recording
-    this application's deltas on every touched node.
+    Mutates the plan in place; returns a ledger of this correction's deltas
+    on every touched node.
     """
     if multiplier <= 0:
         raise ValueError("multiplier must be positive")
@@ -89,12 +78,7 @@ def update_cost(
         dcs, dce = local[id(node)]
         node.startup_cost += dcs
         node.exec_cost += dce
-
-    if ledger is None:
-        ledger = CorrectionLedger()
-    ledger._merge(local)
-    ledger.applied.append((leaf, multiplier))
-    return ledger
+    return CorrectionLedger(local)
 
 
 def _path_deltas(path: list, multiplier) -> dict:
@@ -133,11 +117,11 @@ def _parent_delta(parent: PlanNode, local: dict) -> tuple:
 
 @dataclass(frozen=True)
 class LeafCorrection:
-    """One leaf's gate outcome; ``score`` is None when no model covers the
-    leaf's kind."""
+    """One leaf's gate outcome: its score, and the multiplier applied, None
+    when the gate stayed closed."""
 
     leaf: PlanNode
-    score: Optional[UncertaintyScore]
+    score: UncertaintyScore
     multiplier: Optional[float]
 
 
@@ -170,11 +154,14 @@ def correct_plan(
     leaf's own execution cost and the rows of its path, which no other
     leaf's correction changes, so the corrected cost is bit-identical to
     `update_cost` applied to a copy of the plan once per corrected leaf.
-    ``encoded`` is the plan's `leaf_encodings`, when the caller has them."""
+    ``encoded`` is the plan's `leaf_encodings`, when the caller has them.
+    ``models`` must hold a model for every leaf kind of the plan, as a
+    tuner's do (`plan.LEAF_KINDS`); a missing one raises a KeyError that
+    names the kind."""
     if not threshold >= 0:  # also rejects NaN, which would close every gate
         raise ConfigurationError("uncertainty threshold must be >= 0")
     if encoded is None:
-        encoded = leaf_encodings(plan, models, catalog)
+        encoded = leaf_encodings(plan, catalog)
     scores = iter(
         cached_uncertainties(
             models, scored_leaves(encoded), mix_weight, passes, uncertainty_cache
@@ -183,9 +170,6 @@ def correct_plan(
     reports = []
     startup, execution = plan.startup_cost, plan.exec_cost
     for leaf, encoding in encoded:
-        if encoding is None:
-            reports.append(LeafCorrection(leaf, None, None))
-            continue
         score = next(scores)
         applied = None
         if score.combined <= threshold:
@@ -198,11 +182,11 @@ def correct_plan(
 
 
 def leaf_encodings(
-    plan: PlanNode, models: dict, catalog: Catalog, known: Optional[dict] = None
+    plan: PlanNode, catalog: Catalog, known: Optional[dict] = None
 ) -> list:
-    """(leaf, encoding) per leaf of ``plan`` in depth-first order; the
-    encoding is None when no model covers the leaf's kind. Correction never
-    changes a plan, so the pairs stay valid for as long as the plan is kept.
+    """(leaf, encoding) per leaf of ``plan`` in depth-first order. Correction
+    never changes a plan, so the pairs stay valid for as long as the plan is
+    kept.
 
     ``known`` maps (kind, table, index) to the encoding of a leaf of a plan
     of the same query, and takes each leaf it lacks. `encode_operator` reads
@@ -214,19 +198,17 @@ def leaf_encodings(
     known = {} if known is None else known
     out = []
     for leaf in leaves(plan):
-        encoding = None
-        if leaf.kind in models:
-            key = (leaf.kind, leaf.table, leaf.index)
-            encoding = known.get(key)
-            if encoding is None:
-                encoding = known[key] = encode_operator(leaf, catalog)
+        key = (leaf.kind, leaf.table, leaf.index)
+        encoding = known.get(key)
+        if encoding is None:
+            encoding = known[key] = encode_operator(leaf, catalog)
         out.append((leaf, encoding))
     return out
 
 
 def scored_leaves(encoded) -> list:
-    """The (kind, encoding) pairs that `leaf_encodings` gave a model."""
-    return [(leaf.kind, enc) for leaf, enc in encoded if enc is not None]
+    """The (kind, encoding) pair of each leaf of `leaf_encodings`."""
+    return [(leaf.kind, enc) for leaf, enc in encoded]
 
 
 def cached_uncertainties(models, pairs, mix_weight, passes, cache=None) -> list:

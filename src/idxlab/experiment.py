@@ -210,6 +210,15 @@ def _format_value(v) -> str:
 
 
 def _write_atomic(path, data: bytes) -> None:
+    """Make ``path`` hold ``data`` through a rename, unless it holds them
+    already: a rename over an existing file can take tens of milliseconds,
+    and a re-run into the same directory rewrites every artifact."""
+    try:
+        with open(path, "rb") as f:
+            if f.read() == data:
+                return
+    except FileNotFoundError:
+        pass
     tmp = f"{path}.tmp"
     with open(tmp, "wb") as f:
         f.write(data)
@@ -276,12 +285,10 @@ def _runtime() -> dict:
     return {"numpy": np.__version__, "blas": blas}
 
 
-def run_experiment(config, out_dir=None, jobs: int = 1) -> dict:
-    """Run a full experiment from a config path or dict; returns the manifest."""
-    if isinstance(config, (str, os.PathLike)):
-        cfg = resolve_config(load_config_file(config))
-    else:
-        cfg = resolve_config(config)
+def run_experiment(config: dict, out_dir=None, jobs: int = 1) -> dict:
+    """Run a full experiment from a config dict, which `resolve_config`
+    checks; returns the manifest."""
+    cfg = resolve_config(config)
     require_integer(jobs, "jobs")
     if jobs < 1:
         raise ConfigurationError(f"jobs must be >= 1, got {jobs}")

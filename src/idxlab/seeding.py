@@ -14,7 +14,8 @@ row as columns of uint32 arrays, and `generators` hands each row's words to
 numpy's own PCG64 through a minimal `ISeedSequence`, so numpy still does
 the PCG seeding. tests/test_seeding.py checks both stages against numpy's
 own. A batch costs a fixed couple of hundred microseconds and then a few
-microseconds a row, so a lone stream stays on `rng_for`.
+microseconds a row, so a lone stream is cheaper from `rng_for`; the
+tuning loop makes its noise streams in batches.
 """
 
 import zlib

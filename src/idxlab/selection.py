@@ -6,7 +6,9 @@ on the same table. A candidate's total value V = EB * (1 + lambda * EV)
 multiplies its corrected execution benefit by an exploration bonus summed
 from model uncertainty over the operators that would use it; enumeration
 then samples without replacement proportionally to max(V, 0) + 1e-6,
-pruning covered, prefix-shadowed, or per-table-capped picks.
+pruning covered or per-table-capped picks. A pick is covered when an index
+already selected holds all its key columns, as every longer index with the
+same leading columns does.
 
 Valuation prices a (candidate, query) pair with its own what-if plan only
 when that plan can differ from the no-index plan. The planner offers an
@@ -250,7 +252,7 @@ def round_context(
 
     def encode(i, plan):
         store = known.setdefault(keys[i], {})
-        return leaf_encodings(plan, gate.models, gate.catalog, store)
+        return leaf_encodings(plan, gate.catalog, store)
 
     def price(candidate, i, query):
         key = (keys[i], candidate)
@@ -346,7 +348,7 @@ def candidate_valuation(
         result = ctx.gate.correct(*entry)
         num += q.frequency_weight * result.corrected_cost
         for report in result.reports:
-            if report.leaf.index == candidate and report.score is not None:
+            if report.leaf.index == candidate:
                 ev += report.score.combined
     eb = 1.0 - num / ctx.noindex_total
     value = total_value(eb, ev, explore_weight)
@@ -389,12 +391,8 @@ def _pruned(candidate: IndexCandidate, selected, per_table_cap: int) -> bool:
     if len(same_table) >= per_table_cap:
         return True
     cand_cols = set(candidate.key_columns)
-    for s in same_table:
-        if set(s.key_columns) >= cand_cols:
-            return True  # superseded by a covering index
-        if s.key_columns[: len(candidate.key_columns)] == candidate.key_columns:
-            return True  # same prefix with more key columns already selected
-    return False
+    # covered: a longer index with the same leading columns is one case
+    return any(set(s.key_columns) >= cand_cols for s in same_table)
 
 
 def epsilon_greedy(candidates, order, k: int, epsilon: float, rng) -> Configuration:

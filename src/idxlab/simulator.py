@@ -26,11 +26,11 @@ hidden per-(operator kind, table) multipliers and optional lognormal noise;
 those multipliers are the systematic estimation errors the learned models
 must recover. Each execution draws its noise from its own stream,
 `seeding.rng_for(ground truth seed, round seed, digest of the query and the
-configuration)`; `noise_streams` makes the streams of many queries in one
-hash pass (`seeding.seed_words`, then `seeding.generators`), and `execute`
-takes one of them in place of making its own. One optimizer cost unit is
-worth 1 ms of simulated time, a constant that cancels in every benefit
-ratio.
+configuration)`, which `noise_streams` makes for many queries in one hash
+pass (`seeding.seed_words`, then `seeding.generators`); `execute` takes one
+of them, or makes its query's own through `noise_streams`. One optimizer
+cost unit is worth 1 ms of simulated time, a constant that cancels in every
+benefit ratio.
 """
 
 import math
@@ -336,16 +336,11 @@ def _query_digest(query: Query, indexes) -> int:
     return zlib.crc32("|".join(parts).encode("utf-8"))
 
 
-def _noise_key(query: Query, indexes, ground_truth: GroundTruth, round_seed: int):
-    """The `rng_for` parts of the query's noise stream under ``indexes``."""
-    return ground_truth.seed, round_seed, _query_digest(query, indexes)
-
-
 def noise_streams(queries, config, ground_truth: GroundTruth, round_seed: int) -> list:
     """The noise stream `execute` draws from for each of ``queries`` under
     ``config``, made together from one `seeding.seed_words` pass."""
     indexes = _config_indexes(config)
-    keys = (_noise_key(q, indexes, ground_truth, round_seed) for q in queries)
+    keys = ((ground_truth.seed, round_seed, _query_digest(q, indexes)) for q in queries)
     return generators(seed_words(keys))
 
 
@@ -361,7 +356,7 @@ def execute(
     indexes = _config_indexes(config)
     root, _ = whatif_plan(query, indexes, ground_truth.catalog)
     if stream is None:
-        stream = rng_for(*_noise_key(query, indexes, ground_truth, round_seed))
+        stream = noise_streams((query,), indexes, ground_truth, round_seed)[0]
     nodes = list(root.walk())
     # one draw per node in walk order, the values and generator state of a
     # scalar draw per node

@@ -48,12 +48,13 @@ deployed configuration is corrected from the plan the executor already
 built, with the round's leaf encodings; the labels and the probe reuse
 those encodings, which the gate scored; and the round's mean uncertainty
 before the model update is the mean of the gate scores that correction
-produced. Correction never changes a plan, so no plan is copied. Each
-deployed plan goes through `selection.Gate.correct`, the one correction
-path: the round's pricing or the last round's probe has scored nearly every
-leaf of it, and the gate scores any other leaf itself. The probe after an
-update and the next round's gate score a leaf once, and the probe is scored
-in one batched call per operator kind.
+produced, read back from the gate's cache. Correction never changes a plan,
+so no plan is copied. Each deployed plan goes through
+`selection.Gate.correct`, the one correction path: the round's pricing or
+the last round's probe has scored nearly every leaf of it, and the gate
+scores any other leaf itself. The probe after an update and the next round's
+gate score a leaf once, and the probe is scored in one batched call per
+operator kind.
 
 Nor is a pair the last round priced planned again (see `selection`): it is
 only corrected again, under the models as they are now, so the reports are
@@ -391,7 +392,7 @@ class OnlineTuner:
         # 5. index creation plus execution under the new configuration
         executed, row = self.env.step(t, workload, config)
 
-        per_query, probe_encodings, probe_scores = [], [], []
+        per_query, probe_encodings = [], []
         by_kind = {}  # operator kind -> (encoding, bucket) labels
         for i, (_, telemetry, baseline) in enumerate(executed):
             b_actual = actual_benefit(baseline.total_time, telemetry.total_time)
@@ -404,11 +405,7 @@ class OnlineTuner:
             noindex_cost = baseline.plan.total_cost
             b_est = estimated_benefit(noindex_cost, corrected.corrected_cost)
             per_query.append((b_est, b_actual))
-            # the gate scored exactly the leaves a model encoded
             probe_encodings += scored_leaves(pairs)
-            probe_scores += [
-                r.score.combined for r in corrected.reports if r.score is not None
-            ]
             encodings = dict(pairs)  # leaf -> its encoding
 
             # 6. telemetry to multiplier labels on the pristine plan
@@ -419,8 +416,9 @@ class OnlineTuner:
                     (encodings[leaf], nearest_bucket_index(multiplier))
                 )
 
-        # the gate scored every probe under the models as they are now
-        mean_u_before = float(np.mean(probe_scores)) if probe_scores else 0.0
+        # the gate scored every probe under the models as they are now, so
+        # this reads the scores of the round's corrections
+        mean_u_before = self._mean_uncertainty(probe_encodings)
 
         # 7. model updates, one per operator kind in a fixed order
         for kind in LEAF_KINDS:
@@ -451,8 +449,6 @@ class OnlineTuner:
         return report
 
     def _mean_uncertainty(self, probe_encodings) -> float:
-        if not probe_encodings:
-            return 0.0
         scores = self.gate.score(probe_encodings)
         return float(np.mean([score.combined for score in scores]))
 

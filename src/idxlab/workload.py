@@ -287,8 +287,6 @@ def generate_templates(catalog: Catalog, n: int, seed: int) -> list:
             filters.append(
                 FilterSpec(ColumnRef(t, col.name), op, _sampler_for(col))
             )
-        if not filters:
-            continue
         order_by = ()
         if rng.random() < 0.3:
             order_by = (_random_column(catalog, tables, rng),)

@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 
 from idxlab.catalog import CatalogSpec, IndexCandidate, generate_catalog
 from idxlab.correction import (
-    CorrectionLedger,
     _corrected_totals,
     actual_benefit,
     config_related_leaves,
@@ -112,7 +111,6 @@ def test_example_propagation_is_exact():
     assert ledger.delta_for(inner) == (0.0, 1.35)
     assert root.exec_cost == 181087.0
     assert ledger.delta_for(root) == (0.0, 67500.0)
-    assert ledger.applied == [(inner, 2.0)]
 
 
 def test_identity_multiplier_changes_nothing():
@@ -214,12 +212,12 @@ def test_propagation_linearity():
 def test_root_delta_consistency():
     for catalog, q, config, plan, cost in _simulator_plans(10):
         copy = plan.clone()
-        ledger = CorrectionLedger()
+        dcs = dce = 0.0  # the root deltas of every call, summed
         for pos, multiplier in enumerate((2.0, 0.5, 7.0)):
             if pos >= len(leaves(copy)):
                 break
-            update_cost(copy, leaves(copy)[pos], multiplier, ledger)
-        dcs, dce = ledger.delta_for(copy)
+            root = update_cost(copy, leaves(copy)[pos], multiplier).delta_for(copy)
+            dcs, dce = dcs + root[0], dce + root[1]
         assert copy.total_cost == pytest.approx(cost + dcs + dce, rel=1e-9)
 
 
@@ -290,6 +288,15 @@ def test_gate_rejects_nan_and_negative_threshold(threshold):
     models = _trained_models(catalog, confident=True)
     with pytest.raises(ConfigurationError, match="threshold"):
         correct_plan(plan.clone(), models, catalog, threshold, 0.5, 10)
+
+
+def test_a_leaf_kind_without_a_model_raises_a_key_error_naming_it():
+    (catalog, q, config, plan, cost), = _simulator_plans(1)
+    models = _trained_models(catalog, confident=True)
+    kind = leaves(plan)[0].kind
+    del models[kind]
+    with pytest.raises(KeyError, match=kind):
+        correct_plan(plan, models, catalog, math.inf, 0.5, 10)
 
 
 def test_unbounded_threshold_corrects_every_leaf():

@@ -89,6 +89,33 @@ def test_identical_config_identical_bytes(tmp_path):
         assert read_bytes(a / name) == read_bytes(b / name), name
 
 
+def test_a_rerun_into_the_same_directory_renames_nothing(tmp_path, monkeypatch):
+    renamed = []
+    rename = os.replace
+
+    def counted(src, dst):
+        renamed.append(os.path.basename(dst))
+        return rename(src, dst)
+
+    monkeypatch.setattr("idxlab.experiment.os.replace", counted)
+    out = tmp_path / "out"
+    run_experiment(SMALL_CONFIG, out_dir=str(out))
+    names = sorted(os.listdir(out))
+    assert sorted(renamed) == names  # a fresh directory: one rename per file
+    before = {name: read_bytes(out / name) for name in names}
+
+    renamed.clear()
+    run_experiment(SMALL_CONFIG, out_dir=str(out))
+    assert renamed == []
+    assert {name: read_bytes(out / name) for name in os.listdir(out)} == before
+
+    # a file that differs from what the run makes is still replaced
+    (out / "summary.csv").write_bytes(b"stale")
+    run_experiment(SMALL_CONFIG, out_dir=str(out))
+    assert renamed == ["summary.csv"]
+    assert read_bytes(out / "summary.csv") == before["summary.csv"]
+
+
 def test_replay_reproduces_every_csv_byte(tmp_path):
     out = tmp_path / "out"
     run_experiment(SMALL_CONFIG, out_dir=str(out))
@@ -185,6 +212,19 @@ def assert_config_file_rejected(tmp_path, capsys, name, content: bytes, words):
 def test_cli_config_not_utf8_exits_2(tmp_path, capsys, name):
     assert_config_file_rejected(
         tmp_path, capsys, name, b'replications = [1]\n# caf\xe9\n', ["UTF-8"]
+    )
+
+
+def test_cli_malformed_toml_config_exits_2(tmp_path, capsys):
+    try:
+        import tomllib as toml
+    except ImportError:
+        toml = pytest.importorskip("tomli")
+    content = "replications = [1\n"
+    with pytest.raises(toml.TOMLDecodeError) as error:
+        toml.loads(content)
+    assert_config_file_rejected(
+        tmp_path, capsys, "config.toml", content.encode(), [str(error.value)]
     )
 
 
@@ -556,6 +596,52 @@ def test_cli_schedule_template_off_the_catalog_exits_2(tmp_path, capsys):
     err = capsys.readouterr().err
     assert len(err.strip().splitlines()) == 1
     assert str(schedule) in err and "tpl_t9" in err and "t9" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "fields, named",
+    [
+        ({"tables": ["t0", "t1"]}, "left-deep template needs |tables|-1 joins"),
+        (
+            {
+                "tables": ["t0", "t1"],
+                "join_predicates": [{"left": ["t1", "c0"], "right": ["t0", "c0"]}],
+            },
+            "join 0 of tpl_x does not connect adjacent tables",
+        ),
+        ({"payload_columns": [["t1", "c0"]]}, "tpl_x: column t1.c0 off-template"),
+    ],
+    ids=["join-count", "non-adjacent-join", "off-template-column"],
+)
+def test_cli_schedule_template_that_does_not_fit_its_tables_exits_2(
+    tmp_path, capsys, fields, named
+):
+    # every column exists in the two-table catalog; only the shape is wrong
+    template = {
+        "id": "tpl_x",
+        "tables": ["t0"],
+        "join_predicates": [],
+        "filter_specs": [_filter_spec("c0", "numeric", "=")],
+        "order_by": [],
+        "group_by": [],
+        "payload_columns": [],
+        **fields,
+    }
+    query = {"template": "tpl_x", "literals": [0.5]}
+    schedule = tmp_path / "schedule.json"
+    schedule.write_text(
+        json.dumps({"templates": [template], "rounds": [{"round": 0, "queries": [query]}]})
+    )
+    cfg = write_config(
+        tmp_path, {**SMALL_CONFIG, "workload": {"schedule_file": str(schedule)}}
+    )
+    out = tmp_path / "never"
+    assert main(["run", cfg, "--out", str(out)]) == 2
+    assert not out.exists()
+    err = capsys.readouterr().err
+    assert len(err.strip().splitlines()) == 1
+    assert f"schedule file {schedule}: round 0: template 'tpl_x': {named}" in err
     assert "Traceback" not in err
 
 

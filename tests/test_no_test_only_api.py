@@ -41,8 +41,6 @@ TEST_ONLY = {
 TEST_ONLY_PARAMETERS = {
     # tests build ground truths with chosen hidden factors
     "simulator.make_ground_truth(choices)",
-    # tests apply several corrections to one plan through one ledger
-    "correction.update_cost(ledger)",
     # gradient checks with dropout on
     "costmodel.CostMultiplierModel.loss_and_gradients(drop_rng)",
     # the console script reads sys.argv; tests pass their own arguments

@@ -130,11 +130,10 @@ def test_leaves_with_one_kind_table_and_index_encode_alike(case):
     # a round encodes each (kind, table, index) of a query once, and every
     # plan of the query with such a leaf takes that encoding
     catalog, query, config = case
-    models = dict.fromkeys(LEAF_KINDS)
     known = {}
     for indexes in [(), config, *((ix,) for ix in config)]:
         plan, _ = whatif_plan(query, indexes, catalog)
-        for leaf, encoding in leaf_encodings(plan, models, catalog, known):
+        for leaf, encoding in leaf_encodings(plan, catalog, known):
             assert (encoding == encode_operator(leaf, catalog)).all()
 
 

@@ -268,6 +268,10 @@ def test_batch_made_noise_streams_execute_as_execute_does(env, width):
     queries = workload.queries
     streams = noise_streams(queries, config, gt, round_seed=5)
     assert len(streams) == len(queries)
+    indexes = _config_indexes(config)
     for q, stream in zip(queries, streams):
-        got = execute(q, config, gt, 5, stream=stream)
-        assert telemetry_values(got) == telemetry_values(execute(q, config, gt, 5))
+        # the stream a query's execution draws from, made on its own
+        oracle = rng_for(gt.seed, 5, _query_digest(q, indexes))
+        want = telemetry_values(execute(q, config, gt, 5, stream=oracle))
+        assert telemetry_values(execute(q, config, gt, 5, stream=stream)) == want
+        assert telemetry_values(execute(q, config, gt, 5)) == want

@@ -160,7 +160,7 @@ def reference_valuation(candidate, workload, ctx, explore_weight):
         num += w * result.corrected_cost
         corrected += result.corrected_leaf_count
         for report in result.reports:
-            if report.leaf.index == candidate and report.score is not None:
+            if report.leaf.index == candidate:
                 ev += report.score.combined
     eb = 1.0 - num / den
     return (eb, ev, total_value(eb, ev, explore_weight)), corrected
