@@ -215,33 +215,31 @@ def cached_uncertainties(models, pairs, mix_weight, passes, cache=None) -> list:
     """`combined_uncertainty` of each (kind, encoding) pair under
     ``models[kind]``, in order.
 
-    The pairs missing from ``cache`` are scored once each, one batched
-    `combined_uncertainties` call per kind, and stored. A key carries the
-    model's ``step_count``: parameters change only in
-    `CostMultiplierModel.update`, which advances it, and the dropout masks
-    derive from it, so an entry stays exact for as long as it is kept."""
+    ``cache`` maps a kind to ``(state, scores)``: the state its scores were
+    made under, ``(models[kind].step_count, mix_weight, passes)``, and those
+    scores by the encoding's bytes. A lookup under another state starts that
+    kind afresh and drops its old scores, so no score is ever read under a
+    state it was not made under: parameters change only in
+    `CostMultiplierModel.update`, which advances ``step_count``, and the
+    dropout masks derive from it, so a kept score is exact. The pairs
+    missing from it are scored once each, one batched
+    `combined_uncertainties` call per kind, and stored."""
     cache = {} if cache is None else cache
-    keys = [
-        (kind, enc.tobytes(), models[kind].step_count, mix_weight, passes)
-        for kind, enc in pairs
-    ]
+    for kind in {kind for kind, _ in pairs}:
+        state = (models[kind].step_count, mix_weight, passes)
+        if kind not in cache or cache[kind][0] != state:
+            cache[kind] = (state, {})
+    keys = [(kind, enc.tobytes()) for kind, enc in pairs]
     misses = {}  # kind -> {key: encoding}, each distinct key once
-    for key, (kind, enc) in zip(keys, pairs):
-        if key not in cache:
+    for (kind, key), (_, enc) in zip(keys, pairs):
+        if key not in cache[kind][1]:
             misses.setdefault(kind, {})[key] = enc
     for kind, batch in misses.items():
         scores = combined_uncertainties(
             models[kind], list(batch.values()), mix_weight, passes
         )
-        cache.update(zip(batch, scores))
-    return [cache[key] for key in keys]
-
-
-def drop_stale_scores(cache: dict, models: dict) -> None:
-    """Remove from a `cached_uncertainties` cache the scores of model states
-    that an update has since replaced; they can never be looked up again."""
-    for key in [k for k in cache if k[2] != models[k[0]].step_count]:
-        del cache[key]
+        cache[kind][1].update(zip(batch, scores))
+    return [cache[kind][1][key] for kind, key in keys]
 
 
 def estimated_benefit(cost_noindex: float, cost_corrected: float) -> float:

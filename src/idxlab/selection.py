@@ -30,12 +30,14 @@ the round's raw totals, and a baseline that runs alone prices its own
 through the same loop, so the floats are the same either way.
 
 A tuner's `Gate` owns what outlives a round: the catalog, the models, the
-gate threshold, mix weight and MC-dropout passes, the uncertainty scores,
-cached under keys that carry each model's training step, and the memo of the
-last round's pairs below. It scores through `Gate.score`, which scores the
-uncached leaves of any number of plans in one batched call per operator
-kind, and corrects through `Gate.correct`, which scores a plan's uncached
-leaves itself.
+gate threshold, mix weight and MC-dropout passes, the uncertainty scores and
+the memo of the last round's pairs below. `correction.cached_uncertainties`
+keeps the scores per operator kind with the model state they were made
+under, and starts a kind afresh when its state has moved on, so nothing
+here decides whether a score is still valid. The gate scores through
+`Gate.score`, which scores the uncached leaves of any number of plans in one
+batched call per operator kind, and corrects through `Gate.correct`, which
+scores a plan's uncached leaves itself.
 
 `round_context` prices a whole round once, before any candidate is valued,
 into a `CorrectionContext` that is dropped with the round. It sums the
@@ -63,6 +65,7 @@ The baselines neither value nor learn: each round they take `epsilon_greedy`
 of the round's candidates in raw what-if order, what-if greedy at epsilon 0.
 """
 
+import math
 from dataclasses import dataclass, field
 from functools import partial
 from typing import Callable
@@ -74,7 +77,6 @@ from .correction import (
     PlanCorrection,
     cached_uncertainties,
     correct_plan,
-    drop_stale_scores,
     leaf_encodings,
     scored_leaves,
 )
@@ -147,7 +149,8 @@ class Gate:
     """The uncertainty gate of one tuner: its catalog, its models (one per
     leaf kind, which the tuner trains in place), the gate threshold, mix
     weight and MC-dropout passes, and its two caches (see the module
-    docstring). ``score_cache`` is `cached_uncertainties`'s cache, and
+    docstring). ``score_cache`` is `cached_uncertainties`'s cache, which
+    renews a kind's scores itself when the kind's model state moves on.
     ``plan_memo`` maps (query key, candidate) to ``(entry, cost)``: the
     pair's entry in `CorrectionContext.pricing` and its what-if cost, for
     each pair the last `round_context` call priced. Each call replaces the
@@ -229,12 +232,11 @@ def round_context(
     ``candidates`` priced; raises ContractError when the no-index total is
     not positive.
 
-    First drops from ``gate`` the scores of replaced model states. Then it
-    plans each (query, candidate) pair whose template can use the candidate,
-    reading the pair from the gate's ``plan_memo`` when the call before
-    priced it, and at the end the memo holds this call's pairs; so each call
-    must be made once per real round, never as a side probe of a tuner's
-    gate. A what-if plan is a pure function of the query's key, the
+    It plans each (query, candidate) pair whose template can use the
+    candidate, reading the pair from the gate's ``plan_memo`` when the call
+    before priced it, and at the end the memo holds this call's pairs; so
+    each call must be made once per real round, never as a side probe of a
+    tuner's gate. A what-if plan is a pure function of the query's key, the
     candidate and the catalog, and no correction changes it, so a kept pair
     is exact. Each distinct leaf of a query is encoded once. The leaves of
     ``noindex_plans``, each query's no-index plan in query order, which are
@@ -246,7 +248,6 @@ def round_context(
         raise ContractError("workload has nonpositive no-index cost")
     queries = workload.queries
     keys = tuple(q.key() for q in queries)
-    drop_stale_scores(gate.score_cache, gate.models)
     priced_now = {}  # this round's pairs, the next round's memo
     known = {}  # query key -> its leaves' encodings by (kind, table, index)
 
@@ -418,10 +419,11 @@ def enumerate_configuration(
 ) -> Configuration:
     """Sample a configuration without replacement under one budget mode.
 
-    Count mode runs ``max_indexes`` draws (pruned draws are consumed); storage
-    mode keeps drawing until the pool is exhausted, skipping candidates that
-    no longer fit the remaining bytes. The budget and the cap come from a
-    `TunerParams`, which checks their ranges.
+    Count mode runs ``max_indexes`` draws under an unbounded byte budget;
+    storage mode draws the whole pool under ``storage_budget_bytes``. In
+    both, a drawn candidate that no longer fits the remaining bytes, or is
+    pruned, uses up its draw and is skipped. The budget and the cap come
+    from a `TunerParams`, which checks their ranges.
     """
     if (max_indexes is None) == (storage_budget_bytes is None):
         raise ConfigurationError(
@@ -434,21 +436,15 @@ def enumerate_configuration(
         raise ConfigurationError("probabilities must align with candidates")
     rng = rng_for(seed, "enumeration")
     selected = []
-    remaining = storage_budget_bytes
-    draws_left = max_indexes if max_indexes is not None else len(pool)
-    while pool and draws_left > 0:
+    remaining = math.inf if storage_budget_bytes is None else storage_budget_bytes
+    for _ in range(min(max_indexes or len(pool), len(pool))):
         p = np.asarray(weights, dtype=float)
-        p = p / p.sum()
-        pick = int(rng.choice(len(pool), p=p))
+        pick = int(rng.choice(len(pool), p=p / p.sum()))
         candidate = pool.pop(pick)
         weights.pop(pick)
-        if max_indexes is not None:
-            draws_left -= 1
-        if remaining is not None and candidate.estimated_size_bytes > remaining:
-            continue
-        if _pruned(candidate, selected, per_table_cap):
+        size = candidate.estimated_size_bytes
+        if size > remaining or _pruned(candidate, selected, per_table_cap):
             continue
         selected.append(candidate)
-        if remaining is not None:
-            remaining -= candidate.estimated_size_bytes
+        remaining -= size
     return Configuration(indexes=tuple(selected))

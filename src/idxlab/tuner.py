@@ -35,9 +35,10 @@ uncertainty-gated corrected costs, samples a configuration, steps the
 environment, and learns multiplier labels from the telemetry. The tuner's
 `selection.Gate`, built once from its `TunerParams`, owns the models, the
 gate's parameters and two caches for the tuner's lifetime: uncertainty
-scores, keyed by each model's training step, and the last round's what-if
-pricing. A round's `selection.CorrectionContext` holds only the round and is
-dropped with it. No pricing is repeated within a round:
+scores, kept per operator kind under the model state they were made under
+(`correction.cached_uncertainties`), and the last round's what-if pricing.
+A round's `selection.CorrectionContext` holds only the round and is dropped
+with it. No pricing is repeated within a round:
 `selection.round_context` builds the workload's no-index total and every
 query's corrected no-index term, and plans every (query, candidate) pair
 whose template can use the candidate, once, before any candidate is valued;
@@ -54,7 +55,10 @@ so no plan is copied. Each deployed plan goes through
 the last round's probe has scored nearly every leaf of it, and the gate
 scores any other leaf itself. The probe after an update and the next round's
 gate score a leaf once, and the probe is scored in one batched call per
-operator kind.
+operator kind. The probe is also where a kind's scores of the state before
+the update go: it is the first to read the kind under its new state. A
+round's `RoundReport` takes its metric fields from the environment's row,
+so `METRIC_FIELDS` is their one list.
 
 Nor is a pair the last round priced planned again (see `selection`): it is
 only corrected again, under the models as they are now, so the reports are
@@ -430,18 +434,14 @@ class OnlineTuner:
         # 8. metrics
         row["mean_uncertainty"] = mean_u_before
         report = RoundReport(
-            round=t,
             configuration=config,
             per_query_benefits=tuple(per_query),
-            improvement=row["improvement"],
             labels_emitted=sum(len(labels) for labels in by_kind.values()),
             mean_uncertainty_before=mean_u_before,
             mean_uncertainty_after=mean_u_after,
-            exec_time_s=row["exec_time_s"],
-            noindex_time_s=row["noindex_time_s"],
-            creation_s=row["creation_s"],
-            n_new_indexes=row["n_new_indexes"],
             explore_weight=explore,
+            # the row's fields; the report splits mean_uncertainty in two
+            **{f: row[f] for f in METRIC_FIELDS if f != "mean_uncertainty"},
         )
         self.reports.append(report)
         self.seen_templates.update(workload.template_ids())

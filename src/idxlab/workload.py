@@ -170,10 +170,6 @@ class Query:
                     f"{where} must be a string token v<k>, got {value!r}"
                 )
 
-    @property
-    def template_id(self) -> str:
-        return self.template.id
-
     @cached_property
     def predicates_by_table(self) -> dict:
         """The bound filter predicates grouped by table name, in filter order."""
@@ -216,9 +212,9 @@ class MiniWorkload:
     def template_ids(self) -> tuple:
         seen, out = set(), []
         for q in self.queries:
-            if q.template_id not in seen:
-                seen.add(q.template_id)
-                out.append(q.template_id)
+            if q.template.id not in seen:
+                seen.add(q.template.id)
+                out.append(q.template.id)
         return tuple(out)
 
 
@@ -258,21 +254,16 @@ def generate_templates(catalog: Catalog, n: int, seed: int) -> list:
             for i in rng.choice(len(table_names), size=n_tables, replace=False)
         )
         joins = []
-        join_ok = True
         for left_t, right_t in zip(tables, tables[1:]):
+            # never empty: `generate_catalog` makes every table's c0 numeric
             lcols = _numeric_columns(catalog, left_t)
             rcols = _numeric_columns(catalog, right_t)
-            if not lcols or not rcols:
-                join_ok = False
-                break
             joins.append(
                 JoinSpec(
                     ColumnRef(left_t, lcols[int(rng.integers(0, len(lcols)))]),
                     ColumnRef(right_t, rcols[int(rng.integers(0, len(rcols)))]),
                 )
             )
-        if not join_ok:
-            continue
         n_filters = int(rng.integers(1, 4))
         filters, used = [], set()
         for _ in range(n_filters):

@@ -46,6 +46,18 @@ def applicable_pairs(workload, catalog) -> set:
     }
 
 
+def assert_score_states_current(gate):
+    """Each kind in ``gate``'s score cache holds the scores of its model's
+    current state under the gate's mix weight and passes."""
+    for kind, (state, _) in gate.score_cache.items():
+        assert state == (gate.models[kind].step_count, gate.mix_weight, gate.passes)
+
+
+def cached_scores(gate) -> dict:
+    """A copy of ``gate``'s cached scores: kind -> {encoding bytes: score}."""
+    return {kind: dict(scores) for kind, (_, scores) in gate.score_cache.items()}
+
+
 @pytest.fixture
 def small_catalog():
     return build_catalog()

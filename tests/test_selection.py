@@ -1,3 +1,4 @@
+import dataclasses
 from types import SimpleNamespace
 
 import numpy as np
@@ -12,11 +13,15 @@ from idxlab.catalog import (
     generate_catalog,
     sized_candidate,
 )
-from idxlab.costmodel import CostMultiplierModel
+from idxlab.correction import scored_leaves
+from idxlab.costmodel import CostMultiplierModel, combined_uncertainty
 from idxlab.errors import ConfigurationError, ContractError
 from idxlab.plan import encoding_length
+from idxlab.seeding import rng_for
 from idxlab.selection import (
+    Configuration,
     Gate,
+    _pruned,
     applicability,
     candidate_valuation,
     enumerate_configuration,
@@ -41,7 +46,12 @@ from idxlab.workload import (
     generate_templates,
 )
 
-from conftest import applicable_pairs, total_size_bytes
+from conftest import (
+    applicable_pairs,
+    assert_score_states_current,
+    cached_scores,
+    total_size_bytes,
+)
 
 
 @pytest.fixture(scope="module")
@@ -138,31 +148,64 @@ def test_round_context_rejects_a_nonpositive_noindex_total(env):
         round_context(workload, (), Gate(catalog, {}, 0.1, 0.5, 20), plans)
 
 
-def test_round_context_drops_stale_scores_and_the_pairs_of_departed_queries(env):
+def test_round_context_reads_current_scores_and_drops_the_pairs_of_departed_queries(
+    env,
+):
     catalog, workload = env
     gate = untrained_gate(catalog)
     ctx = untrained_context(catalog, workload, gate)
     for candidate in generate_candidates(workload, catalog):
         candidate_valuation(candidate, ctx, 0.5)
+    assert_score_states_current(gate)
     # an update replaces the IndexScan model's state; half the queries leave
     gate.models["IndexScan"].update([(np.ones(encoding_length(catalog)), 19)])
     stayed = MiniWorkload(1, workload.queries[: len(workload.queries) // 2])
     kept = {q.key() for q in stayed.queries}
-    scores, pairs = dict(gate.score_cache), dict(gate.plan_memo)
-    stale = {key for key in scores if key[0] == "IndexScan"}
+    scores, pairs = cached_scores(gate), dict(gate.plan_memo)
     departed = {key for key in pairs if key[0] not in kept}
-    assert stale and departed and len(pairs) > len(departed)
+    assert scores["IndexScan"] and departed and len(pairs) > len(departed)
 
     untrained_context(catalog, stayed, gate)
-    assert stale.isdisjoint(gate.score_cache)
-    for key, score in scores.items():
-        if key not in stale:
-            assert gate.score_cache[key] is score
+    assert_score_states_current(gate)
+    # the updated kind serves no score of its old state, even for an
+    # encoding it scored before; every other kind keeps its score objects
+    old = scores.pop("IndexScan")
+    assert gate.score_cache["IndexScan"][1]
+    again = gate.score([("IndexScan", np.frombuffer(key)) for key in old])
+    served = gate.score_cache["IndexScan"][1].values()
+    assert {id(s) for s in old.values()}.isdisjoint(map(id, [*again, *served]))
+    for kind, kept_scores in scores.items():
+        for key, score in kept_scores.items():
+            assert gate.score_cache[kind][1][key] is score
     # the memo holds the stayed round's pairs, each read from the round before
     assert set(gate.plan_memo) == applicable_pairs(stayed, catalog)
     assert departed.isdisjoint(gate.plan_memo)
     for key, priced in gate.plan_memo.items():
         assert priced is pairs[key]
+
+
+def test_a_score_cache_shared_by_two_mix_weights_serves_each_its_own(env):
+    catalog, workload = env
+    gate = untrained_gate(catalog)
+    # the same models, score cache and memo under another mix weight
+    other = dataclasses.replace(gate, mix_weight=0.25)
+    assert other.score_cache is gate.score_cache
+    ctx = untrained_context(catalog, workload, gate)
+    pairs = [
+        pair
+        for i, q in enumerate(workload.queries)
+        for pair in scored_leaves(ctx.leaf_encodings(i, whatif_plan(q, (), catalog)[0]))
+    ]
+    served = {gate.mix_weight: [], other.mix_weight: []}
+    for g in (gate, other, gate, other):
+        scores = g.score(pairs)
+        served[g.mix_weight] += scores
+        for (kind, enc), score in zip(pairs, scores):
+            assert score == combined_uncertainty(
+                g.models[kind], enc, g.mix_weight, g.passes
+            )
+    mine, theirs = served.values()
+    assert {id(s) for s in mine}.isdisjoint(map(id, theirs))
 
 
 def test_round_context_stores_the_pairs_of_queries_of_both_rounds(env):
@@ -509,3 +552,72 @@ def test_enumeration_never_exceeds_its_budget(pool, data, seed, per_table_cap):
         pool, probs, seed, max_indexes=max_indexes, per_table_cap=per_table_cap
     )
     check_configuration(config, pool, max_indexes, per_table_cap)
+
+
+def two_mode_enumeration(
+    candidates,
+    probabilities,
+    seed: int,
+    max_indexes: int = None,
+    storage_budget_bytes: int = None,
+    per_table_cap: int = 3,
+) -> Configuration:
+    """The oracle for `enumerate_configuration`'s one draw loop: the loop it
+    replaced, which ran each budget mode through its own branches, copied
+    verbatim."""
+    if (max_indexes is None) == (storage_budget_bytes is None):
+        raise ConfigurationError(
+            "exactly one of max_indexes / storage_budget_bytes must be set"
+        )
+
+    pool = list(candidates)
+    weights = list(np.asarray(probabilities, dtype=float))
+    if len(pool) != len(weights):
+        raise ConfigurationError("probabilities must align with candidates")
+    rng = rng_for(seed, "enumeration")
+    selected = []
+    remaining = storage_budget_bytes
+    draws_left = max_indexes if max_indexes is not None else len(pool)
+    while pool and draws_left > 0:
+        p = np.asarray(weights, dtype=float)
+        p = p / p.sum()
+        pick = int(rng.choice(len(pool), p=p))
+        candidate = pool.pop(pick)
+        weights.pop(pick)
+        if max_indexes is not None:
+            draws_left -= 1
+        if remaining is not None and candidate.estimated_size_bytes > remaining:
+            continue
+        if _pruned(candidate, selected, per_table_cap):
+            continue
+        selected.append(candidate)
+        if remaining is not None:
+            remaining -= candidate.estimated_size_bytes
+    return Configuration(indexes=tuple(selected))
+
+
+def _sized(config) -> list:
+    return [(ix, ix.estimated_size_bytes) for ix in config.indexes]
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    pool=_candidate_pools,
+    data=st.data(),
+    seed=st.integers(0, 2**32 - 1),
+    per_table_cap=st.integers(1, 4),
+)
+def test_one_draw_loop_draws_as_the_two_mode_loop_did(pool, data, seed, per_table_cap):
+    weights = data.draw(
+        st.lists(st.floats(1e-6, 1.0), min_size=len(pool), max_size=len(pool))
+    )
+    k = data.draw(st.integers(1, 8))
+    sizes = sorted(c.estimated_size_bytes for c in pool)
+    # from below the smallest candidate, where none fits, to the whole pool
+    budget = data.draw(st.integers(sizes[0] - 1, sum(sizes)))
+    for budget_kw in ({"max_indexes": k}, {"storage_budget_bytes": budget}):
+        args = (pool, weights, seed)
+        kw = dict(budget_kw, per_table_cap=per_table_cap)
+        assert _sized(enumerate_configuration(*args, **kw)) == _sized(
+            two_mode_enumeration(*args, **kw)
+        )

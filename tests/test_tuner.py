@@ -8,7 +8,7 @@ from idxlab.catalog import CatalogSpec, ColumnRef, generate_catalog
 from idxlab.costmodel import nearest_bucket_index
 from idxlab.errors import ConfigurationError, ContractError
 from idxlab.simulator import make_ground_truth, noise_streams, whatif_plan
-from idxlab.selection import Configuration, generate_candidates
+from idxlab.selection import Configuration, Gate, generate_candidates
 from idxlab.tuner import (
     Environment,
     OnlineTuner,
@@ -28,7 +28,12 @@ from idxlab.workload import (
     generate_templates,
 )
 
-from conftest import applicable_pairs, total_size_bytes
+from conftest import (
+    applicable_pairs,
+    assert_score_states_current,
+    cached_scores,
+    total_size_bytes,
+)
 
 
 @pytest.fixture(scope="module")
@@ -273,21 +278,46 @@ def test_plan_memo_holds_only_the_last_rounds_pairs(env):
             assert cost == whatif_plan(queries[key], (x,), catalog)[1]
 
 
-def test_context_keeps_only_scores_of_current_model_steps(env):
+def test_the_next_round_context_reads_the_probes_scores(env, monkeypatch):
     catalog, schedule, gt = env
     tuner = OnlineTuner(catalog, gt, TunerParams(), seed=13)
+    gate = tuner.gate
+    score = Gate.score
+    read, updated = [], set()
+
+    def recording_score(self, pairs):
+        read.append((pairs, score(self, pairs)))
+        return read[-1][1]
+
     for w, following in zip(schedule[:3], schedule[1:]):
+        steps = {kind: model.step_count for kind, model in tuner.models.items()}
+        before = cached_scores(gate)
         tuner.run_round(w)
-        before = set(tuner.gate.score_cache)
-        current = {k for k in before if k[2] == tuner.models[k[0]].step_count}
-        ctx = tuner._context(following, generate_candidates(following, catalog))
-        assert ctx.gate is tuner.gate
-        # the after-update probe's scores outlive the round they were made in
-        assert 0 < len(current) < len(before)
-        assert before & set(tuner.gate.score_cache) == current
-        # and the scores of the following round's no-index terms join them
-        for kind, _, step, _, _ in tuner.gate.score_cache:
-            assert step == tuner.models[kind].step_count
+        # the after-update probe read every updated kind under its new state
+        assert_score_states_current(gate)
+        for kind, old in before.items():
+            now = gate.score_cache[kind][1]
+            if tuner.models[kind].step_count != steps[kind]:
+                updated.add(kind)
+                assert {id(s) for s in old.values()}.isdisjoint(map(id, now.values()))
+            else:
+                assert all(now[key] is s for key, s in old.items())
+        probed = cached_scores(gate)
+        read.clear()
+        with monkeypatch.context() as m:
+            m.setattr(Gate, "score", recording_score)
+            ctx = tuner._context(following, generate_candidates(following, catalog))
+        assert ctx.gate is gate
+        assert_score_states_current(gate)
+        # the context's one scoring call reads the probe's score objects
+        [(pairs, scores)] = read
+        hits = 0
+        for (kind, enc), s in zip(pairs, scores):
+            if enc.tobytes() in probed.get(kind, {}):
+                assert s is probed[kind][enc.tobytes()]
+                hits += 1
+        assert hits
+    assert updated
 
 
 def test_budget_compliance_every_round(env):

@@ -98,3 +98,34 @@ def test_the_tracer_records_lines_of_the_traced_files_only(tmp_path):
         ("<module>", [1]),
         ("f", [3]),
     ]
+
+
+LISTED_PATH = os.path.join(os.path.dirname(REPORTER_PATH), "unrun_lines.txt")
+
+
+def listed_rows() -> list:
+    """(file, function, [lines], reason) of each row of the checked-in list
+    of statements that tier-1 leaves unrun."""
+    rows = []
+    with open(LISTED_PATH, encoding="utf-8") as f:
+        for line in f:
+            if line.strip() and not line.startswith("#"):
+                row, _, reason = line.partition("  # ")
+                path, function, lines = row.split(":")
+                rows.append((path, function, [int(n) for n in lines.split()], reason))
+    return rows
+
+
+def test_every_listed_unrun_line_starts_a_statement_of_its_function():
+    reporter = load_reporter()
+    root = os.path.dirname(os.path.dirname(REPORTER_PATH))
+    rows = listed_rows()
+    assert rows
+    for path, function, lines, reason in rows:
+        assert reason.strip(), path
+        with open(os.path.join(root, path), encoding="utf-8") as f:
+            starts = {
+                (scope, span.start) for scope, span in reporter.statements(f.read())
+            }
+        for line in lines:
+            assert (function, line) in starts, f"{path}:{function}: {line}"

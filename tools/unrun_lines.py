@@ -16,6 +16,9 @@ are listed under the class, and module-level ones under ``<module>``. A
 statement ran when a line of its own span ran: for a compound statement
 (``if``, ``for``, ``def``, ...) its header, from its first decorator to the
 line before its body. The last row counts the statements that never ran.
+
+``tools/unrun_lines.txt`` lists, each with its reason, the statements that a
+run over tier-1 with ``--hypothesis-seed=0`` leaves unrun.
 """
 
 import ast
@@ -108,6 +111,11 @@ def main(argv) -> int:
     import pytest
 
     files = sorted(str(path) for path in PACKAGE.glob("*.py"))
+    # read before the run: a file edited while pytest runs would otherwise
+    # be matched against lines traced in its older text
+    sources = {
+        path: pathlib.Path(path).read_text(encoding="utf-8") for path in files
+    }
     tracer = LineTracer(files)
     sys.path.insert(0, str(SRC))  # import the package whose files are traced
     threading.settrace(tracer)
@@ -118,8 +126,7 @@ def main(argv) -> int:
         sys.settrace(None)
         threading.settrace(None)
     total = 0
-    for path in files:
-        source = pathlib.Path(path).read_text(encoding="utf-8")
+    for path, source in sources.items():
         name = os.path.relpath(path, SRC.parent)
         for function, lines in unrun(source, tracer.ran[path]):
             total += len(lines)
