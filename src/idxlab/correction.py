@@ -12,14 +12,17 @@ costs compose:
     GatherMerge      dcs = sum(dcs(children));  dce = dce(probe child)
 
 A leaf is corrected only when its combined uncertainty is at or below the
-gate threshold. `update_cost` applies one correction to a plan in place;
-`correct_plan`, the gate, sums the root's deltas instead and never changes
-a plan, so planner and executor plans can be corrected, shared and kept
-without copies. Labeling runs the same rules once per config-related leaf
-with the whole multiplier grid as a vector (every rule is `+` and `*`, so
-each element takes the scalar path's IEEE operations in the same order) and
-keeps the multiplier whose corrected benefit comes closest to the observed
-benefit, ties going to the multiplier nearest 1x in log space.
+gate threshold, and then by the multiplier its score carries: the argmax of
+the dropout-off softmax the score's entropy comes from, so one forward pass
+yields the leaf's whole verdict. `update_cost` applies one correction to a
+plan in place; `correct_plan`, the gate, sums the root's deltas instead and
+never changes a plan, so planner and executor plans can be corrected,
+shared and kept without copies. Labeling runs the same rules once per
+config-related leaf with the whole multiplier grid as a vector (every rule
+is `+` and `*`, so each element takes the scalar path's IEEE operations in
+the same order) and keeps the multiplier whose corrected benefit comes
+closest to the observed benefit, ties going to the multiplier nearest 1x in
+log space.
 
 Labels are ratios, not absolute multipliers. Label search explains the
 observed benefit against the *uncorrected* no-index plan's cost, while the
@@ -155,6 +158,8 @@ def correct_plan(
     leaf's correction changes, so the corrected cost is bit-identical to
     `update_cost` applied to a copy of the plan once per corrected leaf.
     ``encoded`` is the plan's `leaf_encodings`, when the caller has them.
+    A leaf whose gate opens is scaled by its score's multiplier, proposed by
+    the forward pass that scored it, so no model runs a second pass here.
     ``models`` must hold a model for every leaf kind of the plan, as a
     tuner's do (`plan.LEAF_KINDS`); a missing one raises a KeyError that
     names the kind."""
@@ -162,18 +167,15 @@ def correct_plan(
         raise ConfigurationError("uncertainty threshold must be >= 0")
     if encoded is None:
         encoded = leaf_encodings(plan, catalog)
-    scores = iter(
-        cached_uncertainties(
-            models, scored_leaves(encoded), mix_weight, passes, uncertainty_cache
-        )
+    scores = cached_uncertainties(
+        models, encoded, mix_weight, passes, uncertainty_cache
     )
     reports = []
     startup, execution = plan.startup_cost, plan.exec_cost
-    for leaf, encoding in encoded:
-        score = next(scores)
+    for (leaf, _), score in zip(encoded, scores):
         applied = None
         if score.combined <= threshold:
-            applied = models[leaf.kind].predict_multiplier(encoding)
+            applied = score.multiplier
             dcs, dce = _path_deltas(path_to_root(plan, leaf), applied)[id(plan)]
             startup += dcs
             execution += dce
@@ -206,14 +208,9 @@ def leaf_encodings(
     return out
 
 
-def scored_leaves(encoded) -> list:
-    """The (kind, encoding) pair of each leaf of `leaf_encodings`."""
-    return [(leaf.kind, enc) for leaf, enc in encoded]
-
-
 def cached_uncertainties(models, pairs, mix_weight, passes, cache=None) -> list:
-    """`combined_uncertainty` of each (kind, encoding) pair under
-    ``models[kind]``, in order.
+    """`combined_uncertainty` of each (leaf, encoding) pair of
+    `leaf_encodings` under ``models[leaf.kind]``, in order.
 
     ``cache`` maps a kind to ``(state, scores)``: the state its scores were
     made under, ``(models[kind].step_count, mix_weight, passes)``, and those
@@ -221,15 +218,15 @@ def cached_uncertainties(models, pairs, mix_weight, passes, cache=None) -> list:
     kind afresh and drops its old scores, so no score is ever read under a
     state it was not made under: parameters change only in
     `CostMultiplierModel.update`, which advances ``step_count``, and the
-    dropout masks derive from it, so a kept score is exact. The pairs
-    missing from it are scored once each, one batched
+    dropout masks derive from it, so a kept score, its multiplier included,
+    is exact. The pairs missing from it are scored once each, one batched
     `combined_uncertainties` call per kind, and stored."""
     cache = {} if cache is None else cache
-    for kind in {kind for kind, _ in pairs}:
+    keys = [(leaf.kind, enc.tobytes()) for leaf, enc in pairs]
+    for kind in {kind for kind, _ in keys}:
         state = (models[kind].step_count, mix_weight, passes)
         if kind not in cache or cache[kind][0] != state:
             cache[kind] = (state, {})
-    keys = [(kind, enc.tobytes()) for kind, enc in pairs]
     misses = {}  # kind -> {key: encoding}, each distinct key once
     for (kind, key), (_, enc) in zip(keys, pairs):
         if key not in cache[kind][1]:

@@ -44,6 +44,10 @@ maximum per-class variance across repeated dropout-on passes:
 
     U = mix_weight * mcd + (1 - mix_weight) * entropy.
 
+A score is the leaf's whole verdict: it also carries the multiplier the
+model proposes, the grid value at the argmax of the same dropout-off
+softmax, so the gate corrects without another forward pass.
+
 The dropout masks used for the variance estimate come from the stream
 `seeding.rng_for(model seed, training step, encoding digest, passes)`, so
 the score is a pure function of model state and input.
@@ -56,7 +60,8 @@ encodings into one forward pass (Gal & Ghahramani's passes are
 independent), whose layer-1 product runs once per encoding, not once per
 pass, and whose masks are thresholded and scaled once. The dropout-off
 predictions of the whole list run as one (K, 1, d) stack, so each still runs
-the one-row product `predict` runs, and their entropies are one expression.
+the one-row product `predict` runs; their entropies are one expression and
+their multipliers one argmax.
 """
 
 import copy
@@ -254,10 +259,6 @@ class CostMultiplierModel:
         X = self._check_input(encoding)
         return self._forward(X)["probs"][0]
 
-    def predict_multiplier(self, encoding) -> float:
-        """Argmax multiplier of a dropout-off prediction."""
-        return float(MULTIPLIER_GRID[int(np.argmax(self.predict(encoding)))])
-
     def loss_and_gradients(self, X, y, drop_rng=None):
         """Mean cross-entropy and its analytic gradients for a labeled batch.
 
@@ -438,21 +439,30 @@ def mc_dropout(model: CostMultiplierModel, encoding, passes: int) -> float:
 
 @dataclass(frozen=True)
 class UncertaintyScore:
+    """One leaf's verdict under one model state: the entropy of the
+    dropout-off softmax, the MC-dropout variance, their mix, and
+    ``multiplier``, the grid value at that softmax's argmax, which the gate
+    applies when it opens."""
+
     entropy: float
     mcd: float
     combined: float
+    multiplier: float
 
 
 def combined_uncertainty(
     model: CostMultiplierModel, encoding, mix_weight: float, passes: int
 ) -> UncertaintyScore:
-    """U = mix_weight * mcd + (1 - mix_weight) * entropy(dropout-off softmax)."""
+    """U = mix_weight * mcd + (1 - mix_weight) * entropy(dropout-off softmax),
+    with the argmax multiplier of that softmax."""
     if not 0.0 < mix_weight < 1.0:
         raise ConfigurationError("mix_weight must lie strictly between 0 and 1")
     mcd_value = mc_dropout(model, encoding, passes)
-    ent = entropy(model.predict(encoding))
+    probs = model.predict(encoding)
+    ent = entropy(probs)
     combined = mix_weight * mcd_value + (1.0 - mix_weight) * ent
-    return UncertaintyScore(ent, mcd_value, combined)
+    multiplier = float(MULTIPLIER_GRID[np.argmax(probs)])
+    return UncertaintyScore(ent, mcd_value, combined, multiplier)
 
 
 def combined_uncertainties(
@@ -467,7 +477,8 @@ def combined_uncertainties(
     `mc_dropout` stream. Every row of a stacked product equals that row of
     the encoding's own product, a BLAS property that tests/test_costmodel.py
     checks: the dropout-off predictions are stacked as a (K, 1, d) array, so
-    that each slice runs the one-row kernel `predict` runs.
+    that each slice runs the one-row kernel `predict` runs, and each score's
+    entropy and multiplier are those of `predict`'s softmax.
     """
     if not 0.0 < mix_weight < 1.0:
         raise ConfigurationError("mix_weight must lie strictly between 0 and 1")
@@ -488,10 +499,11 @@ def combined_uncertainties(
         chunk = slice(start, start + SCORE_CHUNK)
         mcd += _stacked_mcd(model, X[chunk], passes, generators(words[chunk]))
     probs = model._forward(X.reshape(len(X), 1, -1))["probs"][:, 0]
+    multipliers = MULTIPLIER_GRID[np.argmax(probs, axis=-1)].tolist()
     scores = []
-    for ent, mcd_value in zip(_entropies(probs), mcd):
+    for ent, mcd_value, multiplier in zip(_entropies(probs), mcd, multipliers):
         combined = mix_weight * mcd_value + (1.0 - mix_weight) * ent
-        scores.append(UncertaintyScore(ent, mcd_value, combined))
+        scores.append(UncertaintyScore(ent, mcd_value, combined, multiplier))
     return scores
 
 

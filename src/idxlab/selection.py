@@ -35,9 +35,11 @@ the memo of the last round's pairs below. `correction.cached_uncertainties`
 keeps the scores per operator kind with the model state they were made
 under, and starts a kind afresh when its state has moved on, so nothing
 here decides whether a score is still valid. The gate scores through
-`Gate.score`, which scores the uncached leaves of any number of plans in one
-batched call per operator kind, and corrects through `Gate.correct`, which
-scores a plan's uncached leaves itself.
+`Gate.score`, which takes the (leaf, encoding) pairs of any number of plans,
+as `correction.leaf_encodings` gives them, and scores the uncached ones in
+one batched call per operator kind. It corrects through `Gate.correct`,
+which scores a plan's uncached leaves itself and applies the multiplier
+each open leaf's score carries.
 
 `round_context` prices a whole round once, before any candidate is valued,
 into a `CorrectionContext` that is dropped with the round. It sums the
@@ -78,7 +80,6 @@ from .correction import (
     cached_uncertainties,
     correct_plan,
     leaf_encodings,
-    scored_leaves,
 )
 from .errors import ConfigurationError, ContractError
 from .plan import leaves
@@ -166,7 +167,8 @@ class Gate:
     plan_memo: dict = field(default_factory=dict)
 
     def score(self, pairs) -> list:
-        """The cached `combined_uncertainty` of each (kind, encoding) pair."""
+        """The cached `combined_uncertainty` of each (leaf, encoding) pair of
+        `leaf_encodings`, under the model of the leaf's kind."""
         return cached_uncertainties(
             self.models, pairs, self.mix_weight, self.passes, self.score_cache
         )
@@ -279,7 +281,7 @@ def round_context(
         if entry is not None
     ]
     # each encoding object once: a query's plans share their leaves' encodings
-    pairs = {id(enc): (kind, enc) for e in encoded for kind, enc in scored_leaves(e)}
+    pairs = {id(enc): (leaf, enc) for e in encoded for leaf, enc in e}
     gate.score(list(pairs.values()))
     terms = tuple(
         q.frequency_weight * gate.correct(plan, e).corrected_cost

@@ -4,7 +4,10 @@ The planner prices access paths with PostgreSQL-flavored constants and picks,
 per table access, the cheapest of SeqScan and the applicable index scans from
 the hypothetical configuration; join order is fixed left-deep by the template.
 Parent costs are cumulative (child costs included), which is exactly the shape
-the delta-propagation rules in the correction module assume.
+the delta-propagation rules in the correction module assume. The planner and
+the executor take a configuration in one form, a sequence of index
+candidates; a caller holding a `selection.Configuration` passes its
+``indexes``.
 
 What a plan needs from a query apart from its configuration is derived once
 and kept on the frozen object it comes from, never in a table keyed by
@@ -114,19 +117,13 @@ def make_ground_truth(
     return GroundTruth(catalog, multipliers, noise_sigma, seed)
 
 
-def _config_indexes(config):
-    if hasattr(config, "indexes"):
-        return tuple(config.indexes)
-    return tuple(config)
-
-
-def whatif_plan(query: Query, config, catalog: Catalog):
-    """Cost a query under a hypothetical index configuration.
+def whatif_plan(query: Query, indexes, catalog: Catalog):
+    """Cost a query under a hypothetical configuration, the sequence of
+    index candidates ``indexes``.
 
     Returns (plan tree, root total cost). Deterministic; an empty
     configuration always plans via sequential scans.
     """
-    indexes = _config_indexes(config)
     t = query.template
 
     current = _best_scan(query, t.tables[0], indexes, catalog, lookup_col=None)
@@ -157,7 +154,8 @@ def whatif_plan(query: Query, config, catalog: Catalog):
         inner_lookup = _best_scan(
             query, inner_table, indexes, catalog, lookup_col=join.right.column
         )
-        if inner_lookup is not None and inner_lookup.index is not None:
+        # a lookup access has no SeqScan option: any path found is an index's
+        if inner_lookup is not None:
             nlj = PlanNode(
                 kind="NestedLoopJoin",
                 startup_cost=current.startup_cost + inner_lookup.startup_cost,
@@ -336,24 +334,24 @@ def _query_digest(query: Query, indexes) -> int:
     return zlib.crc32("|".join(parts).encode("utf-8"))
 
 
-def noise_streams(queries, config, ground_truth: GroundTruth, round_seed: int) -> list:
+def noise_streams(queries, indexes, ground_truth: GroundTruth, round_seed: int) -> list:
     """The noise stream `execute` draws from for each of ``queries`` under
-    ``config``, made together from one `seeding.seed_words` pass."""
-    indexes = _config_indexes(config)
+    the index sequence ``indexes``, made together from one
+    `seeding.seed_words` pass."""
     keys = ((ground_truth.seed, round_seed, _query_digest(q, indexes)) for q in queries)
     return generators(seed_words(keys))
 
 
 def execute(
-    query: Query, config, ground_truth: GroundTruth, round_seed: int, *, stream=None
+    query: Query, indexes, ground_truth: GroundTruth, round_seed: int, *, stream=None
 ) -> ExecutionTelemetry:
-    """Simulated execution: per-operator time = exec cost x multiplier x noise.
+    """Simulated execution under the index sequence ``indexes``: per-operator
+    time = exec cost x multiplier x noise.
 
     The noise comes from the query's own stream, a pure function of the
-    ground truth's seed, ``round_seed``, the query and the configuration.
+    ground truth's seed, ``round_seed``, the query and the indexes.
     ``stream`` is that stream when the caller made it already, as
     `noise_streams` makes a round's."""
-    indexes = _config_indexes(config)
     root, _ = whatif_plan(query, indexes, ground_truth.catalog)
     if stream is None:
         stream = noise_streams((query,), indexes, ground_truth, round_seed)[0]

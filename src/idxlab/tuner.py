@@ -44,10 +44,13 @@ query's corrected no-index term, and plans every (query, candidate) pair
 whose template can use the candidate, once, before any candidate is valued;
 it encodes each distinct leaf of a query once, and scores the leaves of the
 no-index plans and of every candidate plan in one batched call per operator
-kind. Valuation only corrects a candidate's plans from those scores. The
-deployed configuration is corrected from the plan the executor already
-built, with the round's leaf encodings; the labels and the probe reuse
-those encodings, which the gate scored; and the round's mean uncertainty
+kind. Valuation only corrects a candidate's plans from those scores: a
+score carries the multiplier its model proposes, so correction runs no
+model. The environment executes a configuration's ``indexes``, the one form
+the simulator takes. The deployed configuration is corrected from the plan
+the executor already built, with the round's leaf encodings; the labels
+reuse those encodings, and the probe is the deployed plans' (leaf,
+encoding) pairs, which the gate scored; and the round's mean uncertainty
 before the model update is the mean of the gate scores that correction
 produced, read back from the gate's cache. Correction never changes a plan,
 so no plan is copied. Each deployed plan goes through
@@ -76,7 +79,6 @@ from .correction import (
     # perfbench/tracer.py patches tuner.correct_plan by name
     correct_plan,  # noqa: F401
     estimated_benefit,
-    scored_leaves,
     telemetry_to_labels,
 )
 from .costmodel import MULTIPLIER_GRID, CostMultiplierModel, nearest_bucket_index
@@ -179,12 +181,12 @@ def _check_catalog(catalog: Catalog, ground_truth: GroundTruth) -> None:
         raise ContractError("a method prices against its ground truth's catalog")
 
 
-def _execute_all(queries, config, ground_truth: GroundTruth, round_seed: int) -> list:
-    """`execute` of each of ``queries`` under ``config``, in order, from
-    noise streams made in one pass."""
-    streams = noise_streams(queries, config, ground_truth, round_seed)
+def _execute_all(queries, indexes, ground_truth: GroundTruth, round_seed: int) -> list:
+    """`execute` of each of ``queries`` under the index sequence ``indexes``,
+    in order, from noise streams made in one pass."""
+    streams = noise_streams(queries, indexes, ground_truth, round_seed)
     return [
-        execute(q, config, ground_truth, round_seed, stream=stream)
+        execute(q, indexes, ground_truth, round_seed, stream=stream)
         for q, stream in zip(queries, streams)
     ]
 
@@ -307,7 +309,9 @@ class Environment:
         telemetries = baselines
         if config.indexes:
             round_seed = subseed(self.seed, "execute", t)
-            telemetries = _execute_all(queries, config, self.ground_truth, round_seed)
+            telemetries = _execute_all(
+                queries, config.indexes, self.ground_truth, round_seed
+            )
         executed = list(zip(queries, telemetries, baselines))
         exec_time, noindex_time = 0.0, 0.0
         for q, telemetry, baseline in executed:
@@ -396,7 +400,7 @@ class OnlineTuner:
         # 5. index creation plus execution under the new configuration
         executed, row = self.env.step(t, workload, config)
 
-        per_query, probe_encodings = [], []
+        per_query, probes = [], []  # probes: the deployed plans' leaf pairs
         by_kind = {}  # operator kind -> (encoding, bucket) labels
         for i, (_, telemetry, baseline) in enumerate(executed):
             b_actual = actual_benefit(baseline.total_time, telemetry.total_time)
@@ -409,7 +413,7 @@ class OnlineTuner:
             noindex_cost = baseline.plan.total_cost
             b_est = estimated_benefit(noindex_cost, corrected.corrected_cost)
             per_query.append((b_est, b_actual))
-            probe_encodings += scored_leaves(pairs)
+            probes += pairs
             encodings = dict(pairs)  # leaf -> its encoding
 
             # 6. telemetry to multiplier labels on the pristine plan
@@ -422,14 +426,14 @@ class OnlineTuner:
 
         # the gate scored every probe under the models as they are now, so
         # this reads the scores of the round's corrections
-        mean_u_before = self._mean_uncertainty(probe_encodings)
+        mean_u_before = self._mean_uncertainty(probes)
 
         # 7. model updates, one per operator kind in a fixed order
         for kind in LEAF_KINDS:
             if kind in by_kind:
                 self.models[kind].update(by_kind[kind])
 
-        mean_u_after = self._mean_uncertainty(probe_encodings)
+        mean_u_after = self._mean_uncertainty(probes)
 
         # 8. metrics
         row["mean_uncertainty"] = mean_u_before
@@ -448,8 +452,8 @@ class OnlineTuner:
         self.round += 1
         return report
 
-    def _mean_uncertainty(self, probe_encodings) -> float:
-        scores = self.gate.score(probe_encodings)
+    def _mean_uncertainty(self, probes) -> float:
+        scores = self.gate.score(probes)
         return float(np.mean([score.combined for score in scores]))
 
     def run(self, schedule) -> list:

@@ -19,7 +19,7 @@ from idxlab.correction import (
 )
 from idxlab.costmodel import MULTIPLIER_GRID, CostMultiplierModel, nearest_bucket_index
 from idxlab.errors import ConfigurationError, ContractError
-from idxlab.plan import PlanNode, encoding_length, leaves
+from idxlab.plan import PlanNode, encode_operator, encoding_length, leaves
 from idxlab.selection import generate_candidates
 from idxlab.simulator import execute, make_ground_truth, whatif_plan
 from idxlab.workload import DriftSchedule, build_schedule, generate_templates
@@ -339,12 +339,17 @@ def test_correct_plan_leaves_the_plan_and_equals_update_cost_on_a_clone(
     before = [(node.startup_cost, node.exec_cost) for node in plan.walk()]
     result = correct_plan(plan, models, catalog, threshold, 0.5, 10)
     assert [(node.startup_cost, node.exec_cost) for node in plan.walk()] == before
-    # update_cost on a clone, once per corrected leaf in report order
+    # update_cost on a clone, once per corrected leaf in report order, at
+    # the argmax multiplier of the leaf's own dropout-off prediction
     manual = plan.clone()
     for pos, report in enumerate(result.reports):
-        assert report.leaf is leaves(plan)[pos]
+        leaf = leaves(plan)[pos]
+        assert report.leaf is leaf
+        assert (report.multiplier is None) == (report.score.combined > threshold)
         if report.multiplier is not None:
-            update_cost(manual, leaves(manual)[pos], report.multiplier)
+            probs = models[leaf.kind].predict(encode_operator(leaf, catalog))
+            want = float(MULTIPLIER_GRID[int(np.argmax(probs))])
+            update_cost(manual, leaves(manual)[pos], want)
     assert result.corrected_cost == manual.total_cost
 
 

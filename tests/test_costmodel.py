@@ -221,7 +221,7 @@ def test_batched_scores_equal_one_at_a_time(dim, trained, dropout_rate):
     want = [combined_uncertainty(model, e, 0.5, 20) for e in encodings]
     for n in range(1, len(encodings) + 1):
         got = combined_uncertainties(model, encodings[:n], 0.5, 20)
-        # all four fields, exactly: a stacked forward pass must compute each
+        # all five fields, exactly: a stacked forward pass must compute each
         # row as the encoding's own pass does, or every score (and with them
         # the tuner's outputs) would shift with the batch it is scored in
         assert got == want[:n], f"stacking {n} encodings changed a score"
@@ -350,6 +350,19 @@ def test_saturated_model_has_zero_uncertainty():
     )
     for mix in (0.1, 0.5, 0.9):
         assert combined_uncertainty(m, enc, mix, passes=5).combined == 0.0
+
+
+def test_batched_scores_of_a_saturated_model_carry_its_multiplier():
+    # demo 03's confident model: a head pinned one-hot at 2.0, whose softmax
+    # underflows to exact zeros, so every row takes `_entropies`' fallback
+    m = make_model()
+    m.params["b3"][:] = 0.0
+    m.params["b3"][nearest_bucket_index(2.0)] = 800.0
+    encodings = [random_encoding(seed=s) for s in range(2 * SCORE_CHUNK + 1)]
+    assert all((m.predict(e) == 0.0).any() for e in encodings)
+    scores = combined_uncertainties(m, encodings, 0.5, 5)
+    assert [s.multiplier for s in scores] == [2.0] * len(encodings)
+    assert scores == [combined_uncertainty(m, e, 0.5, 5) for e in encodings]
 
 
 def test_uncertainty_shrinks_with_more_data():

@@ -13,6 +13,10 @@ read with `load_schedule`. Each config path is its own case, so every one
 of them is mutated in every run. A manifest mutant keeps its
 ``config_sha256`` the hash of its config, unless it mutates that field, so
 that the replay reaches the config check and the run.
+
+Whole valid config files, JSON or TOML, over every drift kind and both
+budget modes, with and without a schedule file, run through `idxlab run`
+and replay through `idxlab replay`.
 """
 
 import contextlib
@@ -29,13 +33,20 @@ from hypothesis import strategies as st
 
 from idxlab.catalog import CatalogSpec, generate_catalog
 from idxlab.cli import EXIT_CONFIG, EXIT_IO, EXIT_OK, EXIT_REPLAY, main
-from idxlab.errors import FIELDS, ConfigurationError
-from idxlab.experiment import _config_hash, resolve_config, run_experiment
+from idxlab.errors import DRIFT_KINDS, FIELDS, ConfigurationError
+from idxlab.experiment import (
+    _config_hash,
+    _environment,
+    resolve_config,
+    run_experiment,
+)
+from idxlab.tuner import BASELINE_KINDS
 from idxlab.workload import (
     DriftSchedule,
     build_schedule,
     generate_templates,
     load_schedule,
+    save_schedule,
     schedule_to_dict,
 )
 
@@ -233,3 +244,69 @@ def test_one_field_manifest_mutants_replay_or_exit_with_one_line(manifest, data)
     assert err.count("\n") == (code != EXIT_OK), err
     # a refused manifest writes nothing; a divergent replay keeps its files
     assert code in (EXIT_OK, EXIT_REPLAY) or not (here / "replay").exists()
+
+
+def toml_text(config: dict) -> str:
+    """``config``, whose values are numbers, strings, lists and tables of
+    them, as a TOML document; JSON's spelling of each value is TOML's."""
+
+    def lines(table):
+        pairs = [(k, v) for k, v in table.items() if not isinstance(v, dict)]
+        return "".join(f"{k} = {json.dumps(v)}\n" for k, v in pairs)
+
+    tables = [f"[{k}]\n{lines(v)}" for k, v in config.items() if isinstance(v, dict)]
+    return lines(config) + "\n" + "\n".join(tables)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**16),
+    kind=st.sampled_from(DRIFT_KINDS),
+    storage_bytes=st.one_of(st.none(), st.integers(1, 2_000_000)),
+    rounds=st.integers(1, 3),
+    baselines=st.lists(st.sampled_from(BASELINE_KINDS), unique=True),
+    toml=st.booleans(),
+    with_schedule_file=st.booleans(),
+)
+def test_config_files_run_and_replay_through_the_command_line(
+    seed, kind, storage_bytes, rounds, baselines, toml, with_schedule_file
+):
+    budget = {"max_indexes": 2}
+    if storage_bytes is not None:
+        budget = {"mode": "storage", "storage_bytes": storage_bytes}
+    config = {
+        "catalog": {"n_tables": 2, "rows_range": [1000, 5000], "seed": seed},
+        "workload": {
+            "kind": kind,
+            "n_templates": 4,
+            "total_rounds": rounds,
+            "templates_per_round": 2,
+            "queries_per_template": 1,
+            "change_fraction": 0.5,
+            "period": 1,
+            "cycle_length": 2,
+        },
+        "tuner": {"mcd_passes": 2},
+        "budget": budget,
+        "baselines": baselines,
+        "replications": [seed],
+    }
+    with tempfile.TemporaryDirectory() as tmp:
+        here = pathlib.Path(tmp)
+        if with_schedule_file:
+            _, schedule, _ = _environment(resolve_config(config), seed)
+            save_schedule(schedule, here / "schedule.json")
+            config["workload"]["schedule_file"] = str(here / "schedule.json")
+        path = here / ("config.toml" if toml else "config.json")
+        path.write_text(toml_text(config) if toml else json.dumps(config))
+        printed = io.StringIO()
+        with contextlib.redirect_stdout(printed):
+            code = main(["run", str(path), "--out", str(here / "out")])
+        assert code == EXIT_OK
+        # one summary line per method
+        lines = printed.getvalue().splitlines()
+        assert sorted(line.split(":")[0] for line in lines) == sorted(
+            ["tuner", *baselines]
+        )
+        manifest = here / "out" / "manifest.json"
+        assert replay_exit(manifest, here / "replay") == (EXIT_OK, "")

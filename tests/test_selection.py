@@ -13,10 +13,9 @@ from idxlab.catalog import (
     generate_catalog,
     sized_candidate,
 )
-from idxlab.correction import scored_leaves
 from idxlab.costmodel import CostMultiplierModel, combined_uncertainty
 from idxlab.errors import ConfigurationError, ContractError
-from idxlab.plan import encoding_length
+from idxlab.plan import PlanNode, encoding_length
 from idxlab.seeding import rng_for
 from idxlab.selection import (
     Configuration,
@@ -171,7 +170,8 @@ def test_round_context_reads_current_scores_and_drops_the_pairs_of_departed_quer
     # encoding it scored before; every other kind keeps its score objects
     old = scores.pop("IndexScan")
     assert gate.score_cache["IndexScan"][1]
-    again = gate.score([("IndexScan", np.frombuffer(key)) for key in old])
+    scan = PlanNode("IndexScan")
+    again = gate.score([(scan, np.frombuffer(key)) for key in old])
     served = gate.score_cache["IndexScan"][1].values()
     assert {id(s) for s in old.values()}.isdisjoint(map(id, [*again, *served]))
     for kind, kept_scores in scores.items():
@@ -194,15 +194,15 @@ def test_a_score_cache_shared_by_two_mix_weights_serves_each_its_own(env):
     pairs = [
         pair
         for i, q in enumerate(workload.queries)
-        for pair in scored_leaves(ctx.leaf_encodings(i, whatif_plan(q, (), catalog)[0]))
+        for pair in ctx.leaf_encodings(i, whatif_plan(q, (), catalog)[0])
     ]
     served = {gate.mix_weight: [], other.mix_weight: []}
     for g in (gate, other, gate, other):
         scores = g.score(pairs)
         served[g.mix_weight] += scores
-        for (kind, enc), score in zip(pairs, scores):
+        for (leaf, enc), score in zip(pairs, scores):
             assert score == combined_uncertainty(
-                g.models[kind], enc, g.mix_weight, g.passes
+                g.models[leaf.kind], enc, g.mix_weight, g.passes
             )
     mine, theirs = served.values()
     assert {id(s) for s in mine}.isdisjoint(map(id, theirs))

@@ -22,7 +22,7 @@ from idxlab.experiment import (
     run_replication,
 )
 from idxlab.selection import Configuration, applicability, generate_candidates
-from idxlab.simulator import _config_indexes, make_ground_truth
+from idxlab.simulator import make_ground_truth
 from idxlab.tuner import (
     BASELINE_KINDS,
     Calibration,
@@ -178,10 +178,10 @@ def test_replication_calibrates_each_distinct_query_once(
     calibrated = Counter()
     execute = tuner.execute
 
-    def counting(query, config, *args, **kwargs):
-        if not _config_indexes(config):
+    def counting(query, indexes, *args, **kwargs):
+        if not indexes:
             calibrated[query.key()] += 1
-        return execute(query, config, *args, **kwargs)
+        return execute(query, indexes, *args, **kwargs)
 
     monkeypatch.setattr(tuner, "execute", counting)
     run_replication(cfg, SEED)

@@ -11,7 +11,6 @@ from idxlab.simulator import (
     MULTIPLIER_HIGH,
     MULTIPLIER_LOW,
     TIME_UNIT_SECONDS,
-    _config_indexes,
     _query_digest,
     execute,
     make_ground_truth,
@@ -219,10 +218,9 @@ def test_telemetry_strictly_positive(env):
         assert all(t >= 0 for _, t in telem.per_operator)
 
 
-def reference_execute_times(query, config, gt, round_seed):
+def reference_execute_times(query, indexes, gt, round_seed):
     """Per-operator times from one scalar noise draw per plan node, in
     `walk()` order: the loop `execute`'s one vector draw per query replaced."""
-    indexes = _config_indexes(config)
     root, _ = whatif_plan(query, indexes, gt.catalog)
     rng = rng_for(gt.seed, round_seed, _query_digest(query, indexes))
     times = []
@@ -268,10 +266,9 @@ def test_batch_made_noise_streams_execute_as_execute_does(env, width):
     queries = workload.queries
     streams = noise_streams(queries, config, gt, round_seed=5)
     assert len(streams) == len(queries)
-    indexes = _config_indexes(config)
     for q, stream in zip(queries, streams):
         # the stream a query's execution draws from, made on its own
-        oracle = rng_for(gt.seed, 5, _query_digest(q, indexes))
+        oracle = rng_for(gt.seed, 5, _query_digest(q, config))
         want = telemetry_values(execute(q, config, gt, 5, stream=oracle))
         assert telemetry_values(execute(q, config, gt, 5, stream=stream)) == want
         assert telemetry_values(execute(q, config, gt, 5)) == want

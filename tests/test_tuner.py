@@ -312,9 +312,9 @@ def test_the_next_round_context_reads_the_probes_scores(env, monkeypatch):
         # the context's one scoring call reads the probe's score objects
         [(pairs, scores)] = read
         hits = 0
-        for (kind, enc), s in zip(pairs, scores):
-            if enc.tobytes() in probed.get(kind, {}):
-                assert s is probed[kind][enc.tobytes()]
+        for (leaf, enc), s in zip(pairs, scores):
+            if enc.tobytes() in probed.get(leaf.kind, {}):
+                assert s is probed[leaf.kind][enc.tobytes()]
                 hits += 1
         assert hits
     assert updated

@@ -260,10 +260,11 @@ def test_mean_uncertainty_before_reuses_gate_scores(trained):
     tuner = copy.deepcopy(tuner)
     before = copy.deepcopy(tuner)
     report = tuner.run_round(workload)
+    indexes = report.configuration.indexes
     probes = [
-        (leaf.kind, encode_operator(leaf, tuner.catalog))
+        (leaf, encode_operator(leaf, tuner.catalog))
         for q in workload.queries
-        for leaf in leaves(whatif_plan(q, report.configuration, tuner.catalog)[0])
+        for leaf in leaves(whatif_plan(q, indexes, tuner.catalog)[0])
     ]
     assert probes
     assert report.mean_uncertainty_before == before._mean_uncertainty(probes)
