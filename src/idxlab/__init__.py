@@ -31,7 +31,6 @@ from .costmodel import (
     CostMultiplierModel,
     combined_uncertainty,
     entropy,
-    mc_dropout,
 )
 from .errors import CatalogLookupError, ConfigurationError, ContractError
 from .plan import PlanNode, Predicate, encode_operator, leaves, path_to_root

@@ -40,7 +40,8 @@ compacted, so its forward pass runs at full width. Scoring is never
 compacted: it sees columns the model has not trained on.
 
 Uncertainty combines the softmax entropy of a dropout-off prediction with the
-maximum per-class variance across repeated dropout-on passes:
+maximum per-class variance (the biased 1/m estimator) across repeated
+dropout-on passes:
 
     U = mix_weight * mcd + (1 - mix_weight) * entropy.
 
@@ -48,20 +49,22 @@ A score is the leaf's whole verdict: it also carries the multiplier the
 model proposes, the grid value at the argmax of the same dropout-off
 softmax, so the gate corrects without another forward pass.
 
-The dropout masks used for the variance estimate come from the stream
-`seeding.rng_for(model seed, training step, encoding digest, passes)`, so
-the score is a pure function of model state and input.
+Each encoding's dropout masks, layer 1's and then layer 2's, come from
+its own stream `seeding.rng_for(model seed, training step, encoding digest,
+passes)`, so a score is a pure function of model state and input, whatever
+batch it is scored in.
 
-`combined_uncertainties` scores a list of encodings with the same results.
-It hashes the mask streams of the whole list in one `seeding.seed_words`
-pass, bit-identical to `rng_for`, and makes each chunk's Generators only
-when it scores that chunk. It stacks the dropout passes of SCORE_CHUNK = 8
-encodings into one forward pass (Gal & Ghahramani's passes are
-independent), whose layer-1 product runs once per encoding, not once per
-pass, and whose masks are thresholded and scaled once. The dropout-off
-predictions of the whole list run as one (K, 1, d) stack, so each still runs
-the one-row product `predict` runs; their entropies are one expression and
-their multipliers one argmax.
+`combined_uncertainties` scores a list of encodings, and it is the one
+scoring implementation: `combined_uncertainty` scores a lone encoding as a
+batch of one. It hashes the mask streams of the whole list in one
+`seeding.seed_words` pass, bit-identical to `rng_for`, and makes each
+chunk's Generators only when it scores that chunk. It stacks the dropout
+passes of SCORE_CHUNK = 8 encodings into one forward pass (Gal &
+Ghahramani's passes are independent), whose layer-1 product runs once per
+encoding, not once per pass, and whose masks are thresholded and scaled
+once. The dropout-off predictions of the whole list run as one (K, 1, d)
+stack, so each still runs the one-row product `predict` runs; their
+entropies are one expression and their multipliers one argmax.
 """
 
 import copy
@@ -425,18 +428,6 @@ def entropy(probabilities) -> float:
     return float(-(pos * np.log(pos)).sum())
 
 
-def mc_dropout(model: CostMultiplierModel, encoding, passes: int) -> float:
-    """Max per-class variance across dropout-on passes (biased 1/m estimator)."""
-    if passes < 2:
-        raise ValueError("passes must be >= 2")
-    enc = model._check_input(encoding)
-    X = np.repeat(enc, passes, axis=0)
-    digest = zlib.crc32(np.ascontiguousarray(enc).tobytes())
-    rng = rng_for(model.seed, model.step_count, digest, passes)
-    probs = model._forward(X, drop_rng=rng)["probs"]
-    return float(probs.var(axis=0).max())
-
-
 @dataclass(frozen=True)
 class UncertaintyScore:
     """One leaf's verdict under one model state: the entropy of the
@@ -453,32 +444,25 @@ class UncertaintyScore:
 def combined_uncertainty(
     model: CostMultiplierModel, encoding, mix_weight: float, passes: int
 ) -> UncertaintyScore:
-    """U = mix_weight * mcd + (1 - mix_weight) * entropy(dropout-off softmax),
-    with the argmax multiplier of that softmax."""
-    if not 0.0 < mix_weight < 1.0:
-        raise ConfigurationError("mix_weight must lie strictly between 0 and 1")
-    mcd_value = mc_dropout(model, encoding, passes)
-    probs = model.predict(encoding)
-    ent = entropy(probs)
-    combined = mix_weight * mcd_value + (1.0 - mix_weight) * ent
-    multiplier = float(MULTIPLIER_GRID[np.argmax(probs)])
-    return UncertaintyScore(ent, mcd_value, combined, multiplier)
+    """The score of one encoding: `combined_uncertainties` of a batch of one."""
+    return combined_uncertainties(model, [encoding], mix_weight, passes)[0]
 
 
 def combined_uncertainties(
     model: CostMultiplierModel, encodings, mix_weight: float, passes: int
 ) -> list:
-    """``[combined_uncertainty(model, e, mix_weight, passes) for e in
-    encodings]``, with the dropout passes of up to SCORE_CHUNK encodings
-    stacked into one forward pass and the dropout-off predictions of all of
-    them into another.
+    """The `UncertaintyScore` of each encoding: U = mix_weight * mcd +
+    (1 - mix_weight) * entropy(dropout-off softmax), with the argmax
+    multiplier of that softmax. The dropout passes of up to SCORE_CHUNK
+    encodings are stacked into one forward pass, and the dropout-off
+    predictions of all of them into another.
 
-    Each encoding draws its layer-1 and then its layer-2 masks from its own
-    `mc_dropout` stream. Every row of a stacked product equals that row of
-    the encoding's own product, a BLAS property that tests/test_costmodel.py
-    checks: the dropout-off predictions are stacked as a (K, 1, d) array, so
-    that each slice runs the one-row kernel `predict` runs, and each score's
-    entropy and multiplier are those of `predict`'s softmax.
+    Every row of a stacked product equals that row of the encoding's own
+    product, a BLAS property that tests/test_costmodel.py checks against the
+    one-encoding oracle in tests/reference_tuner.py: the dropout-off
+    predictions are stacked as a (K, 1, d) array, so that each slice runs
+    the one-row kernel `predict` runs, and each score's entropy and
+    multiplier are those of `predict`'s softmax.
     """
     if not 0.0 < mix_weight < 1.0:
         raise ConfigurationError("mix_weight must lie strictly between 0 and 1")
@@ -519,8 +503,8 @@ def _entropies(probs) -> list:
 
 
 def _stacked_mcd(model: CostMultiplierModel, X, passes: int, streams) -> list:
-    """`mc_dropout` of each row of ``X``, from one stacked forward pass;
-    ``streams`` holds each row's `mc_dropout` mask stream.
+    """The MC-dropout variance of each row of ``X``, from one stacked
+    forward pass; ``streams`` holds each row's mask stream.
 
     Layer 1's product runs once per row, and its ReLU output is repeated
     ``passes`` times before the masks apply, which is elementwise what the

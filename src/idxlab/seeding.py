@@ -38,13 +38,7 @@ _PCG_WORDS = 8
 
 def subseed(*parts) -> int:
     """Fold (int | str) parts into one 64-bit seed, deterministically."""
-    entropy = []
-    for p in parts:
-        if isinstance(p, str):
-            entropy.append(zlib.crc32(p.encode("utf-8")))
-        else:
-            entropy.append(int(p) & _MASK)
-    return int(np.random.SeedSequence(entropy).generate_state(1, np.uint64)[0])
+    return int(np.random.SeedSequence(_words(parts)).generate_state(1, np.uint64)[0])
 
 
 def rng_for(*parts) -> np.random.Generator:
@@ -94,9 +88,10 @@ class _SeedWords(ISeedSequence):
 
 
 def _words(parts) -> list:
-    """SeedSequence's uint32 words of ``parts`` as `subseed` folds them:
-    crc32 of a string, the low 64 bits of an int; one word for a value below
-    2**32 (0 included), and the low then the high word of any other."""
+    """The uint32 words of ``parts``, the one fold of `subseed` and
+    `seed_words`: crc32 of a string, the low 64 bits of an int, split as
+    SeedSequence splits an int: one word for a value below 2**32 (0
+    included), and the low then the high word of any other."""
     out = []
     for p in parts:
         value = zlib.crc32(p.encode("utf-8")) if isinstance(p, str) else int(p) & _MASK

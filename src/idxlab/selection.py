@@ -439,7 +439,8 @@ def enumerate_configuration(
     rng = rng_for(seed, "enumeration")
     selected = []
     remaining = math.inf if storage_budget_bytes is None else storage_budget_bytes
-    for _ in range(min(max_indexes or len(pool), len(pool))):
+    draws = len(pool) if max_indexes is None else min(max_indexes, len(pool))
+    for _ in range(draws):
         p = np.asarray(weights, dtype=float)
         pick = int(rng.choice(len(pool), p=p / p.sum()))
         candidate = pool.pop(pick)

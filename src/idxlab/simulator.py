@@ -89,30 +89,23 @@ def make_ground_truth(
     the correction a leaf can express outside the multiplier grid, breaking
     the guarantee that the right bucket exists.
 
-    ``choices`` restricts draws to an explicit multiplier set, or maps an
-    operator kind to such a set (kinds not mapped get multiplier 1.0).
+    ``choices`` maps an operator kind to an explicit set of multipliers to
+    draw from; kinds it does not map get multiplier 1.0.
     """
     if noise_sigma < 0:
         raise ConfigurationError("noise_sigma must be >= 0")
     rng = rng_for(seed, "ground-truth")
     multipliers = {}
     for kind in PLAN_KINDS:
-        systematic = kind in LEAF_KINDS
         for table in catalog.tables:
-            if choices is None:
-                if systematic:
-                    g = math.exp(
-                        rng.uniform(
-                            math.log(MULTIPLIER_LOW), math.log(MULTIPLIER_HIGH)
-                        )
-                    )
-                else:
-                    g = 1.0
-            elif isinstance(choices, dict):
+            if choices is not None:
                 opts = choices.get(kind)
                 g = 1.0 if opts is None else float(rng.choice(list(opts)))
+            elif kind in LEAF_KINDS:
+                low, high = math.log(MULTIPLIER_LOW), math.log(MULTIPLIER_HIGH)
+                g = math.exp(rng.uniform(low, high))
             else:
-                g = float(rng.choice(list(choices))) if systematic else 1.0
+                g = 1.0
             multipliers[(kind, table.name)] = g
     return GroundTruth(catalog, multipliers, noise_sigma, seed)
 

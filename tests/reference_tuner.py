@@ -5,13 +5,19 @@ It keeps none of the tuner's reuse layers: no shared calibration or raw
 ranking, no plan memo, no score cache, no round pricing or encoding store,
 no applicability pruning and no batched scoring. Each round it plans every
 (query, candidate) pair fresh, encodes every leaf with `encode_operator`,
-scores each leaf alone with `combined_uncertainty`, and corrects a clone of
+scores each leaf alone with `lone_score`, and corrects a clone of
 each plan with `update_cost` at the argmax of a fresh `predict`. It values
 each candidate, samples through `enumerate_configuration` with the tuner's
 seed, steps a private `Environment`, and labels and updates its models as
 `OnlineTuner.run_round` does. Every sum runs in the order the tuner's does,
 so the two agree float for float when every cache is exact.
+
+`lone_score` and `mc_dropout` are also the oracle of the package's one
+scoring implementation, `costmodel.combined_uncertainties`: they score one
+encoding from its own unstacked forward passes.
 """
+
+import zlib
 
 import numpy as np
 
@@ -24,11 +30,13 @@ from idxlab.correction import (
 from idxlab.costmodel import (
     MULTIPLIER_GRID,
     CostMultiplierModel,
-    combined_uncertainty,
+    UncertaintyScore,
+    entropy,
     nearest_bucket_index,
 )
+from idxlab.errors import ConfigurationError
 from idxlab.plan import LEAF_KINDS, encode_operator, encoding_length, leaves
-from idxlab.seeding import subseed
+from idxlab.seeding import rng_for, subseed
 from idxlab.selection import (
     Configuration,
     enumerate_configuration,
@@ -41,9 +49,36 @@ from idxlab.tuner import METRIC_FIELDS, Environment, RoundReport
 from idxlab.workload import unseen_fraction
 
 
+def mc_dropout(model: CostMultiplierModel, encoding, passes: int) -> float:
+    """Max per-class variance across dropout-on passes (biased 1/m estimator)."""
+    if passes < 2:
+        raise ValueError("passes must be >= 2")
+    enc = model._check_input(encoding)
+    X = np.repeat(enc, passes, axis=0)
+    digest = zlib.crc32(np.ascontiguousarray(enc).tobytes())
+    rng = rng_for(model.seed, model.step_count, digest, passes)
+    probs = model._forward(X, drop_rng=rng)["probs"]
+    return float(probs.var(axis=0).max())
+
+
+def lone_score(
+    model: CostMultiplierModel, encoding, mix_weight: float, passes: int
+) -> UncertaintyScore:
+    """U = mix_weight * mcd + (1 - mix_weight) * entropy(dropout-off softmax),
+    with the argmax multiplier of that softmax, for one encoding alone."""
+    if not 0.0 < mix_weight < 1.0:
+        raise ConfigurationError("mix_weight must lie strictly between 0 and 1")
+    mcd_value = mc_dropout(model, encoding, passes)
+    probs = model.predict(encoding)
+    ent = entropy(probs)
+    combined = mix_weight * mcd_value + (1.0 - mix_weight) * ent
+    multiplier = float(MULTIPLIER_GRID[np.argmax(probs)])
+    return UncertaintyScore(ent, mcd_value, combined, multiplier)
+
+
 def score(models, leaf, enc, params):
     """The leaf's score, made alone."""
-    return combined_uncertainty(
+    return lone_score(
         models[leaf.kind], enc, params.uncertainty_mix, params.mcd_passes
     )
 

@@ -19,11 +19,11 @@ from idxlab.costmodel import (
     combined_uncertainties,
     combined_uncertainty,
     entropy,
-    mc_dropout,
     nearest_bucket_index,
 )
 from idxlab.errors import ConfigurationError, ContractError
 from idxlab.seeding import rng_for
+from reference_tuner import lone_score, mc_dropout
 
 
 def test_multiplier_grid_structure():
@@ -178,6 +178,8 @@ def assert_gradients_match(seed, dim=12, n=5, h=1e-5, tol=1e-4):
 def test_mcd_requires_two_passes():
     m = make_model()
     with pytest.raises(ValueError):
+        combined_uncertainty(m, random_encoding(), 0.5, passes=1)
+    with pytest.raises(ValueError):
         mc_dropout(m, random_encoding(), passes=1)
 
 
@@ -186,7 +188,7 @@ def test_mcd_matches_max_class_variance():
     m.update([(random_encoding(seed=s), s % 5) for s in range(32)])
     enc = random_encoding(seed=123)
     passes = 16
-    value = mc_dropout(m, enc, passes)
+    value = combined_uncertainty(m, enc, 0.5, passes).mcd
     # recompute white-box with the same derived mask stream
     X = np.repeat(np.atleast_2d(enc), passes, axis=0)
     digest = zlib.crc32(np.ascontiguousarray(np.atleast_2d(enc)).tobytes())
@@ -195,7 +197,9 @@ def test_mcd_matches_max_class_variance():
     assert value == pytest.approx(float(probs.var(axis=0).max()), abs=0.0)
     # 1/m variance arithmetic: two passes at 0.2 and 0.4 have variance 0.01
     assert float(np.var([0.2, 0.4])) == pytest.approx(0.01)
-    # pure function of (model state, input): repeated calls agree
+    # pure function of (model state, input): repeated calls agree, and the
+    # oracle's unstacked passes give the same value
+    assert combined_uncertainty(m, enc, 0.5, passes).mcd == value
     assert mc_dropout(m, enc, passes) == value
 
 
@@ -218,7 +222,7 @@ def test_batched_scores_equal_one_at_a_time(dim, trained, dropout_rate):
     encodings[4] = encodings[0]
     encodings[SCORE_CHUNK + 2] = encodings[1]
     encodings[-1] = encodings[SCORE_CHUNK]
-    want = [combined_uncertainty(model, e, 0.5, 20) for e in encodings]
+    want = [lone_score(model, e, 0.5, 20) for e in encodings]
     for n in range(1, len(encodings) + 1):
         got = combined_uncertainties(model, encodings[:n], 0.5, 20)
         # all five fields, exactly: a stacked forward pass must compute each
@@ -226,6 +230,8 @@ def test_batched_scores_equal_one_at_a_time(dim, trained, dropout_rate):
         # the tuner's outputs) would shift with the batch it is scored in
         assert got == want[:n], f"stacking {n} encodings changed a score"
     assert combined_uncertainties(model, [], 0.5, 20) == []
+    # a lone encoding is scored as a batch of one
+    assert [combined_uncertainty(model, e, 0.5, 20) for e in encodings] == want
 
 
 def trained_scoring_model(dim):
@@ -261,7 +267,7 @@ def test_stacked_predictions_equal_one_row_predictions(dim):
 def test_batched_scores_equal_one_at_a_time_at_other_pass_counts(dim, passes):
     model, encodings = trained_scoring_model(dim)
     encodings[-1] = encodings[SCORE_CHUNK]
-    want = [combined_uncertainty(model, e, 0.5, passes) for e in encodings]
+    want = [lone_score(model, e, 0.5, passes) for e in encodings]
     for n in range(1, len(encodings) + 1):
         got = combined_uncertainties(model, encodings[:n], 0.5, passes)
         assert got == want[:n], f"stacking {n} encodings changed a score"
@@ -287,7 +293,7 @@ def test_batched_scores_equal_one_at_a_time_at_round_batch_sizes(dim):
             row[dim - 2 + int(rng.integers(0, 2))] = rng.random()
             encodings.append(row)
     assert len(encodings) % SCORE_CHUNK == 1
-    want = [combined_uncertainty(model, e, 0.5, 20) for e in encodings]
+    want = [lone_score(model, e, 0.5, 20) for e in encodings]
     assert combined_uncertainties(model, encodings, 0.5, 20) == want
 
 
@@ -298,7 +304,7 @@ def test_batched_entropy_of_predictions_with_zero_probabilities(dim):
     model.params["W3"] *= 1000.0
     has_zero = [bool((model.predict(e) == 0.0).any()) for e in encodings]
     assert any(has_zero) and not all(has_zero)
-    want = [combined_uncertainty(model, e, 0.5, 20) for e in encodings]
+    want = [lone_score(model, e, 0.5, 20) for e in encodings]
     assert combined_uncertainties(model, encodings, 0.5, 20) == want
 
 
@@ -324,6 +330,7 @@ def test_combined_uncertainty_weighting():
     m = make_model(seed=9)
     enc = random_encoding(seed=77)
     score = combined_uncertainty(m, enc, mix_weight=0.5, passes=10)
+    assert score == lone_score(m, enc, 0.5, 10)
     assert score.combined == pytest.approx(
         0.5 * score.mcd + 0.5 * score.entropy, abs=0.0
     )
@@ -332,6 +339,8 @@ def test_combined_uncertainty_weighting():
     for bad in (0.0, 1.0, -0.5, 1.5):
         with pytest.raises(ConfigurationError):
             combined_uncertainty(m, enc, mix_weight=bad, passes=10)
+        with pytest.raises(ConfigurationError):
+            lone_score(m, enc, mix_weight=bad, passes=10)
 
 
 def test_weighted_sum_example():
@@ -362,7 +371,7 @@ def test_batched_scores_of_a_saturated_model_carry_its_multiplier():
     assert all((m.predict(e) == 0.0).any() for e in encodings)
     scores = combined_uncertainties(m, encodings, 0.5, 5)
     assert [s.multiplier for s in scores] == [2.0] * len(encodings)
-    assert scores == [combined_uncertainty(m, e, 0.5, 5) for e in encodings]
+    assert scores == [lone_score(m, e, 0.5, 5) for e in encodings]
 
 
 def test_uncertainty_shrinks_with_more_data():

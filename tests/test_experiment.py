@@ -1,7 +1,7 @@
 import concurrent.futures
 import csv
 import hashlib
-import importlib
+import importlib.util
 import json
 import os
 import pkgutil
@@ -989,9 +989,7 @@ def test_emit_plot_data_preserves_values():
 
 
 def test_toml_config_accepted(tmp_path):
-    try:
-        import tomllib  # noqa: F401
-    except ImportError:
+    if importlib.util.find_spec("tomllib") is None:
         pytest.importorskip("tomli")
     path = tmp_path / "config.toml"
     path.write_text(

@@ -9,8 +9,12 @@ also checked on its own against numpy's SeedSequence for every entropy
 length from 1 to 9 words: the second stage hashes a one-word subseed only
 when the subseed's high word is 0, which real seeds almost never reach.
 Rows of more than 16 entropy words run past the hash constants made at
-import, which `seeding._pool` then extends.
+import, which `seeding._pool` then extends. `subseed` folds its parts
+through the same `seeding._words` as `seed_words`, and `reference_subseed`,
+which hands SeedSequence the parts' ints whole, is its oracle.
 """
+
+import zlib
 
 import numpy as np
 import pytest
@@ -94,3 +98,28 @@ wide_rows = st.lists(st.integers(2**32, 2**64 - 1), min_size=9, max_size=40).map
 def test_rows_past_sixteen_entropy_words_draw_what_rng_for_draws(batch):
     for row, stream in zip(batch, batched_streams(batch)):
         assert draws(stream) == draws(rng_for(*row))
+
+
+def reference_subseed(*parts) -> int:
+    """`subseed` with each part folded to one int, crc32 of a string or the
+    low 64 bits of an int, for SeedSequence to split into uint32 words."""
+    entropy = []
+    for p in parts:
+        if isinstance(p, str):
+            entropy.append(zlib.crc32(p.encode("utf-8")))
+        else:
+            entropy.append(int(p) & 0xFFFFFFFFFFFFFFFF)
+    return int(np.random.SeedSequence(entropy).generate_state(1, np.uint64)[0])
+
+
+# strings, 0, ints below and above 2**32, negative ints and ints past 2**64
+any_parts = st.lists(
+    parts | st.integers(-(2**70), -1) | st.integers(2**64, 2**80) | st.text(max_size=8),
+    max_size=9,
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(any_parts)
+def test_subseed_folds_its_parts_as_seedsequence_folds_whole_ints(row):
+    assert subseed(*row) == reference_subseed(*row)

@@ -5,7 +5,7 @@ from idxlab.catalog import CatalogSpec, IndexCandidate, generate_catalog
 from idxlab.correction import telemetry_to_labels
 from idxlab.costmodel import MULTIPLIER_GRID, nearest_bucket_index
 from idxlab.errors import ConfigurationError
-from idxlab.plan import PlanNode, leaves
+from idxlab.plan import LEAF_KINDS, PlanNode, leaves
 from idxlab.selection import generate_candidates
 from idxlab.simulator import (
     MULTIPLIER_HIGH,
@@ -152,7 +152,8 @@ def test_ground_truth_median_near_one():
 
 def test_ground_truth_choices_and_validation(env):
     catalog, _, _ = env
-    gt = make_ground_truth(catalog, seed=1, noise_sigma=0.0, choices=(0.5, 2.0, 5.0))
+    choices = dict.fromkeys(LEAF_KINDS, (0.5, 2.0, 5.0))
+    gt = make_ground_truth(catalog, seed=1, noise_sigma=0.0, choices=choices)
     scans = {
         g
         for (kind, _), g in gt.multipliers.items()

@@ -1,6 +1,7 @@
 """No `idxlab` module but the package's `__init__` imports a name it never
 uses, except the few that the benchmark tracer (perfbench/tracer.py) patches
-by module attribute and no code calls through that module.
+by module attribute and no code calls through that module. Nor does any file
+of the tests, the tools or the demos.
 
 The check needs no linter: it reads each module's syntax tree, where a name
 counts as used when it is read anywhere in the module.
@@ -12,6 +13,8 @@ import pathlib
 import idxlab
 
 PACKAGE = pathlib.Path(idxlab.__file__).parent
+ROOT = PACKAGE.parent.parent
+OTHER_TREES = ("tests", "tools", "demos")
 
 # (module, name): imported only so that the tracer can patch it there
 TRACER_ONLY = {
@@ -37,19 +40,25 @@ def imported_and_unused(path):
     return imported, imported - read
 
 
-def modules():
-    return sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+def modules() -> dict:
+    """Each checked file by name: a package module (but `__init__`) by its
+    stem, any other file by its path from the repository root."""
+    found = {p.stem: p for p in PACKAGE.glob("*.py") if p.name != "__init__.py"}
+    for tree in OTHER_TREES:
+        for path in (ROOT / tree).glob("*.py"):
+            found[path.relative_to(ROOT).as_posix()] = path
+    return dict(sorted(found.items()))
 
 
 def test_no_module_imports_a_name_it_never_uses():
     unused = set()
-    for path in modules():
-        unused |= {(path.stem, name) for name in imported_and_unused(path)[1]}
+    for module, path in modules().items():
+        unused |= {(module, name) for name in imported_and_unused(path)[1]}
     assert unused <= TRACER_ONLY, sorted(unused - TRACER_ONLY)
 
 
 def test_every_tracer_only_import_is_still_imported_and_unused():
-    found = {path.stem: imported_and_unused(path) for path in modules()}
+    found = {module: imported_and_unused(path) for module, path in modules().items()}
     for module, name in sorted(TRACER_ONLY):
         imported, unused = found[module]
         assert name in imported, (module, name)
