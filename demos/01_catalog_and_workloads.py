@@ -33,6 +33,6 @@ for kind in ("static", "continuous", "periodic", "cyclic"):
     marks = []
     for w in workloads:
         marks.append(f"{unseen_fraction(w, seen):.2f}")
-        seen.update(w.template_ids())
+        seen.update(t.id for t in w.templates)
     print(f"\n{kind:>10}: per-round unseen fraction: {' '.join(marks)}")
-    print(f"           round sets: {[sorted(w.template_ids()) for w in workloads[:4]]} ...")
+    print(f"           round sets: {[sorted(t.id for t in w.templates) for w in workloads[:4]]} ...")

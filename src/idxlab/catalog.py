@@ -238,15 +238,14 @@ def string_value_index(token) -> int:
 
 
 def selectivity(predicates, catalog: Catalog) -> float:
-    """Uniform-domain selectivity of one predicate or a conjunction of them.
+    """Uniform-domain selectivity of the conjunction of ``predicates``, a
+    sequence of predicates (a single one is passed as a sequence of one).
 
     Equality contributes 1/distinct_count, inequality its complement; range
     comparisons on a numeric column narrow an interval whose width fraction is
     clamped to [0, 1], so a two-sided range a < col < b yields (b-a)/(max-min).
     Predicates on different columns multiply (independence).
     """
-    if hasattr(predicates, "column"):
-        predicates = (predicates,)
     by_column = {}
     for p in predicates:
         by_column.setdefault(ColumnRef(*p.column), []).append(p)

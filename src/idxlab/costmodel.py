@@ -78,7 +78,6 @@ import numpy as np
 from .errors import ConfigurationError, ContractError
 from .seeding import generators, rng_for, seed_words
 
-N_CLASSES = 37
 HIDDEN_UNITS = 64
 DROPOUT_RATE = 0.1
 LEARNING_RATE = 1e-3
@@ -104,6 +103,7 @@ def _build_grid() -> np.ndarray:
 
 
 MULTIPLIER_GRID = _build_grid()
+N_CLASSES = len(MULTIPLIER_GRID)
 _LOG_GRID = np.log(MULTIPLIER_GRID)
 
 
@@ -133,7 +133,6 @@ class CostMultiplierModel:
         )
         self.params["W2"][...] = self.rng.normal(0.0, math.sqrt(2.0 / h), (h, h))
         # the biases and the head stay zero: pre-training softmax is uniform
-        self._adam_t = 0
         self.step_count = 0
         self.buffer = deque(maxlen=REPLAY_CAPACITY)
         # encoding columns nonzero in any label absorbed so far, evicted or
@@ -275,10 +274,10 @@ class CostMultiplierModel:
 
     def _adam_step(self):
         """One Adam step from the workspace's gradients, each operation over
-        the whole flat state at once."""
-        self._adam_t += 1
-        bias1 = 1 - ADAM_BETA1**self._adam_t
-        bias2 = 1 - ADAM_BETA2**self._adam_t
+        the whole flat state at once; it advances ``step_count``."""
+        self.step_count += 1
+        bias1 = 1 - ADAM_BETA1**self.step_count
+        bias2 = 1 - ADAM_BETA2**self.step_count
         params, m, v = self._vectors
         g = self._workspace.grad_vector
         step, denom = self._workspace.scratch
@@ -339,10 +338,9 @@ class CostMultiplierModel:
                     cache["X"] = X_seen[batch]
                 compact._backward(cache, y_all[batch], rows, compact._workspace.grads)
                 compact._adam_step()
-                self.step_count += 1
         for vector, part in zip(self._vectors, compact._vectors):
             vector[flat] = part
-        self._adam_t = compact._adam_t
+        self.step_count = compact.step_count
         return self
 
     def _compact(self, cols):
@@ -358,7 +356,7 @@ class CostMultiplierModel:
         flat = np.concatenate((w1, np.arange(self.input_dim * h, size)))
         compact = object.__new__(type(self))
         compact.input_dim = len(cols)
-        compact._adam_t = self._adam_t
+        compact.step_count = self.step_count
         compact._vectors = tuple(vector[flat] for vector in self._vectors)
         compact._bind_views(self._workspace)
         return compact, flat

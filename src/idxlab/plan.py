@@ -161,7 +161,7 @@ def encode_operator(node: PlanNode, catalog: Catalog) -> np.ndarray:
 def _most_selective(predicates, catalog):
     best, best_sel = None, None
     for p in predicates:
-        s = selectivity(p, catalog)
+        s = selectivity((p,), catalog)
         if best is None or s < best_sel:
             best, best_sel = p, s
     return best

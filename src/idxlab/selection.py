@@ -96,9 +96,6 @@ class Configuration:
 
     indexes: tuple = ()
 
-    def __len__(self) -> int:
-        return len(self.indexes)
-
 
 @dataclass(frozen=True)
 class IndexValuation:
@@ -111,8 +108,8 @@ class IndexValuation:
 
 
 def generate_candidates(workload: MiniWorkload, catalog: Catalog) -> list:
-    """Deduplicated index candidates for one mini-workload."""
-    seen_templates = set()
+    """Deduplicated index candidates for one mini-workload, from each of its
+    distinct templates (`MiniWorkload.templates`) in order of first use."""
     out, seen_keys = [], set()
 
     def add(table, columns):
@@ -122,11 +119,7 @@ def generate_candidates(workload: MiniWorkload, catalog: Catalog) -> list:
         seen_keys.add(key)
         out.append(sized_candidate(table, columns, catalog))
 
-    for q in workload.queries:
-        t = q.template
-        if t.id in seen_templates:
-            continue
-        seen_templates.add(t.id)
+    for t in workload.templates:
         filter_cols = [(f.column.table, f.column.column) for f in t.filter_specs]
         join_cols = []
         for j in t.join_predicates:

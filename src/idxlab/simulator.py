@@ -25,10 +25,10 @@ tuner keep the plans of queries that recur from one round to the next
 (`selection.round_context`).
 
 The executor turns per-operator execution costs into "true" runtimes through
-hidden per-(operator kind, table) multipliers and optional lognormal noise;
+hidden per-(leaf kind, table) multipliers and optional lognormal noise;
 those multipliers are the systematic estimation errors the learned models
-must recover. Each execution draws its noise from its own stream,
-`seeding.rng_for(ground truth seed, round seed, digest of the query and the
+must recover, and an internal operator is scaled by its noise alone. Each
+execution draws its noise from its own stream, `seeding.rng_for(ground truth seed, round seed, digest of the query and the
 configuration)`, which `noise_streams` makes for many queries in one hash
 pass (`seeding.seed_words`, then `seeding.generators`); `execute` takes one
 of them, or makes its query's own through `noise_streams`. One optimizer
@@ -42,7 +42,7 @@ from dataclasses import dataclass
 
 from .catalog import Catalog, selectivity
 from .errors import ConfigurationError
-from .plan import LEAF_KINDS, PLAN_KINDS, PlanNode
+from .plan import LEAF_KINDS, PlanNode
 from .seeding import generators, rng_for, seed_words
 from .workload import Query
 
@@ -60,7 +60,9 @@ MULTIPLIER_HIGH = 20.0
 
 @dataclass(frozen=True)
 class GroundTruth:
-    """Hidden per-(operator kind, table) cost multipliers plus noise shape."""
+    """Hidden per-(leaf kind, table) cost multipliers plus noise shape;
+    ``multipliers`` has exactly the keys `plan.LEAF_KINDS` x the catalog's
+    tables."""
 
     catalog: Catalog
     multipliers: dict
@@ -81,31 +83,32 @@ class ExecutionTelemetry:
 def make_ground_truth(
     catalog: Catalog, seed: int, noise_sigma: float = 0.05, choices=None
 ) -> GroundTruth:
-    """Draw one multiplier per (scan kind, table), log-uniform in [0.05, 20].
+    """Draw one multiplier per (leaf kind, table), log-uniform in [0.05, 20].
 
-    Systematic errors live on the table-access operators; internal kinds get
-    multiplier 1.0 (noise still applies to every operator). Compounding
-    internal-node errors through the row-count leverage of joins would push
-    the correction a leaf can express outside the multiplier grid, breaking
-    the guarantee that the right bucket exists.
+    Systematic errors live on the table-access operators only, so internal
+    operators carry none (noise still applies to every operator).
+    Compounding internal-node errors through the row-count leverage of joins
+    would push the correction a leaf can express outside the multiplier
+    grid, breaking the guarantee that the right bucket exists.
 
-    ``choices`` maps an operator kind to an explicit set of multipliers to
-    draw from; kinds it does not map get multiplier 1.0.
+    ``choices`` maps a leaf kind to an explicit set of multipliers to draw
+    from; leaf kinds it does not map get multiplier 1.0, and a kind that is
+    not a leaf kind raises ConfigurationError.
     """
     if noise_sigma < 0:
         raise ConfigurationError("noise_sigma must be >= 0")
+    if choices is not None and not set(choices) <= set(LEAF_KINDS):
+        raise ConfigurationError(f"choices must map only leaf kinds {LEAF_KINDS}")
     rng = rng_for(seed, "ground-truth")
     multipliers = {}
-    for kind in PLAN_KINDS:
+    for kind in LEAF_KINDS:
         for table in catalog.tables:
-            if choices is not None:
-                opts = choices.get(kind)
-                g = 1.0 if opts is None else float(rng.choice(list(opts)))
-            elif kind in LEAF_KINDS:
+            if choices is None:
                 low, high = math.log(MULTIPLIER_LOW), math.log(MULTIPLIER_HIGH)
                 g = math.exp(rng.uniform(low, high))
             else:
-                g = 1.0
+                opts = choices.get(kind)
+                g = 1.0 if opts is None else float(rng.choice(list(opts)))
             multipliers[(kind, table.name)] = g
     return GroundTruth(catalog, multipliers, noise_sigma, seed)
 
@@ -313,13 +316,6 @@ def _join_rows(outer_rows, inner_rows, join, catalog) -> float:
     return outer_rows * inner_rows / max(d_left, d_right)
 
 
-def subtree_table(node: PlanNode) -> str:
-    """Table attributed to a node: its own, else the outermost leaf's."""
-    if node.table is not None:
-        return node.table
-    return subtree_table(node.children[0])
-
-
 def _query_digest(query: Query, indexes) -> int:
     parts = [query.template.id]
     parts += [repr(v) for v in query.bound_literals]
@@ -338,8 +334,9 @@ def noise_streams(queries, indexes, ground_truth: GroundTruth, round_seed: int) 
 def execute(
     query: Query, indexes, ground_truth: GroundTruth, round_seed: int, *, stream=None
 ) -> ExecutionTelemetry:
-    """Simulated execution under the index sequence ``indexes``: per-operator
-    time = exec cost x multiplier x noise.
+    """Simulated execution under the index sequence ``indexes``: a leaf's
+    time is exec cost x its (kind, table) multiplier x noise, any other
+    operator's exec cost x noise.
 
     The noise comes from the query's own stream, a pure function of the
     ground truth's seed, ``round_seed``, the query and the indexes.
@@ -355,7 +352,7 @@ def execute(
     per_operator = []
     total = 0.0
     for node, noise in zip(nodes, noises):
-        g = ground_truth.factor(node.kind, subtree_table(node))
+        g = ground_truth.factor(node.kind, node.table) if node.is_leaf else 1.0
         t = node.exec_cost * g * noise * TIME_UNIT_SECONDS
         per_operator.append((node, t))
         total += t

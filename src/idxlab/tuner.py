@@ -448,7 +448,7 @@ class OnlineTuner:
             **{f: row[f] for f in METRIC_FIELDS if f != "mean_uncertainty"},
         )
         self.reports.append(report)
-        self.seen_templates.update(workload.template_ids())
+        self.seen_templates.update(t.id for t in workload.templates)
         self.round += 1
         return report
 

@@ -98,11 +98,7 @@ class QueryTemplate:
                 raise ConfigurationError(
                     f"join {i} of {self.id} does not connect adjacent tables"
                 )
-        refs = [j.left for j in self.join_predicates]
-        refs += [j.right for j in self.join_predicates]
-        refs += [f.column for f in self.filter_specs]
-        refs += list(self.order_by) + list(self.group_by) + list(self.payload_columns)
-        for ref in refs:
+        for ref in self._column_refs():
             catalog.column(ref.table, ref.column)
             if ref.table not in self.tables:
                 raise ConfigurationError(f"{self.id}: column {ref} off-template")
@@ -121,15 +117,21 @@ class QueryTemplate:
             require_finite(sampler.high, f"{where}: high")
             Field(f"{where}: distinct", "integer", 1, 1).check(sampler.distinct)
 
+    def _column_refs(self) -> list:
+        """Every column reference of the template, in the order `validate`
+        checks them: join lefts, join rights, filters, order-by, group-by,
+        payload."""
+        refs = [j.left for j in self.join_predicates]
+        refs += [j.right for j in self.join_predicates]
+        refs += [f.column for f in self.filter_specs]
+        refs += list(self.order_by) + list(self.group_by) + list(self.payload_columns)
+        return refs
+
     @cached_property
     def referenced_columns(self) -> dict:
         """{table: frozenset of the columns the template reads from it}."""
-        refs = [f.column for f in self.filter_specs]
-        for j in self.join_predicates:
-            refs += [j.left, j.right]
-        refs += list(self.order_by) + list(self.group_by) + list(self.payload_columns)
         cols = {}
-        for ref in refs:
+        for ref in self._column_refs():
             cols.setdefault(ref.table, set()).add(ref.column)
         return {table: frozenset(c) for table, c in cols.items()}
 
@@ -209,13 +211,12 @@ class MiniWorkload:
         if len(self.queries) == 0:
             raise ConfigurationError(f"round {self.round}: no queries")
 
-    def template_ids(self) -> tuple:
-        seen, out = set(), []
-        for q in self.queries:
-            if q.template.id not in seen:
-                seen.add(q.template.id)
-                out.append(q.template.id)
-        return tuple(out)
+    @cached_property
+    def templates(self) -> tuple:
+        """The round's distinct templates, in order of first use. A template
+        id names one template object, as the generator and
+        `schedule_from_dict` make them."""
+        return tuple({q.template.id: q.template for q in self.queries}.values())
 
 
 @dataclass(frozen=True)
@@ -403,16 +404,13 @@ def build_schedule(templates, sched: DriftSchedule, seed: int) -> list:
 
 def unseen_fraction(workload: MiniWorkload, seen_template_ids) -> float:
     """Fraction of distinct templates in the round not seen before."""
-    ids = workload.template_ids()
-    unseen = sum(1 for t in ids if t not in seen_template_ids)
-    return unseen / len(ids)
+    templates = workload.templates
+    unseen = sum(1 for t in templates if t.id not in seen_template_ids)
+    return unseen / len(templates)
 
 
 def schedule_to_dict(workloads) -> dict:
-    templates = {}
-    for w in workloads:
-        for q in w.queries:
-            templates.setdefault(q.template.id, q.template)
+    templates = {t.id: t for w in workloads for t in w.templates}
     return {
         "templates": [asdict(t) for _, t in sorted(templates.items())],
         "rounds": [

@@ -187,5 +187,5 @@ def reference_run(catalog, ground_truth, params, seed, schedule) -> tuple:
                 **{f: row[f] for f in METRIC_FIELDS if f != "mean_uncertainty"},
             )
         )
-        seen.update(workload.template_ids())
+        seen.update(q.template.id for q in workload.queries)
     return reports, env.metrics, valued

@@ -89,8 +89,8 @@ def test_index_candidate_invariants():
 
 
 def test_equality_selectivity(small_catalog):
-    assert selectivity(pred("a", "=", 3.0), small_catalog) == pytest.approx(0.01)
-    assert selectivity(pred("s", "=", "v7"), small_catalog) == pytest.approx(1 / 40)
+    assert selectivity((pred("a", "=", 3.0),), small_catalog) == pytest.approx(0.01)
+    assert selectivity((pred("s", "=", "v7"),), small_catalog) == pytest.approx(1 / 40)
 
 
 def test_range_selectivity_clamps(small_catalog):
@@ -104,7 +104,7 @@ def test_range_selectivity_clamps(small_catalog):
 
 def test_selectivity_unknown_column(small_catalog):
     with pytest.raises(CatalogLookupError):
-        selectivity(pred("zz", "=", 1.0), small_catalog)
+        selectivity((pred("zz", "=", 1.0),), small_catalog)
 
 
 def test_selectivity_bounds_over_random_predicates():
@@ -123,7 +123,7 @@ def test_selectivity_bounds_over_random_predicates():
             else:
                 op = ("=", "!=")[int(rng.integers(0, 2))]
                 value = f"v{int(rng.integers(0, col.distinct_count))}"
-            s = selectivity(pred(col.name, op, value, table=t.name), cat)
+            s = selectivity((pred(col.name, op, value, table=t.name),), cat)
             assert 0.0 <= s <= 1.0
 
 

@@ -441,12 +441,12 @@ def reference_update(model, labels):
         return grads
 
     def adam_step(grads, beta1=0.9, beta2=0.999, eps=1e-8):
-        model._adam_t += 1
+        model.step_count += 1
         for k, g in grads.items():
             model._adam_m[k] = beta1 * model._adam_m[k] + (1 - beta1) * g
             model._adam_v[k] = beta2 * model._adam_v[k] + (1 - beta2) * g * g
-            mhat = model._adam_m[k] / (1 - beta1**model._adam_t)
-            vhat = model._adam_v[k] / (1 - beta2**model._adam_t)
+            mhat = model._adam_m[k] / (1 - beta1**model.step_count)
+            vhat = model._adam_v[k] / (1 - beta2**model.step_count)
             model.params[k] -= LEARNING_RATE * mhat / (np.sqrt(vhat) + eps)
 
     for enc, idx in labels:
@@ -459,11 +459,10 @@ def reference_update(model, labels):
             X = np.stack([b[0] for b in batch])
             y = np.array([b[1] for b in batch])
             adam_step(gradients(X, y, model.rng))
-            model.step_count += 1
 
 
 def assert_same_model_state(a, b):
-    assert a.step_count == b.step_count and a._adam_t == b._adam_t
+    assert a.step_count == b.step_count
     for state in ("params", "_adam_m", "_adam_v"):
         for k, value in getattr(a, state).items():
             assert np.array_equal(value, getattr(b, state)[k]), (state, k)

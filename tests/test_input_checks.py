@@ -36,13 +36,13 @@ A = ColumnDef("a", NUMERIC, 2, 0.0, 1.0)
 
 
 def _string_range(catalog):
-    return selectivity(Predicate(ColumnRef("t", "s"), "<", "v1"), catalog)
+    return selectivity((Predicate(ColumnRef("t", "s"), "<", "v1"),), catalog)
 
 
 def _unknown_op(catalog):
     # a hand-built predicate: `Predicate` itself rejects the op
     predicate = SimpleNamespace(column=ColumnRef("t", "a"), op="~", value=1.0)
-    return selectivity(predicate, catalog)
+    return selectivity((predicate,), catalog)
 
 
 def _unknown_parent_kind(catalog):
@@ -139,7 +139,7 @@ def one_value_catalog():
 )
 def test_range_on_a_one_value_column_keeps_all_or_nothing(op, value, expected):
     predicate = Predicate(ColumnRef("t", "z"), op, value)
-    assert selectivity(predicate, one_value_catalog()) == expected
+    assert selectivity((predicate,), one_value_catalog()) == expected
 
 
 def test_a_one_value_column_encodes_its_literal_at_the_top():

@@ -207,7 +207,7 @@ def test_selectivity_lies_in_the_unit_interval(case):
     catalog, preds = case
     assert 0.0 <= selectivity(preds, catalog) <= 1.0
     for p in preds:
-        assert 0.0 <= selectivity(p, catalog) <= 1.0
+        assert 0.0 <= selectivity((p,), catalog) <= 1.0
 
 
 @SETTINGS

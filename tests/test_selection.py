@@ -126,6 +126,59 @@ def test_no_indexable_features_no_candidates(env):
     assert generate_candidates(w, catalog) == []
 
 
+def per_query_candidates(workload, catalog):
+    """`generate_candidates` by the earlier per-query loop, kept as an
+    oracle: it skips a query whose template id an earlier query had."""
+    seen_templates = set()
+    out, seen_keys = [], set()
+
+    def add(table, columns):
+        key = (table, tuple(columns))
+        if key in seen_keys:
+            return
+        seen_keys.add(key)
+        out.append(sized_candidate(table, columns, catalog))
+
+    for q in workload.queries:
+        t = q.template
+        if t.id in seen_templates:
+            continue
+        seen_templates.add(t.id)
+        filter_cols = [(f.column.table, f.column.column) for f in t.filter_specs]
+        join_cols = []
+        for j in t.join_predicates:
+            join_cols.append((j.left.table, j.left.column))
+            join_cols.append((j.right.table, j.right.column))
+        for table, col in filter_cols:
+            add(table, (col,))
+        for table, col in join_cols:
+            add(table, (col,))
+        for ref in list(t.order_by) + list(t.group_by):
+            add(ref.table, (ref.column,))
+        for ftable, fcol in filter_cols:
+            for jtable, jcol in join_cols:
+                if ftable == jtable and fcol != jcol:
+                    add(ftable, (fcol, jcol))
+    return out
+
+
+@pytest.mark.parametrize("kind", ["static", "periodic", "cyclic"])
+def test_candidates_equal_the_per_query_loop(kind):
+    # templates repeat within a round (3 queries each) and across rounds
+    catalog = generate_catalog(CatalogSpec(n_tables=4), seed=5)
+    templates = generate_templates(catalog, 12, seed=5)
+    sched = DriftSchedule(
+        kind, total_rounds=6, templates_per_round=6, change_fraction=0.5,
+        period=2, cycle_length=3, queries_per_template=3,
+    )
+    for w in build_schedule(templates, sched, seed=9):
+        assert generate_candidates(w, catalog) == per_query_candidates(w, catalog)
+    # a round whose queries interleave their templates
+    w = build_schedule(templates, sched, seed=9)[0]
+    mixed = MiniWorkload(0, w.queries[::2] + w.queries[1::2] + w.queries[:4])
+    assert generate_candidates(mixed, catalog) == per_query_candidates(mixed, catalog)
+
+
 def test_candidates_unique_across_workloads():
     catalog = generate_catalog(CatalogSpec(n_tables=3), seed=7)
     templates = generate_templates(catalog, 10, seed=7)
@@ -402,7 +455,7 @@ def test_epsilon_greedy_at_one_draws_every_pick():
 def test_enumerate_k1_returns_single(env):
     a, ab, b, u = _candidates()
     config = enumerate_configuration([a, b], [0.5, 0.5], seed=1, max_indexes=1)
-    assert len(config) == 1
+    assert len(config.indexes) == 1
     assert config.indexes[0] in (a, b)
 
 
@@ -440,7 +493,7 @@ def test_enumerate_storage_budget():
         [a, ab, b, u], [0.25] * 4, seed=9, storage_budget_bytes=250
     )
     assert total_size_bytes(config) <= 250
-    assert len(config) >= 1
+    assert len(config.indexes) >= 1
 
 
 def test_enumerate_validation():
@@ -476,7 +529,7 @@ def test_enumeration_sampling_frequency():
 
 
 def check_configuration(config, candidates, max_indexes, per_table_cap):
-    assert len(config) <= max_indexes
+    assert len(config.indexes) <= max_indexes
     per_table = {}
     for i, ix in enumerate(config.indexes):
         per_table[ix.table] = per_table.get(ix.table, 0) + 1

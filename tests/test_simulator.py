@@ -1,25 +1,35 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from idxlab.catalog import CatalogSpec, IndexCandidate, generate_catalog
 from idxlab.correction import telemetry_to_labels
 from idxlab.costmodel import MULTIPLIER_GRID, nearest_bucket_index
 from idxlab.errors import ConfigurationError
-from idxlab.plan import LEAF_KINDS, PlanNode, leaves
+from idxlab.plan import LEAF_KINDS, PLAN_KINDS, PlanNode, leaves
 from idxlab.selection import generate_candidates
 from idxlab.simulator import (
     MULTIPLIER_HIGH,
     MULTIPLIER_LOW,
     TIME_UNIT_SECONDS,
+    GroundTruth,
     _query_digest,
     execute,
     make_ground_truth,
     noise_streams,
-    subtree_table,
     whatif_plan,
 )
 from idxlab.seeding import rng_for
-from idxlab.workload import DriftSchedule, build_schedule, generate_templates
+from idxlab.workload import (
+    DriftSchedule,
+    MiniWorkload,
+    bind_query,
+    build_schedule,
+    generate_templates,
+)
 
 
 @pytest.fixture(scope="module")
@@ -154,25 +164,64 @@ def test_ground_truth_choices_and_validation(env):
     catalog, _, _ = env
     choices = dict.fromkeys(LEAF_KINDS, (0.5, 2.0, 5.0))
     gt = make_ground_truth(catalog, seed=1, noise_sigma=0.0, choices=choices)
-    scans = {
-        g
-        for (kind, _), g in gt.multipliers.items()
-        if kind in ("SeqScan", "IndexScan", "IndexOnlyScan")
-    }
-    internals = {
-        g
-        for (kind, _), g in gt.multipliers.items()
-        if kind not in ("SeqScan", "IndexScan", "IndexOnlyScan")
-    }
-    assert scans <= {0.5, 2.0, 5.0}
-    assert internals == {1.0}
+    keys = {(kind, t.name) for kind in LEAF_KINDS for t in catalog.tables}
+    assert set(gt.multipliers) == keys
+    assert set(gt.multipliers.values()) <= {0.5, 2.0, 5.0}
     gt2 = make_ground_truth(
         catalog, seed=1, noise_sigma=0.0, choices={"IndexScan": (2.0,)}
     )
+    assert set(gt2.multipliers) == keys
     assert gt2.multipliers[("IndexScan", catalog.tables[0].name)] == 2.0
     assert gt2.multipliers[("SeqScan", catalog.tables[0].name)] == 1.0
     with pytest.raises(ConfigurationError):
         make_ground_truth(catalog, seed=1, noise_sigma=-0.1)
+    with pytest.raises(ConfigurationError, match="leaf kinds"):
+        make_ground_truth(catalog, seed=1, noise_sigma=0.0, choices={"Hash": (2.0,)})
+
+
+def subtree_table(node):
+    """Table attributed to a node: its own, else the outermost leaf's."""
+    if node.table is not None:
+        return node.table
+    return subtree_table(node.children[0])
+
+
+def all_kinds_ground_truth(catalog, seed, noise_sigma, choices=None):
+    """The ground truth of the earlier rule, kept as an oracle: one entry per
+    (kind of `PLAN_KINDS`, table), drawn in that order, where only leaf kinds
+    draw log-uniformly and every other kind holds 1.0 unless ``choices``
+    maps it; the executor looked a node up under `subtree_table`."""
+    rng = rng_for(seed, "ground-truth")
+    multipliers = {}
+    for kind in PLAN_KINDS:
+        for table in catalog.tables:
+            if choices is not None:
+                opts = choices.get(kind)
+                g = 1.0 if opts is None else float(rng.choice(list(opts)))
+            elif kind in LEAF_KINDS:
+                low, high = math.log(MULTIPLIER_LOW), math.log(MULTIPLIER_HIGH)
+                g = math.exp(rng.uniform(low, high))
+            else:
+                g = 1.0
+            multipliers[(kind, table.name)] = g
+    return GroundTruth(catalog, multipliers, noise_sigma, seed)
+
+
+@pytest.mark.parametrize(
+    "choices",
+    [None, {}, {"IndexScan": (2.0,)}, dict.fromkeys(LEAF_KINDS, (0.5, 2.0, 5.0))],
+    ids=["drawn", "none", "one kind", "every leaf kind"],
+)
+def test_ground_truth_draws_the_leaf_entries_of_the_all_kinds_rule(env, choices):
+    catalog, _, _ = env
+    for seed in range(20):
+        got = make_ground_truth(catalog, seed, 0.05, choices)
+        want = all_kinds_ground_truth(catalog, seed, 0.05, choices)
+        leaf = [(k, g) for k, g in want.multipliers.items() if k[0] in LEAF_KINDS]
+        assert list(got.multipliers.items()) == leaf
+        assert all(
+            g == 1.0 for k, g in want.multipliers.items() if k[0] not in LEAF_KINDS
+        )
 
 
 def _two_node_case(leaf_cost, seq_cost, agg_cost, multiplier):
@@ -221,15 +270,51 @@ def test_telemetry_strictly_positive(env):
 
 def reference_execute_times(query, indexes, gt, round_seed):
     """Per-operator times from one scalar noise draw per plan node, in
-    `walk()` order: the loop `execute`'s one vector draw per query replaced."""
+    `walk()` order, each node scaled by the `all_kinds_ground_truth` entry of
+    its kind and `subtree_table`: the loop `execute`'s one vector draw per
+    query and its leaf-only lookup replaced. Returns the times and the noise
+    generator's state after the draws."""
     root, _ = whatif_plan(query, indexes, gt.catalog)
+    oracle = all_kinds_ground_truth(gt.catalog, gt.seed, gt.noise_sigma)
     rng = rng_for(gt.seed, round_seed, _query_digest(query, indexes))
     times = []
     for node in root.walk():
         noise = float(rng.lognormal(0.0, gt.noise_sigma))
-        g = gt.factor(node.kind, subtree_table(node))
+        g = oracle.factor(node.kind, subtree_table(node))
         times.append(node.exec_cost * g * noise * TIME_UNIT_SECONDS)
     return times, rng.bit_generator.state
+
+
+@st.composite
+def execution_cases(draw):
+    """A drawn catalog and ground truth, a query of one of its templates and
+    an index sequence drawn from the templates' candidates."""
+    spec = CatalogSpec(
+        n_tables=draw(st.integers(1, 4)),
+        string_column_fraction=draw(st.sampled_from([0.0, 0.25, 0.5])),
+    )
+    catalog = generate_catalog(spec, seed=draw(st.integers(0, 2**16)))
+    templates = generate_templates(catalog, 3, seed=draw(st.integers(0, 2**16)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**16)))
+    workload = MiniWorkload(0, tuple(bind_query(t, rng) for t in templates))
+    query = draw(st.sampled_from(workload.queries))
+    candidates = generate_candidates(workload, catalog)
+    indexes = tuple(draw(st.lists(st.sampled_from(candidates), max_size=4)))
+    sigma = draw(st.sampled_from([0.0, 0.05, 0.7]))
+    gt = make_ground_truth(catalog, draw(st.integers(0, 2**16)), sigma)
+    return query, indexes, gt, draw(st.integers(0, 2**16))
+
+
+@settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(execution_cases())
+def test_execute_equals_the_all_kinds_rule(case):
+    query, indexes, gt, round_seed = case
+    want, state = reference_execute_times(query, indexes, gt, round_seed)
+    stream = noise_streams((query,), indexes, gt, round_seed)[0]
+    telem = execute(query, indexes, gt, round_seed, stream=stream)
+    assert [t for _, t in telem.per_operator] == want
+    assert telem.total_time == sum(want)
+    assert stream.bit_generator.state == state
 
 
 @pytest.mark.parametrize("sigma", [0.0, 0.05, 0.7])

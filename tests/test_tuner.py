@@ -100,7 +100,7 @@ def test_round_report_shape(env):
     assert report.round == 0
     assert tuner.round == 1
     assert len(tuner.metrics) == 1
-    assert 0 < len(report.configuration) <= 4
+    assert 0 < len(report.configuration.indexes) <= 4
     assert report.improvement == pytest.approx(
         1 - report.exec_time_s / report.noindex_time_s
     )
@@ -120,7 +120,7 @@ def test_zero_candidate_round_is_exact_noop(env):
     w = MiniWorkload(0, (Query(tpl, ()),))
     tuner = OnlineTuner(catalog, gt, TunerParams(), seed=7)
     report = tuner.run_round(w)
-    assert len(report.configuration) == 0
+    assert len(report.configuration.indexes) == 0
     assert report.improvement == 0.0
     assert report.labels_emitted == 0
 
@@ -326,7 +326,7 @@ def test_budget_compliance_every_round(env):
     tuner = OnlineTuner(catalog, gt, params, seed=17)
     for w in schedule:
         report = tuner.run_round(w)
-        assert len(report.configuration) <= 3
+        assert len(report.configuration.indexes) <= 3
         per_table = {}
         for ix in report.configuration.indexes:
             per_table[ix.table] = per_table.get(ix.table, 0) + 1

@@ -29,7 +29,7 @@ def templates(catalog):
 
 
 def template_sets(workloads):
-    return [set(w.template_ids()) for w in workloads]
+    return [{t.id for t in w.templates} for w in workloads]
 
 
 def test_template_generation_deterministic(catalog):
@@ -203,10 +203,38 @@ def test_literals_fresh_per_round_and_query(templates):
 def test_unseen_fraction(templates):
     sched = DriftSchedule("static", total_rounds=1, templates_per_round=10)
     w = build_schedule(templates, sched, seed=3)[0]
-    ids = list(w.template_ids())
+    ids = [t.id for t in w.templates]
     assert unseen_fraction(w, set(ids)) == 0.0
     assert unseen_fraction(w, set()) == 1.0
     assert unseen_fraction(w, set(ids[2:])) == pytest.approx(0.2)
+
+
+def first_use_ids(workload):
+    """A round's distinct template ids in order of first use, by the
+    earlier per-query loop, kept as an oracle."""
+    seen, out = set(), []
+    for q in workload.queries:
+        if q.template.id not in seen:
+            seen.add(q.template.id)
+            out.append(q.template.id)
+    return out
+
+
+@pytest.mark.parametrize("kind", ["static", "continuous", "periodic", "cyclic"])
+def test_round_templates_equal_the_per_query_loop(templates, kind):
+    # templates repeat within a round (3 queries each) and across rounds
+    sched = DriftSchedule(
+        kind, total_rounds=6, templates_per_round=6, change_fraction=0.5,
+        period=2, cycle_length=3, queries_per_template=3,
+    )
+    workloads = build_schedule(templates, sched, seed=4)
+    mixed = workloads[0].queries
+    workloads.append(MiniWorkload(6, mixed[::2] + mixed[1::2] + mixed[:4]))
+    for w in workloads:
+        assert [t.id for t in w.templates] == first_use_ids(w)
+        by_id = {q.template.id: q.template for q in w.queries}
+        assert all(t is by_id[t.id] for t in w.templates)
+        assert w.templates is w.templates
 
 
 def test_empty_workload_rejected():
