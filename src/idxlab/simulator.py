@@ -9,31 +9,39 @@ the executor take a configuration in one form, a sequence of index
 candidates; a caller holding a `selection.Configuration` passes its
 ``indexes``.
 
-What a plan needs from a query apart from its configuration is derived once
-and kept on the frozen object it comes from, never in a table keyed by
-literals: a template's referenced columns per table and its filter columns
-(``QueryTemplate.referenced_columns``, ``filter_columns``), a query's bound
-predicates per table (``Query.predicates_by_table``) and each table's filter
-selectivity (``Query.filter_selectivities``), which is kept for the catalog
-object it was computed against and recomputed under any other. Each catalog
-table maps its column names once. All of these are pure functions of frozen
-values, so every plan is built node for node as from scratch. The planner
-itself hashes no query and keeps no plan: each call plans the whole query
-under its configuration. A what-if plan is therefore a pure function of the
-query's key, the configuration and the catalog, which is what lets the
-tuner keep the plans of queries that recur from one round to the next
+What a plan needs apart from its configuration is derived once and kept on
+the frozen object it comes from, never in a table keyed by literals (the
+reuse of INUM, Papadomanolakis et al., VLDB 2007). A template keeps its
+referenced columns per table and its filter columns
+(``QueryTemplate.referenced_columns``, ``filter_columns``) and, through
+`_template_constants`, what its accesses take from the catalog alone: each
+table's SeqScan cost and index descent cost, each join's larger distinct
+count and lookup-column distinct count, and the group-by column's distinct
+count. A query keeps its bound predicates per table
+(``Query.predicates_by_table``) and each table's filter selectivity
+(``Query.filter_selectivities``), and each catalog table maps its column
+names once. Whatever is derived from a catalog is kept for the catalog
+object it was computed against and recomputed under any other. All of these
+are pure functions of frozen values, so every plan is built node for node as
+from scratch. The planner weighs each access option and each join's two
+methods on their costs and builds only the tree it returns. It hashes no
+query and keeps no plan: each call plans the whole query under its
+configuration. A what-if plan is therefore a pure function of the query's
+key, the configuration and the catalog, which is what lets the tuner keep
+the plans of queries that recur from one round to the next
 (`selection.round_context`).
 
 The executor turns per-operator execution costs into "true" runtimes through
 hidden per-(leaf kind, table) multipliers and optional lognormal noise;
 those multipliers are the systematic estimation errors the learned models
 must recover, and an internal operator is scaled by its noise alone. Each
-execution draws its noise from its own stream, `seeding.rng_for(ground truth seed, round seed, digest of the query and the
-configuration)`, which `noise_streams` makes for many queries in one hash
-pass (`seeding.seed_words`, then `seeding.generators`); `execute` takes one
-of them, or makes its query's own through `noise_streams`. One optimizer
-cost unit is worth 1 ms of simulated time, a constant that cancels in every
-benefit ratio.
+execution draws its noise from its own stream, `seeding.rng_for(ground
+truth seed, round seed, digest of the query and the configuration)`, which
+`noise_streams` makes for many queries in one hash pass
+(`seeding.seed_words`, then `seeding.generators`), naming the configuration
+once for all of them; `execute` takes one of them, or makes its query's own
+through `noise_streams`. One optimizer cost unit is worth 1 ms of simulated
+time, a constant that cancels in every benefit ratio.
 """
 
 import math
@@ -118,56 +126,53 @@ def whatif_plan(query: Query, indexes, catalog: Catalog):
     index candidates ``indexes``.
 
     Returns (plan tree, root total cost). Deterministic; an empty
-    configuration always plans via sequential scans.
+    configuration always plans via sequential scans. Each join weighs its
+    HashJoin against its NestedLoopJoin on their costs, and only the winner,
+    with the scan under it, becomes a node.
     """
     t = query.template
+    tables, joins, groups = _template_constants(t, catalog)
 
-    current = _best_scan(query, t.tables[0], indexes, catalog, lookup_col=None)
+    current = PlanNode(*_best_scan(query, tables[t.tables[0]], indexes, catalog))
     for i, join in enumerate(t.join_predicates):
-        inner_table = t.tables[i + 1]
-        inner_plain = _best_scan(query, inner_table, indexes, catalog, lookup_col=None)
-        rows_out = _join_rows(current.est_rows, inner_plain.est_rows, join, catalog)
-
-        hash_node = PlanNode(
-            kind="Hash",
-            startup_cost=inner_plain.total_cost
-            + CPU_OPERATOR_COST * inner_plain.est_rows,
-            exec_cost=0.0,
-            est_rows=inner_plain.est_rows,
-            children=[inner_plain],
-        )
-        hash_join = PlanNode(
-            kind="HashJoin",
-            startup_cost=current.startup_cost + hash_node.startup_cost,
-            exec_cost=current.exec_cost
+        facts = tables[t.tables[i + 1]]
+        max_distinct, lookup_distinct = joins[i]
+        plain = _best_scan(query, facts, indexes, catalog)
+        _, inner_startup, inner_exec, inner_rows = plain[:4]
+        rows_out = current.est_rows * inner_rows / max_distinct
+        hash_startup = inner_startup + inner_exec + CPU_OPERATOR_COST * inner_rows
+        startup = current.startup_cost + hash_startup
+        exec_cost = (
+            current.exec_cost
             + CPU_OPERATOR_COST * current.est_rows
-            + CPU_TUPLE_COST * rows_out,
-            est_rows=rows_out,
-            children=[current, hash_node],
-        )
-        best = hash_join
-
-        inner_lookup = _best_scan(
-            query, inner_table, indexes, catalog, lookup_col=join.right.column
+            + CPU_TUPLE_COST * rows_out
         )
         # a lookup access has no SeqScan option: any path found is an index's
-        if inner_lookup is not None:
-            nlj = PlanNode(
-                kind="NestedLoopJoin",
-                startup_cost=current.startup_cost + inner_lookup.startup_cost,
-                exec_cost=current.exec_cost
-                + current.est_rows * inner_lookup.exec_cost
-                + CPU_TUPLE_COST * rows_out,
-                est_rows=rows_out,
-                children=[current, inner_lookup],
+        lookup = _best_scan(
+            query, facts, indexes, catalog, (join.right.column, lookup_distinct)
+        )
+        if lookup is not None:
+            _, lookup_startup, lookup_exec, _ = lookup[:4]
+            nlj_startup = current.startup_cost + lookup_startup
+            nlj_exec = (
+                current.exec_cost
+                + current.est_rows * lookup_exec
+                + CPU_TUPLE_COST * rows_out
             )
-            if nlj.total_cost < best.total_cost:
-                best = nlj
-        current = best
+            if nlj_startup + nlj_exec < startup + exec_cost:
+                children = [current, PlanNode(*lookup)]
+                current = PlanNode(
+                    "NestedLoopJoin", nlj_startup, nlj_exec, rows_out, children=children
+                )
+                continue
+        hash_node = PlanNode(
+            "Hash", hash_startup, 0.0, inner_rows, children=[PlanNode(*plain)]
+        )
+        children = [current, hash_node]
+        current = PlanNode("HashJoin", startup, exec_cost, rows_out, children=children)
 
     if t.group_by:
-        col = catalog.column(t.group_by[0].table, t.group_by[0].column)
-        groups = min(float(col.distinct_count), current.est_rows)
+        groups = min(groups, current.est_rows)
         current = PlanNode(
             kind="Aggregate",
             startup_cost=current.total_cost + CPU_OPERATOR_COST * current.est_rows,
@@ -188,64 +193,86 @@ def whatif_plan(query: Query, indexes, catalog: Catalog):
     return current, current.total_cost
 
 
-def _best_scan(query, table_name, indexes, catalog, lookup_col):
-    """Cheapest access path for one table (or the cheapest lookup path)."""
-    table = catalog.table(table_name)
-    preds = list(query.predicates_by_table.get(table_name, ()))
-    filter_sel = query.filter_selectivities(catalog).get(table_name, 1.0)
-    out_rows = table.row_count * filter_sel
-    if lookup_col is not None:
-        join_col = catalog.column(table_name, lookup_col)
-        out_rows = out_rows / join_col.distinct_count
+def _template_constants(template, catalog):
+    """What planning any query of ``template`` takes from ``catalog`` alone:
+    ({table: (its TableDef, SeqScan exec cost, index descent cost,
+    referenced columns)}, [(larger distinct count of the join's two columns,
+    distinct count of its lookup column) per join], the group-by column's
+    distinct count as a float or None).
 
-    options = []
-    if lookup_col is None:
-        seq = PlanNode(
-            kind="SeqScan",
-            startup_cost=0.0,
-            exec_cost=SEQ_PAGE_COST * table.page_count
-            + (CPU_TUPLE_COST + CPU_OPERATOR_COST * len(preds)) * table.row_count,
-            est_rows=out_rows,
-            table=table_name,
-            predicates=preds,
-        )
-        options.append(seq)
+    Kept on the template for the catalog object it was computed against, and
+    recomputed when the template is planned against another one.
+    """
+    memo = template.__dict__.get("_plan_constants")
+    if memo is None or memo[0] is not catalog:
+        tables = {}
+        for name in template.tables:
+            table = catalog.table(name)
+            n_preds = sum(f.column.table == name for f in template.filter_specs)
+            tables[name] = (
+                table,
+                SEQ_PAGE_COST * table.page_count
+                + (CPU_TUPLE_COST + CPU_OPERATOR_COST * n_preds) * table.row_count,
+                CPU_OPERATOR_COST * math.log2(max(table.row_count, 2.0)),
+                template.referenced_columns.get(name, frozenset()),
+            )
+        joins = []
+        for join in template.join_predicates:
+            d_left = catalog.column(*join.left).distinct_count
+            d_right = catalog.column(*join.right).distinct_count
+            joins.append((max(d_left, d_right), d_right))
+        groups = None
+        if template.group_by:
+            groups = float(catalog.column(*template.group_by[0]).distinct_count)
+        memo = (catalog, (tables, joins, groups))
+        object.__setattr__(template, "_plan_constants", memo)
+    return memo[1]
 
-    referenced = query.template.referenced_columns.get(table_name, frozenset())
+
+def _best_scan(query, facts, indexes, catalog, lookup=None):
+    """The cheapest access path for one table, or with ``lookup``, a
+    (lookup column, its distinct count) pair, its cheapest lookup path.
+
+    ``facts`` are the table's `_template_constants` entry. The options are
+    weighed on their costs alone, and the winner comes back as the
+    `PlanNode` arguments (kind, startup cost, exec cost, rows, table, index,
+    predicates), or None when there is no option.
+    """
+    table, seq_exec, descent, referenced = facts
+    name = table.name
+    preds = list(query.predicates_by_table.get(name, ()))
+    out_rows = table.row_count * query.filter_selectivities(catalog).get(name, 1.0)
+    lookup_col = None
+    best = best_total = None
+    if lookup is None:
+        best, best_total = ("SeqScan", 0.0, seq_exec, None), seq_exec
+    else:
+        lookup_col, lookup_distinct = lookup
+        out_rows = out_rows / lookup_distinct
+
     for idx in indexes:
-        if idx.table != table_name:
+        if idx.table != name:
             continue
         matched = _matched_selectivity(idx, preds, catalog, lookup_col)
         if matched is None:
             continue
-        descent = CPU_OPERATOR_COST * math.log2(max(table.row_count, 2.0))
         heap_pages = matched * table.page_count
         cpu = (CPU_INDEX_TUPLE_COST + CPU_TUPLE_COST) * matched * table.row_count
         post_filter = CPU_OPERATOR_COST * len(preds) * matched * table.row_count
         kind = "IndexScan"
         page_cost = RANDOM_PAGE_COST * heap_pages
-        if referenced <= set(idx.key_columns):
+        if referenced.issubset(idx.key_columns):
             kind = "IndexOnlyScan"
             page_cost = INDEX_ONLY_PAGE_FACTOR * RANDOM_PAGE_COST * heap_pages
-        options.append(
-            PlanNode(
-                kind=kind,
-                startup_cost=descent,
-                exec_cost=page_cost + cpu + post_filter,
-                est_rows=out_rows,
-                table=table_name,
-                index=idx,
-                predicates=preds,
-            )
-        )
+        exec_cost = page_cost + cpu + post_filter
+        total = descent + exec_cost
+        if best is None or total < best_total:
+            best, best_total = (kind, descent, exec_cost, idx), total
 
-    if not options:
+    if best is None:
         return None
-    best = options[0]
-    for node in options[1:]:
-        if node.total_cost < best.total_cost:
-            best = node
-    return best
+    kind, startup, exec_cost, idx = best
+    return kind, startup, exec_cost, out_rows, name, idx, preds
 
 
 def _matched_prefix(key_columns, filtered, lookup_col):
@@ -310,24 +337,18 @@ def index_applicable(template, index) -> bool:
     )
 
 
-def _join_rows(outer_rows, inner_rows, join, catalog) -> float:
-    d_left = catalog.column(join.left.table, join.left.column).distinct_count
-    d_right = catalog.column(join.right.table, join.right.column).distinct_count
-    return outer_rows * inner_rows / max(d_left, d_right)
-
-
-def _query_digest(query: Query, indexes) -> int:
-    parts = [query.template.id]
-    parts += [repr(v) for v in query.bound_literals]
-    parts += sorted(str(ix) for ix in indexes)
-    return zlib.crc32("|".join(parts).encode("utf-8"))
-
-
 def noise_streams(queries, indexes, ground_truth: GroundTruth, round_seed: int) -> list:
     """The noise stream `execute` draws from for each of ``queries`` under
     the index sequence ``indexes``, made together from one
-    `seeding.seed_words` pass."""
-    keys = ((ground_truth.seed, round_seed, _query_digest(q, indexes)) for q in queries)
+    `seeding.seed_words` pass.
+
+    A query's stream is keyed by the crc32 of its template id, the reprs of
+    its literals and the sorted names of ``indexes``, joined by "|"; the
+    names are sorted and joined once for all the queries."""
+    config = "".join("|" + name for name in sorted(str(ix) for ix in indexes))
+    texts = ("|".join([q.template.id, *map(repr, q.bound_literals)]) for q in queries)
+    digests = (zlib.crc32((text + config).encode("utf-8")) for text in texts)
+    keys = ((ground_truth.seed, round_seed, digest) for digest in digests)
     return generators(seed_words(keys))
 
 

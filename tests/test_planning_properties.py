@@ -1,9 +1,13 @@
-"""Properties of the what-if planner's inputs over drawn catalogs and queries.
+"""Properties of the what-if planner over drawn catalogs and queries.
 
 The planner derives a query's bound predicates and filter selectivities once
 and keeps them on the query, and a template's referenced and filter columns
-on the template. Planning through those values must equal planning fresh
-copies that have none, against whichever catalog the query is planned with.
+and its table constants on the template. Planning through those values must
+equal planning fresh copies that have none, against whichever catalog the
+query is planned with. The planner weighs its options on their costs and
+builds only the tree it returns; that tree must equal, node for node, the
+one the earlier planner in `reference_planner` picks from fully built
+alternatives.
 """
 
 import dataclasses
@@ -18,17 +22,39 @@ from idxlab.catalog import (
     NUMERIC,
     Catalog,
     CatalogSpec,
+    ColumnDef,
+    ColumnRef,
+    TableDef,
     generate_catalog,
     selectivity,
+    sized_candidate,
 )
 from idxlab.correction import correct_plan, leaf_encodings
 from idxlab.costmodel import CostMultiplierModel
 from idxlab.errors import ConfigurationError
-from idxlab.plan import LEAF_KINDS, Predicate, encode_operator, encoding_length, leaves
+from idxlab.plan import (
+    LEAF_KINDS,
+    PlanNode,
+    Predicate,
+    encode_operator,
+    encoding_length,
+    leaves,
+)
 from idxlab.selection import Gate, generate_candidates, round_context
 from idxlab.simulator import index_applicable, make_ground_truth, whatif_plan
 from idxlab.tuner import Environment
-from idxlab.workload import MiniWorkload, Query, bind_query, generate_templates
+from idxlab.workload import (
+    FilterSpec,
+    JoinSpec,
+    LiteralSampler,
+    MiniWorkload,
+    Query,
+    QueryTemplate,
+    bind_query,
+    generate_templates,
+)
+
+import reference_planner
 
 SETTINGS = settings(
     max_examples=100, deadline=None, suppress_health_check=[HealthCheck.too_slow]
@@ -36,10 +62,10 @@ SETTINGS = settings(
 
 
 @st.composite
-def catalogs(draw):
+def catalogs(draw, max_tables=4):
     low = draw(st.integers(1, 5000))
     spec = CatalogSpec(
-        n_tables=draw(st.integers(1, 4)),
+        n_tables=draw(st.integers(1, max_tables)),
         rows_range=(low, draw(st.integers(low, 100000))),
         string_column_fraction=draw(st.sampled_from([0.0, 0.25, 0.5, 1.0])),
     )
@@ -122,6 +148,141 @@ def test_planning_through_the_memo_equals_planning_fresh_copies(case):
         assert index_applicable(query.template, index) == index_applicable(
             fresh_copy(query).template, index
         )
+
+
+@st.composite
+def oracle_cases(draw):
+    """A catalog of 1-5 tables, a query of each of three of its templates,
+    each template with a drawn group-by and order-by, and the index sets to
+    plan them under: none, each candidate alone, and up to 8 of the
+    candidates together with two-column composites and lookup-only indexes
+    (led by a join's lookup column)."""
+    catalog = draw(catalogs(max_tables=5))
+    try:
+        templates = generate_templates(catalog, 3, seed=draw(st.integers(0, 2**16)))
+    except ConfigurationError:  # too few columns for three distinct templates
+        assume(False)
+    queries, extras = [], []
+    for template in templates:
+        refs = [
+            ColumnRef(t, c.name)
+            for t in template.tables
+            for c in catalog.table(t).columns
+        ]
+        template = dataclasses.replace(
+            template,
+            order_by=tuple(draw(st.lists(st.sampled_from(refs), max_size=1))),
+            group_by=tuple(draw(st.lists(st.sampled_from(refs), max_size=1))),
+        )
+        values = tuple(
+            literal(draw, catalog.column(*f.column)) for f in template.filter_specs
+        )
+        queries.append(Query(template, values))
+        for table in template.tables:
+            names = [c.name for c in catalog.table(table).columns]
+            keys = st.lists(st.sampled_from(names), min_size=2, max_size=2, unique=True)
+            extras.append(sized_candidate(table, draw(keys), catalog))
+        for join in template.join_predicates:
+            table = catalog.table(join.right.table)
+            others = [c.name for c in table.columns if c.name != join.right.column]
+            keys = (join.right.column, draw(st.sampled_from(others)))
+            extras.append(sized_candidate(join.right.table, keys, catalog))
+    candidates = generate_candidates(MiniWorkload(0, tuple(queries)), catalog)
+    together = draw(st.lists(st.sampled_from(candidates + extras), max_size=8))
+    index_sets = [(), *((ix,) for ix in candidates + extras), tuple(together)]
+    return catalog, queries, index_sets
+
+
+def node_fields(plan):
+    """Each node of ``plan`` in walk order, by every field but its children,
+    which the order and the child counts pin."""
+    return [
+        (
+            node.kind,
+            node.startup_cost,
+            node.exec_cost,
+            node.est_rows,
+            node.table,
+            node.index,
+            node.predicates,
+            len(node.children),
+        )
+        for node in plan.walk()
+    ]
+
+
+@SETTINGS
+@given(oracle_cases())
+def test_the_planner_equals_the_planner_that_built_every_alternative(case):
+    catalog, queries, index_sets = case
+    other = restated(catalog)
+    for current in (catalog, other, catalog):
+        for query in queries:
+            for indexes in index_sets:
+                plan, cost = whatif_plan(query, indexes, current)
+                want_plan, want_cost = reference_planner.whatif_plan(
+                    query, indexes, current
+                )
+                assert cost == want_cost
+                assert node_fields(plan) == node_fields(want_plan)
+
+
+@SETTINGS
+@given(oracle_cases())
+def test_a_planner_call_builds_only_the_nodes_of_the_tree_it_returns(case):
+    catalog, queries, index_sets = case
+    built = []
+    init = PlanNode.__init__
+
+    def recording(node, *args, **kwargs):
+        built.append(node)
+        init(node, *args, **kwargs)
+
+    PlanNode.__init__ = recording
+    try:
+        for query in queries:
+            for indexes in index_sets:
+                built.clear()
+                plan, _ = whatif_plan(query, indexes, catalog)
+                returned = list(plan.walk())
+                assert len(built) == len(returned)
+                assert {id(node) for node in built} == {id(node) for node in returned}
+    finally:
+        PlanNode.__init__ = init
+
+
+def test_template_constants_follow_the_catalog_a_query_is_planned_against():
+    # two catalogs with the same tables and columns, at other row and page
+    # counts; the template keeps the constants of the last one only
+    def catalog(rows, pages):
+        left = TableDef("a", rows, pages, (ColumnDef("x", NUMERIC, 50, 0.0, 100.0),))
+        right = TableDef(
+            "b", 2 * rows, 3 * pages, (ColumnDef("y", NUMERIC, 40, 0.0, 100.0),)
+        )
+        return Catalog((left, right), 0)
+
+    small, large = catalog(1000, 10), catalog(90000, 2000)
+    template = QueryTemplate(
+        "T",
+        ("a", "b"),
+        (JoinSpec(ColumnRef("a", "x"), ColumnRef("b", "y")),),
+        (FilterSpec(ColumnRef("a", "x"), "<", LiteralSampler(NUMERIC, 0.0, 100.0)),),
+        group_by=(ColumnRef("b", "y"),),
+    )
+    query = Query(template, (30.0,))
+    indexes = (sized_candidate("b", ("y",), small), sized_candidate("a", ("x",), small))
+    costs = {}
+    for current in (small, large, large, small, large):
+        plan, cost = whatif_plan(query, indexes, current)
+        fresh = Query(dataclasses.replace(template), query.bound_literals)
+        want_plan, want_cost = whatif_plan(fresh, indexes, current)
+        assert cost == want_cost
+        assert node_fields(plan) == node_fields(want_plan)
+        assert node_fields(plan) == node_fields(
+            reference_planner.whatif_plan(query, indexes, current)[0]
+        )
+        costs[id(current)] = cost
+    assert costs[id(small)] != costs[id(large)]
 
 
 @SETTINGS

@@ -16,7 +16,6 @@ from idxlab.simulator import (
     MULTIPLIER_LOW,
     TIME_UNIT_SECONDS,
     GroundTruth,
-    _query_digest,
     execute,
     make_ground_truth,
     noise_streams,
@@ -30,6 +29,8 @@ from idxlab.workload import (
     build_schedule,
     generate_templates,
 )
+
+from reference_planner import query_digest
 
 
 @pytest.fixture(scope="module")
@@ -276,7 +277,7 @@ def reference_execute_times(query, indexes, gt, round_seed):
     generator's state after the draws."""
     root, _ = whatif_plan(query, indexes, gt.catalog)
     oracle = all_kinds_ground_truth(gt.catalog, gt.seed, gt.noise_sigma)
-    rng = rng_for(gt.seed, round_seed, _query_digest(query, indexes))
+    rng = rng_for(gt.seed, round_seed, query_digest(query, indexes))
     times = []
     for node in root.walk():
         noise = float(rng.lognormal(0.0, gt.noise_sigma))
@@ -354,7 +355,7 @@ def test_batch_made_noise_streams_execute_as_execute_does(env, width):
     assert len(streams) == len(queries)
     for q, stream in zip(queries, streams):
         # the stream a query's execution draws from, made on its own
-        oracle = rng_for(gt.seed, 5, _query_digest(q, config))
+        oracle = rng_for(gt.seed, 5, query_digest(q, config))
         want = telemetry_values(execute(q, config, gt, 5, stream=oracle))
         assert telemetry_values(execute(q, config, gt, 5, stream=stream)) == want
         assert telemetry_values(execute(q, config, gt, 5)) == want
