@@ -2,14 +2,18 @@
 
 Correcting a leaf scales only its execution cost; the change then propagates
 to the root through per-kind delta rules that mirror how cumulative plan
-costs compose:
+costs compose. On the leaf's path only the path's own child of a node
+carries a delta, so the rules fold one (dcs, dce) pair from the leaf up,
+starting at (0, (multiplier - 1) * leaf exec cost):
 
-    NestedLoopJoin   dcs = sum(dcs(children));  dce = rows(outer)*dce(inner) + dce(outer)
-    Limit            dcs = dcs(child);          dce = rows(parent)/rows(child) * dce(child)
+    NestedLoopJoin   dce = rows(outer) * dce, when the path comes through
+                     the inner child
+    Limit            dce = rows(parent)/rows(child) * dce
     Hash/Sort/
-    Aggregate/Gather dcs = dcs(child)+dce(child); dce = 0
+    Aggregate/Gather dcs, dce = dcs + dce, 0
     HashJoin/
-    GatherMerge      dcs = sum(dcs(children));  dce = dce(probe child)
+    GatherMerge      dce = 0 unless the path comes through the first (probe)
+                     child; dcs passes from any child
 
 A leaf is corrected only when its combined uncertainty is at or below the
 gate threshold, and then by the multiplier its score carries: the argmax of
@@ -76,46 +80,38 @@ def update_cost(plan: PlanNode, leaf: PlanNode, multiplier: float) -> Correction
     if not leaf.is_leaf:
         raise ValueError("cost correction applies to leaf operators only")
     path = path_to_root(plan, leaf)
-    local = _path_deltas(path, multiplier)
-    for node in path:
-        dcs, dce = local[id(node)]
+    deltas = _path_deltas(path, multiplier)
+    for node, (dcs, dce) in zip(path, deltas):
         node.startup_cost += dcs
         node.exec_cost += dce
-    return CorrectionLedger(local)
+    return CorrectionLedger({id(node): delta for node, delta in zip(path, deltas)})
 
 
-def _path_deltas(path: list, multiplier) -> dict:
-    """{id(node): (dcs, dce)} along ``path`` (leaf first) for scaling the
-    leaf's execution cost by ``multiplier``: a float, or an array that carries
-    every element through the same operations as a float would."""
-    leaf = path[0]
-    local = {id(leaf): (0.0, (multiplier - 1.0) * leaf.exec_cost)}
-    for parent in path[1:]:
-        local[id(parent)] = _parent_delta(parent, local)
-    return local
-
-
-def _parent_delta(parent: PlanNode, local: dict) -> tuple:
-    def d(node):
-        return local.get(id(node), (0.0, 0.0))
-
-    kind = parent.kind
-    if kind == "NestedLoopJoin":
-        outer, inner = parent.children[0], parent.children[1]
-        dcs = sum(d(c)[0] for c in parent.children)
-        dce = outer.est_rows * d(inner)[1] + d(outer)[1]
-        return dcs, dce
-    if kind == "Limit":
-        child = parent.children[0]
-        ratio = parent.est_rows / child.est_rows if child.est_rows > 0 else 0.0
-        return d(child)[0], ratio * d(child)[1]
-    if kind in _PASSTHROUGH_KINDS:
-        child = parent.children[0]
-        return d(child)[0] + d(child)[1], 0.0
-    if kind in _PROBE_KINDS:
-        dcs = sum(d(c)[0] for c in parent.children)
-        return dcs, d(parent.children[0])[1]
-    raise ConfigurationError(f"no propagation rule for plan kind {kind!r}")
+def _path_deltas(path: list, multiplier) -> list:
+    """The (dcs, dce) of each node of ``path`` (leaf first), in path order,
+    for scaling the leaf's execution cost by ``multiplier``: a float, or an
+    array that carries every element through the same operations as a float
+    would. Of a node's children only the path's own carries a delta, so each
+    step folds the one pair below it."""
+    dcs, dce = 0.0, (multiplier - 1.0) * path[0].exec_cost
+    deltas = [(dcs, dce)]
+    for child, parent in zip(path, path[1:]):
+        kind = parent.kind
+        if kind == "NestedLoopJoin":
+            if child is parent.children[1]:  # inner: once per outer row
+                dce = parent.children[0].est_rows * dce
+        elif kind == "Limit":
+            ratio = parent.est_rows / child.est_rows if child.est_rows > 0 else 0.0
+            dce = ratio * dce
+        elif kind in _PASSTHROUGH_KINDS:
+            dcs, dce = dcs + dce, 0.0
+        elif kind in _PROBE_KINDS:
+            if child is not parent.children[0]:
+                dce = 0.0
+        else:
+            raise ConfigurationError(f"no propagation rule for plan kind {kind!r}")
+        deltas.append((dcs, dce))
+    return deltas
 
 
 @dataclass(frozen=True)
@@ -176,7 +172,7 @@ def correct_plan(
         applied = None
         if score.combined <= threshold:
             applied = score.multiplier
-            dcs, dce = _path_deltas(path_to_root(plan, leaf), applied)[id(plan)]
+            dcs, dce = _path_deltas(path_to_root(plan, leaf), applied)[-1]
             startup += dcs
             execution += dce
         reports.append(LeafCorrection(leaf, score, applied))
@@ -301,7 +297,7 @@ def telemetry_to_labels(
 def _corrected_totals(plan: PlanNode, leaf: PlanNode, grid: np.ndarray) -> np.ndarray:
     """The plan's total cost after scaling ``leaf`` by each grid multiplier,
     bit-identical to `update_cost` on a fresh copy per multiplier."""
-    dcs, dce = _path_deltas(path_to_root(plan, leaf), grid)[id(plan)]
+    dcs, dce = _path_deltas(path_to_root(plan, leaf), grid)[-1]
     # both stay scalars when the leaf's delta never reaches the root
     totals = (plan.startup_cost + dcs) + (plan.exec_cost + dce)
     return np.broadcast_to(totals, grid.shape)

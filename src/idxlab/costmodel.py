@@ -15,8 +15,8 @@ ADAM_BETA2 = 0.999, ADAM_EPS = 1e-8). Every model shares this one
 architecture.
 
 Training allocates nothing per step: the buffer is stacked once per update,
-and the forward pass, backward pass and Adam step write into one fixed
-per-model workspace (a short last batch uses its leading rows). The six
+and the forward pass, backward pass and Adam step write into one workspace
+made for that update (a short last batch uses its leading rows). The six
 parameter arrays, Adam's two moments and the gradients are each views into
 one flat vector, so an Adam step is 14 whole-vector operations; copies and
 pickles rebuild the views. Every operation and its order is that of the
@@ -29,15 +29,16 @@ columns nonzero in any label it has absorbed, including labels since evicted
 from the buffer, whose W1 rows still carry nonzero moments. Once per update
 the W1 rows of the masked columns and the rest of the parameter and moment
 vectors are gathered into compact vectors, trained on the buffer's masked
-columns with the gradients in the workspace's leading stretch, and scattered
-back. The rows left out are exact no-ops: a column that was always zero
-gives its W1 row a zero gradient, zero moments and an Adam step of
-0 / (0 + eps) = 0. Layer 1's products of two or more rows over the masked
-columns equal the full-width ones bit for bit (OpenBLAS sums each output in
-k order, so dropping zero terms changes nothing; tests/test_costmodel.py
-checks it). A one-row batch runs BLAS's gemv, which is not exact when
-compacted, so its forward pass runs at full width. Scoring is never
-compacted: it sees columns the model has not trained on.
+columns in a workspace sized for them, and scattered back; no model keeps a
+workspace between updates. The rows left out are exact no-ops: a column
+that was always zero gives its W1 row a zero gradient, zero moments and an
+Adam step of 0 / (0 + eps) = 0. Layer 1's products of two or more rows over
+the masked columns equal the full-width ones bit for bit (OpenBLAS sums each
+output in k order, so dropping zero terms changes nothing;
+tests/test_costmodel.py checks it). A one-row batch runs BLAS's gemv, which
+is not exact when compacted, so its forward pass runs at full width, into
+the same row buffers. Scoring is never compacted: it sees columns the model
+has not trained on.
 
 Uncertainty combines the softmax entropy of a dropout-off prediction with the
 maximum per-class variance (the biased 1/m estimator) across repeated
@@ -67,7 +68,6 @@ stack, so each still runs the one-row product `predict` runs; their
 entropies are one expression and their multipliers one argmax.
 """
 
-import copy
 import math
 import zlib
 from collections import deque
@@ -139,24 +139,18 @@ class CostMultiplierModel:
         # not: every other W1 row has had only zero gradients and moments
         self._seen_columns = np.zeros(input_dim, dtype=bool)
 
-    def _bind_views(self, workspace=None):
-        """Name -> array views of the flat vectors, and a workspace: a new
-        one, or ``workspace`` narrowed to this model's smaller vectors."""
+    def _bind_views(self):
+        """Name -> array views of the flat vectors."""
         shapes = _param_shapes(self.input_dim)
         self.params, self._adam_m, self._adam_v = (
             _views(vector, shapes) for vector in self._vectors
         )
-        size = self._vectors[0].size
-        if workspace is None:
-            self._workspace = _Workspace(shapes, size)
-        else:
-            self._workspace = workspace.narrowed(shapes, size)
 
     def __getstate__(self):
         # a copied view would no longer alias its vector, so copies and
         # pickles carry the vectors alone and rebuild the views
         state = dict(self.__dict__)
-        for name in ("params", "_adam_m", "_adam_v", "_workspace"):
+        for name in ("params", "_adam_m", "_adam_v"):
             del state[name]
         return state
 
@@ -321,7 +315,7 @@ class CostMultiplierModel:
         cols = np.flatnonzero(self._seen_columns)
         compact, flat = self._compact(cols)
         X_seen = X_all[:, cols]
-        ws = self._workspace
+        ws = compact._workspace
         for _ in range(EPOCHS):
             order = self.rng.permutation(len(y_all))
             for start in range(0, len(y_all), BATCH_SIZE):
@@ -332,11 +326,12 @@ class CostMultiplierModel:
                 else:
                     # a one-row product runs BLAS's gemv, whose sums change
                     # when zero terms are dropped: this step's forward pass
-                    # runs on the full model, brought up to date
+                    # runs on the full model, brought up to date, into the
+                    # same row buffers (their widths do not depend on W1's)
                     self._vectors[0][flat] = compact._vectors[0]
                     cache = self._forward(X_all[batch], self.rng, rows)
                     cache["X"] = X_seen[batch]
-                compact._backward(cache, y_all[batch], rows, compact._workspace.grads)
+                compact._backward(cache, y_all[batch], rows, ws.grads)
                 compact._adam_step()
         for vector, part in zip(self._vectors, compact._vectors):
             vector[flat] = part
@@ -348,8 +343,8 @@ class CostMultiplierModel:
         ``cols``, and the positions of its flat vectors in this model's.
 
         The copy's parameters and moments are gathered from this model's
-        vectors; its workspace is this model's, narrowed. The module
-        docstring says why training the copy is exact.
+        vectors, and it gets its own training workspace, sized for it. The
+        module docstring says why training the copy is exact.
         """
         h, size = HIDDEN_UNITS, self._vectors[0].size
         w1 = (cols[:, None] * h + np.arange(h)).ravel()
@@ -358,7 +353,8 @@ class CostMultiplierModel:
         compact.input_dim = len(cols)
         compact.step_count = self.step_count
         compact._vectors = tuple(vector[flat] for vector in self._vectors)
-        compact._bind_views(self._workspace)
+        compact._bind_views()
+        compact._workspace = _Workspace(_param_shapes(len(cols)), len(flat))
         return compact, flat
 
 
@@ -385,10 +381,11 @@ def _views(vector: np.ndarray, shapes: dict) -> dict:
 
 
 class _Workspace:
-    """One model's training buffers, allocated once: activations and their
-    gradients for BATCH_SIZE rows (a shorter batch writes into the leading
-    rows), the parameter gradients as views of one flat vector, and Adam's
-    two flat scratch vectors. Every step overwrites them before reading."""
+    """One update's training buffers, allocated once per update:
+    activations and their gradients for BATCH_SIZE rows (a shorter batch
+    writes into the leading rows), the parameter gradients as views of one
+    flat vector, and Adam's two flat scratch vectors. Every step overwrites
+    them before reading."""
 
     def __init__(self, shapes: dict, size: int):
         hidden = ("z1", "a1", "m1", "da1", "z2", "a2", "m2", "da2")
@@ -403,16 +400,6 @@ class _Workspace:
         if n == BATCH_SIZE:
             return self.full
         return {k: v[:n] for k, v in self.full.items()}
-
-    def narrowed(self, shapes: dict, size: int) -> "_Workspace":
-        """This workspace for a smaller flat vector of ``size`` laid out by
-        ``shapes``: the same row buffers and the leading stretch of each
-        flat vector."""
-        narrow = copy.copy(self)
-        narrow.grad_vector = self.grad_vector[:size]
-        narrow.grads = _views(narrow.grad_vector, shapes)
-        narrow.scratch = tuple(vector[:size] for vector in self.scratch)
-        return narrow
 
 
 def entropy(probabilities) -> float:

@@ -12,24 +12,23 @@ candidates; a caller holding a `selection.Configuration` passes its
 What a plan needs apart from its configuration is derived once and kept on
 the frozen object it comes from, never in a table keyed by literals (the
 reuse of INUM, Papadomanolakis et al., VLDB 2007). A template keeps its
-referenced columns per table and its filter columns
-(``QueryTemplate.referenced_columns``, ``filter_columns``) and, through
-`_template_constants`, what its accesses take from the catalog alone: each
-table's SeqScan cost and index descent cost, each join's larger distinct
-count and lookup-column distinct count, and the group-by column's distinct
-count. A query keeps its bound predicates per table
-(``Query.predicates_by_table``) and each table's filter selectivity
-(``Query.filter_selectivities``), and each catalog table maps its column
-names once. Whatever is derived from a catalog is kept for the catalog
-object it was computed against and recomputed under any other. All of these
-are pure functions of frozen values, so every plan is built node for node as
-from scratch. The planner weighs each access option and each join's two
-methods on their costs and builds only the tree it returns. It hashes no
-query and keeps no plan: each call plans the whole query under its
-configuration. A what-if plan is therefore a pure function of the query's
-key, the configuration and the catalog, which is what lets the tuner keep
-the plans of queries that recur from one round to the next
-(`selection.round_context`).
+filter columns (``QueryTemplate.filter_columns``) and, through
+`_template_constants`, what its accesses take from the catalog: each
+table's SeqScan cost, index descent cost and referenced columns, each
+join's larger distinct count and lookup-column distinct count, and the
+group-by column's distinct count. A query keeps its bound predicates per
+table (``Query.predicates_by_table``) and, through `_filter_selectivities`,
+each table's filter selectivity, and each catalog table maps its column
+names once. One rule, `_kept`, keeps whatever is derived under a catalog:
+on the frozen object, for the catalog object it was derived under, derived
+again under any other. All of these are pure functions of frozen values, so
+every plan is built node for node as from scratch. The planner weighs each
+access option and each join's two methods on their costs and builds only
+the tree it returns. It hashes no query and keeps no plan: each call plans
+the whole query under its configuration. A what-if plan is therefore a pure
+function of the query's key, the configuration and the catalog, which is
+what lets the tuner keep the plans of queries that recur from one round to
+the next (`selection.round_context`).
 
 The executor turns per-operator execution costs into "true" runtimes through
 hidden per-(leaf kind, table) multipliers and optional lognormal noise;
@@ -131,7 +130,7 @@ def whatif_plan(query: Query, indexes, catalog: Catalog):
     with the scan under it, becomes a node.
     """
     t = query.template
-    tables, joins, groups = _template_constants(t, catalog)
+    tables, joins, groups = _kept(t, "_plan_constants", catalog, _template_constants)
 
     current = PlanNode(*_best_scan(query, tables[t.tables[0]], indexes, catalog))
     for i, join in enumerate(t.join_predicates):
@@ -193,40 +192,55 @@ def whatif_plan(query: Query, indexes, catalog: Catalog):
     return current, current.total_cost
 
 
+def _kept(obj, name, catalog, derive):
+    """``derive(obj, catalog)``, a value derived from the frozen ``obj`` and
+    ``catalog``, kept on ``obj`` under ``name`` for the catalog object it was
+    derived under, and derived again under any other."""
+    memo = obj.__dict__.get(name)
+    if memo is None or memo[0] is not catalog:
+        memo = (catalog, derive(obj, catalog))
+        object.__setattr__(obj, name, memo)
+    return memo[1]
+
+
 def _template_constants(template, catalog):
     """What planning any query of ``template`` takes from ``catalog`` alone:
     ({table: (its TableDef, SeqScan exec cost, index descent cost,
     referenced columns)}, [(larger distinct count of the join's two columns,
     distinct count of its lookup column) per join], the group-by column's
-    distinct count as a float or None).
-
-    Kept on the template for the catalog object it was computed against, and
-    recomputed when the template is planned against another one.
+    distinct count as a float or None). `whatif_plan` keeps it on the
+    template through `_kept`.
     """
-    memo = template.__dict__.get("_plan_constants")
-    if memo is None or memo[0] is not catalog:
-        tables = {}
-        for name in template.tables:
-            table = catalog.table(name)
-            n_preds = sum(f.column.table == name for f in template.filter_specs)
-            tables[name] = (
-                table,
-                SEQ_PAGE_COST * table.page_count
-                + (CPU_TUPLE_COST + CPU_OPERATOR_COST * n_preds) * table.row_count,
-                CPU_OPERATOR_COST * math.log2(max(table.row_count, 2.0)),
-                template.referenced_columns.get(name, frozenset()),
-            )
-        joins = []
-        for join in template.join_predicates:
-            d_left = catalog.column(*join.left).distinct_count
-            d_right = catalog.column(*join.right).distinct_count
-            joins.append((max(d_left, d_right), d_right))
-        groups = None
-        if template.group_by:
-            groups = float(catalog.column(*template.group_by[0]).distinct_count)
-        memo = (catalog, (tables, joins, groups))
-        object.__setattr__(template, "_plan_constants", memo)
-    return memo[1]
+    referenced = {}
+    for ref in template._column_refs():
+        referenced.setdefault(ref.table, set()).add(ref.column)
+    tables = {}
+    for name in template.tables:
+        table = catalog.table(name)
+        n_preds = sum(f.column.table == name for f in template.filter_specs)
+        tables[name] = (
+            table,
+            SEQ_PAGE_COST * table.page_count
+            + (CPU_TUPLE_COST + CPU_OPERATOR_COST * n_preds) * table.row_count,
+            CPU_OPERATOR_COST * math.log2(max(table.row_count, 2.0)),
+            frozenset(referenced.get(name, ())),
+        )
+    joins = []
+    for join in template.join_predicates:
+        d_left = catalog.column(*join.left).distinct_count
+        d_right = catalog.column(*join.right).distinct_count
+        joins.append((max(d_left, d_right), d_right))
+    groups = None
+    if template.group_by:
+        groups = float(catalog.column(*template.group_by[0]).distinct_count)
+    return tables, joins, groups
+
+
+def _filter_selectivities(query, catalog) -> dict:
+    """{table: selectivity of ``query``'s filters on it} under ``catalog``.
+    `_best_scan` keeps it on the query through `_kept`."""
+    by_table = query.predicates_by_table
+    return {table: selectivity(preds, catalog) for table, preds in by_table.items()}
 
 
 def _best_scan(query, facts, indexes, catalog, lookup=None):
@@ -241,7 +255,8 @@ def _best_scan(query, facts, indexes, catalog, lookup=None):
     table, seq_exec, descent, referenced = facts
     name = table.name
     preds = list(query.predicates_by_table.get(name, ()))
-    out_rows = table.row_count * query.filter_selectivities(catalog).get(name, 1.0)
+    sels = _kept(query, "_filter_selectivities", catalog, _filter_selectivities)
+    out_rows = table.row_count * sels.get(name, 1.0)
     lookup_col = None
     best = best_total = None
     if lookup is None:

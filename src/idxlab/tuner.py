@@ -273,7 +273,9 @@ class Environment:
     costs its build time, but it does not count as a new index. The no-index
     telemetry comes from ``calibration``, private unless one replication's
     methods pass the same one. The methods price against its no-index plans,
-    so their catalog must be the ground truth's.
+    so their catalog must be the ground truth's. It executes under its
+    calibration's ground truth and seed, which `Calibration.check` ties to
+    the ones it is given.
     """
 
     def __init__(
@@ -282,8 +284,6 @@ class Environment:
         if calibration is None:
             calibration = Calibration(ground_truth, seed)
         calibration.check(ground_truth, seed)
-        self.ground_truth = ground_truth
-        self.seed = seed
         self.calibration = calibration
         self.deployed = Configuration()
         self.ever_deployed = set()
@@ -308,9 +308,10 @@ class Environment:
         baselines = self.calibration.calibrate(queries)
         telemetries = baselines
         if config.indexes:
-            round_seed = subseed(self.seed, "execute", t)
+            calibration = self.calibration
+            round_seed = subseed(calibration.seed, "execute", t)
             telemetries = _execute_all(
-                queries, config.indexes, self.ground_truth, round_seed
+                queries, config.indexes, calibration.ground_truth, round_seed
             )
         executed = list(zip(queries, telemetries, baselines))
         exec_time, noindex_time = 0.0, 0.0

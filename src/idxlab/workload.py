@@ -11,6 +11,12 @@ sampled for every materialized query.
 
 A schedule file is read in one pass (`load_schedule`), which checks its
 structure, each template against the catalog and each query's literals.
+
+Templates and queries are frozen and catalog-free. A template lists its
+column references once (`QueryTemplate._column_refs`), which `validate`
+checks and the planner groups into each table's referenced columns; what
+the planner derives from a template or query under a catalog is kept on it
+by `simulator._kept`, for that catalog object only.
 """
 
 import json
@@ -21,14 +27,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .catalog import (
-    COMPARISON_OPS,
-    NUMERIC,
-    STRING,
-    Catalog,
-    ColumnRef,
-    selectivity,
-)
+from .catalog import COMPARISON_OPS, NUMERIC, STRING, Catalog, ColumnRef
 from .errors import (
     FIELDS,
     CatalogLookupError,
@@ -128,14 +127,6 @@ class QueryTemplate:
         return refs
 
     @cached_property
-    def referenced_columns(self) -> dict:
-        """{table: frozenset of the columns the template reads from it}."""
-        cols = {}
-        for ref in self._column_refs():
-            cols.setdefault(ref.table, set()).add(ref.column)
-        return {table: frozenset(c) for table, c in cols.items()}
-
-    @cached_property
     def filter_columns(self) -> dict:
         """{table: {filtered column: ()}}, the shape ``_matched_prefix`` reads."""
         cols = {}
@@ -180,22 +171,6 @@ class Query:
             p = Predicate(spec.column, spec.op, literal)
             by_table.setdefault(spec.column.table, []).append(p)
         return by_table
-
-    def filter_selectivities(self, catalog: Catalog) -> dict:
-        """{table: selectivity of the query's filters on it} under ``catalog``.
-
-        Kept for the catalog object it was computed against, and recomputed
-        when the query is planned against another one.
-        """
-        memo = self.__dict__.get("_filter_selectivities")
-        if memo is None or memo[0] is not catalog:
-            sels = {
-                table: selectivity(preds, catalog)
-                for table, preds in self.predicates_by_table.items()
-            }
-            memo = (catalog, sels)
-            object.__setattr__(self, "_filter_selectivities", memo)
-        return memo[1]
 
     def key(self) -> tuple:
         """Stable identity for caching: (template id, bound literals)."""

@@ -4,7 +4,8 @@ only the plan it returns, kept as oracles for differential tests.
 `whatif_plan` here builds every access option and both join alternatives
 as nodes, compares the nodes' totals and drops the losers, and derives
 every table constant (SeqScan cost, index descent, join and group-by
-distinct counts) afresh at each access. `query_digest` hashes one query
+distinct counts), each table's filter selectivity and its referenced
+columns afresh at each access. `query_digest` hashes one query
 and its configuration, sorting the configuration's names for that query
 alone. `idxlab.simulator` must agree with both float for float and byte for
 byte.
@@ -13,6 +14,7 @@ byte.
 import math
 import zlib
 
+from idxlab.catalog import selectivity
 from idxlab.plan import PlanNode
 from idxlab.simulator import (
     CPU_INDEX_TUPLE_COST,
@@ -98,7 +100,7 @@ def _best_scan(query, table_name, indexes, catalog, lookup_col):
     """Cheapest access path for one table (or the cheapest lookup path)."""
     table = catalog.table(table_name)
     preds = list(query.predicates_by_table.get(table_name, ()))
-    filter_sel = query.filter_selectivities(catalog).get(table_name, 1.0)
+    filter_sel = selectivity(preds, catalog) if preds else 1.0
     out_rows = table.row_count * filter_sel
     if lookup_col is not None:
         join_col = catalog.column(table_name, lookup_col)
@@ -117,7 +119,8 @@ def _best_scan(query, table_name, indexes, catalog, lookup_col):
         )
         options.append(seq)
 
-    referenced = query.template.referenced_columns.get(table_name, frozenset())
+    refs = query.template._column_refs()
+    referenced = {ref.column for ref in refs if ref.table == table_name}
     for idx in indexes:
         if idx.table != table_name:
             continue

@@ -17,9 +17,14 @@ from idxlab.correction import (
     telemetry_to_labels,
     update_cost,
 )
-from idxlab.costmodel import MULTIPLIER_GRID, CostMultiplierModel, nearest_bucket_index
+from idxlab.costmodel import (
+    MULTIPLIER_GRID,
+    CostMultiplierModel,
+    UncertaintyScore,
+    nearest_bucket_index,
+)
 from idxlab.errors import ConfigurationError, ContractError
-from idxlab.plan import PlanNode, encode_operator, encoding_length, leaves
+from idxlab.plan import PlanNode, encode_operator, encoding_length, leaves, path_to_root
 from idxlab.selection import generate_candidates
 from idxlab.simulator import execute, make_ground_truth, whatif_plan
 from idxlab.workload import DriftSchedule, build_schedule, generate_templates
@@ -597,3 +602,131 @@ def test_label_search_rejects_nonpositive_grid_value():
     for bad in (0.0, -1.0):
         with pytest.raises(ValueError, match="positive"):
             telemetry_to_labels(root, (inner.index,), [0.5, bad, 2.0], 0.1, 1e6)
+
+
+# --- the per-node delta table the one-pair fold replaced, as an oracle -------
+
+def reference_path_deltas(path, multiplier):
+    """{id(node): (dcs, dce)} along ``path`` (leaf first): every node's
+    delta from all of its children's, a child off the path counting (0, 0)."""
+    leaf = path[0]
+    local = {id(leaf): (0.0, (multiplier - 1.0) * leaf.exec_cost)}
+    for parent in path[1:]:
+        local[id(parent)] = reference_parent_delta(parent, local)
+    return local
+
+
+def reference_parent_delta(parent, local):
+    def d(node):
+        return local.get(id(node), (0.0, 0.0))
+
+    kind = parent.kind
+    if kind == "NestedLoopJoin":
+        outer, inner = parent.children[0], parent.children[1]
+        dcs = sum(d(c)[0] for c in parent.children)
+        dce = outer.est_rows * d(inner)[1] + d(outer)[1]
+        return dcs, dce
+    if kind == "Limit":
+        child = parent.children[0]
+        ratio = parent.est_rows / child.est_rows if child.est_rows > 0 else 0.0
+        return d(child)[0], ratio * d(child)[1]
+    if kind in ("Hash", "Sort", "Aggregate", "Gather"):
+        child = parent.children[0]
+        return d(child)[0] + d(child)[1], 0.0
+    if kind in ("HashJoin", "GatherMerge"):
+        dcs = sum(d(c)[0] for c in parent.children)
+        return dcs, d(parent.children[0])[1]
+    raise AssertionError(kind)
+
+
+drawn_costs = st.floats(min_value=0.0, max_value=1e6)
+# no subnormal row counts: a Limit's row ratio would overflow
+drawn_rows = st.one_of(st.just(0.0), st.floats(min_value=1e-3, max_value=1e3))
+
+
+def _drawn_parents(children):
+    """A node of every internal kind over drawn children: one child, two for
+    a join, one to three for GatherMerge."""
+    one = st.tuples(
+        st.sampled_from(("Limit", "Hash", "Sort", "Aggregate", "Gather")),
+        st.lists(children, min_size=1, max_size=1),
+    )
+    two = st.tuples(
+        st.sampled_from(("NestedLoopJoin", "HashJoin")),
+        st.lists(children, min_size=2, max_size=2),
+    )
+    merge = st.tuples(
+        st.just("GatherMerge"), st.lists(children, min_size=1, max_size=3)
+    )
+    return st.builds(
+        lambda kind_children, s, e, r: PlanNode(
+            kind_children[0], s, e, r, children=kind_children[1]
+        ),
+        st.one_of(one, two, merge),
+        drawn_costs,
+        drawn_costs,
+        drawn_rows,
+    )
+
+
+drawn_plans = st.recursive(
+    st.builds(
+        lambda kind, e, r: PlanNode(kind, 0.0, e, r, table="a"),
+        st.sampled_from(("SeqScan", "IndexScan", "IndexOnlyScan")),
+        drawn_costs,
+        drawn_rows,
+    ),
+    _drawn_parents,
+    max_leaves=8,
+)
+leaf_multipliers = st.one_of(multipliers, st.sampled_from(GRID.tolist()))
+
+
+class _StepCount:
+    step_count = 0
+
+
+def _hexes(values):
+    return [float(v).hex() for v in np.ravel(values).tolist()]
+
+
+@settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(drawn_plans, st.data())
+def test_the_one_pair_fold_equals_the_per_node_delta_table(plan, data):
+    plan_leaves = leaves(plan)
+    chosen = data.draw(
+        st.lists(leaf_multipliers, min_size=len(plan_leaves), max_size=len(plan_leaves))
+    )
+    # the gate with every leaf open at its drawn multiplier, through a score
+    # cache that already holds each leaf's score under unit-width encodings
+    models = {kind: _StepCount() for kind in ("SeqScan", "IndexScan", "IndexOnlyScan")}
+    encoded = [(leaf, np.array([float(i)])) for i, leaf in enumerate(plan_leaves)]
+    cache = {kind: ((0, 0.5, 2), {}) for kind in models}
+    for (leaf, enc), m in zip(encoded, chosen):
+        cache[leaf.kind][1][enc.tobytes()] = UncertaintyScore(0.0, 0.0, 0.0, m)
+    got = correct_plan(plan, models, None, 0.0, 0.5, 2, cache, encoded)
+    assert [r.multiplier for r in got.reports] == chosen
+    startup, execution = plan.startup_cost, plan.exec_cost
+    for leaf, m in zip(plan_leaves, chosen):
+        dcs, dce = reference_path_deltas(path_to_root(plan, leaf), m)[id(plan)]
+        startup += dcs
+        execution += dce
+    assert _hexes(got.corrected_cost) == _hexes(startup + execution)
+
+    for pos, (leaf, m) in enumerate(zip(plan_leaves, chosen)):
+        path = path_to_root(plan, leaf)
+        # label search's totals over the whole grid at once
+        dcs, dce = reference_path_deltas(path, GRID)[id(plan)]
+        want = np.broadcast_to(
+            (plan.startup_cost + dcs) + (plan.exec_cost + dce), GRID.shape
+        )
+        assert _hexes(_corrected_totals(plan, leaf, GRID)) == _hexes(want)
+        # one correction in place, node by node, and its ledger
+        table = reference_path_deltas(path, m)
+        copy = plan.clone()
+        ledger = update_cost(copy, leaves(copy)[pos], m)
+        for node, twin in zip(plan.walk(), copy.walk()):
+            dcs, dce = table.get(id(node), (0.0, 0.0))
+            assert ledger.delta_for(twin) == (dcs, dce)
+            assert twin.startup_cost == node.startup_cost + dcs
+            assert twin.exec_cost == node.exec_cost + dce

@@ -514,9 +514,8 @@ def test_copied_model_views_its_own_flat_state(how):
         "params": (twin.params, twin._vectors[0]),
         "_adam_m": (twin._adam_m, twin._vectors[1]),
         "_adam_v": (twin._adam_v, twin._vectors[2]),
-        "grads": (twin._workspace.grads, twin._workspace.grad_vector),
     }
-    originals = model._vectors + (model._workspace.grad_vector,)
+    originals = model._vectors
     for state, (views, vector) in flat.items():
         assert list(views) == ["W1", "b1", "W2", "b2", "W3", "b3"], state
         for name, view in views.items():
@@ -530,6 +529,22 @@ def test_copied_model_views_its_own_flat_state(how):
     assert_same_model_state(model, before)
     model.update(batch)
     assert_same_model_state(twin, model)
+
+
+def test_a_model_holds_no_training_workspace_between_updates():
+    # each update trains a compact copy in a workspace made for it, so the
+    # model itself keeps only its flat vectors and their views
+    dim = 17
+    model = make_model(dim=dim, seed=29)
+    rng = rng_for(29, "labels")
+    assert not hasattr(model, "_workspace")
+    for count in (1, 33, 40):
+        labels = [
+            (rng.random(dim), int(rng.integers(0, N_CLASSES))) for _ in range(count)
+        ]
+        model.update(labels)
+        assert not hasattr(model, "_workspace")
+        assert "_workspace" not in model.__getstate__()
 
 
 def sparse_encoding(rng, dim, pool, extra=()):

@@ -1,10 +1,11 @@
 """Properties of the what-if planner over drawn catalogs and queries.
 
 The planner derives a query's bound predicates and filter selectivities once
-and keeps them on the query, and a template's referenced and filter columns
-and its table constants on the template. Planning through those values must
-equal planning fresh copies that have none, against whichever catalog the
-query is planned with. The planner weighs its options on their costs and
+and keeps them on the query, and a template's filter columns and its table
+constants, referenced columns among them, on the template; what it derives
+under a catalog it keeps for that catalog only (`simulator._kept`). Planning
+through those values must equal planning fresh copies that have none,
+against whichever catalog the query is planned with. The planner weighs its options on their costs and
 builds only the tree it returns; that tree must equal, node for node, the
 one the earlier planner in `reference_planner` picks from fully built
 alternatives.
@@ -153,24 +154,40 @@ def test_planning_through_the_memo_equals_planning_fresh_copies(case):
 @st.composite
 def oracle_cases(draw):
     """A catalog of 1-5 tables, a query of each of three of its templates,
-    each template with a drawn group-by and order-by, and the index sets to
+    each template with a drawn group-by and order-by and maybe one more
+    filter on each join's inner table, and the index sets to
     plan them under: none, each candidate alone, and up to 8 of the
-    candidates together with two-column composites and lookup-only indexes
-    (led by a join's lookup column)."""
+    candidates together with two-column composites, lookup-only indexes
+    (led by a join's lookup column) and filter-covering indexes on a join's
+    inner table (led by a column the template filters there). The last are
+    drawn first and most often: they put an index scan, the only scan with
+    a startup cost, under a Hash."""
     catalog = draw(catalogs(max_tables=5))
     try:
         templates = generate_templates(catalog, 3, seed=draw(st.integers(0, 2**16)))
     except ConfigurationError:  # too few columns for three distinct templates
         assume(False)
-    queries, extras = [], []
+    queries, extras, inner_filtered = [], [], []
     for template in templates:
         refs = [
             ColumnRef(t, c.name)
             for t in template.tables
             for c in catalog.table(t).columns
         ]
+        inner_filters = []
+        for join in template.join_predicates:
+            columns = catalog.table(join.right.table).columns
+            for column in draw(st.lists(st.sampled_from(columns), max_size=1)):
+                numeric = column.kind == NUMERIC
+                op = draw(st.sampled_from(COMPARISON_OPS if numeric else ("=", "!=")))
+                sampler = LiteralSampler(column.kind, distinct=column.distinct_count)
+                if numeric:
+                    sampler = LiteralSampler(NUMERIC, column.min_value, column.max_value)
+                ref = ColumnRef(join.right.table, column.name)
+                inner_filters.append(FilterSpec(ref, op, sampler))
         template = dataclasses.replace(
             template,
+            filter_specs=template.filter_specs + tuple(inner_filters),
             order_by=tuple(draw(st.lists(st.sampled_from(refs), max_size=1))),
             group_by=tuple(draw(st.lists(st.sampled_from(refs), max_size=1))),
         )
@@ -187,9 +204,16 @@ def oracle_cases(draw):
             others = [c.name for c in table.columns if c.name != join.right.column]
             keys = (join.right.column, draw(st.sampled_from(others)))
             extras.append(sized_candidate(join.right.table, keys, catalog))
+            for column in template.filter_columns.get(table.name, {}):
+                names = [c.name for c in table.columns if c.name != column]
+                tail = draw(st.lists(st.sampled_from(names), max_size=1))
+                keys = (column, *tail)
+                inner_filtered.append(sized_candidate(table.name, keys, catalog))
     candidates = generate_candidates(MiniWorkload(0, tuple(queries)), catalog)
-    together = draw(st.lists(st.sampled_from(candidates + extras), max_size=8))
-    index_sets = [(), *((ix,) for ix in candidates + extras), tuple(together)]
+    pool = inner_filtered + candidates + extras
+    favoured = st.sampled_from(inner_filtered) if inner_filtered else st.nothing()
+    together = draw(st.lists(favoured | st.sampled_from(pool), max_size=8))
+    index_sets = [(), *((ix,) for ix in pool), tuple(together)]
     return catalog, queries, index_sets
 
 
@@ -252,16 +276,19 @@ def test_a_planner_call_builds_only_the_nodes_of_the_tree_it_returns(case):
 
 
 def test_template_constants_follow_the_catalog_a_query_is_planned_against():
-    # two catalogs with the same tables and columns, at other row and page
-    # counts; the template keeps the constants of the last one only
-    def catalog(rows, pages):
-        left = TableDef("a", rows, pages, (ColumnDef("x", NUMERIC, 50, 0.0, 100.0),))
+    # catalogs with the same tables and columns: two at other row and page
+    # counts, and a third like the first whose filtered column has another
+    # range, so that only the query's filter selectivity differs; the
+    # template and the query keep what they derived under the last one only
+    def catalog(rows, pages, high=100.0):
+        left = TableDef("a", rows, pages, (ColumnDef("x", NUMERIC, 50, 0.0, high),))
         right = TableDef(
             "b", 2 * rows, 3 * pages, (ColumnDef("y", NUMERIC, 40, 0.0, 100.0),)
         )
         return Catalog((left, right), 0)
 
     small, large = catalog(1000, 10), catalog(90000, 2000)
+    narrow = catalog(1000, 10, high=60.0)
     template = QueryTemplate(
         "T",
         ("a", "b"),
@@ -272,7 +299,7 @@ def test_template_constants_follow_the_catalog_a_query_is_planned_against():
     query = Query(template, (30.0,))
     indexes = (sized_candidate("b", ("y",), small), sized_candidate("a", ("x",), small))
     costs = {}
-    for current in (small, large, large, small, large):
+    for current in (small, large, large, small, narrow, narrow, small, large, narrow):
         plan, cost = whatif_plan(query, indexes, current)
         fresh = Query(dataclasses.replace(template), query.bound_literals)
         want_plan, want_cost = whatif_plan(fresh, indexes, current)
@@ -282,7 +309,7 @@ def test_template_constants_follow_the_catalog_a_query_is_planned_against():
             reference_planner.whatif_plan(query, indexes, current)[0]
         )
         costs[id(current)] = cost
-    assert costs[id(small)] != costs[id(large)]
+    assert len(set(costs.values())) == 3
 
 
 @SETTINGS
